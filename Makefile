@@ -6,7 +6,7 @@ BENCHTIME ?= 1s
 # instead of whatever @latest resolves to on the day.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: test race bench bench-alloc bench-json bench-diff bench-load bench-adaptive profile vet lint lint-tools crystalvet staticcheck
+.PHONY: test race bench bench-check bench-alloc bench-json bench-diff bench-load bench-adaptive profile vet lint lint-tools crystalvet staticcheck
 
 vet:
 	go vet ./...
@@ -32,8 +32,15 @@ staticcheck:
 lint-tools:
 	go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-test:
+test: bench-check
 	go build ./... && go test ./...
+
+# bench-check vets and tests the repo benchmark, which is its own module
+# (benchmark/go.mod) and therefore invisible to `./...`: without it an
+# internal/... rename that breaks the benchmark build lands silently.
+# GO_TELEMETRY_CHILD=2 keeps cmd/go from forking its telemetry sidecar.
+bench-check:
+	cd benchmark && GO_TELEMETRY_CHILD=2 go vet . && GO_TELEMETRY_CHILD=2 go test .
 
 race:
 	go test -race ./...
@@ -47,7 +54,7 @@ bench:
 # -count=2: the second run executes with warm free-lists, so a threshold
 # that only holds on cold pools fails here instead of flaking in CI.
 bench-alloc:
-	go test ./internal/explore -run 'TestAllocRegressionPerState|TestLazyTracesAllocateLess' -count=2 -v
+	go test ./internal/explore -run 'TestAllocRegressionPerState' -count=2 -v
 
 # profile runs the offline model checker under the runtime/pprof
 # collectors and prints the top allocation sites. mc.cpu.pprof and
@@ -56,7 +63,8 @@ profile:
 	go run ./cmd/mc -n 15 -depth 6 -budget 8192 -cpuprofile mc.cpu.pprof -memprofile mc.mem.pprof
 	go tool pprof -top -sample_index=alloc_objects mc.mem.pprof | head -20
 
-# bench-json snapshots the E1–E16 benchmark suite into BENCH_$(N).json so
+# bench-json snapshots the bench_test.go suite (E1–E10, E13, E14, E18,
+# E19, parameter ablations) into BENCH_$(N).json so
 # performance trajectories across PRs stay diffable. Example:
 #   make bench-json N=2
 bench-json:

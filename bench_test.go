@@ -168,54 +168,6 @@ func BenchmarkE10ParallelPrediction(b *testing.B) {
 	}
 }
 
-// BenchmarkE11CloneStrategy measures the copy-on-write world fork against
-// the original eager deep clone on the same prediction workload; run with
-// -benchmem to see the allocation gap COW exists for.
-func BenchmarkE11CloneStrategy(b *testing.B) {
-	for _, mode := range []string{"cow", "deepclone"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			w := mkTreeWorld()
-			b.ResetTimer()
-			states := 0
-			for i := 0; i < b.N; i++ {
-				x := explore.NewExplorer(6)
-				x.MaxStates = 1 << 20
-				x.DeepClones = mode == "deepclone"
-				r := x.Explore(w)
-				states += r.StatesExplored
-			}
-			b.ReportMetric(float64(states)/float64(b.N), "states/op")
-		})
-	}
-}
-
-// BenchmarkE12IncrementalDigest measures O(delta) state hashing: the same
-// consequence prediction deduplicated with the maintained incremental
-// world digest versus the from-scratch recomputation ablation
-// (Explorer.FullDigests). Run with -benchmem: the incremental path is the
-// allocation-free one.
-func BenchmarkE12IncrementalDigest(b *testing.B) {
-	for _, mode := range []string{"incremental", "full"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			w := mkTreeWorld()
-			b.ResetTimer()
-			states := 0
-			for i := 0; i < b.N; i++ {
-				x := explore.NewExplorer(6)
-				x.MaxStates = 1 << 20
-				x.FullDigests = mode == "full"
-				r := x.Explore(w)
-				states += r.StatesExplored
-			}
-			b.ReportMetric(float64(states)/float64(b.N), "states/op")
-		})
-	}
-}
-
 // BenchmarkE13FaultExploration reproduces the §4 failure-rejoin search via
 // lookahead instead of a scripted schedule: the explorer branches over
 // node resets (crash + cold restart from the as-deployed state) under a
@@ -273,22 +225,19 @@ func BenchmarkE13FaultExploration(b *testing.B) {
 	}
 }
 
-// BenchmarkE14WorkStealing measures the scheduler rebuild on E10's world:
-// the same exploration drained by per-worker work-stealing deques versus
-// the old single locked queue (the Explorer.SingleQueue ablation). The
-// traversal is BFS because scheduler overhead only shows under frontier
-// churn — every explored state is one queue push and one pop — whereas
-// ChainDFS seeds a frontier that never grows and expands each chain
-// inline, leaving the scheduler nearly nothing to do. workers=1 is the
-// sequential baseline (both modes collapse to the same loop); the
-// interesting rows are the multi-worker ones. Reported metric: states
-// visited per second of wall clock.
+// BenchmarkE14WorkStealing measures the work-stealing scheduler on E10's
+// world. The traversal is BFS because scheduler overhead only shows under
+// frontier churn — every explored state is one deque push and one pop —
+// whereas ChainDFS seeds a frontier that never grows and expands each
+// chain inline, leaving the scheduler nearly nothing to do. workers=1 is
+// the sequential baseline; the interesting rows are the multi-worker
+// ones. Reported metric: states visited per second of wall clock.
 func BenchmarkE14WorkStealing(b *testing.B) {
 	// "auto" rows run the stealing scheduler with AutoWorkers: workers is
 	// the ceiling and the controller picks the active set, so comparing
 	// auto/workersN against the best hand-picked steal/workersM row
 	// measures what the autoscaler costs over an oracle configuration.
-	for _, mode := range []string{"steal", "queue", "auto"} {
+	for _, mode := range []string{"steal", "auto"} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			mode, workers := mode, workers
 			b.Run(fmt.Sprintf("%s/workers%d", mode, workers), func(b *testing.B) {
@@ -302,7 +251,6 @@ func BenchmarkE14WorkStealing(b *testing.B) {
 					x.MaxStates = 1 << 14
 					x.Strategy = explore.BFS{}
 					x.Workers = workers
-					x.SingleQueue = mode == "queue"
 					x.AutoWorkers = mode == "auto"
 					r := x.Explore(w)
 					states += r.StatesExplored
@@ -314,77 +262,6 @@ func BenchmarkE14WorkStealing(b *testing.B) {
 				b.ReportMetric(float64(states)/float64(b.N), "states/op")
 			})
 		}
-	}
-}
-
-// BenchmarkE15AllocDiscipline measures the hot-path memory discipline on
-// E14's workload (BFS, budget 16384, 8 workers): the default engine
-// (lazy parent-pointer traces + dead-world recycling) against the two
-// ablations that restore the old behavior — EagerTraces (formatted
-// []string traces copied per step) and NoRecycle (dead worlds left to
-// the garbage collector). Run with -benchmem: allocs/op and B/op are the
-// point. Reported metric: states visited per second of wall clock.
-func BenchmarkE15AllocDiscipline(b *testing.B) {
-	for _, mode := range []string{"default", "eagertraces", "norecycle"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			w := mkTreeWorld()
-			b.ResetTimer()
-			states := 0
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				x := explore.NewExplorer(8)
-				x.MaxStates = 1 << 14
-				x.Strategy = explore.BFS{}
-				x.Workers = 8
-				x.EagerTraces = mode == "eagertraces"
-				x.NoRecycle = mode == "norecycle"
-				r := x.Explore(w)
-				states += r.StatesExplored
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(states)/elapsed, "states/sec")
-			}
-			b.ReportMetric(float64(states)/float64(b.N), "states/op")
-		})
-	}
-}
-
-// BenchmarkE16ArenaSeen measures the zero-alloc expansion pair on E14's
-// workload (BFS, budget 16384, 8 workers): per-worker pathNode arenas and
-// the lock-free seen table against their ablations — NoArena (heap trace
-// nodes), LockedSeen (the former 64-shard mutex+map set), and legacy
-// (both at once, the pre-arena engine). Run with -benchmem and a -cpu
-// matrix: the arena shows in allocs/op, the seen table in states/sec
-// scaling across cores. Reported metric: states visited per second of
-// wall clock.
-func BenchmarkE16ArenaSeen(b *testing.B) {
-	for _, mode := range []string{"default", "noarena", "lockedseen", "legacy"} {
-		mode := mode
-		b.Run(mode, func(b *testing.B) {
-			b.ReportAllocs()
-			w := mkTreeWorld()
-			b.ResetTimer()
-			states := 0
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				x := explore.NewExplorer(8)
-				x.MaxStates = 1 << 14
-				x.Strategy = explore.BFS{}
-				x.Workers = 8
-				x.NoArena = mode == "noarena" || mode == "legacy"
-				x.LockedSeen = mode == "lockedseen" || mode == "legacy"
-				r := x.Explore(w)
-				states += r.StatesExplored
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(states)/elapsed, "states/sec")
-			}
-			b.ReportMetric(float64(states)/float64(b.N), "states/op")
-		})
 	}
 }
 
@@ -498,7 +375,7 @@ func BenchmarkE8ExecutionSteering(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			steered, cycles := 0.0, 0.0
 			for i := 0; i < b.N; i++ {
-				r := randtree.RunSteering(on, 15, int64(i+1), 1)
+				r := randtree.RunSteering(on, 15, int64(i+1), explore.Options{}, false)
 				steered += float64(r.Steered)
 				if r.CycleFormed {
 					cycles++
@@ -635,8 +512,7 @@ func BenchmarkE19AdaptiveRuntime(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := base
 			cfg.LookaheadClassCache = c.classCache
-			cfg.LookaheadWorkers = c.workers
-			cfg.LookaheadAutoWorkers = c.auto
+			cfg.Lookahead = explore.Options{Workers: c.workers, AutoWorkers: c.auto}
 			var steer, resolve, op core.LatencyHist
 			var hits, misses, chits, cmisses, dropped, steered uint64
 			b.ResetTimer()

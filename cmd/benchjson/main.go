@@ -1,9 +1,10 @@
 // Command benchjson runs the repository's benchmark suite (experiments
-// E1–E15) and emits a machine-readable BENCH_<n>.json snapshot: ns/op,
-// B/op, allocs/op, and every custom b.ReportMetric quantity (states/op,
-// states/sec, ...), grouped by experiment. Successive PRs archive these
-// files (the CI workflow uploads one per run) so performance trajectories
-// — regressions and wins alike — are diffable instead of anecdotal.
+// E1–E10, E13, E14, E18, E19 and the parameter ablations) and emits a
+// machine-readable BENCH_<n>.json snapshot: ns/op, B/op, allocs/op, and
+// every custom b.ReportMetric quantity (states/op, states/sec, ...),
+// grouped by experiment. Successive PRs archive these files (the CI
+// workflow uploads one per run) so performance trajectories —
+// regressions and wins alike — are diffable instead of anecdotal.
 //
 // Usage:
 //
@@ -228,8 +229,7 @@ func loadSnapshot(path string) (*Snapshot, error) {
 // beyond ±10% are called out (REGRESSION/improved); where both sides
 // report a states/sec metric — the throughput headline of E4/E10/E13/E14
 // — its delta is shown alongside, as are B/op and allocs/op deltas when
-// both snapshots were taken with -benchmem (the memory-discipline
-// headline of E15).
+// both snapshots were taken with -benchmem.
 func diff(oldPath, newPath string) error {
 	if oldPath == "" || newPath == "" {
 		return fmt.Errorf("-diff needs both -old and -new")

@@ -20,37 +20,13 @@ import (
 	"crystalchoice/internal/profiling"
 )
 
-// lookaheadWorkers sizes every runtime lookahead's exploration pool;
-// lookaheadStrategy names its traversal (chaindfs|bfs|randomwalk|guided).
+// lookahead is the engine configuration every experiment hands its
+// runtime lookaheads (-workers, -strategy, -faults, -partitions,
+// -maxfrontier, -autoworkers); lookaheadClassCache caches steering/resolve
+// verdicts under canonical violation-class and scenario keys.
 var (
-	lookaheadWorkers  int
-	lookaheadStrategy string
-)
-
-// lookaheadFaults budgets fault transitions (crash/recover/reset) per
-// runtime lookahead; lookaheadPartitions adds partition transitions.
-var (
-	lookaheadFaults     int
-	lookaheadPartitions bool
-)
-
-// lookaheadMaxFrontier caps every runtime lookahead's pending frontier
-// (0 = unbounded), bounding lookahead memory on small machines.
-var lookaheadMaxFrontier int
-
-// lookaheadNoArena and lookaheadLockedSeen are the zero-alloc-expansion
-// ablation knobs (heap trace nodes / locked sharded seen set).
-var (
-	lookaheadNoArena    bool
-	lookaheadLockedSeen bool
-)
-
-// lookaheadClassCache caches steering/resolve verdicts under canonical
-// violation-class and scenario keys; lookaheadAutoWorkers autoscales
-// lookahead worker pools mid-run (PR 10 adaptive-runtime knobs).
-var (
-	lookaheadClassCache  bool
-	lookaheadAutoWorkers bool
+	lookahead           explore.Options
+	lookaheadClassCache bool
 )
 
 // main delegates to run so deferred profile writers flush before exit.
@@ -60,29 +36,28 @@ func run() int {
 	app := flag.String("app", "all", "experiment to run: gossip | dissem | paxos | overload | steering | tracker | all")
 	seed := flag.Int64("seed", 1, "first seed")
 	seeds := flag.Int("seeds", 3, "seeds to average over")
-	flag.IntVar(&lookaheadWorkers, "workers", 1, "lookahead exploration worker pool per node")
-	flag.StringVar(&lookaheadStrategy, "strategy", "chaindfs", "lookahead exploration strategy: chaindfs | bfs | randomwalk | guided")
-	flag.IntVar(&lookaheadFaults, "faults", 0, "fault-transition budget per runtime lookahead (crash/recover/reset)")
-	flag.BoolVar(&lookaheadPartitions, "partitions", false, "also explore partition transitions in runtime lookaheads")
-	flag.IntVar(&lookaheadMaxFrontier, "maxfrontier", 0, "cap on pending lookahead frontier units, dropping lowest-priority work (0 = unbounded)")
-	flag.BoolVar(&lookaheadNoArena, "noarena", false, "heap-allocate lookahead trace nodes instead of per-worker arenas (ablation)")
-	flag.BoolVar(&lookaheadLockedSeen, "lockedseen", false, "dedup lookahead states through the locked sharded seen set (ablation)")
+	flag.IntVar(&lookahead.Workers, "workers", 1, "lookahead exploration worker pool per node")
+	strategy := flag.String("strategy", "chaindfs", "lookahead exploration strategy: chaindfs | bfs | randomwalk | guided")
+	flag.IntVar(&lookahead.FaultBudget, "faults", 0, "fault-transition budget per runtime lookahead (crash/recover/reset)")
+	flag.BoolVar(&lookahead.PartitionFaults, "partitions", false, "also explore partition transitions in runtime lookaheads")
+	flag.IntVar(&lookahead.MaxFrontier, "maxfrontier", 0, "cap on pending lookahead frontier units, dropping lowest-priority work (0 = unbounded)")
 	flag.BoolVar(&lookaheadClassCache, "classcache", false, "cache steering/resolve verdicts under violation-class keys")
-	flag.BoolVar(&lookaheadAutoWorkers, "autoworkers", false, "autoscale lookahead worker pools mid-run")
+	flag.BoolVar(&lookahead.AutoWorkers, "autoworkers", false, "autoscale lookahead worker pools mid-run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	flag.Parse()
 	if err := cliutil.FirstErr(
-		cliutil.Positive("workers", lookaheadWorkers),
+		cliutil.Positive("workers", lookahead.Workers),
 		cliutil.Positive("seeds", *seeds),
-		cliutil.NonNegative("faults", lookaheadFaults),
-		cliutil.NonNegative("maxfrontier", lookaheadMaxFrontier),
+		cliutil.NonNegative("faults", lookahead.FaultBudget),
+		cliutil.NonNegative("maxfrontier", lookahead.MaxFrontier),
 	); err != nil {
 		fmt.Fprintf(os.Stderr, "crystalball: %v\n", err)
 		flag.Usage()
 		return 2
 	}
-	if _, err := explore.ParseStrategy(lookaheadStrategy); err != nil {
+	var err error
+	if lookahead.Strategy, err = explore.ParseStrategy(*strategy); err != nil {
 		fmt.Fprintf(os.Stderr, "crystalball: %v\n", err)
 		flag.Usage()
 		return 2
@@ -134,7 +109,7 @@ func runOverload(seed0 int64, seeds int) {
 		committed, submitted := 0, 0
 		for k := 0; k < seeds; k++ {
 			r := paxos.Run(paxos.ExperimentConfig{
-				Seed: seed0 + int64(k), Policy: p, LookaheadWorkers: lookaheadWorkers, LookaheadStrategy: lookaheadStrategy, LookaheadFaults: lookaheadFaults, LookaheadPartitions: lookaheadPartitions, LookaheadMaxFrontier: lookaheadMaxFrontier, LookaheadNoArena: lookaheadNoArena, LookaheadLockedSeen: lookaheadLockedSeen, LookaheadClassCache: lookaheadClassCache, LookaheadAutoWorkers: lookaheadAutoWorkers,
+				Seed: seed0 + int64(k), Policy: p, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache,
 				UniformLatency: 20 * time.Millisecond,
 				WorkDelay:      60 * time.Millisecond,
 				Interarrival:   40 * time.Millisecond,
@@ -152,7 +127,7 @@ func runSteering(seed int64) {
 	fmt.Println("E8 — execution steering (forged parent-cycle message, 15-node tree)")
 	fmt.Printf("%-10s %18s %14s %10s %10s\n", "steering", "forged delivered", "cycle formed", "steered", "checks")
 	for _, on := range []bool{false, true} {
-		r := randtree.RunSteering(on, 15, seed, lookaheadWorkers)
+		r := randtree.RunSteering(on, 15, seed, lookahead, lookaheadClassCache)
 		mode := "off"
 		if on {
 			mode = "on"
@@ -167,7 +142,7 @@ func runGossip(seed0 int64, seeds int) {
 	for _, s := range gossip.Strategies {
 		var mean, max, fmean, fmax float64
 		for k := 0; k < seeds; k++ {
-			r := gossip.Run(gossip.ExperimentConfig{N: 16, Seed: seed0 + int64(k), Strategy: s, SlowNodes: 4, Updates: 6, LookaheadWorkers: lookaheadWorkers, LookaheadStrategy: lookaheadStrategy, LookaheadFaults: lookaheadFaults, LookaheadPartitions: lookaheadPartitions, LookaheadMaxFrontier: lookaheadMaxFrontier, LookaheadNoArena: lookaheadNoArena, LookaheadLockedSeen: lookaheadLockedSeen, LookaheadClassCache: lookaheadClassCache, LookaheadAutoWorkers: lookaheadAutoWorkers})
+			r := gossip.Run(gossip.ExperimentConfig{N: 16, Seed: seed0 + int64(k), Strategy: s, SlowNodes: 4, Updates: 6, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache})
 			mean += r.MeanDissemination.Seconds()
 			max += r.MaxDissemination.Seconds()
 			fmean += r.FastMeanDissemination.Seconds()
@@ -185,7 +160,7 @@ func runDissem(seed0 int64, seeds int) {
 		for _, s := range dissem.Strategies {
 			var mean, max float64
 			for k := 0; k < seeds; k++ {
-				r := dissem.Run(dissem.ExperimentConfig{N: 10, Blocks: 16, Seed: seed0 + int64(k), Strategy: s, Setting: set, LookaheadWorkers: lookaheadWorkers, LookaheadStrategy: lookaheadStrategy, LookaheadFaults: lookaheadFaults, LookaheadPartitions: lookaheadPartitions, LookaheadMaxFrontier: lookaheadMaxFrontier, LookaheadNoArena: lookaheadNoArena, LookaheadLockedSeen: lookaheadLockedSeen, LookaheadClassCache: lookaheadClassCache, LookaheadAutoWorkers: lookaheadAutoWorkers})
+				r := dissem.Run(dissem.ExperimentConfig{N: 10, Blocks: 16, Seed: seed0 + int64(k), Strategy: s, Setting: set, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache})
 				mean += r.MeanCompletion.Seconds()
 				max += r.MaxCompletion.Seconds()
 			}
@@ -202,7 +177,7 @@ func runPaxos(seed0 int64, seeds int) {
 		var mean, p99 float64
 		committed, submitted := 0, 0
 		for k := 0; k < seeds; k++ {
-			r := paxos.Run(paxos.ExperimentConfig{Seed: seed0 + int64(k), Policy: p, LookaheadWorkers: lookaheadWorkers, LookaheadStrategy: lookaheadStrategy, LookaheadFaults: lookaheadFaults, LookaheadPartitions: lookaheadPartitions, LookaheadMaxFrontier: lookaheadMaxFrontier, LookaheadNoArena: lookaheadNoArena, LookaheadLockedSeen: lookaheadLockedSeen, LookaheadClassCache: lookaheadClassCache, LookaheadAutoWorkers: lookaheadAutoWorkers})
+			r := paxos.Run(paxos.ExperimentConfig{Seed: seed0 + int64(k), Policy: p, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache})
 			mean += r.MeanCommit.Seconds()
 			p99 += r.P99Commit.Seconds()
 			committed += r.Committed
@@ -220,7 +195,7 @@ func runTracker(seed0 int64, seeds int) {
 		var frac, mean float64
 		completed, peers := 0, 0
 		for k := 0; k < seeds; k++ {
-			r := tracker.Run(tracker.ExperimentConfig{Seed: seed0 + int64(k), Policy: p, LookaheadWorkers: lookaheadWorkers, LookaheadStrategy: lookaheadStrategy, LookaheadFaults: lookaheadFaults, LookaheadPartitions: lookaheadPartitions, LookaheadMaxFrontier: lookaheadMaxFrontier, LookaheadNoArena: lookaheadNoArena, LookaheadLockedSeen: lookaheadLockedSeen, LookaheadClassCache: lookaheadClassCache, LookaheadAutoWorkers: lookaheadAutoWorkers})
+			r := tracker.Run(tracker.ExperimentConfig{Seed: seed0 + int64(k), Policy: p, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache})
 			frac += r.CrossFraction()
 			mean += r.MeanCompletion.Seconds()
 			completed += r.Completed

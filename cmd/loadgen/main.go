@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"crystalchoice/internal/cliutil"
+	"crystalchoice/internal/explore"
 	"crystalchoice/internal/loadbench"
 	"crystalchoice/internal/scenario"
 )
@@ -77,9 +78,10 @@ func run() int {
 		App: *app, N: *n, Seed: *seed,
 		TargetRPS: *rps, Warmup: *warmup, Duration: *duration,
 		Steering: *steeringOn, Resolver: *resolver,
-		DecisionSlot: *slot, LookaheadWorkers: *workers,
-		LookaheadClassCache: *classCache, LookaheadAutoWorkers: *autoWorkers,
-		Spec: spec,
+		DecisionSlot:        *slot,
+		Lookahead:           explore.Options{Workers: *workers, AutoWorkers: *autoWorkers},
+		LookaheadClassCache: *classCache,
+		Spec:                spec,
 	}
 
 	var cells []loadbench.Config

@@ -30,16 +30,14 @@ func run() int {
 	depth := flag.Int("depth", 6, "consequence-prediction chain depth")
 	budget := flag.Int("budget", 8192, "max handler executions")
 	inject := flag.Bool("inject-cycle", false, "inject a forged parent-cycle message before exploring")
-	faults := flag.Int("faults", 0, "fault-transition budget per explored path (crash/recover/reset as explorer actions)")
-	partitions := flag.Bool("partitions", false, "also explore network-partition transitions (drawn from the fault budget)")
-	workers := flag.Int("workers", 1, "exploration worker pool size")
-	autoWorkers := flag.Bool("autoworkers", false, "autoscale the active worker set mid-run (workers is the ceiling)")
+	var opts explore.Options
+	flag.IntVar(&opts.FaultBudget, "faults", 0, "fault-transition budget per explored path (crash/recover/reset as explorer actions)")
+	flag.BoolVar(&opts.PartitionFaults, "partitions", false, "also explore network-partition transitions (drawn from the fault budget)")
+	flag.IntVar(&opts.Workers, "workers", 1, "exploration worker pool size")
+	flag.BoolVar(&opts.AutoWorkers, "autoworkers", false, "autoscale the active worker set mid-run (workers is the ceiling)")
 	strategyName := flag.String("strategy", "chaindfs", "exploration strategy: chaindfs | bfs | randomwalk | guided")
-	fullDigests := flag.Bool("fulldigests", false, "dedup with from-scratch world digests instead of incremental (ablation)")
-	maxFrontier := flag.Int("maxfrontier", 0, "cap on pending frontier units, dropping lowest-priority work (0 = unbounded)")
+	flag.IntVar(&opts.MaxFrontier, "maxfrontier", 0, "cap on pending frontier units, dropping lowest-priority work (0 = unbounded)")
 	classesJSON := flag.String("classes-json", "", "write the violation classes (digest, count, shortest witness) as JSON to this path for cross-run diffing")
-	noArena := flag.Bool("noarena", false, "heap-allocate trace nodes instead of per-worker arenas (ablation)")
-	lockedSeen := flag.Bool("lockedseen", false, "dedup through the locked sharded seen set instead of the lock-free table (ablation)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the exploration; past it the report is partial and marked truncated (0 = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
@@ -47,10 +45,10 @@ func run() int {
 
 	if err := cliutil.FirstErr(
 		cliutil.Positive("depth", *depth),
-		cliutil.Positive("workers", *workers),
+		cliutil.Positive("workers", opts.Workers),
 		cliutil.NonNegative("budget", *budget),
-		cliutil.NonNegative("faults", *faults),
-		cliutil.NonNegative("maxfrontier", *maxFrontier),
+		cliutil.NonNegative("faults", opts.FaultBudget),
+		cliutil.NonNegative("maxfrontier", opts.MaxFrontier),
 	); err != nil {
 		fmt.Fprintf(os.Stderr, "mc: %v\n", err)
 		flag.Usage()
@@ -61,8 +59,8 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	strategy, err := explore.ParseStrategy(*strategyName)
-	if err != nil {
+	var err error
+	if opts.Strategy, err = explore.ParseStrategy(*strategyName); err != nil {
 		fmt.Fprintf(os.Stderr, "mc: %v\n", err)
 		flag.Usage()
 		return 2
@@ -85,10 +83,10 @@ func run() int {
 	// nodes from the freshest retained checkpoint, cold state otherwise
 	// (the harness's InitialState).
 	policy := explore.RandomPolicy(e.Eng.Fork())
-	if *workers > 1 {
+	if opts.Workers > 1 {
 		policy = explore.Locked(policy)
 	}
-	w := e.Cluster.MaterializeWorld(policy, *seed, []string{"rt.hbSend", "rt.hbCheck", "rt.summarize"})
+	w := e.Cluster.MaterializeWorld(policy, *seed, randtree.Timers())
 	if *inject {
 		// A stale JoinReply from a child: the inconsistency E8 steers
 		// away from, here surfaced by offline checking instead.
@@ -103,15 +101,7 @@ func run() int {
 
 	x := explore.NewExplorer(*depth)
 	x.MaxStates = *budget
-	x.Workers = *workers
-	x.AutoWorkers = *autoWorkers
-	x.Strategy = strategy
-	x.FullDigests = *fullDigests
-	x.NoArena = *noArena
-	x.LockedSeen = *lockedSeen
-	x.MaxFrontier = *maxFrontier
-	x.FaultBudget = *faults
-	x.PartitionFaults = *partitions
+	x.Options = opts
 	if *deadline > 0 {
 		x.Deadline = time.Now().Add(*deadline)
 	}
@@ -122,9 +112,9 @@ func run() int {
 	}
 	r := x.Explore(w)
 	fmt.Printf("explored %d states to depth %d in %v (strategy=%s workers=%d faults=%d injected=%d truncated=%v)\n",
-		r.StatesExplored, r.MaxDepth, r.Elapsed.Round(time.Microsecond), strategy.Name(), *workers, *faults, r.FaultsInjected, r.Truncated)
+		r.StatesExplored, r.MaxDepth, r.Elapsed.Round(time.Microsecond), opts.Strategy.Name(), opts.Workers, opts.FaultBudget, r.FaultsInjected, r.Truncated)
 	if r.FrontierDropped > 0 {
-		fmt.Printf("frontier cap %d dropped %d pending unit(s)\n", *maxFrontier, r.FrontierDropped)
+		fmt.Printf("frontier cap %d dropped %d pending unit(s)\n", opts.MaxFrontier, r.FrontierDropped)
 	}
 	classes := r.ViolationClasses()
 	if r.Safe() {

@@ -55,8 +55,15 @@ func TestNoReflectionFallbackDuringExploration(t *testing.T) {
 			defer func() { sm.ReflectionFallback = nil }()
 			x := explore.NewExplorer(6)
 			x.MaxStates = 2048
-			x.FullDigests = true // recomputation path exercises every body
-			x.Explore(app.mkWorld())
+			// The oracle recomputes the digest from scratch at every explored
+			// state, which drives every body's DigestBody (the maintained
+			// digest alone would answer from per-message memos).
+			x.Properties = []explore.Property{{Name: "digest==digestfull", Check: func(w *explore.World) bool {
+				return w.Digest() == w.DigestFull()
+			}}}
+			if r := x.Explore(app.mkWorld()); !r.Safe() {
+				t.Fatalf("maintained digest diverged from DigestFull: %v", r.Violations[0])
+			}
 			if len(offenders) > 0 {
 				t.Fatalf("reflection-hashed message kinds during exploration: %v", offenders)
 			}

@@ -14,6 +14,14 @@
 // — and five protocols built on it (apps/randtree, apps/gossip,
 // apps/dissem, apps/paxos, apps/tracker).
 //
+// The engine keeps one implementation of each mechanism — copy-on-write
+// forks recycled through a free-list, an incrementally maintained state
+// digest, arena-allocated lazy traces, work-stealing deques over a
+// lock-free seen set — and one configuration value, explore.Options,
+// which core.Config, the app harnesses and the CLIs carry whole.
+// EXPERIMENTS.md (E11, E12, E14–E16) records the measurements that
+// retired each alternative and the commit at which they can be re-run.
+//
 // The engine's semantic contracts (deterministic replay, copy-on-write
 // world ownership, incremental digest maintenance, pooled-handle release)
 // are enforced at build time by cmd/crystalvet, a vet-style multichecker

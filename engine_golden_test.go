@@ -96,27 +96,19 @@ func goldenPaxosWorld() *explore.World {
 }
 
 // goldenDump runs the fixed exploration suite and renders all reports.
-// mutate, if non-nil, adjusts each explorer before it runs (the trace-
-// and recycling-ablation parity tests flip EagerTraces/NoRecycle here).
-func goldenDump(mutate func(*explore.Explorer)) string {
+func goldenDump() string {
 	var b strings.Builder
-	tune := func(x *explore.Explorer) *explore.Explorer {
-		if mutate != nil {
-			mutate(x)
-		}
-		return x
-	}
 
 	x := explore.NewExplorer(5)
 	x.MaxStates = 2048
 	x.Properties = []explore.Property{randtree.NoParentCycleProperty(), randtree.DegreeBoundProperty()}
 	x.Objective = randtree.BalanceObjective()
-	b.WriteString(dumpReport("randtree/depth5", tune(x).Explore(goldenRandtreeWorld())))
+	b.WriteString(dumpReport("randtree/depth5", x.Explore(goldenRandtreeWorld())))
 
 	x = explore.NewExplorer(4)
 	x.MaxStates = 4096
 	x.DropBranches = true
-	b.WriteString(dumpReport("gossip/drop+generic", tune(x).Explore(goldenGossipWorld())))
+	b.WriteString(dumpReport("gossip/drop+generic", x.Explore(goldenGossipWorld())))
 
 	x = explore.NewExplorer(6)
 	x.MaxStates = 1024
@@ -129,12 +121,12 @@ func goldenDump(mutate func(*explore.Explorer)) string {
 		}
 		return total
 	}}
-	b.WriteString(dumpReport("paxos/depth6", tune(x).Explore(goldenPaxosWorld())))
+	b.WriteString(dumpReport("paxos/depth6", x.Explore(goldenPaxosWorld())))
 
 	// Tiny budget: pins Truncated semantics.
 	x = explore.NewExplorer(8)
 	x.MaxStates = 10
-	b.WriteString(dumpReport("paxos/truncated", tune(x).Explore(goldenPaxosWorld())))
+	b.WriteString(dumpReport("paxos/truncated", x.Explore(goldenPaxosWorld())))
 
 	return b.String()
 }
@@ -147,7 +139,7 @@ const goldenPath = "testdata/explore_golden.txt"
 // as-deployed service factory. It pins the fault semantics — which nodes
 // reset, what recovery replays, which inconsistencies surface at which
 // depth — so they cannot drift silently.
-func goldenFaultDump(mutate func(*explore.Explorer)) string {
+func goldenFaultDump() string {
 	mkWorld := func() *explore.World {
 		w := explore.NewWorld(explore.RandomPolicy(rand.New(rand.NewSource(21))), 9)
 		svcs := make([]*randtree.Choice, 7)
@@ -180,9 +172,6 @@ func goldenFaultDump(mutate func(*explore.Explorer)) string {
 	x.MaxStates = 4096
 	x.FaultBudget = 1
 	x.Properties = props
-	if mutate != nil {
-		mutate(x)
-	}
 	r := x.Explore(mkWorld())
 	fmt.Fprintf(&b, "faults-injected=%d\n", r.FaultsInjected)
 	b.WriteString(dumpReport("randtree/faults1", r))
@@ -192,9 +181,6 @@ func goldenFaultDump(mutate func(*explore.Explorer)) string {
 	x.FaultBudget = 1
 	x.PartitionFaults = true
 	x.Properties = props
-	if mutate != nil {
-		mutate(x)
-	}
 	r = x.Explore(mkWorld())
 	fmt.Fprintf(&b, "faults-injected=%d\n", r.FaultsInjected)
 	b.WriteString(dumpReport("randtree/faults1+partitions", r))
@@ -208,7 +194,7 @@ const goldenFaultPath = "testdata/explore_fault_golden.txt"
 // Regenerate with UPDATE_EXPLORE_GOLDEN=1 only when a fault-semantics
 // change is intended and understood.
 func TestExploreFaultGolden(t *testing.T) {
-	got := goldenFaultDump(nil)
+	got := goldenFaultDump()
 	if os.Getenv("UPDATE_EXPLORE_GOLDEN") != "" {
 		if err := os.WriteFile(goldenFaultPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -228,7 +214,7 @@ func TestExploreFaultGolden(t *testing.T) {
 // pre-refactor dump. Regenerate with UPDATE_EXPLORE_GOLDEN=1 only when an
 // output change is intended and understood.
 func TestExploreGolden(t *testing.T) {
-	got := goldenDump(nil)
+	got := goldenDump()
 	if os.Getenv("UPDATE_EXPLORE_GOLDEN") != "" {
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -241,53 +227,5 @@ func TestExploreGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("exploration output diverged from the pre-refactor engine:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
-// TestLazyTracesMatchEagerGoldens pins the tentpole invariant of the
-// allocation-free hot path: the lazily materialized traces (default)
-// and the eager []string representation (Explorer.EagerTraces) must
-// render byte-identical reports on both golden suites — same states,
-// same violations, same trace labels, character for character.
-func TestLazyTracesMatchEagerGoldens(t *testing.T) {
-	eager := func(x *explore.Explorer) { x.EagerTraces = true }
-	for _, tc := range []struct {
-		name string
-		path string
-		dump func(func(*explore.Explorer)) string
-	}{
-		{"golden", goldenPath, goldenDump},
-		{"fault-golden", goldenFaultPath, goldenFaultDump},
-	} {
-		want, err := os.ReadFile(tc.path)
-		if err != nil {
-			t.Fatalf("missing %s golden: %v", tc.name, err)
-		}
-		if got := tc.dump(eager); got != string(want) {
-			t.Errorf("%s: eager traces diverge from the pinned (lazy) output:\n--- eager ---\n%s\n--- want ---\n%s", tc.name, got, want)
-		}
-	}
-}
-
-// TestRecyclingAblationMatchesGoldens: turning the dead-world free-list
-// off must not change a single byte of either golden suite — recycled
-// shells are indistinguishable from fresh allocations.
-func TestRecyclingAblationMatchesGoldens(t *testing.T) {
-	noRecycle := func(x *explore.Explorer) { x.NoRecycle = true }
-	for _, tc := range []struct {
-		name string
-		path string
-		dump func(func(*explore.Explorer)) string
-	}{
-		{"golden", goldenPath, goldenDump},
-		{"fault-golden", goldenFaultPath, goldenFaultDump},
-	} {
-		want, err := os.ReadFile(tc.path)
-		if err != nil {
-			t.Fatalf("missing %s golden: %v", tc.name, err)
-		}
-		if got := tc.dump(noRecycle); got != string(want) {
-			t.Errorf("%s: NoRecycle diverges from the pinned output:\n--- got ---\n%s\n--- want ---\n%s", tc.name, got, want)
-		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 //     partition relation, ownInflight before Inflight);
 //   - the function's doc comment carries //crystalvet:cowwrite <reason> —
 //     the blessing for the few functions that manage container ownership
-//     by hand (cloneInto, DeepClone, the pool's put, RemoveInflight).
+//     by hand (cloneInto, the pool's put, RemoveInflight).
 var CowwriteAnalyzer = &Analyzer{
 	Name: "cowwrite",
 	Doc: "require World's shared containers to be claimed via their own* " +

@@ -55,37 +55,14 @@ type ExperimentConfig struct {
 	// SeedBandwidth caps the seed's upload per pair in the
 	// bottleneck-seed setting.
 	SeedBandwidth float64
-	// LookaheadWorkers sizes the worker pool of every runtime lookahead.
-	LookaheadWorkers int
-	// LookaheadStrategy names the exploration strategy of every runtime
-	// lookahead: chaindfs (default, empty), bfs, randomwalk, or guided.
-	LookaheadStrategy string
-	// LookaheadFullDigests disables incremental world digests in runtime
-	// lookaheads (ablation; see core.Config.LookaheadFullDigests).
-	LookaheadFullDigests bool
-	// LookaheadNoArena heap-allocates lookahead trace nodes instead of
-	// per-worker arenas (ablation; see core.Config.LookaheadNoArena).
-	LookaheadNoArena bool
-	// LookaheadLockedSeen uses the locked sharded seen set in parallel
-	// lookaheads (ablation; see core.Config.LookaheadLockedSeen).
-	LookaheadLockedSeen bool
-	// LookaheadFaults budgets fault transitions (crash/recover/reset) per
-	// runtime lookahead; zero keeps lookahead fault-free.
-	LookaheadFaults int
-	// LookaheadPartitions additionally explores network-partition
-	// transitions in runtime lookaheads.
-	LookaheadPartitions bool
-	// LookaheadMaxFrontier caps the pending-unit frontier of every
-	// runtime lookahead, bounding lookahead memory (0 = unbounded; see
-	// explore.Explorer.MaxFrontier).
-	LookaheadMaxFrontier int
+	// Lookahead configures the exploration engine of every runtime
+	// lookahead — consequence prediction and steering (see
+	// core.Config.Lookahead).
+	Lookahead explore.Options
 	// LookaheadClassCache caches steering/resolve verdicts under
 	// canonical violation-class and scenario keys (see
 	// core.Config.LookaheadClassCache).
 	LookaheadClassCache bool
-	// LookaheadAutoWorkers lets runtime lookaheads autoscale their
-	// worker pool (see core.Config.LookaheadAutoWorkers).
-	LookaheadAutoWorkers bool
 }
 
 func (c *ExperimentConfig) fill() {
@@ -164,12 +141,7 @@ func Run(cfg ExperimentConfig) Result {
 		net.SetUploadCapacity(0, 4*cfg.SeedBandwidth)
 	}
 
-	ccfg := core.Config{LookaheadWorkers: cfg.LookaheadWorkers, LookaheadFullDigests: cfg.LookaheadFullDigests,
-		LookaheadNoArena: cfg.LookaheadNoArena, LookaheadLockedSeen: cfg.LookaheadLockedSeen,
-		LookaheadStrategy: explore.MustParseStrategy(cfg.LookaheadStrategy),
-		LookaheadFaults:   cfg.LookaheadFaults, LookaheadPartitions: cfg.LookaheadPartitions,
-		LookaheadMaxFrontier: cfg.LookaheadMaxFrontier,
-		LookaheadClassCache:  cfg.LookaheadClassCache, LookaheadAutoWorkers: cfg.LookaheadAutoWorkers}
+	ccfg := core.Config{Lookahead: cfg.Lookahead, LookaheadClassCache: cfg.LookaheadClassCache}
 	switch cfg.Strategy {
 	case StrategyRandom:
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.Random{} }

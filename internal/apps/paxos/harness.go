@@ -46,38 +46,15 @@ type ExperimentConfig struct {
 	// WorkDelay models per-proposal CPU cost at the proposer (see
 	// Replica.WorkDelay). Zero disables CPU modeling.
 	WorkDelay time.Duration
-	// LookaheadWorkers sizes the worker pool of every runtime lookahead.
-	LookaheadWorkers int
-	// LookaheadStrategy names the exploration strategy of every runtime
-	// lookahead: chaindfs (default, empty), bfs, randomwalk, or guided.
-	LookaheadStrategy string
-	// LookaheadFullDigests disables incremental world digests in runtime
-	// lookaheads (ablation; see core.Config.LookaheadFullDigests).
-	LookaheadFullDigests bool
-	// LookaheadNoArena heap-allocates lookahead trace nodes instead of
-	// per-worker arenas (ablation; see core.Config.LookaheadNoArena).
-	LookaheadNoArena bool
-	// LookaheadLockedSeen uses the locked sharded seen set in parallel
-	// lookaheads (ablation; see core.Config.LookaheadLockedSeen).
-	LookaheadLockedSeen bool
-	// LookaheadFaults budgets fault transitions (crash/recover/reset) per
-	// runtime lookahead; zero keeps lookahead fault-free.
-	LookaheadFaults int
-	// LookaheadPartitions additionally explores network-partition
-	// transitions in runtime lookaheads.
-	LookaheadPartitions bool
-	// LookaheadMaxFrontier caps the pending-unit frontier of every
-	// runtime lookahead, bounding lookahead memory (0 = unbounded; see
-	// explore.Explorer.MaxFrontier).
-	LookaheadMaxFrontier int
+	// Lookahead configures the exploration engine of every runtime
+	// lookahead — consequence prediction and steering (see
+	// core.Config.Lookahead).
+	Lookahead explore.Options
 	// LookaheadClassCache caches steering/resolve verdicts under
 	// canonical violation-class and scenario keys (see
 	// core.Config.LookaheadClassCache).
 	LookaheadClassCache bool
-	// LookaheadAutoWorkers lets runtime lookaheads autoscale their
-	// worker pool (see core.Config.LookaheadAutoWorkers).
-	LookaheadAutoWorkers bool
-	Trace                *trace.Log
+	Trace               *trace.Log
 }
 
 func (c *ExperimentConfig) fill() {
@@ -233,12 +210,7 @@ func Run(cfg ExperimentConfig) Result {
 	plane := iplane.New(top, cfg.Seed+1)
 	plane.NoiseFrac = 0.05
 
-	ccfg := core.Config{Trace: cfg.Trace, LookaheadWorkers: cfg.LookaheadWorkers, LookaheadFullDigests: cfg.LookaheadFullDigests,
-		LookaheadNoArena: cfg.LookaheadNoArena, LookaheadLockedSeen: cfg.LookaheadLockedSeen,
-		LookaheadStrategy: explore.MustParseStrategy(cfg.LookaheadStrategy),
-		LookaheadFaults:   cfg.LookaheadFaults, LookaheadPartitions: cfg.LookaheadPartitions,
-		LookaheadMaxFrontier: cfg.LookaheadMaxFrontier,
-		LookaheadClassCache:  cfg.LookaheadClassCache, LookaheadAutoWorkers: cfg.LookaheadAutoWorkers}
+	ccfg := core.Config{Trace: cfg.Trace, Lookahead: cfg.Lookahead, LookaheadClassCache: cfg.LookaheadClassCache}
 	switch cfg.Policy {
 	case PolicyFixed:
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.First{} }

@@ -43,39 +43,14 @@ type ExperimentConfig struct {
 	// OffCriticalPath resolves choices from the cache/randomly and runs
 	// consequence prediction in the background (ablation A6, paper §3.4).
 	OffCriticalPath bool
-	// LookaheadWorkers sizes the worker pool of every runtime lookahead
-	// (consequence prediction and steering). <= 1 stays sequential.
-	LookaheadWorkers int
-	// LookaheadStrategy names the exploration strategy of every runtime
-	// lookahead: chaindfs (default, empty), bfs, randomwalk, or guided.
-	LookaheadStrategy string
-	// LookaheadFullDigests disables incremental world digests in runtime
-	// lookaheads (ablation; see core.Config.LookaheadFullDigests).
-	LookaheadFullDigests bool
-	// LookaheadNoArena heap-allocates lookahead trace nodes instead of
-	// per-worker arenas (ablation; see core.Config.LookaheadNoArena).
-	LookaheadNoArena bool
-	// LookaheadLockedSeen uses the locked sharded seen set in parallel
-	// lookaheads (ablation; see core.Config.LookaheadLockedSeen).
-	LookaheadLockedSeen bool
-	// LookaheadFaults budgets fault transitions (crash/recover/reset) per
-	// runtime lookahead, letting consequence prediction branch over node
-	// failures (E13). Zero keeps lookahead fault-free.
-	LookaheadFaults int
-	// LookaheadPartitions additionally explores network-partition
-	// transitions in runtime lookaheads.
-	LookaheadPartitions bool
-	// LookaheadMaxFrontier caps the pending-unit frontier of every
-	// runtime lookahead, bounding lookahead memory (0 = unbounded; see
-	// explore.Explorer.MaxFrontier).
-	LookaheadMaxFrontier int
+	// Lookahead configures the exploration engine of every runtime
+	// lookahead — consequence prediction and steering (see
+	// core.Config.Lookahead).
+	Lookahead explore.Options
 	// LookaheadClassCache caches steering/resolve verdicts under
 	// canonical violation-class and scenario keys (see
 	// core.Config.LookaheadClassCache).
 	LookaheadClassCache bool
-	// LookaheadAutoWorkers lets runtime lookaheads autoscale their
-	// worker pool (see core.Config.LookaheadAutoWorkers).
-	LookaheadAutoWorkers bool
 	// Steering enables execution steering against Properties (E8).
 	Steering   bool
 	Properties []explore.Property
@@ -117,12 +92,7 @@ func NewExperiment(cfg ExperimentConfig) *Experiment {
 	top := netmodel.TransitStub(cfg.N, netmodel.DefaultInternetLike(), eng.Fork())
 	net := transport.New(eng, top)
 
-	ccfg := core.Config{Trace: cfg.Trace, LookaheadWorkers: cfg.LookaheadWorkers, LookaheadFullDigests: cfg.LookaheadFullDigests,
-		LookaheadNoArena: cfg.LookaheadNoArena, LookaheadLockedSeen: cfg.LookaheadLockedSeen,
-		LookaheadStrategy: explore.MustParseStrategy(cfg.LookaheadStrategy),
-		LookaheadFaults:   cfg.LookaheadFaults, LookaheadPartitions: cfg.LookaheadPartitions,
-		LookaheadMaxFrontier: cfg.LookaheadMaxFrontier, ContainPanics: cfg.ContainPanics,
-		LookaheadClassCache: cfg.LookaheadClassCache, LookaheadAutoWorkers: cfg.LookaheadAutoWorkers}
+	ccfg := core.Config{Trace: cfg.Trace, ContainPanics: cfg.ContainPanics, Lookahead: cfg.Lookahead, LookaheadClassCache: cfg.LookaheadClassCache}
 	// Fault lookaheads restart reset nodes from the as-deployed cold state
 	// when no fresh checkpoint is retained.
 	ccfg.InitialState = func(id sm.NodeID) sm.Service { return newService(cfg.Setup, id, 0, 0) }

@@ -20,6 +20,9 @@ type SteeringResult struct {
 	Steered uint64
 	// SteeringChecks counts messages inspected.
 	SteeringChecks uint64
+	// LookaheadStates counts handler executions inside the steering
+	// lookaheads — the engine configuration's footprint.
+	LookaheadStates uint64
 }
 
 // RunSteering reproduces the CrystalBall execution-steering scenario on
@@ -29,17 +32,18 @@ type SteeringResult struct {
 // detaches the pair's subtree. With steering enabled, consequence
 // prediction sees the rt.no-parent-cycle violation one step into the
 // future and drops the message, breaking the connection with the sender
-// (the paper's corrective action). workers sizes the steering lookahead's
-// exploration pool (<= 1 sequential).
-func RunSteering(enabled bool, n int, seed int64, workers int) SteeringResult {
+// (the paper's corrective action). look and classCache configure the
+// steering lookaheads like every other harness's Lookahead fields.
+func RunSteering(enabled bool, n int, seed int64, look explore.Options, classCache bool) SteeringResult {
 	return RunSteeringFromConfig(ExperimentConfig{
-		N:                  n,
-		Seed:               seed,
-		Setup:              SetupChoiceRandom,
-		Steering:           enabled,
-		Properties:         []explore.Property{NoParentCycleProperty()},
-		CheckpointInterval: 150 * time.Millisecond,
-		LookaheadWorkers:   workers,
+		N:                   n,
+		Seed:                seed,
+		Setup:               SetupChoiceRandom,
+		Steering:            enabled,
+		Properties:          []explore.Property{NoParentCycleProperty()},
+		CheckpointInterval:  150 * time.Millisecond,
+		Lookahead:           look,
+		LookaheadClassCache: classCache,
 	})
 }
 
@@ -88,5 +92,6 @@ func RunSteeringFromConfig(cfg ExperimentConfig) SteeringResult {
 	stats := e.Cluster.Stats()
 	res.Steered = stats.Steered
 	res.SteeringChecks = stats.SteeringChecks
+	res.LookaheadStates = stats.LookaheadStates
 	return res
 }

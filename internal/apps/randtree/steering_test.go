@@ -12,7 +12,7 @@ import (
 // steering, and is predicted and dropped with steering on — with no
 // false-positive drops of legitimate protocol traffic.
 func TestE8SteeringMasksInconsistency(t *testing.T) {
-	off := RunSteering(false, 15, 3, 1)
+	off := RunSteering(false, 15, 3, explore.Options{}, false)
 	if !off.ForgedDelivered || !off.CycleFormed {
 		t.Fatalf("without steering the attack should succeed: %+v", off)
 	}
@@ -20,7 +20,7 @@ func TestE8SteeringMasksInconsistency(t *testing.T) {
 		t.Fatalf("steering disabled but messages dropped: %+v", off)
 	}
 
-	on := RunSteering(true, 15, 3, 1)
+	on := RunSteering(true, 15, 3, explore.Options{}, false)
 	if on.ForgedDelivered || on.CycleFormed {
 		t.Fatalf("steering failed to mask the inconsistency: %+v", on)
 	}
@@ -52,7 +52,7 @@ func TestSteeringNoFalsePositives(t *testing.T) {
 }
 
 // TestSteeringUnaffectedByFaultBudget pins the steering/fault separation:
-// steering lookaheads run fault-free even when LookaheadFaults is set, so
+// steering lookaheads run fault-free even when Lookahead.FaultBudget is set, so
 // fault-only violations (reachable by a reset alone) cannot make every
 // future look unsafe and disarm the steer gate.
 func TestSteeringUnaffectedByFaultBudget(t *testing.T) {
@@ -62,9 +62,26 @@ func TestSteeringUnaffectedByFaultBudget(t *testing.T) {
 		Steering:           true,
 		Properties:         []explore.Property{NoParentCycleProperty(), NoOrphanedChildProperty()},
 		CheckpointInterval: 150 * time.Millisecond,
-		LookaheadFaults:    1,
+		Lookahead:          explore.Options{FaultBudget: 1},
 	})
 	if r.Steered == 0 || r.CycleFormed {
 		t.Fatalf("steering disarmed by fault budget: steered=%d cycle=%v", r.Steered, r.CycleFormed)
+	}
+}
+
+// TestRunSteeringHonorsLookaheadOptions: the engine configuration handed
+// to RunSteering must reach the steering explorer. A steering lookahead
+// starts from one in-flight message, which the causal-chain default
+// follows once and the random-walk strategy samples twice, so the two
+// explore different state counts over the same deployment — while the
+// verdict on the forged message stays the same.
+func TestRunSteeringHonorsLookaheadOptions(t *testing.T) {
+	chain := RunSteering(true, 15, 3, explore.Options{}, false)
+	walk := RunSteering(true, 15, 3, explore.Options{Strategy: explore.RandomWalk{}}, false)
+	if walk.Steered != chain.Steered || walk.CycleFormed != chain.CycleFormed {
+		t.Fatalf("strategy changed the steering verdict: chaindfs %+v, randomwalk %+v", chain, walk)
+	}
+	if walk.LookaheadStates == chain.LookaheadStates {
+		t.Fatalf("Lookahead.Strategy never reached the steering explorer: both runs explored %d states", chain.LookaheadStates)
 	}
 }

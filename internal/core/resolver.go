@@ -120,25 +120,6 @@ type Predictive struct {
 	// PredictionLatency models how long the background prediction takes.
 	// Default 10ms.
 	PredictionLatency time.Duration
-	// Workers sizes the exploration worker pool per candidate
-	// evaluation. Zero falls back to the cluster's LookaheadWorkers;
-	// values <= 1 keep the deterministic sequential engine.
-	Workers int
-	// Strategy overrides the exploration strategy per candidate
-	// evaluation. Nil falls back to the cluster's LookaheadStrategy,
-	// then to the causal-chain default.
-	Strategy explore.Strategy
-	// FullDigests forces from-scratch world digests during candidate
-	// evaluation (ablation; see Config.LookaheadFullDigests, which it
-	// is OR-ed with).
-	FullDigests bool
-	// Faults budgets fault transitions per candidate evaluation. Zero
-	// falls back to the cluster's LookaheadFaults.
-	Faults int
-	// Partitions additionally explores partition transitions per
-	// candidate evaluation (OR-ed with the cluster's
-	// LookaheadPartitions).
-	Partitions bool
 }
 
 // NewPredictive returns a Predictive resolver with default bounds.
@@ -178,56 +159,15 @@ func (p *Predictive) Resolve(n *Node, c sm.Choice) int {
 	}
 	ev := n.currentEvent
 	classCache := n.cluster.cfg.LookaheadClassCache
-	if p.UseCache || classCache {
-		// Topology events invalidate every cached verdict — the per-digest
-		// decisions along with class verdicts.
-		n.syncCaches()
-	}
-	var key, skey uint64
-	if p.UseCache {
-		h := sm.NewHasher().WriteString(c.Name).WriteUint(base.Digest()).WriteInt(int64(c.N))
-		if ev != nil {
-			h.WriteString(ev.label())
-		}
-		key = h.Sum()
-		if idx, ok := n.decisionCache[key]; ok && idx < c.N {
-			n.stats.CacheHits++
-			return idx
-		}
-		n.stats.CacheMisses++
-	}
-	if classCache {
-		// Scenario fallback: the exact digest missed (unique commands make
-		// it miss every time), but an earlier decisive prediction of the
-		// same (choice, arity, event-kind) scenario answers in map-lookup
-		// time — the paper's "previous similar scenarios" fast path.
-		skey = scenarioKey(c, ev)
-		if idx, ok := n.classChoiceLookup(skey, c.N); ok {
-			n.stats.ClassCacheHits++
-			return idx
-		}
-		n.stats.ClassCacheMisses++
-	}
-	obj := n.objective
-	scores := make([]float64, c.N)
-	bestScore := math.Inf(-1)
-	for i := 0; i < c.N; i++ {
-		scores[i] = p.evaluate(n, c, base, ev, i, obj)
-		if scores[i] > bestScore {
-			bestScore = scores[i]
-		}
+	idx, key, skey, hit := p.cachedDecision(n, c, base, ev, p.UseCache)
+	if hit {
+		return idx
 	}
 	// Tie-break uniformly among near-best candidates: with a sparse or
 	// stale model many futures look identical, and always picking the
 	// first candidate would systematically skew the system (e.g. pile
 	// every forwarded join into the lowest-numbered child).
-	const eps = 1e-9
-	var ties []int
-	for i, s := range scores {
-		if s >= bestScore-eps {
-			ties = append(ties, i)
-		}
-	}
+	ties := p.bestCandidates(n, c, base, ev)
 	best := ties[n.rng.Intn(len(ties))]
 	// Cache only decisive predictions. Caching a coin flip would freeze
 	// it: e.g. gossip partners would lock into static pairs whenever all
@@ -244,30 +184,74 @@ func (p *Predictive) Resolve(n *Node, c sm.Choice) int {
 	return best
 }
 
-// resolveAsync answers from the cache (or randomly) without blocking the
-// handler, and schedules the prediction to land in the cache later.
-func (p *Predictive) resolveAsync(n *Node, c sm.Choice, base sm.Service) int {
-	ev := n.currentEvent
-	n.syncCaches()
+// cachedDecision answers c from what earlier predictions left behind:
+// the exact per-digest decision cache when exact is set, then — under
+// Config.LookaheadClassCache — the scenario-keyed class verdicts. The
+// exact digest of a unique command misses every time, but an earlier
+// decisive prediction of the same (choice, arity, event-kind) scenario
+// answers in map-lookup time: the paper's "previous similar scenarios"
+// fast path. Exact beats approximate. The keys come back with a miss so
+// the caller can record its prediction under them.
+func (p *Predictive) cachedDecision(n *Node, c sm.Choice, base sm.Service, ev *pendingEvent, exact bool) (idx int, key, skey uint64, hit bool) {
 	classCache := n.cluster.cfg.LookaheadClassCache
-	h := sm.NewHasher().WriteString(c.Name).WriteUint(base.Digest()).WriteInt(int64(c.N))
-	if ev != nil {
-		h.WriteString(ev.label())
+	if exact || classCache {
+		// Topology events invalidate every cached verdict — the per-digest
+		// decisions along with class verdicts.
+		n.syncCaches()
 	}
-	key := h.Sum()
-	if idx, ok := n.decisionCache[key]; ok && idx < c.N {
-		n.stats.CacheHits++
-		return idx
+	if exact {
+		h := sm.NewHasher().WriteString(c.Name).WriteUint(base.Digest()).WriteInt(int64(c.N))
+		if ev != nil {
+			h.WriteString(ev.label())
+		}
+		key = h.Sum()
+		if idx, ok := n.decisionCache[key]; ok && idx < c.N {
+			n.stats.CacheHits++
+			return idx, key, 0, true
+		}
+		n.stats.CacheMisses++
 	}
-	n.stats.CacheMisses++
-	var skey uint64
 	if classCache {
 		skey = scenarioKey(c, ev)
 		if idx, ok := n.classChoiceLookup(skey, c.N); ok {
 			n.stats.ClassCacheHits++
-			return idx
+			return idx, key, skey, true
 		}
 		n.stats.ClassCacheMisses++
+	}
+	return 0, key, skey, false
+}
+
+// bestCandidates runs one consequence prediction per candidate of c from
+// base and returns the candidates whose score is within rounding of the
+// best, in index order. A single survivor is a decisive prediction.
+func (p *Predictive) bestCandidates(n *Node, c sm.Choice, base sm.Service, ev *pendingEvent) []int {
+	obj := n.objective
+	scores := make([]float64, c.N)
+	bestScore := math.Inf(-1)
+	for i := 0; i < c.N; i++ {
+		scores[i] = p.evaluate(n, c, base, ev, i, obj)
+		if scores[i] > bestScore {
+			bestScore = scores[i]
+		}
+	}
+	const eps = 1e-9
+	var ties []int
+	for i, s := range scores {
+		if s >= bestScore-eps {
+			ties = append(ties, i)
+		}
+	}
+	return ties
+}
+
+// resolveAsync answers from the cache (or randomly) without blocking the
+// handler, and schedules the prediction to land in the cache later.
+func (p *Predictive) resolveAsync(n *Node, c sm.Choice, base sm.Service) int {
+	ev := n.currentEvent
+	idx, key, skey, hit := p.cachedDecision(n, c, base, ev, true)
+	if hit {
+		return idx
 	}
 	// Fast path: answer now, predict in the background. The pre-event
 	// state and the triggering event are captured by value; the model is
@@ -298,28 +282,14 @@ func (p *Predictive) resolveAsync(n *Node, c sm.Choice, base sm.Service) int {
 	// reachability relation the cluster no longer has.
 	epoch := n.epoch
 	tepoch := n.cluster.topoEpoch
+	classCache := n.cluster.cfg.LookaheadClassCache
 	n.cluster.eng.Schedule(lat, func() {
 		if n.down || n.epoch != epoch || n.cluster.topoEpoch != tepoch {
 			return
 		}
 		compute := time.Now() //crystalvet:wallclock stopwatch for async-resolve latency stats; never reaches world state
 		defer func() { n.stats.ResolveLatency.Observe(time.Since(compute)) }()
-		obj := n.objective
-		scores := make([]float64, c.N)
-		bestScore := math.Inf(-1)
-		for i := 0; i < c.N; i++ {
-			scores[i] = p.evaluate(n, c, baseCopy, evCopy, i, obj)
-			if scores[i] > bestScore {
-				bestScore = scores[i]
-			}
-		}
-		const eps = 1e-9
-		var ties []int
-		for i, s := range scores {
-			if s >= bestScore-eps {
-				ties = append(ties, i)
-			}
-		}
+		ties := p.bestCandidates(n, c, baseCopy, evCopy)
 		if len(ties) == 1 { // cache only decisive predictions
 			n.decisionCache[key] = ties[0]
 			if classCache {
@@ -332,20 +302,9 @@ func (p *Predictive) resolveAsync(n *Node, c sm.Choice, base sm.Service) int {
 }
 
 func (p *Predictive) evaluate(n *Node, c sm.Choice, base sm.Service, ev *pendingEvent, candidate int, obj explore.Objective) float64 {
-	workers := p.Workers
-	if workers == 0 {
-		workers = n.cluster.cfg.LookaheadWorkers
-	}
-	strategy := p.Strategy
-	if strategy == nil {
-		strategy = n.cluster.cfg.LookaheadStrategy
-	}
-	faults := p.Faults
-	if faults == 0 {
-		faults = n.cluster.cfg.LookaheadFaults
-	}
+	look := n.cluster.cfg.Lookahead
 	policy := explore.ForceFirst(n.id, c.Name, candidate, explore.RandomPolicy(n.lookRng))
-	if workers > 1 {
+	if look.Workers > 1 {
 		// ForceFirst's latch and the rng are shared by every forked
 		// world; serialize them across the worker pool.
 		policy = explore.Locked(policy)
@@ -358,15 +317,7 @@ func (p *Predictive) evaluate(n *Node, c sm.Choice, base sm.Service, ev *pending
 	x.MaxStates = p.MaxStates
 	x.Properties = n.cluster.cfg.Properties
 	x.Objective = obj
-	x.Workers = workers
-	x.Strategy = strategy
-	x.FullDigests = p.FullDigests || n.cluster.cfg.LookaheadFullDigests
-	x.NoArena = n.cluster.cfg.LookaheadNoArena
-	x.LockedSeen = n.cluster.cfg.LookaheadLockedSeen
-	x.MaxFrontier = n.cluster.cfg.LookaheadMaxFrontier
-	x.AutoWorkers = n.cluster.cfg.LookaheadAutoWorkers
-	x.FaultBudget = faults
-	x.PartitionFaults = p.Partitions || n.cluster.cfg.LookaheadPartitions
+	x.Options = look
 	r := x.Explore(w)
 	n.stats.LookaheadStates += uint64(r.StatesExplored)
 	score := r.MeanScore

@@ -44,46 +44,18 @@ type Config struct {
 	// prediction. Defaults 3 / 128.
 	SteeringDepth     int
 	SteeringMaxStates int
-	// LookaheadWorkers sizes the worker pool of every explorer the
-	// runtime creates (steering checks and predictive resolution).
-	// Values <= 1 keep the deterministic sequential engine.
-	LookaheadWorkers int
-	// LookaheadStrategy overrides the exploration strategy for runtime
-	// lookaheads. Nil means the paper's causal-chain search
-	// (explore.ChainDFS).
-	LookaheadStrategy explore.Strategy
-	// LookaheadFullDigests makes every runtime lookahead deduplicate
-	// states with from-scratch world digests instead of the maintained
-	// incremental ones — the ablation knob for measuring what incremental
-	// digesting buys end to end.
-	LookaheadFullDigests bool
-	// LookaheadNoArena makes every runtime lookahead allocate its lazy
-	// trace nodes on the heap instead of per-worker arenas — the ablation
-	// knob for measuring what arena placement buys end to end (see
-	// explore.Explorer.NoArena).
-	LookaheadNoArena bool
-	// LookaheadLockedSeen makes parallel runtime lookaheads deduplicate
-	// states through the locked sharded map instead of the lock-free
-	// table — the ablation knob for the seen-set redesign (see
-	// explore.Explorer.LockedSeen).
-	LookaheadLockedSeen bool
-	// LookaheadFaults budgets fault transitions (crash, recover, reset)
-	// per choice-resolution lookahead, so consequence prediction explores
-	// node failures and recoveries alongside message deliveries (paper
-	// §2: the randtree inconsistency surfaces only when resets are
-	// explored). Zero, the default, keeps lookahead fault-free. Steering
+	// Lookahead is the engine configuration of every explorer the runtime
+	// creates — steering checks and predictive resolution alike: worker
+	// pool (values <= 1 keep the deterministic sequential engine),
+	// strategy (nil means the paper's causal-chain search), frontier cap,
+	// and fault branching. FaultBudget and PartitionFaults let consequence
+	// prediction explore node failures and recoveries alongside message
+	// deliveries (paper §2: the randtree inconsistency surfaces only when
+	// resets are explored); they apply to choice resolution only. Steering
 	// lookaheads always run fault-free: steering attributes violations to
 	// the inspected message, and fault-only violations would taint the
 	// with- and without-message futures equally.
-	LookaheadFaults int
-	// LookaheadPartitions additionally explores network-partition
-	// transitions in runtime lookaheads, drawn from the same fault budget.
-	LookaheadPartitions bool
-	// LookaheadMaxFrontier caps the pending-unit frontier of every
-	// runtime lookahead (see explore.Explorer.MaxFrontier). Zero, the
-	// default, leaves frontiers unbounded — behavior-neutral; set it to
-	// bound lookahead memory on small machines.
-	LookaheadMaxFrontier int
+	Lookahead explore.Options
 	// LookaheadClassCache keys interposition verdicts by canonical
 	// violation class (explore.ViolationClass.Digest) in addition to the
 	// per-digest decision cache. Steering remembers whether dropping the
@@ -97,11 +69,6 @@ type Config struct {
 	// class verdicts are an approximation (they ignore the exact state),
 	// so existing configurations keep exact per-digest behavior.
 	LookaheadClassCache bool
-	// LookaheadAutoWorkers lets every parallel runtime lookahead shrink
-	// and grow its active worker set against the observed steal-miss rate
-	// (see explore.Explorer.AutoWorkers). No effect at LookaheadWorkers
-	// <= 1.
-	LookaheadAutoWorkers bool
 	// InitialState, when set, supplies a node's cold-restart state for
 	// fault lookaheads: exploring a reset restores this state when no
 	// fresh-enough checkpoint is retained. Nil limits recovery to
@@ -675,18 +642,13 @@ func (n *Node) steerAway(msg *sm.Msg) bool {
 	// stays off here — a violation reachable through a crash or reset alone
 	// would taint both futures equally, making every message look
 	// unsteerable (and paying two fault searches per delivery for it).
-	// LookaheadFaults applies to choice resolution, not steering.
+	// Lookahead's fault settings apply to choice resolution, not steering.
 	mkExplorer := func() *explore.Explorer {
 		x := explore.NewExplorer(cfg.SteeringDepth)
 		x.MaxStates = cfg.SteeringMaxStates
 		x.Properties = cfg.Properties
-		x.Workers = cfg.LookaheadWorkers
-		x.Strategy = cfg.LookaheadStrategy
-		x.FullDigests = cfg.LookaheadFullDigests
-		x.NoArena = cfg.LookaheadNoArena
-		x.LockedSeen = cfg.LookaheadLockedSeen
-		x.MaxFrontier = cfg.LookaheadMaxFrontier
-		x.AutoWorkers = cfg.LookaheadAutoWorkers
+		x.Options = cfg.Lookahead
+		x.FaultBudget, x.PartitionFaults = 0, false
 		return x
 	}
 	withMsg := n.buildLookahead(n.svc.Clone(), n.lookPolicy())
@@ -769,7 +731,7 @@ func (n *Node) buildLookahead(base sm.Service, policy explore.ChoicePolicy) *exp
 // and shared by every forked world).
 func (n *Node) lookPolicy() explore.ChoicePolicy {
 	p := explore.RandomPolicy(n.lookRng)
-	if n.cluster.cfg.LookaheadWorkers > 1 {
+	if n.cluster.cfg.Lookahead.Workers > 1 {
 		p = explore.Locked(p)
 	}
 	return p

@@ -101,27 +101,3 @@ func TestAllocRegressionPerState(t *testing.T) {
 		})
 	}
 }
-
-// TestLazyTracesAllocateLess is the A/B for the ablation flag: the lazy
-// representation must beat the eager one on the same workload.
-func TestLazyTracesAllocateLess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement is slow under -short")
-	}
-	mk := func(eager bool) func() *Explorer {
-		return func() *Explorer {
-			x := NewExplorer(12)
-			x.MaxStates = 4096
-			x.Strategy = BFS{}
-			x.EagerTraces = eager
-			return x
-		}
-	}
-	w := allocWorld()
-	lazy := allocsPerState(t, w, mk(false))
-	eager := allocsPerState(t, w, mk(true))
-	t.Logf("lazy %.2f vs eager %.2f allocs/state", lazy, eager)
-	if lazy >= eager {
-		t.Errorf("lazy traces allocate no less than eager: %.2f vs %.2f", lazy, eager)
-	}
-}

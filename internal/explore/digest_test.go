@@ -156,19 +156,36 @@ func TestForkSeedsDistinct(t *testing.T) {
 	}
 }
 
-// TestFullDigestAblationMatchesIncremental runs the same exploration with
-// both digest modes and requires identical reports.
-func TestFullDigestAblationMatchesIncremental(t *testing.T) {
-	run := func(full bool) *Report {
-		x := NewExplorer(5)
-		x.MaxStates = 2048
-		x.FullDigests = full
-		return x.Explore(relayWorld(4, 3))
-	}
-	inc, full := run(false), run(true)
-	if inc.StatesExplored != full.StatesExplored || inc.MaxDepth != full.MaxDepth ||
-		inc.Truncated != full.Truncated {
-		t.Fatalf("digest modes diverge: incremental %+v vs full %+v", inc, full)
+// digestOracle is a property that holds the maintained digest to the
+// from-scratch recomputation at every state an exploration reaches.
+func digestOracle() Property {
+	return Property{Name: "digest==digestfull", Check: func(w *World) bool {
+		return w.Digest() == w.DigestFull()
+	}}
+}
+
+// TestDigestMatchesFullAtEveryExploredState runs every strategy, faults
+// off and on, with the oracle installed: the engine deduplicates on
+// World.Digest, so a single explored state where it disagrees with
+// DigestFull is a pruning bug.
+func TestDigestMatchesFullAtEveryExploredState(t *testing.T) {
+	for _, strat := range []Strategy{ChainDFS{}, BFS{}, RandomWalk{Walks: 6, Seed: 9}, Guided{}} {
+		for _, faults := range []int{0, 1} {
+			x := NewExplorer(5)
+			x.MaxStates = 2048
+			x.Strategy = strat
+			x.FaultBudget = faults
+			x.Properties = []Property{digestOracle()}
+			w := relayWorld(4, 3)
+			w.Initial = func(id NodeID) sm.Service { return &relay{id: id, n: 4} }
+			r := x.Explore(w)
+			if r.StatesExplored < 4 {
+				t.Fatalf("%s/faults=%d: only %d states explored — the check is vacuous", strat.Name(), faults, r.StatesExplored)
+			}
+			if !r.Safe() {
+				t.Errorf("%s/faults=%d: maintained digest diverged from DigestFull: %v", strat.Name(), faults, r.Violations[0])
+			}
+		}
 	}
 }
 

@@ -93,10 +93,9 @@ type Report struct {
 
 	// Per-worker run scratch, nil'd before Explore returns so reports
 	// stay plain data (tests compare them with reflect.DeepEqual).
-	// arena allocates this worker's trace nodes (nil under
-	// NoArena/EagerTraces); succ is Expand's reusable successor buffer,
-	// safe because every frontier copies pushed units out of it before
-	// the worker's next expansion.
+	// arena allocates this worker's trace nodes; succ is Expand's
+	// reusable successor buffer, safe because every frontier copies
+	// pushed units out of it before the worker's next expansion.
 	arena *pathArena
 	succ  []Unit
 }
@@ -117,6 +116,8 @@ func (r *Report) Safe() bool { return len(r.Violations) == 0 }
 // shards and a shared digest set, and worlds fork copy-on-write so
 // branching costs pointer copies instead of deep clones.
 type Explorer struct {
+	// Options is embedded, so its fields read x.Workers, x.Strategy, ….
+	Options
 	// Depth bounds the length of each causal chain.
 	Depth int
 	// MaxStates bounds the total number of handler executions. Parallel
@@ -135,79 +136,6 @@ type Explorer struct {
 	// Loss branches are a causal-chain notion: only ChainDFS implements
 	// them, BFS and RandomWalk ignore the flag.
 	DropBranches bool
-	// FaultBudget bounds the fault transitions (crash, recover, reset,
-	// and — with PartitionFaults — partition/heal) per explored path. Zero,
-	// the default, disables fault branching entirely: the search space and
-	// reports are then identical to the pre-fault engine. Every strategy
-	// honors the budget; ChainDFS treats a fault as a branch point the way
-	// DropBranches treats loss.
-	FaultBudget int
-	// PartitionFaults additionally enumerates network-partition
-	// transitions (node isolation and heal) as fault actions, drawn from
-	// the same FaultBudget.
-	PartitionFaults bool
-	// Strategy selects the traversal. Nil means ChainDFS.
-	Strategy Strategy
-	// Workers sizes the scheduler's pool. Values <= 1 run sequentially
-	// and deterministically; with ChainDFS that reproduces the original
-	// engine's reports byte for byte. Parallel runs require the world's
-	// ChoicePolicy to be thread-safe — wrap stateful policies in Locked.
-	Workers int
-	// DeepClones forces eager full-world copies on every branch instead
-	// of copy-on-write forks. Only useful for measuring what COW buys.
-	DeepClones bool
-	// FullDigests deduplicates states with a from-scratch world digest
-	// (World.DigestFull) instead of the incrementally maintained one.
-	// Only useful as an ablation: it measures what incremental digesting
-	// buys and cross-checks its correctness.
-	FullDigests bool
-	// AutoWorkers lets the work-stealing scheduler shrink and grow its
-	// active worker set mid-run instead of keeping all Workers goroutines
-	// spinning: a worker whose steal scans keep missing parks itself
-	// (sleeping, stealable deque left behind), and parked workers rejoin
-	// when published work outgrows the active set. Workers stays the hard
-	// ceiling and worker 0 never parks, so termination and exactly-once
-	// expansion are untouched; the merged Report is identical to the
-	// fixed-pool run whenever the workload's report is
-	// schedule-independent. Only the stealing scheduler honors the flag
-	// (best-first and SingleQueue runs block on a condition variable and
-	// have no spin loop to save).
-	AutoWorkers bool
-	// SingleQueue makes parallel runs share one locked FIFO queue instead
-	// of per-worker work-stealing deques. Only useful as an ablation: it
-	// measures what work stealing buys (BenchmarkE14WorkStealing).
-	// Best-first strategies always use the shared priority frontier and
-	// ignore the flag.
-	SingleQueue bool
-	// EagerTraces restores the pre-lazy trace bookkeeping: every branch
-	// carries its fully formatted []string trace, copied on every step.
-	// Only useful as an ablation: it measures what lazy materialization
-	// (parent-pointer path nodes, labels formatted only when a violation
-	// is recorded) buys (BenchmarkE15AllocDiscipline).
-	EagerTraces bool
-	// NoRecycle disables the dead-world free-list: exhausted branches'
-	// worlds are left to the garbage collector instead of returning their
-	// shells and owned containers to the run's pool. Only useful as an
-	// ablation (BenchmarkE15AllocDiscipline).
-	NoRecycle bool
-	// NoArena disables the per-worker pathNode arenas: every trace step
-	// falls back to an individual heap allocation, as before arenas.
-	// Only useful as an ablation (BenchmarkE16ArenaSeen) and as the
-	// reference arm of the arena/heap trace-equivalence property test.
-	NoArena bool
-	// LockedSeen restores the mutex-sharded seen map for parallel runs
-	// instead of the lock-free digest table. Only useful as an ablation
-	// (BenchmarkE16ArenaSeen). Sequential runs (Workers<=1) always use
-	// the plain map and ignore the flag.
-	LockedSeen bool
-	// MaxFrontier caps the number of pending frontier units. Zero, the
-	// default, means unbounded. When the cap binds, the lowest-priority
-	// pending unit is dropped (for FIFO and work-stealing frontiers the
-	// newest — deepest — pending unit); the report counts the drops in
-	// FrontierDropped and marks itself Truncated. This makes
-	// multi-million-state budgets safe on small machines: BFS frontier
-	// width, not the state budget, is what exhausts memory.
-	MaxFrontier int
 	// Deadline, when non-zero, is a wall-clock bound on the run: once it
 	// passes, workers stop expanding and the report comes back partial and
 	// marked Truncated, exactly as when the state budget is spent. Long
@@ -222,41 +150,65 @@ type Explorer struct {
 	// NewExplorer enables it; zero-value Explorers keep panics fatal so
 	// engine bugs in tests fail loudly.
 	ContainPanics bool
-
-	// forceScheduler routes even Workers<=1 runs through the parallel
-	// scheduler machinery (tests assert it matches the sequential path).
-	forceScheduler bool
 }
 
-// fork branches a world for one exploration step, reusing a recycled
-// world shell from the run's free-list when one is available.
-func (x *Explorer) fork(ctx *Ctx, w *World) *World {
-	if x.DeepClones {
-		return w.DeepClone()
-	}
-	if ctx != nil && ctx.pool != nil {
-		return w.clonePooled(ctx.pool)
-	}
-	return w.Clone()
+// Options is the part of an Explorer's configuration that describes the
+// engine rather than the question asked of it: how many workers, which
+// traversal, whether faults branch, how much frontier to hold. It is a
+// plain value so that a runtime configuration can carry one and assign
+// it to each explorer it builds.
+type Options struct {
+	// Workers sizes the scheduler's pool. Values <= 1 run sequentially
+	// and deterministically; with ChainDFS that reproduces the original
+	// engine's reports byte for byte. Parallel runs require the world's
+	// ChoicePolicy to be thread-safe — wrap stateful policies in Locked.
+	Workers int
+	// AutoWorkers lets the work-stealing scheduler shrink and grow its
+	// active worker set mid-run instead of keeping all Workers goroutines
+	// spinning: a worker whose steal scans keep missing parks itself
+	// (sleeping, stealable deque left behind), and parked workers rejoin
+	// when published work outgrows the active set. Workers stays the hard
+	// ceiling and worker 0 never parks, so termination and exactly-once
+	// expansion are untouched; the merged Report is identical to the
+	// fixed-pool run whenever the workload's report is
+	// schedule-independent. Only the stealing scheduler honors the flag
+	// (best-first runs block on a condition variable and have no spin
+	// loop to save).
+	AutoWorkers bool
+	// Strategy selects the traversal. Nil means ChainDFS.
+	Strategy Strategy
+	// FaultBudget bounds the fault transitions (crash, recover, reset,
+	// and — with PartitionFaults — partition/heal) per explored path. Zero,
+	// the default, disables fault branching entirely: the search space and
+	// reports are then identical to the pre-fault engine. Every strategy
+	// honors the budget; ChainDFS treats a fault as a branch point the way
+	// DropBranches treats loss.
+	FaultBudget int
+	// PartitionFaults additionally enumerates network-partition
+	// transitions (node isolation and heal) as fault actions, drawn from
+	// the same FaultBudget.
+	PartitionFaults bool
+	// MaxFrontier caps the number of pending frontier units. Zero, the
+	// default, means unbounded. When the cap binds, the lowest-priority
+	// pending unit is dropped (for FIFO and work-stealing frontiers the
+	// newest — deepest — pending unit); the report counts the drops in
+	// FrontierDropped and marks itself Truncated. This makes
+	// multi-million-state budgets safe on small machines: BFS frontier
+	// width, not the state budget, is what exhausts memory.
+	MaxFrontier int
 }
 
-// digest hashes a world for deduplication, honoring the ablation switch.
-func (x *Explorer) digest(w *World) uint64 {
-	if x.FullDigests {
-		return w.DigestFull()
-	}
-	return w.Digest()
-}
-
-// visitKey is the state-deduplication key: the world digest, folded with
-// the path's remaining fault budget when fault branching is on. Two visits
+// visitKey is the state-deduplication key: the maintained world digest
+// (World.Digest; EXPERIMENTS.md E12 is why it is the incremental one),
+// folded with the path's remaining fault budget when fault branching is
+// on. Two visits
 // of the same world state are interchangeable only if they can still take
 // the same fault transitions — without the fold, a budget-spent path could
 // claim the digest first and prune a budget-rich revisit along with every
 // fault-reachable violation behind it. With FaultBudget 0 the key is the
 // bare digest, preserving the pre-fault engine's pruning exactly.
 func (x *Explorer) visitKey(w *World, faults int) uint64 {
-	d := x.digest(w)
+	d := w.Digest()
 	if x.FaultBudget > 0 {
 		d = sm.Mix64(d + uint64(x.FaultBudget-faults)*0x9e3779b97f4a7c15)
 	}
@@ -372,37 +324,13 @@ func (x *Explorer) Explore(w *World) *Report {
 	if budget <= 0 {
 		budget = 4096
 	}
-	ctx := &Ctx{x: x, root: w, budget: budget, names: &nameTable{}, deadline: x.Deadline}
+	ctx := newCtx(x, w, budget)
 	ctx.workerHigh.Store(int64(workers))
-	useArena := !x.NoArena && !x.EagerTraces
-	if useArena {
-		ctx.rootArena = &pathArena{}
-	}
-	if workers == 1 && !x.forceScheduler {
-		// A small presize absorbs the first growth steps; beyond it the
-		// map doubles on demand, which costs O(log n) allocations over a
-		// whole run — presizing to the budget would charge every run for
-		// its worst case (most explorations stop far under budget).
-		hint := budget
-		if hint > 1<<10 {
-			hint = 1 << 10
-		}
-		ctx.seen = make(plainSeen, hint)
-	} else if x.LockedSeen {
-		ctx.seen = newShardedSeen()
-	} else {
-		ctx.seen = newLockFreeSeen(budget)
-	}
-	if !x.NoRecycle && !x.DeepClones {
-		ctx.pool = sharedWorldPool
-	}
-	if !x.FullDigests {
-		// Prime the maintained digest (and per-message digest memos)
-		// while the start world is still single-threaded: every fork then
-		// inherits valid caches instead of rebuilding them — and, for
-		// parallel runs, instead of racing to memoize shared messages.
-		w.Digest()
-	}
+	// Prime the maintained digest (and per-message digest memos) while
+	// the start world is still single-threaded: every fork then inherits
+	// valid caches instead of rebuilding them — and, for parallel runs,
+	// instead of racing to memoize shared messages.
+	w.Digest()
 	// Freeze before forking so concurrent root forks stay read-only on w.
 	w.Freeze()
 	frontier, rootPanic := x.roots(ctx, strat, w)
@@ -414,26 +342,39 @@ func (x *Explorer) Explore(w *World) *Report {
 			workers = len(frontier)
 		}
 	}
+	// The seen set follows the pool that actually runs, not the one that
+	// was asked for: a capped-to-one ChainDFS run is a sequential run.
+	if workers == 1 {
+		// A small presize absorbs the first growth steps; beyond it the
+		// map doubles on demand, which costs O(log n) allocations over a
+		// whole run — presizing to the budget would charge every run for
+		// its worst case (most explorations stop far under budget).
+		hint := budget
+		if hint > 1<<10 {
+			hint = 1 << 10
+		}
+		ctx.seen = make(plainSeen, hint)
+	} else {
+		ctx.seen = newLockFreeSeen(budget)
+	}
 	reports := make([]*Report, workers)
 	for i := range reports {
-		reports[i] = &Report{MinScore: math.Inf(1), MaxScore: math.Inf(-1)}
-		if useArena {
-			reports[i].arena = &pathArena{}
-		}
+		reports[i] = &Report{MinScore: math.Inf(1), MaxScore: math.Inf(-1), arena: &pathArena{}}
 	}
 	if rootPanic != nil {
 		reports[0].Panics++
 		reports[0].addViolation(*rootPanic)
 	}
 	x.checkRoot(ctx, w, reports[0]) // score the root state too
-	if workers == 1 && !x.forceScheduler {
-		if bestFirst(strat) {
-			x.runSequential(ctx, strat, newHeapFrontier(frontier, ctx), reports[0])
-		} else {
-			x.runSequential(ctx, strat, newFIFOFrontier(frontier, ctx), reports[0])
-		}
-	} else {
-		x.runParallel(ctx, strat, frontier, reports)
+	switch {
+	case workers > 1 && bestFirst(strat):
+		x.runShared(ctx, strat, newHeapFrontier(frontier, ctx), reports)
+	case workers > 1:
+		x.runStealing(ctx, strat, frontier, reports)
+	case bestFirst(strat):
+		x.runSequential(ctx, strat, newHeapFrontier(frontier, ctx), reports[0])
+	default:
+		x.runSequential(ctx, strat, newFIFOFrontier(frontier, ctx), reports[0])
 	}
 	// Detach the per-worker scratch before the shards escape: the merged
 	// report is plain data (determinism tests DeepEqual whole reports),
@@ -566,7 +507,7 @@ func (x *Explorer) chain(ctx *Ctx, w *World, a Action, depth, faults int, r *Rep
 		// Locate the consequence message in the fork by identity of
 		// content: messages are immutable, so pointer equality survives
 		// the fork's shared in-flight slice.
-		wc := x.fork(ctx, w)
+		wc := w.fork()
 		ix := -1
 		for i, m := range wc.Inflight {
 			if m == next {
@@ -579,14 +520,14 @@ func (x *Explorer) chain(ctx *Ctx, w *World, a Action, depth, faults int, r *Rep
 			continue // consumed on another branch bookkeeping path
 		}
 		na := Action{Kind: ActionMessage, MsgIx: ix, Msg: next}
-		ct := x.extendTrace(ctx, r.arena, trace, actionStep(na))
+		ct := ctx.extendTrace(r.arena, trace, actionStep(na))
 		nv := len(r.Violations)
 		x.chain(ctx, wc, na, depth+1, faults, r, ct)
 		releaseTrace(r.arena, ct)
 		ctx.releaseSubtree(wc, r, nv) // subtree exhausted: recycle the fork
 		// Loss branch: this consequence, if a datagram, may never arrive.
 		if x.DropBranches && next.Unreliable {
-			wd := x.fork(ctx, w)
+			wd := w.fork()
 			for i, m := range wd.Inflight {
 				if m == next {
 					wd.RemoveInflight(i)
@@ -596,7 +537,7 @@ func (x *Explorer) chain(ctx *Ctx, w *World, a Action, depth, faults int, r *Rep
 			if depth+1 > r.MaxDepth {
 				r.MaxDepth = depth + 1
 			}
-			dt := x.extendTrace(ctx, r.arena, trace, step{kind: stepDrop, msg: next})
+			dt := ctx.extendTrace(r.arena, trace, step{kind: stepDrop, msg: next})
 			x.check(ctx, wd, r, dt, depth+1)
 			releaseTrace(r.arena, dt)
 			ctx.release(wd)
@@ -610,8 +551,8 @@ func (x *Explorer) chain(ctx *Ctx, w *World, a Action, depth, faults int, r *Rep
 			r.Truncated = true
 			return
 		}
-		wf := x.fork(ctx, w)
-		ft := x.extendTrace(ctx, r.arena, trace, actionStep(fa))
+		wf := w.fork()
+		ft := ctx.extendTrace(r.arena, trace, actionStep(fa))
 		nv := len(r.Violations)
 		x.chain(ctx, wf, fa, depth+1, faults+1, r, ft)
 		releaseTrace(r.arena, ft)
@@ -629,7 +570,7 @@ func (x *Explorer) genericDelivery(ctx *Ctx, w *World, ix, depth, faults int, r 
 		r.MaxDepth = depth
 	}
 	// Silent branch: the unknown node absorbs the message.
-	st := x.extendTrace(ctx, r.arena, trace, step{kind: stepGenericSilent})
+	st := ctx.extendTrace(r.arena, trace, step{kind: stepGenericSilent})
 	x.check(ctx, w, r, st, depth)
 	releaseTrace(r.arena, st)
 	if depth >= x.Depth {
@@ -643,7 +584,7 @@ func (x *Explorer) genericDelivery(ctx *Ctx, w *World, ix, depth, faults int, r 
 			r.Truncated = true
 			return
 		}
-		wc := x.fork(ctx, w)
+		wc := w.fork()
 		nvReact := len(r.Violations)
 		injected := make([]*sm.Msg, 0, len(reaction))
 		for _, rm := range reaction {
@@ -651,7 +592,7 @@ func (x *Explorer) genericDelivery(ctx *Ctx, w *World, ix, depth, faults int, r 
 			wc.InjectMessage(&cp)
 			injected = append(injected, &cp)
 		}
-		reactTrace := x.extendTrace(ctx, r.arena, trace, step{kind: stepGenericReact, ix: bi})
+		reactTrace := ctx.extendTrace(r.arena, trace, step{kind: stepGenericReact, ix: bi})
 		for _, im := range injected {
 			ixc := -1
 			for i, q := range wc.Inflight {
@@ -664,8 +605,8 @@ func (x *Explorer) genericDelivery(ctx *Ctx, w *World, ix, depth, faults int, r 
 				continue
 			}
 			na := Action{Kind: ActionMessage, MsgIx: ixc, Msg: im}
-			wcc := x.fork(ctx, wc)
-			it := x.extendTrace(ctx, r.arena, reactTrace, actionStep(na))
+			wcc := wc.fork()
+			it := ctx.extendTrace(r.arena, reactTrace, actionStep(na))
 			nv := len(r.Violations)
 			x.chain(ctx, wcc, na, depth+1, faults, r, it)
 			releaseTrace(r.arena, it)
@@ -682,8 +623,8 @@ func (x *Explorer) genericDelivery(ctx *Ctx, w *World, ix, depth, faults int, r 
 			r.Truncated = true
 			return
 		}
-		wf := x.fork(ctx, w)
-		ft := x.extendTrace(ctx, r.arena, trace, actionStep(fa))
+		wf := w.fork()
+		ft := ctx.extendTrace(r.arena, trace, actionStep(fa))
 		nv := len(r.Violations)
 		x.chain(ctx, wf, fa, depth+1, faults+1, r, ft)
 		releaseTrace(r.arena, ft)
@@ -756,7 +697,7 @@ func (x *Explorer) expand(ctx *Ctx, strat Strategy, u Unit, r *Report) (succ []U
 			r.Panics++
 			r.addViolation(Violation{
 				Property: PanicProperty,
-				Trace:    append(x.materializeTrace(ctx, u.trace), fmt.Sprintf("panic: %v", p)),
+				Trace:    append(ctx.materializeTrace(u.trace), fmt.Sprintf("panic: %v", p)),
 				Depth:    u.Depth,
 			})
 			succ = nil
@@ -776,7 +717,7 @@ func (x *Explorer) check(ctx *Ctx, w *World, r *Report, trace branchTrace, depth
 	for _, p := range x.Properties {
 		if p.Check != nil && !p.Check(w) {
 			if mat == nil {
-				mat = x.materializeTrace(ctx, trace)
+				mat = ctx.materializeTrace(trace)
 				// A witness world must never return to the free-list:
 				// freeze it (and thereby everything it shares) so a later
 				// release of the branch cannot recycle state a consumer

@@ -320,10 +320,10 @@ func TestFaultBudgetRespected(t *testing.T) {
 
 // TestFaultRunDeterministic pins Workers=1 determinism of fault-enabled
 // exploration: two identical runs must produce identical reports, for
-// every strategy, and the scheduler-forced path must match too.
+// every strategy.
 func TestFaultRunDeterministic(t *testing.T) {
 	for _, strat := range []Strategy{ChainDFS{}, BFS{}, RandomWalk{Walks: 6, Seed: 11}, Guided{}} {
-		run := func(force bool) *Report {
+		run := func() *Report {
 			w := rejoinerWorld(3)
 			w.Initial = func(id NodeID) sm.Service { return &rejoiner{id: id} }
 			x := NewExplorer(4)
@@ -331,15 +331,10 @@ func TestFaultRunDeterministic(t *testing.T) {
 			x.Strategy = strat
 			x.FaultBudget = 2
 			x.PartitionFaults = true
-			x.forceScheduler = force
 			return stripElapsed(x.Explore(w))
 		}
-		a, b := run(false), run(false)
-		if !reflect.DeepEqual(a, b) {
+		if a, b := run(), run(); !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: fault-enabled runs diverge:\n%+v\n%+v", strat.Name(), a, b)
-		}
-		if sched := run(true); !reflect.DeepEqual(a, sched) {
-			t.Errorf("%s: scheduler path diverges from sequential:\n%+v\n%+v", strat.Name(), a, sched)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package explore
 
 // Frontier containers. The scheduler drains units out of one of three
-// shapes: a FIFO queue (the sequential engine's order, and the single-
-// locked-queue ablation), a priority heap (best-first strategies), or a
-// set of per-worker deques (the work-stealing pool). All of them zero
+// shapes: a FIFO queue (the sequential engine's order), a priority heap
+// (best-first strategies), or a set of per-worker deques (the
+// work-stealing pool; EXPERIMENTS.md E14 is why parallel FIFO runs steal
+// instead of sharing one locked queue). All of them zero
 // consumed slots: a Unit owns a forked *World, and a pointer left behind
 // in a backing array would pin that world — services, timers, in-flight
 // messages — for the rest of the run. All of them also honor the

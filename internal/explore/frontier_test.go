@@ -146,25 +146,6 @@ func TestDequeStealOrder(t *testing.T) {
 	}
 }
 
-// TestSingleQueueAblationMatchesStealing: on disjoint chains the two
-// parallel schedulers must agree on every order-insensitive quantity.
-func TestSingleQueueAblationMatchesStealing(t *testing.T) {
-	run := func(single bool) *Report {
-		w := fanWorld(4, 4, 3)
-		x := NewExplorer(5)
-		x.Objective = sumObjective()
-		x.Workers = 4
-		x.SingleQueue = single
-		return x.Explore(w)
-	}
-	steal, queue := run(false), run(true)
-	if steal.StatesExplored != queue.StatesExplored || steal.MaxDepth != queue.MaxDepth ||
-		steal.MinScore != queue.MinScore || steal.MaxScore != queue.MaxScore ||
-		steal.Truncated != queue.Truncated {
-		t.Fatalf("schedulers diverge:\nsteal %+v\nqueue %+v", steal, queue)
-	}
-}
-
 // TestHeapFrontierSpillDropsLowest: when the cap binds, the heap must
 // evict the lowest-priority pending unit, never the high-priority work a
 // best-first search is about to expand.

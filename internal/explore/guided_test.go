@@ -156,8 +156,8 @@ func TestParseStrategyGuided(t *testing.T) {
 	if _, err := ParseStrategy("nope"); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
-	if MustParseStrategy("").Name() != "chaindfs" {
-		t.Fatal("empty strategy must default to chaindfs")
+	if s, err := ParseStrategy(""); err != nil || s.Name() != "chaindfs" {
+		t.Fatalf("empty strategy must default to chaindfs, got %v, %v", s, err)
 	}
 }
 
@@ -172,8 +172,7 @@ func TestGuidedSiblingTieBreakIsContentDriven(t *testing.T) {
 		w := biasedWorld()
 		x := NewExplorer(5)
 		x.Strategy = Guided{}
-		ctx := &Ctx{x: x, root: w, budget: 64, names: &nameTable{}}
-		ctx.seen = plainSeen{}
+		ctx := newCtx(x, w, 64)
 		w.Digest() // prime, as Explore does
 		w.Freeze()
 		return Guided{}.Roots(x, ctx, w)

@@ -46,26 +46,60 @@ func stripElapsed(r *Report) *Report {
 	return r
 }
 
-// TestSchedulerMatchesSequential pins Workers=1 determinism: routing the
-// same run through the parallel scheduler machinery (one worker, sharded
-// digest set) must yield a byte-identical report to the plain sequential
-// path.
+// TestSchedulerMatchesSequential: on a single-chain world every state
+// has exactly one successor, so no scheduler can reorder anything and
+// each parallel discipline — the ChainDFS pool capped to its one root,
+// BFS on stealing deques, independent walks, the shared best-first heap
+// — must yield a byte-identical report to the sequential engine.
 func TestSchedulerMatchesSequential(t *testing.T) {
 	for _, strat := range []Strategy{ChainDFS{}, BFS{}, RandomWalk{Walks: 6, Seed: 9}, Guided{}} {
-		mk := func(force bool) *Report {
-			w := fanWorld(3, 4, 3)
+		mk := func(workers int) *Report {
 			x := NewExplorer(5)
 			x.Objective = sumObjective()
 			x.Strategy = strat
-			x.Workers = 1
-			x.forceScheduler = force
-			return stripElapsed(x.Explore(w))
+			x.Workers = workers
+			return stripElapsed(x.Explore(relayWorld(4, 3)))
 		}
-		seq, sched := mk(false), mk(true)
+		seq, sched := mk(1), mk(4)
 		if !reflect.DeepEqual(seq, sched) {
 			t.Errorf("%s: scheduler output diverges from sequential baseline:\nseq   %+v\nsched %+v",
 				strat.Name(), seq, sched)
 		}
+	}
+}
+
+// TestCappedPoolAllocatesLikeSequential: a ChainDFS pool is capped to
+// its root count, so Workers: 4 over a one-root frontier runs the
+// sequential engine — and must be set up like it, with the plain map as
+// its seen set rather than a lock-free table sized for a pool that never
+// starts (32 KB at the smallest, per lookahead).
+func TestCappedPoolAllocatesLikeSequential(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool operations; allocation volumes are meaningless")
+	}
+	bytesPerRun := func(workers int) uint64 {
+		run := func() {
+			x := NewExplorer(5)
+			x.MaxStates = 64
+			x.Workers = workers
+			x.Explore(relayWorld(4, 3))
+		}
+		run() // warm the shell free-list
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	seq, capped := bytesPerRun(1), bytesPerRun(4)
+	t.Logf("Workers=1 %d B/run, Workers=4 (capped to one root) %d B/run", seq, capped)
+	// A quarter of slack absorbs a garbage collection emptying the
+	// free-list mid-measurement; the table this guards against is 10x.
+	if capped > seq+seq/4 {
+		t.Errorf("capped pool allocates %d B per run, sequential %d B: seen set sized for workers that never ran", capped, seq)
 	}
 }
 
@@ -358,34 +392,6 @@ func TestCOWCloneSharesUntilWrite(t *testing.T) {
 	}
 }
 
-// TestDeepCloneStillDeep guards the eager path used for ablation.
-func TestDeepCloneStillDeep(t *testing.T) {
-	w := relayWorld(3, 2)
-	c := w.DeepClone()
-	if w.Services[0] == c.Services[0] {
-		t.Fatal("DeepClone shared a service")
-	}
-	c.DeliverMessage(0)
-	if w.Services[0].(*relay).counter != 0 || len(w.Inflight) != 1 {
-		t.Fatal("DeepClone not independent")
-	}
-}
-
-// TestDeepClonesModeMatchesCOW: forcing eager clones must not change any
-// exploration result.
-func TestDeepClonesModeMatchesCOW(t *testing.T) {
-	run := func(deep bool) *Report {
-		w := fanWorld(3, 4, 3)
-		x := NewExplorer(5)
-		x.Objective = sumObjective()
-		x.DeepClones = deep
-		return stripElapsed(x.Explore(w))
-	}
-	if a, b := run(false), run(true); !reflect.DeepEqual(a, b) {
-		t.Fatalf("COW diverges from deep clones:\ncow  %+v\ndeep %+v", a, b)
-	}
-}
-
 // TestLockedPolicyParallel exercises a stateful policy under the full
 // worker pool; -race validates the Locked wrapper.
 func TestLockedPolicyParallel(t *testing.T) {
@@ -411,24 +417,4 @@ func BenchmarkExploreParallel(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkCloneModes(b *testing.B) {
-	b.Run("cow", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			w := fanWorld(4, 8, 8)
-			x := NewExplorer(6)
-			x.Explore(w)
-		}
-	})
-	b.Run("deep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			w := fanWorld(4, 8, 8)
-			x := NewExplorer(6)
-			x.DeepClones = true
-			x.Explore(w)
-		}
-	})
 }

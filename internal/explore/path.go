@@ -1,17 +1,14 @@
 package explore
 
-// Lazy trace materialization. The expansion hot path used to format a
-// human-readable label for every step it took (`msg.String()`,
-// `fmt.Sprintf("%v!%s", ...)`) and to copy the whole trace slice per
-// branch (appendTrace), even though labels and traces are only ever read
-// when a violation is recorded or a golden dump is printed. In-flight
-// branches now carry a compact parent-pointer path instead: one pathNode
-// per step, holding the action's identity (message pointer, interned
-// timer name, fault kind+target) packed into two machine words plus the
-// parent link. The human-readable trace is reconstructed — byte-identical
-// to the eager labels — only inside Explorer.check when a property
-// actually fails. Explorer.EagerTraces restores the old representation
-// for A/B benchmarking.
+// Lazy trace materialization. Labels and traces are only ever read when
+// a violation is recorded or a golden dump is printed, so in-flight
+// branches carry a compact parent-pointer path: one pathNode per step,
+// holding the action's identity (message pointer, interned timer name,
+// fault kind+target) packed into two machine words plus the parent link.
+// The human-readable trace is formatted only inside Explorer.check when a
+// property actually fails. Formatting a label and copying the trace slice
+// on every step was measured against this in EXPERIMENTS.md E15, and
+// heap-allocated nodes against the arenas below in E16.
 
 import (
 	"strconv"
@@ -30,8 +27,7 @@ const (
 )
 
 // step describes one trace step of an exploration branch: an action the
-// branch took, or a pseudo step (drop, generic silence/reaction). It is
-// the unit both trace representations are built from.
+// branch took, or a pseudo step (drop, generic silence/reaction).
 type step struct {
 	kind byte
 	msg  *sm.Msg // delivered or dropped message (kinds 'm', 'd')
@@ -83,18 +79,17 @@ func (s step) label() string {
 
 // pathNode is one step of a lazily materialized trace: the parent link
 // plus the step identity, packed so a branch in flight costs one small
-// arena slot (or, under Explorer.NoArena, one heap allocation) instead
-// of a formatted label and a trace-slice copy. Subtrees share their
-// prefix; an exhausted branch returns its spine to the worker's arena
-// free list the moment the last handle on it is released.
+// arena slot instead of a formatted label and a trace-slice copy.
+// Subtrees share their prefix; an exhausted branch returns its spine to
+// the worker's arena free list the moment the last handle on it is
+// released.
 type pathNode struct {
 	parent *pathNode
 	msg    *sm.Msg // message identity (kinds 'm', 'd'); nil otherwise
 	code   uint64  // packed kind, node, and aux (see packCode)
 	// refs counts live references: one per branchTrace handle plus one
-	// per child node. Arena-allocated nodes are freed when it hits zero;
-	// heap nodes (NoArena) leave it at zero and are garbage-collected.
-	// Atomic because a stolen unit's release may race a sibling's.
+	// per child node; the node is freed when it hits zero. Atomic because
+	// a stolen unit's release may race a sibling's.
 	refs atomic.Int32
 }
 
@@ -139,14 +134,10 @@ func (a *pathArena) alloc() *pathNode {
 // scheduler drop paths, which run outside any worker's arena) still
 // performs the reference bookkeeping — a leaked count on a shared prefix
 // would block its reclamation for the rest of the run — but leaves the
-// dead nodes in their chunks. Heap spines (NoArena) and eager traces are
-// no-ops: their refs never leave zero.
+// dead nodes in their chunks.
 func releaseTrace(a *pathArena, t branchTrace) {
 	n := t.node
 	for n != nil {
-		if n.refs.Load() == 0 {
-			return // heap-allocated spine: the garbage collector's job
-		}
 		if n.refs.Add(-1) != 0 {
 			return
 		}
@@ -219,34 +210,24 @@ func (t *nameTable) id(name string) int {
 // name resolves an id interned by a previous call.
 func (t *nameTable) name(id int) string { return t.v.Load().names[id] }
 
-// branchTrace is the trace handle an in-flight branch carries: the lazy
-// path spine by default, or the eagerly formatted label slice under the
-// Explorer.EagerTraces ablation. The zero value is the empty trace.
+// branchTrace is the trace handle an in-flight branch carries: the tip
+// of its path spine. The zero value is the empty trace.
 type branchTrace struct {
-	node  *pathNode
-	eager []string
+	node *pathNode
 }
 
 // extendTrace appends one step to a branch trace without mutating the
 // parent's representation (sibling branches extend the same prefix).
 // The returned value is a new handle the caller owns and must release
-// (releaseTrace) once neither it nor a frontier unit carries it. Nodes
-// come from arena a when one is supplied; a nil arena (Explorer.NoArena)
-// falls back to individual heap allocations with refs left at zero.
-func (x *Explorer) extendTrace(ctx *Ctx, a *pathArena, t branchTrace, s step) branchTrace {
-	if x.EagerTraces {
-		return branchTrace{eager: appendTrace(t.eager, s.label())}
-	}
+// (releaseTrace) once neither it nor a frontier unit carries it. The
+// node comes from arena a, the calling worker's own.
+func (ctx *Ctx) extendTrace(a *pathArena, t branchTrace, s step) branchTrace {
 	aux := s.ix
 	if s.kind == ActionTimer {
 		aux = ctx.names.id(s.name)
 	}
-	code := packCode(s.kind, s.node, aux)
-	if a == nil {
-		return branchTrace{node: &pathNode{parent: t.node, msg: s.msg, code: code}}
-	}
 	n := a.alloc()
-	n.parent, n.msg, n.code = t.node, s.msg, code
+	n.parent, n.msg, n.code = t.node, s.msg, packCode(s.kind, s.node, aux)
 	n.refs.Store(1)
 	if t.node != nil {
 		t.node.refs.Add(1)
@@ -254,16 +235,13 @@ func (x *Explorer) extendTrace(ctx *Ctx, a *pathArena, t branchTrace, s step) br
 	return branchTrace{node: n}
 }
 
-// materializeTrace reconstructs the human-readable trace of a branch,
-// byte-identical to what the eager representation carries. Called only
-// when a recorded violation actually needs the trace. This is also the
-// arena's witness promotion: the violating spine is copied out into
-// owned strings at record time, so recycled arena nodes can never alias
-// a recorded trace no matter when the branch's handles are released.
-func (x *Explorer) materializeTrace(ctx *Ctx, t branchTrace) []string {
-	if x.EagerTraces {
-		return append([]string{}, t.eager...)
-	}
+// materializeTrace reconstructs the human-readable trace of a branch.
+// Called only when a recorded violation actually needs the trace. This
+// is also the arena's witness promotion: the violating spine is copied
+// out into owned strings at record time, so recycled arena nodes can
+// never alias a recorded trace no matter when the branch's handles are
+// released.
+func (ctx *Ctx) materializeTrace(t branchTrace) []string {
 	n := 0
 	for p := t.node; p != nil; p = p.parent {
 		n++

@@ -9,8 +9,7 @@ import (
 
 // Ctx is the state one Explore run shares across its workers: the frozen
 // start world, the global handler-execution budget, the cross-worker
-// digest deduplication set, the per-run action-label intern table, and
-// the dead-world free-list.
+// digest deduplication set, and the per-run action-label intern table.
 type Ctx struct {
 	x      *Explorer
 	root   *World
@@ -19,13 +18,10 @@ type Ctx struct {
 	seen   seenSet
 	// names interns timer names so lazy trace nodes carry integers.
 	names *nameTable
-	// pool recycles dead worlds' shells and containers. Nil when
-	// recycling is off (Explorer.NoRecycle or DeepClones).
-	pool *worldPool
 	// rootArena allocates the root frontier's trace nodes. Roots are
 	// built single-threaded before the workers start, and the nodes are
 	// released — possibly into another arena's free list — by whichever
-	// worker exhausts the branch. Nil under NoArena/EagerTraces.
+	// worker exhausts the branch.
 	rootArena *pathArena
 	// dropped counts frontier units discarded by the MaxFrontier cap.
 	dropped atomic.Int64
@@ -43,16 +39,23 @@ type Ctx struct {
 	workerHigh  atomic.Int64
 }
 
+// newCtx returns the shared state of one run of x from w. Explore picks
+// the seen set once it knows how many workers actually run.
+func newCtx(x *Explorer, w *World, budget int) *Ctx {
+	return &Ctx{x: x, root: w, budget: budget, names: &nameTable{},
+		rootArena: &pathArena{}, deadline: x.Deadline}
+}
+
 // release returns a dead world's shell and exclusively owned containers
-// to the run's free-list. The world must be a fork whose subtree is
-// exhausted: after release the *World and everything still marked owned
-// may be handed to the next fork. Worlds pinned by a recorded violation
-// witness, and runs without a pool, are left to the garbage collector.
+// to the free-list. The world must be a fork whose subtree is exhausted:
+// after release the *World and everything still marked owned may be
+// handed to the next fork. Worlds pinned by a recorded violation witness
+// are left to the garbage collector.
 func (c *Ctx) release(w *World) {
-	if c.pool == nil || w == nil || w.pinned {
+	if w == nil || w.pinned {
 		return
 	}
-	c.pool.put(w)
+	sharedWorldPool.put(w)
 }
 
 // releaseExhausted is release for a world whose every fork is already
@@ -64,11 +67,11 @@ func (c *Ctx) release(w *World) {
 // is visible as report growth — while frontier strategies do not: their
 // successors outlive the expanded world.
 func (c *Ctx) releaseExhausted(w *World) {
-	if c.pool == nil || w == nil || w.pinned {
+	if w == nil || w.pinned {
 		return
 	}
 	w.sealed = false
-	c.pool.put(w)
+	sharedWorldPool.put(w)
 }
 
 // releaseSubtree recycles a chain fork whose recursive expansion just
@@ -129,33 +132,13 @@ func (x *Explorer) runSequential(ctx *Ctx, strat Strategy, fr frontier, r *Repor
 	}
 }
 
-// runParallel drains the frontier across the worker pool, routing to the
-// discipline the run calls for: best-first strategies share one locked
-// priority heap, the SingleQueue ablation (and the degenerate one-worker
-// pool, whose FIFO order must match the sequential engine) share one
-// locked FIFO queue, and everything else runs per-worker deques with work
-// stealing.
-func (x *Explorer) runParallel(ctx *Ctx, strat Strategy, units []Unit, reports []*Report) {
-	if bestFirst(strat) {
-		x.runShared(ctx, strat, newHeapFrontier(units, ctx), reports)
-		return
-	}
-	if x.SingleQueue || len(reports) == 1 {
-		x.runShared(ctx, strat, newFIFOFrontier(units, ctx), reports)
-		return
-	}
-	x.runStealing(ctx, strat, units, reports)
-}
-
-// runShared drains one shared locked frontier with a pool of workers.
-// Each worker accumulates into its own report shard; `pending` counts
-// queued plus in-expansion units, so the pool terminates exactly when the
-// frontier is drained and no expansion is outstanding. This is the
-// original single-queue scheduler, kept alive for the SingleQueue
-// ablation (BenchmarkE14WorkStealing) and reused — with a heap frontier —
-// as the best-first scheduler, where a global priority order is the point
-// and per-worker deques would defeat it.
-func (x *Explorer) runShared(ctx *Ctx, strat Strategy, fr frontier, reports []*Report) {
+// runShared drains one shared locked priority frontier with a pool of
+// workers: the best-first scheduler, where a global priority order is the
+// point and per-worker deques would defeat it. Each worker accumulates
+// into its own report shard; `pending` counts queued plus in-expansion
+// units, so the pool terminates exactly when the frontier is drained and
+// no expansion is outstanding.
+func (x *Explorer) runShared(ctx *Ctx, strat Strategy, fr *heapFrontier, reports []*Report) {
 	var (
 		mu      sync.Mutex
 		cond    = sync.NewCond(&mu)
@@ -303,7 +286,7 @@ func (x *Explorer) runStealing(ctx *Ctx, strat Strategy, units []Unit, reports [
 		}
 	}
 	// Roots go through pushAll so the MaxFrontier cap binds on the seed
-	// frontier too, exactly as in the shared-queue and sequential paths.
+	// frontier too, exactly as in the best-first and sequential paths.
 	accepted := 0
 	for i := range units {
 		accepted += deques[i%n].pushAll(units[i : i+1])

@@ -2,16 +2,14 @@ package explore
 
 // Visited-state deduplication. Every expanded state consults the run's
 // shared seen set, which makes it the hottest cross-worker structure in
-// the engine. Three implementations:
+// the engine. Two implementations, chosen by how many workers run:
 //
 //   - plainSeen: an unsynchronized map, used by the sequential engine
-//     (Workers<=1) so single-threaded runs stay byte-for-byte
+//     (one worker) so single-threaded runs stay byte-for-byte
 //     deterministic and pay no atomic traffic.
-//   - lockFreeSeen: the parallel default — an open-addressing digest
-//     table with CAS inserts, grown by epoch handoff (below).
-//   - shardedSeen: the previous parallel implementation (64 mutex+map
-//     shards), kept as the Explorer.LockedSeen ablation so what the
-//     lock-free table buys stays measurable (BenchmarkE16ArenaSeen).
+//   - lockFreeSeen: the parallel set — an open-addressing digest table
+//     with CAS inserts, grown by epoch handoff (below). EXPERIMENTS.md
+//     E16 measured it against the mutex-sharded map it replaced.
 //
 // lockFreeSeen design. Slots are a power-of-two array of uint64 digests,
 // zero meaning empty (a digest of zero is remapped to a fixed nonzero
@@ -63,40 +61,6 @@ func (s plainSeen) visit(d uint64) bool {
 	}
 	s[d] = true
 	return false
-}
-
-// seenShards is sized to keep shard-lock contention negligible at any
-// plausible core count.
-const seenShards = 64
-
-// shardedSeen is the locked sharded map the parallel engine used before
-// the lock-free table; Explorer.LockedSeen keeps it as the ablation.
-type shardedSeen struct {
-	shards [seenShards]struct {
-		mu sync.Mutex
-		m  map[uint64]struct{}
-		// Pad to a cache line so neighboring shard locks do not false-share.
-		_ [40]byte
-	}
-}
-
-func newShardedSeen() *shardedSeen {
-	s := &shardedSeen{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]struct{})
-	}
-	return s
-}
-
-func (s *shardedSeen) visit(d uint64) bool {
-	sh := &s.shards[((d>>32)^d)&(seenShards-1)]
-	sh.mu.Lock()
-	_, ok := sh.m[d]
-	if !ok {
-		sh.m[d] = struct{}{}
-	}
-	sh.mu.Unlock()
-	return ok
 }
 
 // seenMaxProbe bounds a linear-probe chain before the table grows. At

@@ -74,9 +74,8 @@ type Unit struct {
 	World *World
 	Act   Action
 	Depth int
-	// trace is the branch's trace handle: a compact parent-pointer path
-	// by default, materialized into labels only when a violation needs
-	// it (Explorer.EagerTraces restores the eager representation).
+	// trace is the branch's trace handle: a compact parent-pointer path,
+	// materialized into labels only when a violation needs it.
 	trace branchTrace
 	// Faults counts the fault transitions on the unit's path, including
 	// Act itself when it is one; the explorer's FaultBudget bounds it.
@@ -116,16 +115,6 @@ type BestFirster interface {
 func bestFirst(strat Strategy) bool {
 	bf, ok := strat.(BestFirster)
 	return ok && bf.BestFirst()
-}
-
-// MustParseStrategy is ParseStrategy for configuration paths whose name
-// was already validated (harness configs, tests); it panics on a typo.
-func MustParseStrategy(name string) Strategy {
-	s, err := ParseStrategy(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // ParseStrategy resolves a strategy by its command-line name.
@@ -168,12 +157,12 @@ func rootUnits(x *Explorer, ctx *Ctx, w *World) []Unit {
 	acts := x.enabled(w)
 	units := make([]Unit, 0, len(acts))
 	for _, a := range acts {
-		units = append(units, Unit{World: x.fork(ctx, w), Act: a, Depth: 1,
-			trace: x.extendTrace(ctx, ctx.rootArena, branchTrace{}, actionStep(a))})
+		units = append(units, Unit{World: w.fork(), Act: a, Depth: 1,
+			trace: ctx.extendTrace(ctx.rootArena, branchTrace{}, actionStep(a))})
 	}
 	for _, a := range x.faultActions(w, 0) {
-		units = append(units, Unit{World: x.fork(ctx, w), Act: a, Depth: 1, Faults: 1,
-			trace: x.extendTrace(ctx, ctx.rootArena, branchTrace{}, actionStep(a))})
+		units = append(units, Unit{World: w.fork(), Act: a, Depth: 1, Faults: 1,
+			trace: ctx.extendTrace(ctx.rootArena, branchTrace{}, actionStep(a))})
 	}
 	return units
 }
@@ -189,9 +178,9 @@ func (ChainDFS) Expand(x *Explorer, ctx *Ctx, u Unit, r *Report) []Unit {
 	// Loss branch: an unreliable message may simply never arrive.
 	root := ctx.root
 	if x.DropBranches && u.Act.Kind == ActionMessage && u.Act.MsgIx < len(root.Inflight) && root.Inflight[u.Act.MsgIx].Unreliable {
-		wd := x.fork(ctx, root)
+		wd := root.fork()
 		wd.RemoveInflight(u.Act.MsgIx)
-		dt := x.extendTrace(ctx, r.arena, branchTrace{}, step{kind: stepDrop, msg: u.Act.Msg})
+		dt := ctx.extendTrace(r.arena, branchTrace{}, step{kind: stepDrop, msg: u.Act.Msg})
 		x.check(ctx, wd, r, dt, 1)
 		releaseTrace(r.arena, dt)
 		ctx.release(wd)
@@ -275,12 +264,12 @@ func fanOut(x *Explorer, ctx *Ctx, u Unit, r *Report) ([]Unit, float64) {
 	// next expansion, so the backing array never aliases pending work.
 	succ := r.succ[:0]
 	for _, a := range acts {
-		succ = append(succ, Unit{World: x.fork(ctx, w), Act: a, Depth: u.Depth + 1,
-			Faults: u.Faults, trace: x.extendTrace(ctx, r.arena, u.trace, actionStep(a))})
+		succ = append(succ, Unit{World: w.fork(), Act: a, Depth: u.Depth + 1,
+			Faults: u.Faults, trace: ctx.extendTrace(r.arena, u.trace, actionStep(a))})
 	}
 	for _, a := range x.faultActions(w, u.Faults) {
-		succ = append(succ, Unit{World: x.fork(ctx, w), Act: a, Depth: u.Depth + 1,
-			Faults: u.Faults + 1, trace: x.extendTrace(ctx, r.arena, u.trace, actionStep(a))})
+		succ = append(succ, Unit{World: w.fork(), Act: a, Depth: u.Depth + 1,
+			Faults: u.Faults + 1, trace: ctx.extendTrace(r.arena, u.trace, actionStep(a))})
 	}
 	r.succ = succ
 	return succ, score
@@ -427,7 +416,7 @@ func (s RandomWalk) Roots(x *Explorer, ctx *Ctx, w *World) []Unit {
 	}
 	units := make([]Unit, 0, n)
 	for i := 0; i < n; i++ {
-		units = append(units, Unit{World: x.fork(ctx, w), Depth: 1, Seed: seed + int64(i)})
+		units = append(units, Unit{World: w.fork(), Depth: 1, Seed: seed + int64(i)})
 	}
 	return units
 }
@@ -480,7 +469,7 @@ func (RandomWalk) Expand(x *Explorer, ctx *Ctx, u Unit, r *Report) []Unit {
 				r.FaultsInjected++
 			}
 		}
-		nt := x.extendTrace(ctx, r.arena, trace, actionStep(a))
+		nt := ctx.extendTrace(r.arena, trace, actionStep(a))
 		releaseTrace(r.arena, trace)
 		trace = nt
 		if depth > r.MaxDepth {
@@ -489,12 +478,4 @@ func (RandomWalk) Expand(x *Explorer, ctx *Ctx, u Unit, r *Report) []Unit {
 		x.check(ctx, w, r, trace, depth)
 	}
 	return nil
-}
-
-// appendTrace extends a trace without aliasing the parent's backing array
-// (sibling units extend the same prefix).
-func appendTrace(trace []string, label string) []string {
-	out := make([]string, 0, len(trace)+1)
-	out = append(out, trace...)
-	return append(out, label)
 }

@@ -135,7 +135,7 @@ type World struct {
 	// path would have to leak to the garbage collector.
 	sealed bool
 
-	// forks counts Clone/DeepClone calls on this world; each fork's seed
+	// forks counts Clone calls on this world; each fork's seed
 	// is derived from (Seed, fork index) so sibling forks get distinct
 	// per-node RNG streams. Atomic because concurrent workers may fork a
 	// frozen start world simultaneously.
@@ -259,13 +259,14 @@ func (w *World) Clone() *World {
 	return w.cloneInto(&World{})
 }
 
-// clonePooled is Clone drawing the fork's shell — the *World plus its
-// outer maps and copy-on-write spare containers — from the run's
-// free-list of dead worlds when one is available.
-func (w *World) clonePooled(p *worldPool) *World {
-	c := p.get()
+// fork is Clone for the exploration engine: the fork's shell — the
+// *World plus its outer maps and copy-on-write spare containers — comes
+// from the free-list of dead worlds when one is available
+// (EXPERIMENTS.md E15 measured what recycling buys).
+func (w *World) fork() *World {
+	c := sharedWorldPool.get()
 	if c == nil {
-		return w.Clone()
+		c = &World{}
 	}
 	return w.cloneInto(c)
 }
@@ -336,58 +337,6 @@ func (c *World) adoptDigest(d *worldDigest) {
 // per-node RNG streams.
 func forkSeed(parent, k int64) int64 {
 	return int64(sm.Mix64(uint64(parent)*0x9e3779b97f4a7c15 + uint64(k)))
-}
-
-// DeepClone copies the world eagerly — every service cloned, every timer
-// set duplicated, the in-flight slice reallocated. The exploration engine
-// uses copy-on-write forks instead (see Clone); DeepClone remains for
-// callers that want a fully detached world up front and for measuring what
-// copy-on-write buys (Explorer.DeepClones).
-//
-//crystalvet:cowwrite eager copy into a private world allocated two lines up; nothing is shared by construction
-func (w *World) DeepClone() *World {
-	c := &World{
-		Services:    make(map[NodeID]sm.Service, len(w.Services)),
-		Inflight:    make([]*sm.Msg, len(w.Inflight)),
-		Timers:      make(map[NodeID]map[string]bool, len(w.Timers)),
-		Down:        make(map[NodeID]bool, len(w.Down)),
-		Now:         w.Now,
-		Policy:      w.Policy,
-		Seed:        forkSeed(w.Seed, w.forks.Add(1)),
-		Generic:     w.Generic,
-		Recovery:    w.Recovery,
-		HasRecovery: w.HasRecovery,
-		Initial:     w.Initial,
-	}
-	if len(w.partitioned) > 0 {
-		c.partitioned = make(map[pairKey]bool, len(w.partitioned))
-		for k := range w.partitioned {
-			c.partitioned[k] = true
-		}
-		c.partOwned = true
-	}
-	for id, svc := range w.Services {
-		c.Services[id] = svc.Clone()
-	}
-	copy(c.Inflight, w.Inflight)
-	for id, set := range w.Timers {
-		ts := make(map[string]bool, len(set))
-		for k, v := range set {
-			ts[k] = v
-		}
-		c.Timers[id] = ts
-	}
-	for id, v := range w.Down {
-		c.Down[id] = v
-	}
-	c.nodeOrder = w.nodeOrder // immutable once built
-	// An eager clone owns everything, including its digest components.
-	c.adoptDigest(&w.dig)
-	if c.dig.hashes != nil {
-		c.dig.hashes = append([]uint64(nil), c.dig.hashes...)
-		c.dig.hashOwned = true
-	}
-	return c
 }
 
 // Freeze marks the world as shared so that every subsequent write forks
@@ -947,8 +896,8 @@ func (w *World) Digest() uint64 {
 
 // DigestFull recomputes the world digest from scratch under the same
 // scheme as Digest, consulting no caches (including the per-message memo).
-// It is the ablation baseline (Explorer.FullDigests) and the ground truth
-// the equivalence tests hold the maintained digest to.
+// It is the ground truth the equivalence tests hold the maintained digest
+// to; the engine itself deduplicates on Digest (EXPERIMENTS.md E12).
 func (w *World) DigestFull() uint64 {
 	var nodeSum uint64
 	for id := range w.Services {

@@ -34,11 +34,10 @@ type deployment struct {
 // the same systems.
 func build(cfg *Config) (*deployment, error) {
 	ccfg := core.Config{
-		ContainPanics:        true,
-		DecisionSlot:         cfg.DecisionSlot,
-		LookaheadWorkers:     cfg.LookaheadWorkers,
-		LookaheadClassCache:  cfg.LookaheadClassCache,
-		LookaheadAutoWorkers: cfg.LookaheadAutoWorkers,
+		ContainPanics:       true,
+		DecisionSlot:        cfg.DecisionSlot,
+		Lookahead:           cfg.Lookahead,
+		LookaheadClassCache: cfg.LookaheadClassCache,
 	}
 	switch cfg.App {
 	case "paxos":

@@ -51,16 +51,14 @@ type Config struct {
 	// DecisionSlot is the wall-clock delivery-window budget; decisions
 	// overrunning it count as dropped windows. Zero disables counting.
 	DecisionSlot time.Duration
-	// LookaheadWorkers sizes the worker pool of runtime lookaheads.
-	LookaheadWorkers int
+	// Lookahead configures the exploration engine of runtime lookaheads
+	// (see core.Config.Lookahead).
+	Lookahead explore.Options
 	// LookaheadClassCache caches steering/resolve verdicts under
 	// canonical violation-class and scenario keys, skipping full
 	// lookaheads for previously judged scenarios (see
 	// core.Config.LookaheadClassCache).
 	LookaheadClassCache bool
-	// LookaheadAutoWorkers lets runtime lookaheads autoscale their
-	// worker pool mid-run (see core.Config.LookaheadAutoWorkers).
-	LookaheadAutoWorkers bool
 	// Spec optionally scripts faults under the traffic: only the spec's
 	// fault timeline (Faults + Flaps) is used — topology, resolver, and
 	// workload still come from this Config. Restart/reset events use the
