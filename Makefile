@@ -1,12 +1,11 @@
 # Developer entry points. CI runs the same steps (.github/workflows/ci.yml).
 
-N ?= 0
 BENCHTIME ?= 1s
 # Pinned staticcheck release: lint runs the same checker everywhere
 # instead of whatever @latest resolves to on the day.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: test race bench bench-check bench-alloc bench-json bench-diff bench-load bench-adaptive profile vet lint lint-tools crystalvet staticcheck
+.PHONY: test race bench bench-check bench-alloc profile vet lint lint-tools crystalvet staticcheck
 
 vet:
 	go vet ./...
@@ -62,35 +61,3 @@ bench-alloc:
 profile:
 	go run ./cmd/mc -n 15 -depth 6 -budget 8192 -cpuprofile mc.cpu.pprof -memprofile mc.mem.pprof
 	go tool pprof -top -sample_index=alloc_objects mc.mem.pprof | head -20
-
-# bench-json snapshots the bench_test.go suite (E1–E10, E13, E14, E18,
-# E19, parameter ablations) into BENCH_$(N).json so
-# performance trajectories across PRs stay diffable. Example:
-#   make bench-json N=2
-bench-json:
-	go run ./cmd/benchjson -n $(N) -benchtime $(BENCHTIME)
-
-# bench-diff runs a fresh snapshot and compares it against the newest
-# committed BENCH_<n>.json, printing per-benchmark ns/op (and states/sec)
-# deltas with regressions beyond 10% called out. Informational:
-# regressions never fail the comparison, and the leading `-` keeps make
-# going even when no baseline snapshot exists to diff against.
-bench-diff:
-	go run ./cmd/benchjson -n ci -benchtime $(BENCHTIME) -out BENCH_ci.json
-	-go run ./cmd/benchjson -diff -old "$$(ls BENCH_[0-9]*.json | sort -V | tail -1)" -new BENCH_ci.json
-
-# bench-load is the live-traffic smoke: a short fixed-seed loadgen matrix
-# (steering {off,on} x resolver {random,predictive}) against the paxos
-# harness, leaving loadgen_smoke.json behind as the per-run latency
-# artifact (steering/resolution p50/p99, cache hit rate, dropped windows).
-bench-load:
-	go run ./cmd/loadgen -app paxos -n 5 -seed 1 -rps 25 -warmup 500ms \
-		-duration 2s -slot 1ms -matrix -json loadgen_smoke.json
-
-# bench-adaptive is the adaptive-runtime smoke (E19): the class-keyed
-# verdict cache and worker autoscaling against the unique-command paxos
-# workload whose per-digest cache hit rate is 0%. A couple of quick
-# iterations per cell — the point is exercising the paths, not stable
-# numbers (use `make bench-json` for those).
-bench-adaptive:
-	go test -run '^$$' -bench BenchmarkE19AdaptiveRuntime -benchtime 2x .

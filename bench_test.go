@@ -9,9 +9,7 @@
 package crystalchoice
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -20,9 +18,7 @@ import (
 	"crystalchoice/internal/apps/paxos"
 	"crystalchoice/internal/apps/randtree"
 	"crystalchoice/internal/apps/tracker"
-	"crystalchoice/internal/core"
 	"crystalchoice/internal/explore"
-	"crystalchoice/internal/loadbench"
 	"crystalchoice/internal/metrics"
 	"crystalchoice/internal/sm"
 )
@@ -109,7 +105,7 @@ func BenchmarkE4ConsequencePrediction(b *testing.B) {
 
 // mkTreeWorld builds a fully joined 31-node tree with fresh joins queued
 // at the root, so injected joins are forwarded down long causal chains —
-// the regime consequence prediction is for (E4, E10, E11).
+// the regime consequence prediction is for (E4).
 func mkTreeWorld() *explore.World {
 	w := explore.NewWorld(explore.FirstPolicy, 1)
 	svcs := make([]*randtree.Choice, 31)
@@ -136,133 +132,6 @@ func mkTreeWorld() *explore.World {
 			Body: randtree.Join{Joiner: sm.NodeID(100 + j)}})
 	}
 	return w
-}
-
-// BenchmarkE10ParallelPrediction measures the scheduler split: the same
-// consequence prediction run sequentially and across the full worker
-// pool. Reported metric: states visited per second of wall clock.
-func BenchmarkE10ParallelPrediction(b *testing.B) {
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			// Exploration never mutates the start world, so one world
-			// serves every iteration and setup stays out of the window.
-			w := mkTreeWorld()
-			b.ResetTimer()
-			states := 0
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				x := explore.NewExplorer(8)
-				x.MaxStates = 1 << 20
-				x.Workers = workers
-				r := x.Explore(w)
-				states += r.StatesExplored
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(states)/elapsed, "states/sec")
-			}
-			b.ReportMetric(float64(states)/float64(b.N), "states/op")
-		})
-	}
-}
-
-// BenchmarkE13FaultExploration reproduces the §4 failure-rejoin search via
-// lookahead instead of a scripted schedule: the explorer branches over
-// node resets (crash + cold restart from the as-deployed state) under a
-// fault budget and finds the orphaned-child rejoin inconsistency that the
-// scripted E3 failure produces on the live cluster — with budget 0 the
-// same search predicts nothing, pinning faults as the trigger. Reported
-// metrics: states and fault transitions explored, rejoin violations found.
-func BenchmarkE13FaultExploration(b *testing.B) {
-	props := []explore.Property{
-		randtree.NoParentCycleProperty(),
-		randtree.DegreeBoundProperty(),
-		randtree.NoOrphanedChildProperty(),
-	}
-	for _, faults := range []int{0, 1} {
-		faults := faults
-		b.Run(fmt.Sprintf("faults%d", faults), func(b *testing.B) {
-			b.ReportAllocs()
-			w := mkTreeWorld()
-			w.Initial = func(id sm.NodeID) sm.Service { return randtree.NewChoice(id, 0) }
-			b.ResetTimer()
-			states, injected, rejoin, classes := 0, 0, 0, 0
-			for i := 0; i < b.N; i++ {
-				x := explore.NewExplorer(6)
-				x.MaxStates = 8192
-				x.FaultBudget = faults
-				x.Properties = props
-				r := x.Explore(w)
-				states += r.StatesExplored
-				injected += r.FaultsInjected
-				for _, v := range r.Violations {
-					if v.Property == "rt.no-orphaned-child" {
-						rejoin++
-					}
-				}
-				cls := r.ViolationClasses()
-				classes += len(cls)
-				if faults == 0 && !r.Safe() {
-					b.Fatalf("fault-free lookahead predicted %d violations", len(r.Violations))
-				}
-				if faults > 0 && rejoin == 0 {
-					b.Fatalf("fault lookahead missed the rejoin violation")
-				}
-				// Canonicalization is what makes the ~1.7k raw violations
-				// actionable: they must collapse to a handful of classes.
-				if faults > 0 && len(cls) > 10 {
-					b.Fatalf("violation canonicalization regressed: %d classes for %d raw violations",
-						len(cls), len(r.Violations))
-				}
-			}
-			b.ReportMetric(float64(states)/float64(b.N), "states/op")
-			b.ReportMetric(float64(injected)/float64(b.N), "faults/op")
-			b.ReportMetric(float64(rejoin)/float64(b.N), "rejoin-violations/op")
-			b.ReportMetric(float64(classes)/float64(b.N), "violation-classes/op")
-		})
-	}
-}
-
-// BenchmarkE14WorkStealing measures the work-stealing scheduler on E10's
-// world. The traversal is BFS because scheduler overhead only shows under
-// frontier churn — every explored state is one deque push and one pop —
-// whereas ChainDFS seeds a frontier that never grows and expands each
-// chain inline, leaving the scheduler nearly nothing to do. workers=1 is
-// the sequential baseline; the interesting rows are the multi-worker
-// ones. Reported metric: states visited per second of wall clock.
-func BenchmarkE14WorkStealing(b *testing.B) {
-	// "auto" rows run the stealing scheduler with AutoWorkers: workers is
-	// the ceiling and the controller picks the active set, so comparing
-	// auto/workersN against the best hand-picked steal/workersM row
-	// measures what the autoscaler costs over an oracle configuration.
-	for _, mode := range []string{"steal", "auto"} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			mode, workers := mode, workers
-			b.Run(fmt.Sprintf("%s/workers%d", mode, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				w := mkTreeWorld()
-				b.ResetTimer()
-				states := 0
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					x := explore.NewExplorer(8)
-					x.MaxStates = 1 << 14
-					x.Strategy = explore.BFS{}
-					x.Workers = workers
-					x.AutoWorkers = mode == "auto"
-					r := x.Explore(w)
-					states += r.StatesExplored
-				}
-				elapsed := time.Since(start).Seconds()
-				if elapsed > 0 {
-					b.ReportMetric(float64(states)/elapsed, "states/sec")
-				}
-				b.ReportMetric(float64(states)/float64(b.N), "states/op")
-			})
-		}
-	}
 }
 
 // depthOf returns the level of index i in a complete binary tree rooted at
@@ -408,155 +277,5 @@ func BenchmarkE9TrackerPeerChoice(b *testing.B) {
 			b.ReportMetric(frac/float64(b.N)*100, "cross-isp-%")
 			b.ReportMetric(float64(mean.Milliseconds())/float64(b.N), "mean-completion-ms")
 		})
-	}
-}
-
-// BenchmarkE18SteeringLatency measures the live-traffic cost of the
-// CrystalBall runtime: loadgen traffic at a fixed virtual rate, with the
-// wall-clock decision latency of execution steering and predictive choice
-// resolution read from the runtime's own histograms. Reported metrics:
-// steering/resolution p50/p99 (ns), lookahead cache hit rate, windows
-// dropped against a 1ms delivery-slot budget, and messages steered. One
-// benchmark op is one full run (warmup excluded from all numbers).
-func BenchmarkE18SteeringLatency(b *testing.B) {
-	base := loadbench.Config{
-		N: 5, Seed: 1, TargetRPS: 25,
-		Warmup: 500 * time.Millisecond, Duration: 2 * time.Second,
-		DecisionSlot: time.Millisecond,
-	}
-	cells := []struct {
-		name     string
-		app      string
-		steering bool
-		resolver string
-		rps      float64 // 0 = base rate
-	}{
-		{"paxos/random/steer-off", "paxos", false, "random", 0},
-		{"paxos/random/steer-on", "paxos", true, "random", 0},
-		{"paxos/predictive/steer-on", "paxos", true, "predictive", 0},
-		// Gossip publishes at a low rate so the swarm reaches repeatable
-		// quiescent states between updates — the regime where the decision
-		// cache can actually hit.
-		{"gossip/predictive/steer-on", "gossip", true, "predictive", 2},
-	}
-	for _, c := range cells {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			cfg := base
-			cfg.App, cfg.Steering, cfg.Resolver = c.app, c.steering, c.resolver
-			if c.rps > 0 {
-				cfg.TargetRPS = c.rps
-			}
-			var steer, resolve, op core.LatencyHist
-			var hits, misses, dropped, steered uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := loadbench.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mergeHist(&steer, &res.SteerLatency)
-				mergeHist(&resolve, &res.ResolveLatency)
-				mergeHist(&op, &res.OpLatency)
-				hits += res.CacheHits
-				misses += res.CacheMisses
-				dropped += res.DroppedWindows
-				steered += res.Steered
-			}
-			b.ReportMetric(float64(op.Percentile(99)), "op-p99-ns")
-			if steer.N() > 0 {
-				b.ReportMetric(float64(steer.Percentile(50)), "steer-p50-ns")
-				b.ReportMetric(float64(steer.Percentile(99)), "steer-p99-ns")
-			}
-			if resolve.N() > 0 {
-				b.ReportMetric(float64(resolve.Percentile(50)), "resolve-p50-ns")
-				b.ReportMetric(float64(resolve.Percentile(99)), "resolve-p99-ns")
-			}
-			if hits+misses > 0 {
-				b.ReportMetric(float64(hits)/float64(hits+misses)*100, "cache-hit-%")
-			}
-			b.ReportMetric(float64(dropped)/float64(b.N), "dropped-windows")
-			b.ReportMetric(float64(steered)/float64(b.N), "steered/run")
-		})
-	}
-}
-
-// BenchmarkE19AdaptiveRuntime measures the class-keyed verdict cache and
-// lookahead worker autoscaling on the workload the per-digest cache
-// cannot help: unique-command paxos traffic, where every proposal changes
-// the state digest and E18 measured a 0% hit rate with resolve p50 stuck
-// near the full-lookahead price (~2.1 ms). Class verdicts key on the
-// violation-class and scenario shape instead of the exact state, so the
-// warmup phase warms them once and the measured phase answers from the
-// cache. Reported metrics mirror E18 plus the class-cache hit rate.
-func BenchmarkE19AdaptiveRuntime(b *testing.B) {
-	base := loadbench.Config{
-		App: "paxos", N: 5, Seed: 1, TargetRPS: 25,
-		Warmup: 500 * time.Millisecond, Duration: 2 * time.Second,
-		Steering: true, Resolver: "predictive",
-		DecisionSlot: time.Millisecond,
-	}
-	cells := []struct {
-		name       string
-		classCache bool
-		workers    int
-		auto       bool
-	}{
-		{"classcache-off", false, 0, false},
-		{"classcache-on", true, 0, false},
-		{"classcache-on/workers4", true, 4, false},
-		{"classcache-on/autoworkers4", true, 4, true},
-	}
-	for _, c := range cells {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			cfg := base
-			cfg.LookaheadClassCache = c.classCache
-			cfg.Lookahead = explore.Options{Workers: c.workers, AutoWorkers: c.auto}
-			var steer, resolve, op core.LatencyHist
-			var hits, misses, chits, cmisses, dropped, steered uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := loadbench.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mergeHist(&steer, &res.SteerLatency)
-				mergeHist(&resolve, &res.ResolveLatency)
-				mergeHist(&op, &res.OpLatency)
-				hits += res.CacheHits
-				misses += res.CacheMisses
-				chits += res.ClassCacheHits
-				cmisses += res.ClassCacheMisses
-				dropped += res.DroppedWindows
-				steered += res.Steered
-			}
-			b.ReportMetric(float64(op.Percentile(99)), "op-p99-ns")
-			if steer.N() > 0 {
-				b.ReportMetric(float64(steer.Percentile(50)), "steer-p50-ns")
-				b.ReportMetric(float64(steer.Percentile(99)), "steer-p99-ns")
-			}
-			if resolve.N() > 0 {
-				b.ReportMetric(float64(resolve.Percentile(50)), "resolve-p50-ns")
-				b.ReportMetric(float64(resolve.Percentile(99)), "resolve-p99-ns")
-			}
-			b.ReportMetric(core.HitRate(hits, misses)*100, "cache-hit-%")
-			b.ReportMetric(core.HitRate(chits, cmisses)*100, "class-hit-%")
-			b.ReportMetric(float64(dropped)/float64(b.N), "dropped-windows")
-			b.ReportMetric(float64(steered)/float64(b.N), "steered/run")
-		})
-	}
-}
-
-// mergeHist folds src into dst bucketwise, so E18 can aggregate the
-// fixed-array histograms across benchmark iterations.
-func mergeHist(dst, src *core.LatencyHist) {
-	for i := range dst.Buckets {
-		dst.Buckets[i] += src.Buckets[i]
-	}
-	dst.Count += src.Count
-	dst.SumNs += src.SumNs
-	if src.MaxNs > dst.MaxNs {
-		dst.MaxNs = src.MaxNs
 	}
 }

@@ -128,7 +128,8 @@ func PublishUpdate(cl *core.Cluster, origin sm.NodeID, u int) {
 // ReceiptProperty asserts gossip receipt consistency: every update a peer
 // has logged a receipt time for is also in its held-update set. learn()
 // maintains the two together, so a divergence means a corrupted exchange.
-// It is the steering property of the load harness's gossip arm.
+// It is the property scenario specs and the benchmark's gossip workload
+// steer over and probe.
 func ReceiptProperty() explore.Property {
 	return explore.Property{
 		Name: "g.receipt-held",

@@ -116,23 +116,9 @@ func Enroll(cl *core.Cluster, peers int) {
 	}
 }
 
-// EnrollOne performs a single tracker join as a load generator would issue
-// it: the peer registers and immediately requests k introductions. A
-// crashed or unknown peer drops the join.
-func EnrollOne(cl *core.Cluster, peers int, peer sm.NodeID, k int) {
-	trackerID := sm.NodeID(peers)
-	n := cl.Node(peer)
-	if n == nil || n.Down() {
-		return
-	}
-	n.SendApp(trackerID, KindRegister, Register{}, 16)
-	n.SendApp(trackerID, KindGetPeers, GetPeers{K: k}, 16)
-}
-
 // RegistryProperty asserts tracker registry sanity: the registry holds
 // only swarm peers — never the tracker itself and never an ID outside the
-// deployment. It is the steering property of the load harness's tracker
-// arm.
+// deployment. It is the property scenario specs steer over and probe.
 func RegistryProperty(peers int) explore.Property {
 	trackerID := sm.NodeID(peers)
 	return explore.Property{

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"crystalchoice/internal/apps/dissem"
+	"crystalchoice/internal/explore"
 	"crystalchoice/internal/sm"
 )
 
@@ -140,6 +141,35 @@ func TestCloneDeep(t *testing.T) {
 	c.Registered[5] = true
 	if tr.Registered[5] {
 		t.Fatal("clone shares registry")
+	}
+}
+
+// TestRegistryProperty pins the safety property scenario specs steer
+// over: the registry of a 4-peer swarm (tracker at ID 4) may hold peers
+// 0..3 only.
+func TestRegistryProperty(t *testing.T) {
+	const peers = 4
+	cases := []struct {
+		name       string
+		registered []sm.NodeID
+		want       bool
+	}{
+		{"empty registry", nil, true},
+		{"every peer enrolled", []sm.NodeID{0, 1, 2, 3}, true},
+		{"tracker registered itself", []sm.NodeID{0, 1, peers}, false},
+		{"id past the deployment", []sm.NodeID{0, peers + 3}, false},
+		{"negative id", []sm.NodeID{-1}, false},
+	}
+	prop := RegistryProperty(peers)
+	for _, tc := range cases {
+		tr := New(peers)
+		register(tr, newFakeEnv(peers), tc.registered...)
+		w := explore.NewWorld(explore.FirstPolicy, 1)
+		w.AddNode(0, dissem.New(0, nil, 4, 1024, false)) // non-tracker nodes are skipped
+		w.AddNode(peers, tr)
+		if got := prop.Check(w); got != tc.want {
+			t.Errorf("%s: property = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -118,7 +118,7 @@ func (h *LatencyHist) add(o *LatencyHist) {
 
 // Delta returns the histogram of samples recorded since prev was
 // snapshotted from the same (monotonically growing) histogram — the
-// measured-phase view a load harness needs after discarding warmup.
+// measured-phase view the benchmark needs after discarding warmup.
 // MaxNs cannot be un-merged, so the delta keeps the lifetime maximum;
 // treat the result's Max as an upper bound. Counters clamp at zero
 // instead of wrapping, so a mismatched snapshot (prev not taken from h,

@@ -141,7 +141,7 @@ type Stats struct {
 	// and one per predictive choice resolution (cache hits, inline
 	// predictions, and completed background predictions alike). They
 	// observe the host's real clock, never virtual time, and feed no
-	// digest — pure observability for the load harness.
+	// digest — pure observability for the benchmark.
 	SteerLatency   LatencyHist
 	ResolveLatency LatencyHist
 }
@@ -165,8 +165,8 @@ func (s *Stats) add(o Stats) {
 }
 
 // HitRate returns hits over total lookups, or 0 when none happened — the
-// one cache-hit-fraction computation shared by Stats, the load harness,
-// and anything else reporting hit percentages.
+// one cache-hit-fraction computation shared by Stats and anything else
+// reporting hit percentages.
 func HitRate(hits, misses uint64) float64 {
 	total := hits + misses
 	if total == 0 {

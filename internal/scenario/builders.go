@@ -89,7 +89,8 @@ func buildRandtree(s *Spec) (*deployment, error) {
 }
 
 func buildGossip(s *Spec) (*deployment, error) {
-	ccfg := baseConfig(s, nil)
+	props := []explore.Property{gossip.ReceiptProperty()}
+	ccfg := baseConfig(s, props)
 	switch s.Variant {
 	case "", "random":
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.Random{} }
@@ -113,10 +114,11 @@ func buildGossip(s *Spec) (*deployment, error) {
 		u, origin := u, sm.NodeID(u%s.N)
 		eng.Schedule(time.Duration(u)*spacing, func() { gossip.PublishUpdate(cl, origin, u) })
 	}
-	return &deployment{eng: eng, cl: cl, fresh: fresh, timers: gossip.Timers()}, nil
+	return &deployment{eng: eng, cl: cl, fresh: fresh, props: props, timers: gossip.Timers()}, nil
 }
 
 func buildDissem(s *Spec) (*deployment, error) {
+	// dissem has no safety property; Validate rejects steering for it.
 	ccfg := baseConfig(s, nil)
 	switch s.Variant {
 	case "", "random":
@@ -177,7 +179,8 @@ func buildTracker(s *Spec) (*deployment, error) {
 		}
 		return 1
 	}
-	ccfg := baseConfig(s, nil)
+	props := []explore.Property{tracker.RegistryProperty(s.N)}
+	ccfg := baseConfig(s, props)
 	switch s.Variant {
 	case "", "random":
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.Random{} }
@@ -201,5 +204,5 @@ func buildTracker(s *Spec) (*deployment, error) {
 	fresh := tracker.Deploy(cl, s.N, blocks, 64<<10, 4)
 	cl.Start()
 	tracker.Enroll(cl, s.N)
-	return &deployment{eng: eng, cl: cl, fresh: fresh, timers: tracker.Timers()}, nil
+	return &deployment{eng: eng, cl: cl, fresh: fresh, props: props, timers: tracker.Timers()}, nil
 }

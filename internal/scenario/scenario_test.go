@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"crystalchoice/internal/explore"
 )
 
 // churnSpec is the canonical violating scenario used across these tests:
@@ -71,6 +73,7 @@ func TestValidateRejects(t *testing.T) {
 		{"one node", func(s *Spec) { s.N = 1 }},
 		{"paxos too small", func(s *Spec) { s.App = "paxos"; s.N = 2 }},
 		{"negative budget", func(s *Spec) { s.MaxFaults = -1 }},
+		{"steering without a property", func(s *Spec) { s.App = "dissem"; s.Steering = true }},
 		{"event past end", func(s *Spec) { s.Events = []Event{{At: sec(11), Op: OpCrash, Nodes: []int{0}}} }},
 		{"node out of range", func(s *Spec) { s.Events = []Event{{At: sec(1), Op: OpReset, Nodes: []int{4}}} }},
 		{"unknown op", func(s *Spec) { s.Events = []Event{{At: sec(1), Op: "meteor", Nodes: []int{0}}} }},
@@ -339,5 +342,97 @@ func TestSteeringSpecRuns(t *testing.T) {
 	s.Steering = true
 	if _, err := Run(s, Options{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flapSpec is the steering-under-flaps scenario: gossip publishes under
+// execution steering while a 3|3 cut flaps twice.
+func flapSpec() *Spec {
+	return &Spec{
+		App: "gossip", N: 6, Seed: 11, Updates: 12,
+		Duration: Dur(3 * time.Second),
+		Steering: true,
+		Flaps: []Flap{{
+			A: []int{0, 1, 2}, B: []int{3, 4, 5},
+			Start:  Dur(600 * time.Millisecond),
+			Period: Dur(800 * time.Millisecond),
+			Count:  2,
+		}},
+	}
+}
+
+// runFlaps drives flapSpec white-box — build, compile, install, run —
+// so tests can read the cluster's stats and materialize its final world.
+func runFlaps(t *testing.T) (*Spec, *deployment) {
+	t.Helper()
+	s := flapSpec()
+	d, err := build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := s.Compile(d.fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Install(d.cl)
+	d.eng.RunFor(s.Duration.D())
+	return s, d
+}
+
+// TestSteeringUnderFlapsIsDeterministic pins that steering's wall-clock
+// instrumentation leaves the virtual execution byte-identical: the same
+// seed under steering and partition flaps ends in the same digest, with
+// steering interposing over a real property and one latency sample
+// recorded per check.
+func TestSteeringUnderFlapsIsDeterministic(t *testing.T) {
+	r1, err := Run(flapSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Run(flapSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Digest != r2.Digest {
+		t.Fatalf("instrumented runs diverged: digest %#x vs %#x", r1.Digest, r2.Digest)
+	}
+	if len(r1.Classes) != 0 {
+		t.Fatalf("healthy gossip run violated %v", r1.Classes)
+	}
+	_, d := runFlaps(t)
+	if len(d.props) == 0 {
+		t.Fatal("gossip spec steers over no property")
+	}
+	st := d.cl.Stats()
+	if st.SteeringChecks == 0 {
+		t.Fatal("steering never interposed")
+	}
+	if st.SteerLatency.N() != st.SteeringChecks {
+		t.Fatalf("SteerLatency samples = %d, want one per check (%d)", st.SteerLatency.N(), st.SteeringChecks)
+	}
+}
+
+// TestSteeringUnderFlapsDigestParity pins live<->explorer parity on the
+// same flapping deployment: the incremental digest of the materialized
+// final world equals its from-scratch digest.
+func TestSteeringUnderFlapsDigestParity(t *testing.T) {
+	s, d := runFlaps(t)
+	w := d.cl.MaterializeWorld(explore.FirstPolicy, s.Seed, d.timers)
+	if got, want := w.Digest(), w.DigestFull(); got != want {
+		t.Fatalf("live<->explorer digest parity broken: incremental %#x != full %#x", got, want)
+	}
+}
+
+// TestTrackerSteeringSpecChecksRegistry pins that a tracker spec with
+// steering on interposes over the registry property instead of nothing.
+func TestTrackerSteeringSpecChecksRegistry(t *testing.T) {
+	s := &Spec{App: "tracker", N: 5, Seed: 3, Duration: Dur(2 * time.Second), Steering: true}
+	d, err := build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.eng.RunFor(s.Duration.D())
+	if len(d.props) == 0 || d.cl.Stats().SteeringChecks == 0 {
+		t.Fatalf("tracker steering spec: %d properties, %d checks", len(d.props), d.cl.Stats().SteeringChecks)
 	}
 }

@@ -218,6 +218,9 @@ func (s *Spec) Validate() error {
 	if s.App == "paxos" && s.N < 3 {
 		return fmt.Errorf("paxos needs n >= 3 for a meaningful quorum, got %d", s.N)
 	}
+	if s.Steering && s.App == "dissem" {
+		return fmt.Errorf("steering needs a safety property to steer over, and dissem defines none")
+	}
 	if s.Duration <= 0 {
 		return fmt.Errorf("duration must be positive, got %v", s.Duration)
 	}
