@@ -52,8 +52,12 @@ bench:
 # (chain, BFS, guided; faults off and on) via testing.AllocsPerRun.
 # -count=2: the second run executes with warm free-lists, so a threshold
 # that only holds on cold pools fails here instead of flaking in CI.
+# TestForkCostIndependentOfLogSize is the cost-shape gate of the paxos
+# service fork: Clone+Digest allocate the same at 64 and at 4096 decided
+# instances, and the first write after a fork copies one trie path.
 bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState' -count=2 -v
+	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize' -count=2 -v
 
 # profile runs the offline model checker under the runtime/pprof
 # collectors and prints the top allocation sites. mc.cpu.pprof and

@@ -116,7 +116,7 @@ func goldenDump() string {
 		total := 0.0
 		for _, id := range w.Nodes() {
 			if r, ok := w.Services[id].(*paxos.Replica); ok {
-				total += float64(len(r.Decided))
+				total += float64(r.DecidedCount())
 			}
 		}
 		return total

@@ -131,7 +131,7 @@ func TestPartitionHealLiveness(t *testing.T) {
 	decided := map[int]int{}
 	for i := 0; i < sites; i++ {
 		rep := cl.Node(sm.NodeID(i)).Service().(*Replica)
-		for inst, v := range rep.Decided {
+		for inst, v := range rep.decided.All {
 			if prev, ok := decided[inst]; ok && prev != v.ID {
 				t.Fatalf("disagreement on instance %d: %d vs %d", inst, prev, v.ID)
 			}

@@ -124,7 +124,7 @@ func LatencyObjective(plane *iplane.Plane, sites int) func(n *core.Node) explore
 				if !ok {
 					continue
 				}
-				score += float64(len(r.Decided)) * 0.01
+				score += float64(r.decided.Len()) * 0.01
 				// A proposer's open proposals serialize behind each other
 				// (CPU and quorum round trips), so the k-th queued
 				// proposal costs ~k units: charge the triangular sum.
@@ -180,7 +180,7 @@ func AgreementProperty() explore.Property {
 				if !ok {
 					continue
 				}
-				for inst, cmd := range r.Decided {
+				for inst, cmd := range r.decided.All {
 					if prev, ok := decided[inst]; ok && prev != cmd.ID {
 						return false
 					}
@@ -245,8 +245,7 @@ func Run(cfg ExperimentConfig) Result {
 	for i := 0; i < cfg.Sites; i++ {
 		rep := cl.Node(sm.NodeID(i)).Service().(*Replica)
 		res.ProposerLoad[sm.NodeID(i)] = rep.NextSlot
-		for _, inst := range sortedKeys(rep.Decided) {
-			v := rep.Decided[inst]
+		for _, v := range rep.decided.All {
 			if v.Origin != sm.NodeID(i) {
 				continue
 			}
@@ -266,13 +265,4 @@ func Run(cfg ExperimentConfig) Result {
 	res.P99Commit = time.Duration(lat.Percentile(99) * float64(time.Second))
 	res.MaxCommit = maxLat
 	return res
-}
-
-func sortedKeys(m map[int]Cmd) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -19,8 +19,11 @@
 package paxos
 
 import (
-	"fmt"
-	"sort"
+	"maps"
+	"math/bits"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"crystalchoice/internal/sm"
@@ -138,40 +141,78 @@ func (l Learn) DigestBody(h *sm.Hasher) {
 	l.Val.DigestBody(h)
 }
 
-// accState is the acceptor's per-instance record.
+// MaxReplicas bounds the deployment size: a vote set is one 64-bit mask.
+const MaxReplicas = 64
+
+// nodeSet is a set of node IDs below MaxReplicas. An ID outside that range
+// is never a member, so a message from a non-replica cannot vote.
+type nodeSet uint64
+
+func (s *nodeSet) add(id sm.NodeID) { *s |= 1 << uint(id) }
+
+func (s nodeSet) len() int { return bits.OnesCount64(uint64(s)) }
+
+// accState is the acceptor's per-instance record. Like propState it is a
+// plain value: the instance containers copy entries by assignment, so no
+// field may be a pointer, map or slice.
 type accState struct {
 	Promised  int
-	AccBallot int
-	AccVal    *Cmd
+	AccBallot int  // highest ballot accepted, -1 if none
+	HasAcc    bool // AccVal was accepted under AccBallot
+	AccVal    Cmd
 }
 
 // propState tracks an open proposal owned by this node.
 type propState struct {
 	Val      Cmd
 	Ballot   int
-	Promises map[sm.NodeID]bool
+	Promises nodeSet
 	// HighestAcc tracks the highest-ballot previously accepted value seen
 	// in promises, which Paxos obliges the proposer to adopt.
 	HighestAccBallot int
-	HighestAccVal    *Cmd
-	Accepts          map[sm.NodeID]bool
+	HasHighestAcc    bool
+	HighestAccVal    Cmd
+	Accepts          nodeSet
 	Phase            int // 1 or 2
 	Done             bool
 }
 
+// value returns what the proposal must propose: the adopted value if any
+// promise carried one, else its own command.
+func (p *propState) value() Cmd {
+	if p.HasHighestAcc {
+		return p.HighestAccVal
+	}
+	return p.Val
+}
+
 // Replica is one Paxos participant (proposer+acceptor+learner).
+//
+// The three per-instance containers are never truncated, so they are
+// persistent maps (Clone forks them in O(1)) and Digest does not walk
+// them: decidedSum, propSum and accSum each hold the sum of their
+// container's per-entry hashes, kept current by putDecided, putProp and
+// putAcc, the only writers.
 type Replica struct {
 	ID    sm.NodeID
 	N     int
-	Peers []sm.NodeID // all nodes including self
+	Peers []sm.NodeID // all nodes including self; immutable, shared by clones
 
 	NextSlot int
-	Props    map[int]*propState
-	Acc      map[int]*accState
-	Decided  map[int]Cmd
+	props    sm.IntMap[propState]
+	acc      sm.IntMap[accState]
+	decided  sm.IntMap[Cmd]
+
+	decidedSum, propSum, accSum uint64
+
 	// DecidedAt records, at the command's origin, when the decision was
-	// learned (the commit latency numerator for experiment E7).
+	// learned (the commit latency numerator for experiment E7). Clones
+	// share the map until one of them writes: read it freely, write it
+	// only through recordDecidedAt.
 	DecidedAt map[int]time.Duration
+	// decidedAtShared is DecidedAt's shared mark (see sm.IntMap): set once
+	// the map is reachable from two replicas, replaced with the map.
+	decidedAtShared *atomic.Bool
 	// PendingCmds tracks commands this node submitted that are not yet
 	// learned; they are re-routed after resubmitAfter (client retry).
 	PendingCmds map[int]Cmd
@@ -189,21 +230,22 @@ type Replica struct {
 	cpuBusy   bool
 }
 
-// New creates a replica among n nodes.
+// New creates a replica among n nodes, at most MaxReplicas.
 func New(id sm.NodeID, n int) *Replica {
+	if n > MaxReplicas {
+		panic("paxos: " + strconv.Itoa(n) + " replicas exceed MaxReplicas")
+	}
 	peers := make([]sm.NodeID, n)
 	for i := range peers {
 		peers[i] = sm.NodeID(i)
 	}
 	return &Replica{
-		ID:          id,
-		N:           n,
-		Peers:       peers,
-		Props:       make(map[int]*propState),
-		Acc:         make(map[int]*accState),
-		Decided:     make(map[int]Cmd),
-		DecidedAt:   make(map[int]time.Duration),
-		PendingCmds: make(map[int]Cmd),
+		ID:              id,
+		N:               n,
+		Peers:           peers,
+		DecidedAt:       make(map[int]time.Duration),
+		decidedAtShared: new(atomic.Bool),
+		PendingCmds:     make(map[int]Cmd),
 	}
 }
 
@@ -264,14 +306,7 @@ func (r *Replica) onSubmit(env sm.Env, cmd Cmd) {
 func (r *Replica) startProposal(env sm.Env, cmd Cmd) {
 	inst := r.NextSlot*r.N + int(r.ID)
 	r.NextSlot++
-	r.Props[inst] = &propState{
-		Val:              cmd,
-		Ballot:           int(r.ID) + 1,
-		Promises:         make(map[sm.NodeID]bool),
-		Accepts:          make(map[sm.NodeID]bool),
-		HighestAccBallot: -1,
-		Phase:            1,
-	}
+	r.putProp(inst, propState{Val: cmd, Ballot: int(r.ID) + 1, HighestAccBallot: -1, Phase: 1})
 	r.openLocal++
 	if r.WorkDelay > 0 {
 		r.workQueue = append(r.workQueue, inst)
@@ -286,8 +321,8 @@ func (r *Replica) startProposal(env sm.Env, cmd Cmd) {
 
 // broadcastPrepare issues the phase-1 round for an owned instance.
 func (r *Replica) broadcastPrepare(env sm.Env, inst int) {
-	prop := r.Props[inst]
-	if prop == nil || prop.Done {
+	prop, open := r.props.Get(inst)
+	if !open || prop.Done {
 		return
 	}
 	for _, p := range r.Peers {
@@ -296,53 +331,76 @@ func (r *Replica) broadcastPrepare(env sm.Env, inst int) {
 	env.SetTimer(retryTimer(inst), retryAfter)
 }
 
-func retryTimer(inst int) string { return fmt.Sprintf("%s%d", timerRetryPrefix, inst) }
+func retryTimer(inst int) string { return timerName(timerRetryPrefix, inst) }
 
-func resubmitTimer(cmdID int) string { return fmt.Sprintf("%s%d", timerResubmitPrefix, cmdID) }
+func resubmitTimer(cmdID int) string { return timerName(timerResubmitPrefix, cmdID) }
+
+func timerName(prefix string, n int) string {
+	b := append(make([]byte, 0, 32), prefix...)
+	return string(strconv.AppendInt(b, int64(n), 10))
+}
+
+// timerArg parses the number out of a name timerName built.
+func timerArg(name, prefix string) (int, bool) {
+	rest, ok := strings.CutPrefix(name, prefix)
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(rest)
+	return n, err == nil
+}
 
 // onPrepare is the acceptor's phase-1b.
 func (r *Replica) onPrepare(env sm.Env, src sm.NodeID, p Prepare) {
-	a := r.acc(p.Inst)
+	a := r.acceptor(p.Inst)
 	if p.Ballot <= a.Promised && a.Promised != 0 {
 		return // already promised a higher (or equal) ballot: ignore
 	}
 	a.Promised = p.Ballot
+	r.putAcc(p.Inst, a)
+	var accVal *Cmd
+	if a.HasAcc {
+		v := a.AccVal
+		accVal = &v
+	}
 	env.Send(src, KindPromise, Promise{
 		Inst:      p.Inst,
 		Ballot:    p.Ballot,
 		AccBallot: a.AccBallot,
-		AccVal:    a.AccVal,
+		AccVal:    accVal,
 	}, 32)
 }
 
-func (r *Replica) acc(inst int) *accState {
-	a := r.Acc[inst]
-	if a == nil {
-		a = &accState{AccBallot: -1}
-		r.Acc[inst] = a
+// acceptor returns the acceptor record of inst, the initial one if this
+// node has not heard of inst.
+func (r *Replica) acceptor(inst int) accState {
+	a, had := r.acc.Get(inst)
+	if !had {
+		a.AccBallot = -1
 	}
 	return a
 }
 
 // onPromise gathers phase-1b votes and moves to phase 2 on quorum.
 func (r *Replica) onPromise(env sm.Env, src sm.NodeID, p Promise) {
-	prop := r.Props[p.Inst]
-	if prop == nil || prop.Done || prop.Phase != 1 || p.Ballot != prop.Ballot {
+	prop, open := r.props.Get(p.Inst)
+	if !open || prop.Done || prop.Phase != 1 || p.Ballot != prop.Ballot {
 		return
 	}
-	prop.Promises[src] = true
+	prop.Promises.add(src)
 	if p.AccBallot > prop.HighestAccBallot && p.AccVal != nil {
 		prop.HighestAccBallot = p.AccBallot
-		prop.HighestAccVal = p.AccVal
+		prop.HasHighestAcc, prop.HighestAccVal = true, *p.AccVal
 	}
-	if len(prop.Promises) < r.majority() {
+	quorum := prop.Promises.len() >= r.majority()
+	if quorum {
+		prop.Phase = 2
+	}
+	r.putProp(p.Inst, prop)
+	if !quorum {
 		return
 	}
-	prop.Phase = 2
-	val := prop.Val
-	if prop.HighestAccVal != nil {
-		val = *prop.HighestAccVal // obligation: adopt highest accepted
-	}
+	val := prop.value() // obligation: adopt highest accepted
 	for _, peer := range r.Peers {
 		env.Send(peer, KindAccept, Accept{Inst: p.Inst, Ballot: prop.Ballot, Val: val}, 56)
 	}
@@ -350,36 +408,30 @@ func (r *Replica) onPromise(env sm.Env, src sm.NodeID, p Promise) {
 
 // onAccept is the acceptor's phase-2b.
 func (r *Replica) onAccept(env sm.Env, src sm.NodeID, a Accept) {
-	st := r.acc(a.Inst)
-	if a.Ballot < st.Promised {
+	if a.Ballot < r.acceptor(a.Inst).Promised {
 		return
 	}
-	st.Promised = a.Ballot
-	st.AccBallot = a.Ballot
-	v := a.Val
-	st.AccVal = &v
+	r.putAcc(a.Inst, accState{Promised: a.Ballot, AccBallot: a.Ballot, HasAcc: true, AccVal: a.Val})
 	env.Send(src, KindAccepted, Accepted{Inst: a.Inst, Ballot: a.Ballot}, 24)
 }
 
 // onAccepted gathers phase-2b votes; on quorum the value is decided.
 func (r *Replica) onAccepted(env sm.Env, src sm.NodeID, a Accepted) {
-	prop := r.Props[a.Inst]
-	if prop == nil || prop.Done || prop.Phase != 2 || a.Ballot != prop.Ballot {
+	prop, open := r.props.Get(a.Inst)
+	if !open || prop.Done || prop.Phase != 2 || a.Ballot != prop.Ballot {
 		return
 	}
-	prop.Accepts[src] = true
-	if len(prop.Accepts) < r.majority() {
+	prop.Accepts.add(src)
+	prop.Done = prop.Accepts.len() >= r.majority()
+	r.putProp(a.Inst, prop)
+	if !prop.Done {
 		return
 	}
-	prop.Done = true
 	if r.openLocal > 0 {
 		r.openLocal--
 	}
 	env.CancelTimer(retryTimer(a.Inst))
-	val := prop.Val
-	if prop.HighestAccVal != nil {
-		val = *prop.HighestAccVal
-	}
+	val := prop.value()
 	for _, peer := range r.Peers {
 		env.Send(peer, KindLearn, Learn{Inst: a.Inst, Val: val}, 56)
 	}
@@ -387,27 +439,33 @@ func (r *Replica) onAccepted(env sm.Env, src sm.NodeID, a Accepted) {
 
 // onLearn installs a decision.
 func (r *Replica) onLearn(env sm.Env, l Learn) {
-	if _, dup := r.Decided[l.Inst]; dup {
+	if _, dup := r.decided.Get(l.Inst); dup {
 		return
 	}
-	r.Decided[l.Inst] = l.Val
+	r.putDecided(l.Inst, l.Val)
 	if l.Val.Origin == r.ID {
 		if _, seen := r.DecidedAt[l.Val.ID]; !seen {
-			r.DecidedAt[l.Val.ID] = env.Now()
+			r.recordDecidedAt(l.Val.ID, env.Now())
 		}
 		delete(r.PendingCmds, l.Val.ID)
 		env.CancelTimer(resubmitTimer(l.Val.ID))
 	}
 }
 
+// recordDecidedAt writes DecidedAt, first taking a private copy if a clone
+// still shares the map.
+func (r *Replica) recordDecidedAt(cmdID int, at time.Duration) {
+	if r.decidedAtShared.Load() {
+		r.DecidedAt = maps.Clone(r.DecidedAt)
+		r.decidedAtShared = new(atomic.Bool)
+	}
+	r.DecidedAt[cmdID] = at
+}
+
 // OnTimer drains queued proposer work, resubmits unlearned commands, and
 // retries stalled proposals.
 func (r *Replica) OnTimer(env sm.Env, name string) {
-	if len(name) > len(timerResubmitPrefix) && name[:len(timerResubmitPrefix)] == timerResubmitPrefix {
-		var cmdID int
-		if _, err := fmt.Sscanf(name[len(timerResubmitPrefix):], "%d", &cmdID); err != nil {
-			return
-		}
+	if cmdID, ok := timerArg(name, timerResubmitPrefix); ok {
 		if cmd, pending := r.PendingCmds[cmdID]; pending {
 			r.onSubmit(env, cmd) // choose a proposer afresh
 		}
@@ -426,21 +484,18 @@ func (r *Replica) OnTimer(env sm.Env, name string) {
 		}
 		return
 	}
-	if len(name) <= len(timerRetryPrefix) || name[:len(timerRetryPrefix)] != timerRetryPrefix {
+	inst, ok := timerArg(name, timerRetryPrefix)
+	if !ok {
 		return
 	}
-	var inst int
-	if _, err := fmt.Sscanf(name[len(timerRetryPrefix):], "%d", &inst); err != nil {
-		return
-	}
-	prop := r.Props[inst]
-	if prop == nil || prop.Done {
+	prop, open := r.props.Get(inst)
+	if !open || prop.Done {
 		return
 	}
 	prop.Ballot += r.N
 	prop.Phase = 1
-	prop.Promises = make(map[sm.NodeID]bool)
-	prop.Accepts = make(map[sm.NodeID]bool)
+	prop.Promises, prop.Accepts = 0, 0
+	r.putProp(inst, prop)
 	for _, p := range r.Peers {
 		env.Send(p, KindPrepare, Prepare{Inst: inst, Ballot: prop.Ballot}, 24)
 	}
@@ -453,78 +508,103 @@ func (r *Replica) OnConnDown(env sm.Env, peer sm.NodeID) {}
 // OpenProposals returns the number of proposals this node is driving.
 func (r *Replica) OpenProposals() int { return r.openLocal }
 
-// Clone deep-copies the replica.
+// DecidedCount returns the number of instances this node has learned.
+func (r *Replica) DecidedCount() int { return r.decided.Len() }
+
+// Clone forks the replica in O(1) plus the pending-command table: the
+// instance containers and DecidedAt are shared until either side writes,
+// Peers for good. All it writes to r are shared marks (see sm.IntMap), so
+// r may be mutated right afterwards, and one replica that nobody writes
+// may be cloned from several goroutines at once.
 func (r *Replica) Clone() sm.Service {
 	c := *r
-	c.Peers = sm.CloneNodes(r.Peers)
-	c.Props = make(map[int]*propState, len(r.Props))
-	for inst, p := range r.Props {
-		cp := *p
-		cp.Promises = sm.CloneNodeSet(p.Promises)
-		cp.Accepts = sm.CloneNodeSet(p.Accepts)
-		if p.HighestAccVal != nil {
-			v := *p.HighestAccVal
-			cp.HighestAccVal = &v
-		}
-		c.Props[inst] = &cp
-	}
-	c.Acc = make(map[int]*accState, len(r.Acc))
-	for inst, a := range r.Acc {
-		ca := *a
-		if a.AccVal != nil {
-			v := *a.AccVal
-			ca.AccVal = &v
-		}
-		c.Acc[inst] = &ca
-	}
-	c.Decided = make(map[int]Cmd, len(r.Decided))
-	for inst, v := range r.Decided {
-		c.Decided[inst] = v
-	}
-	c.DecidedAt = make(map[int]time.Duration, len(r.DecidedAt))
-	for id, at := range r.DecidedAt {
-		c.DecidedAt[id] = at
+	c.props = r.props.Clone()
+	c.acc = r.acc.Clone()
+	c.decided = r.decided.Clone()
+	if !r.decidedAtShared.Load() {
+		r.decidedAtShared.Store(true)
 	}
 	c.workQueue = append([]int(nil), r.workQueue...)
-	c.PendingCmds = make(map[int]Cmd, len(r.PendingCmds))
-	for id, cmd := range r.PendingCmds {
-		c.PendingCmds[id] = cmd
-	}
+	c.PendingCmds = maps.Clone(r.PendingCmds)
 	return &c
 }
 
-// Digest returns the stable state hash.
+// Per-entry hashes of the maintained digest. Each chains the fields the
+// digest covers through sm.Mix64 from its container's own seed, so the
+// last step finalises the hash for summing.
+const (
+	decidedSeed = 0x64656369646564 // "decided"
+	propSeed    = 0x70726f70       // "prop"
+	accSeed     = 0x616363         // "acc"
+)
+
+func fold(h uint64, x int) uint64 { return sm.Mix64(h ^ uint64(x)) }
+
+func decidedHash(inst int, v Cmd) uint64 {
+	return fold(fold(fold(decidedSeed, inst), v.ID), int(v.Origin))
+}
+
+func propHash(inst int, p propState) uint64 {
+	flags := p.Phase << 1
+	if p.Done {
+		flags |= 1
+	}
+	h := fold(fold(fold(propSeed, inst), p.Ballot), flags)
+	return fold(fold(h, p.Promises.len()), p.Accepts.len())
+}
+
+func accHash(inst int, a accState) uint64 {
+	return fold(fold(fold(accSeed, inst), a.Promised), a.AccBallot)
+}
+
+// put stores v under k and moves sum from the hash of the entry it
+// replaces, if any, to v's.
+func put[V any](m *sm.IntMap[V], sum *uint64, hash func(int, V) uint64, k int, v V) {
+	if old, had := m.Get(k); had {
+		*sum -= hash(k, old)
+	}
+	*sum += hash(k, v)
+	m.Put(k, v)
+}
+
+func (r *Replica) putDecided(inst int, v Cmd) { put(&r.decided, &r.decidedSum, decidedHash, inst, v) }
+
+func (r *Replica) putProp(inst int, p propState) { put(&r.props, &r.propSum, propHash, inst, p) }
+
+func (r *Replica) putAcc(inst int, a accState) { put(&r.acc, &r.accSum, accHash, inst, a) }
+
+// Digest returns the stable state hash in time independent of the log's
+// length: a header and the three maintained sums.
 func (r *Replica) Digest() uint64 {
+	return r.combineDigest(r.decidedSum, r.propSum, r.accSum)
+}
+
+// digestFull is Digest recomputed from the containers, ignoring the
+// maintained sums: the test oracle for the writers above.
+func (r *Replica) digestFull() uint64 {
+	var decidedSum, propSum, accSum uint64
+	for inst, v := range r.decided.All {
+		decidedSum += decidedHash(inst, v)
+	}
+	for inst, p := range r.props.All {
+		propSum += propHash(inst, p)
+	}
+	for inst, a := range r.acc.All {
+		accSum += accHash(inst, a)
+	}
+	return r.combineDigest(decidedSum, propSum, accSum)
+}
+
+// DigestOracle is digestFull for the cross-application invariant battery
+// in the root package, which an export_test.go cannot reach. Tests only.
+func DigestOracle(r *Replica) uint64 { return r.digestFull() }
+
+func (r *Replica) combineDigest(decidedSum, propSum, accSum uint64) uint64 {
 	h := sm.NewHasher()
 	h.WriteNode(r.ID).WriteInt(int64(r.N)).WriteInt(int64(r.NextSlot)).WriteInt(int64(r.openLocal))
 	h.WriteInt(int64(len(r.workQueue))).WriteBool(r.cpuBusy).WriteInt(int64(len(r.PendingCmds)))
-	insts := make([]int, 0, len(r.Decided))
-	for inst := range r.Decided {
-		insts = append(insts, inst)
-	}
-	sort.Ints(insts)
-	for _, inst := range insts {
-		v := r.Decided[inst]
-		h.WriteInt(int64(inst)).WriteInt(int64(v.ID)).WriteNode(v.Origin)
-	}
-	pinsts := make([]int, 0, len(r.Props))
-	for inst := range r.Props {
-		pinsts = append(pinsts, inst)
-	}
-	sort.Ints(pinsts)
-	for _, inst := range pinsts {
-		p := r.Props[inst]
-		h.WriteInt(int64(inst)).WriteInt(int64(p.Ballot)).WriteInt(int64(p.Phase)).WriteBool(p.Done)
-		h.WriteInt(int64(len(p.Promises))).WriteInt(int64(len(p.Accepts)))
-	}
-	ainsts := make([]int, 0, len(r.Acc))
-	for inst := range r.Acc {
-		ainsts = append(ainsts, inst)
-	}
-	sort.Ints(ainsts)
-	for _, inst := range ainsts {
-		a := r.Acc[inst]
-		h.WriteInt(int64(inst)).WriteInt(int64(a.Promised)).WriteInt(int64(a.AccBallot))
-	}
+	h.WriteInt(int64(r.decided.Len())).WriteUint(decidedSum)
+	h.WriteInt(int64(r.props.Len())).WriteUint(propSum)
+	h.WriteInt(int64(r.acc.Len())).WriteUint(accSum)
 	return h.Sum()
 }

@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -83,7 +84,7 @@ func TestHappyPathDecides(t *testing.T) {
 	reps[0].OnMessage(envs[0], &sm.Msg{Src: 0, Dst: 0, Kind: KindSubmit, Body: Submit{Cmd: cmd}})
 	pump(reps, envs, queue)
 	for i, r := range reps {
-		v, ok := r.Decided[0]
+		v, ok := r.decided.Get(0)
 		if !ok {
 			t.Fatalf("replica %d did not learn instance 0", i)
 		}
@@ -111,10 +112,10 @@ func TestSubmitForwardsToChosenProposer(t *testing.T) {
 		t.Fatal("chosen proposer did not open a proposal")
 	}
 	for _, r := range reps {
-		if len(r.Decided) != 1 {
-			t.Fatalf("decision count = %d", len(r.Decided))
+		if r.DecidedCount() != 1 {
+			t.Fatalf("decision count = %d", r.DecidedCount())
 		}
-		for inst := range r.Decided {
+		for inst := range r.decided.All {
 			if inst%3 != 2 {
 				t.Fatalf("instance %d not owned by proposer 2", inst)
 			}
@@ -127,8 +128,8 @@ func TestInstanceSpacePartitioned(t *testing.T) {
 	env := newPump(2, &[]*sm.Msg{})
 	r.startProposal(env, Cmd{ID: 1})
 	r.startProposal(env, Cmd{ID: 2})
-	insts := make([]int, 0, len(r.Props))
-	for inst := range r.Props {
+	insts := make([]int, 0, r.props.Len())
+	for inst := range r.props.All {
 		insts = append(insts, inst)
 	}
 	for _, inst := range insts {
@@ -174,11 +175,11 @@ func TestProposerAdoptsHighestAccepted(t *testing.T) {
 	// First ballot (1) will be rejected by acceptors who promised 2;
 	// drive the retry timer to raise the ballot.
 	pump(reps, envs, queue)
-	if _, decided := reps[0].Decided[0]; !decided {
+	if _, decided := reps[0].decided.Get(0); !decided {
 		reps[0].OnTimer(envs[0], retryTimer(0))
 		pump(reps, envs, queue)
 	}
-	v, ok := reps[0].Decided[0]
+	v, ok := reps[0].decided.Get(0)
 	if !ok {
 		t.Fatal("instance 0 not decided after retry")
 	}
@@ -192,11 +193,15 @@ func TestRetryRaisesBallot(t *testing.T) {
 	env := newPump(1, &[]*sm.Msg{})
 	r.startProposal(env, Cmd{ID: 1})
 	inst := 1 // slot 0 * 3 + id 1
-	first := r.Props[inst].Ballot
+	ballot := func() int {
+		p, _ := r.props.Get(inst)
+		return p.Ballot
+	}
+	first := ballot()
 	*env.queue = nil
 	r.OnTimer(env, retryTimer(inst))
-	if r.Props[inst].Ballot != first+3 {
-		t.Fatalf("ballot after retry = %d, want %d", r.Props[inst].Ballot, first+3)
+	if ballot() != first+3 {
+		t.Fatalf("ballot after retry = %d, want %d", ballot(), first+3)
 	}
 	if len(*env.queue) != 3 {
 		t.Fatal("retry did not re-prepare to all peers")
@@ -209,7 +214,7 @@ func TestLearnIsIdempotentAndRecordsOriginLatency(t *testing.T) {
 	cmd := Cmd{ID: 4, Origin: 0, SubmitAt: time.Second}
 	r.OnMessage(env, &sm.Msg{Src: 1, Kind: KindLearn, Body: Learn{Inst: 3, Val: cmd}})
 	r.OnMessage(env, &sm.Msg{Src: 2, Kind: KindLearn, Body: Learn{Inst: 3, Val: cmd}})
-	if len(r.Decided) != 1 {
+	if r.DecidedCount() != 1 {
 		t.Fatal("duplicate learn created extra decisions")
 	}
 	if _, ok := r.DecidedAt[4]; !ok {
@@ -222,15 +227,43 @@ func TestLearnIsIdempotentAndRecordsOriginLatency(t *testing.T) {
 	}
 }
 
+// A clone is a snapshot in both directions: the containers and DecidedAt
+// are shared until written, and a write on either side stays on that side.
 func TestCloneDeep(t *testing.T) {
 	r := New(0, 3)
 	env := newPump(0, &[]*sm.Msg{})
 	r.startProposal(env, Cmd{ID: 1})
+	r.onLearn(env, Learn{Inst: 4, Val: Cmd{ID: 4, Origin: 0}})
 	c := r.Clone().(*Replica)
-	c.Props[0].Promises[1] = true
-	c.Decided[9] = Cmd{ID: 9}
-	if len(r.Props[0].Promises) != 0 || len(r.Decided) != 0 {
-		t.Fatal("clone shares maps")
+	before := r.Digest()
+
+	// Writes to the clone: every container and DecidedAt.
+	c.onPromise(env, 1, Promise{Inst: 0, Ballot: 1, AccBallot: -1})
+	c.onPrepare(env, 1, Prepare{Inst: 7, Ballot: 2})
+	c.onLearn(env, Learn{Inst: 9, Val: Cmd{ID: 9, Origin: 0}})
+	if p, _ := r.props.Get(0); p.Promises.len() != 0 {
+		t.Fatal("clone shares proposals")
+	}
+	if r.acc.Len() != 0 || r.DecidedCount() != 1 || len(r.DecidedAt) != 1 {
+		t.Fatal("clone shares acceptor records, decisions or DecidedAt")
+	}
+	if r.Digest() != before || r.Digest() != r.digestFull() {
+		t.Fatal("writing the clone moved the original's digest")
+	}
+
+	// Writes to the original right after a fork, as the live runtime does.
+	snap := r.Clone().(*Replica)
+	r.onAccept(env, 2, Accept{Inst: 3, Ballot: 3, Val: Cmd{ID: 3}})
+	r.onLearn(env, Learn{Inst: 5, Val: Cmd{ID: 5, Origin: 0}})
+	r.OnTimer(env, retryTimer(0))
+	if p, _ := snap.props.Get(0); p.Ballot != 1 {
+		t.Fatal("snapshot saw the original's retry")
+	}
+	if snap.acc.Len() != 0 || snap.DecidedCount() != 1 || len(snap.DecidedAt) != 1 {
+		t.Fatal("snapshot saw the original's later writes")
+	}
+	if snap.Digest() != before || c.Digest() != c.digestFull() || r.Digest() != r.digestFull() {
+		t.Fatal("maintained digest diverged from the oracle after forks")
 	}
 }
 
@@ -257,7 +290,7 @@ func TestAgreementProperty(t *testing.T) {
 		}
 		decided := map[int]int{} // inst -> cmd ID
 		for _, r := range reps {
-			for inst, v := range r.Decided {
+			for inst, v := range r.decided.All {
 				if prev, seen := decided[inst]; seen && prev != v.ID {
 					return false // disagreement!
 				}
@@ -323,5 +356,94 @@ func TestE7Shape(t *testing.T) {
 	if !(mean[PolicyPredictive] < mean[PolicyRoundRobin] && mean[PolicyRoundRobin] < mean[PolicyFixed]) {
 		t.Errorf("shape violated: crystalball %v, roundrobin %v, fixed %v",
 			mean[PolicyPredictive], mean[PolicyRoundRobin], mean[PolicyFixed])
+	}
+}
+
+// agedReplica returns node 0 of 5 after `decided` instances: it proposed
+// every fifth, accepted and learned all of them.
+func agedReplica(decided int) (*Replica, *pumpEnv) {
+	r := New(0, 5)
+	env := newPump(0, &[]*sm.Msg{})
+	for inst := 0; inst < decided; inst++ {
+		cmd := Cmd{ID: inst, Origin: sm.NodeID(inst % 5)}
+		if inst%5 == 0 {
+			r.startProposal(env, cmd)
+		}
+		r.onAccept(env, 1, Accept{Inst: inst, Ballot: 1, Val: cmd})
+		r.onLearn(env, Learn{Inst: inst, Val: cmd})
+		*env.queue = (*env.queue)[:0]
+	}
+	return r, env
+}
+
+// Cost-shape gate (make bench-alloc): a fork and its digest cost the same
+// whatever the log's length, and the first write after a fork copies one
+// trie path, not the log.
+func TestForkCostIndependentOfLogSize(t *testing.T) {
+	var sink uint64
+	forkAndDigest := func(r *Replica) float64 {
+		return testing.AllocsPerRun(100, func() { sink += r.Clone().Digest() })
+	}
+	forkAndLearn := func(r *Replica, env *pumpEnv) float64 {
+		next := r.DecidedCount()
+		return testing.AllocsPerRun(100, func() {
+			c := r.Clone().(*Replica)
+			c.onLearn(env, Learn{Inst: next, Val: Cmd{ID: next, Origin: 3}})
+			sink += c.Digest()
+		})
+	}
+	young, youngEnv := agedReplica(64)
+	old, oldEnv := agedReplica(4096)
+	if old.Digest() != old.digestFull() {
+		t.Fatal("aged replica's maintained digest is off")
+	}
+	if a, b := forkAndDigest(young), forkAndDigest(old); a != b {
+		t.Errorf("Clone+Digest allocates %v times at 64 decided, %v at 4096: not O(1)", a, b)
+	}
+	// 64 entries make a trie of depth 2, 4096 of depth 3: one more node to
+	// copy, and nothing else.
+	a, b := forkAndLearn(young, youngEnv), forkAndLearn(old, oldEnv)
+	if b-a > 1 || b > 8 {
+		t.Errorf("Clone+onLearn allocates %v times at 64 decided, %v at 4096: want O(trie depth)", a, b)
+	}
+	t.Logf("allocs: Clone+Digest %v, Clone+onLearn %v (64 decided) / %v (4096 decided)", forkAndDigest(old), a, b)
+}
+
+// Explorer workers fork one frozen replica concurrently (World.ownService
+// with Workers > 1) and run handlers on their forks. Run with -race.
+func TestConcurrentClonesOfFrozenReplica(t *testing.T) {
+	frozen, _ := agedReplica(300)
+	want := frozen.digestFull()
+	var wg sync.WaitGroup
+	for g := 1; g <= 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := newPump(0, &[]*sm.Msg{})
+			c := frozen.Clone().(*Replica)
+			for i := 0; i < 50; i++ {
+				inst := 300 + i*g
+				c.onPrepare(env, 1, Prepare{Inst: inst, Ballot: g})
+				c.onLearn(env, Learn{Inst: inst, Val: Cmd{ID: inst, Origin: 0}})
+				c.OnTimer(env, retryTimer(295))
+			}
+			if c.Digest() != c.digestFull() {
+				t.Errorf("fork %d: maintained digest diverged", g)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if frozen.Digest() != want || frozen.digestFull() != want {
+				t.Error("original changed while its forks were written")
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if len(frozen.DecidedAt) != 60 || frozen.DecidedCount() != 300 {
+		t.Fatalf("original has %d commit times, %d decisions after the forks", len(frozen.DecidedAt), frozen.DecidedCount())
 	}
 }

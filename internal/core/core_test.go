@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"crystalchoice/internal/checkpoint"
 	"crystalchoice/internal/explore"
 	"crystalchoice/internal/netmodel"
 	"crystalchoice/internal/sim"
@@ -155,6 +156,40 @@ func TestCheckpointsPopulateModel(t *testing.T) {
 	snap := cl.Node(0).Snapshot()
 	if !snap.Complete {
 		t.Fatal("snapshot incomplete after several rounds")
+	}
+}
+
+// cloneCounter counts how often the checkpointed state it stands for is
+// cloned.
+type cloneCounter struct {
+	balSvc
+	clones *int
+}
+
+func (s *cloneCounter) Clone() sm.Service { *s.clones++; return s }
+
+// A checkpoint response older than the retained entry is dropped by the
+// state model, so onDeliver must not pay for cloning it first.
+func TestStaleCheckpointResponseNotCloned(t *testing.T) {
+	_, cl := rig(t, 2, Config{NewResolver: func(*Node) Resolver { return First{} }})
+	n := cl.Node(0)
+	clones := 0
+	deliver := func(at time.Duration, epoch uint64) {
+		n.onDeliver(&transport.Message{Src: 1, Dst: 0, Kind: checkpoint.KindResponse, Reliable: true,
+			Payload: envelope{Body: checkpoint.Response{Epoch: epoch, At: at, State: &cloneCounter{clones: &clones}}}})
+	}
+	deliver(2*time.Second, 4)
+	if e, ok := n.Model().State.Get(1); !ok || e.Epoch != 4 || clones != 1 {
+		t.Fatalf("fresh response: retained=%v epoch=%d clones=%d, want true 4 1", ok, e.Epoch, clones)
+	}
+	deliver(3*time.Second, 3) // older epoch
+	deliver(time.Second, 4)   // same epoch, earlier capture
+	if clones != 1 {
+		t.Fatalf("stale responses were cloned: %d clones, want 1", clones)
+	}
+	deliver(3*time.Second, 4)
+	if e, _ := n.Model().State.Get(1); e.At != 3*time.Second || clones != 2 {
+		t.Fatalf("fresher response: at=%v clones=%d, want 3s 2", e.At, clones)
 	}
 }
 

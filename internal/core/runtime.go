@@ -613,7 +613,9 @@ func (n *Node) onDeliver(tm *transport.Message) {
 	if strings.HasPrefix(tm.Kind, "cb.ckpt.") {
 		if resp, isResp := env.Body.(checkpoint.Response); isResp {
 			n.stats.Checkpoints++
-			n.model.State.Update(tm.Src, resp.State.Clone(), resp.At, resp.Epoch)
+			if !n.model.State.Stale(tm.Src, resp.At, resp.Epoch) {
+				n.model.State.Update(tm.Src, resp.State.Clone(), resp.At, resp.Epoch)
+			}
 		}
 		n.ckpt.HandleMessage(tm.Src, tm.Kind, env.Body)
 		return

@@ -145,11 +145,17 @@ func NewStateModel() *StateModel {
 	return &StateModel{entries: make(map[NodeID]StateEntry)}
 }
 
-// Update retains svc (a clone owned by the model) if fresher than the
-// current entry.
-func (m *StateModel) Update(id NodeID, svc sm.Service, at time.Duration, epoch uint64) {
+// Stale reports whether a checkpoint of id taken at (epoch, at) is older
+// than the retained entry, so that Update would drop it. Callers that must
+// clone a state before handing it over ask first.
+func (m *StateModel) Stale(id NodeID, at time.Duration, epoch uint64) bool {
 	cur, ok := m.entries[id]
-	if ok && (cur.Epoch > epoch || (cur.Epoch == epoch && cur.At > at)) {
+	return ok && (cur.Epoch > epoch || (cur.Epoch == epoch && cur.At > at))
+}
+
+// Update retains svc (a clone owned by the model) unless it is Stale.
+func (m *StateModel) Update(id NodeID, svc sm.Service, at time.Duration, epoch uint64) {
+	if m.Stale(id, at, epoch) {
 		return
 	}
 	m.entries[id] = StateEntry{State: svc, At: at, Epoch: epoch}

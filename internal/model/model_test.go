@@ -107,6 +107,9 @@ func TestKnownSorted(t *testing.T) {
 func TestStateModelFreshnessRules(t *testing.T) {
 	m := NewStateModel()
 	m.Update(1, &stub{id: 1, val: 1}, time.Second, 5)
+	if m.Stale(1, time.Second, 5) || !m.Stale(1, 2*time.Second, 3) || m.Stale(2, 0, 0) {
+		t.Fatal("Stale disagrees with the rules below")
+	}
 	m.Update(1, &stub{id: 1, val: 2}, 2*time.Second, 3) // older epoch: reject
 	if e, _ := m.Get(1); e.State.(*stub).val != 1 {
 		t.Fatal("older epoch replaced newer checkpoint")

@@ -72,6 +72,7 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown app", func(s *Spec) { s.App = "quake" }},
 		{"one node", func(s *Spec) { s.N = 1 }},
 		{"paxos too small", func(s *Spec) { s.App = "paxos"; s.N = 2 }},
+		{"paxos too large", func(s *Spec) { s.App = "paxos"; s.N = 65 }},
 		{"negative budget", func(s *Spec) { s.MaxFaults = -1 }},
 		{"steering without a property", func(s *Spec) { s.App = "dissem"; s.Steering = true }},
 		{"event past end", func(s *Spec) { s.Events = []Event{{At: sec(11), Op: OpCrash, Nodes: []int{0}}} }},

@@ -16,6 +16,8 @@ import (
 	"os"
 	"sort"
 	"time"
+
+	"crystalchoice/internal/apps/paxos"
 )
 
 // Dur is a JSON-friendly duration: it marshals as "500ms"/"2s" strings
@@ -217,6 +219,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.App == "paxos" && s.N < 3 {
 		return fmt.Errorf("paxos needs n >= 3 for a meaningful quorum, got %d", s.N)
+	}
+	if s.App == "paxos" && s.N > paxos.MaxReplicas {
+		return fmt.Errorf("paxos supports at most %d replicas, got %d", paxos.MaxReplicas, s.N)
 	}
 	if s.Steering && s.App == "dissem" {
 		return fmt.Errorf("steering needs a safety property to steer over, and dissem defines none")

@@ -11,8 +11,9 @@
 //   - CrystalBall's lookahead worlds (internal/explore), and
 //   - checkpoint clones shipped between nodes (internal/checkpoint).
 //
-// Services must be cloneable (deep copy) and digestible (stable state hash)
-// so the model checker can snapshot, fork, and deduplicate them.
+// Services must be cloneable (a snapshot: a deep copy, or a copy-on-write
+// fork over IntMap) and digestible (stable state hash) so the model
+// checker can snapshot, fork, and deduplicate them.
 package sm
 
 import (
@@ -137,7 +138,10 @@ type Service interface {
 	OnMessage(env Env, m *Msg)
 	// OnTimer handles a fired timer.
 	OnTimer(env Env, name string)
-	// Clone returns a deep copy of the service state.
+	// Clone returns a snapshot of the service state. The receiver may be
+	// mutated right afterwards and may be cloned from several goroutines
+	// while nobody writes it, so all Clone may write to it are idempotent
+	// atomic shared marks (DESIGN.md §2.4.1; IntMap).
 	Clone() Service
 	// Digest returns a stable hash of the service state, used by the model
 	// checker to deduplicate explored states.

@@ -3,10 +3,11 @@
 // on — Clone is a deep behavioral copy, and Digest is a stable function of
 // state. Violations would silently corrupt lookahead worlds and the
 // explorer's state deduplication, so these invariants are checked across
-// randomized operation sequences for all four services.
+// randomized operation sequences for all five services.
 package crystalchoice
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,13 @@ func (e *nullEnv) Choose(c sm.Choice) int {
 
 // opGen produces a random protocol message for a service under test.
 type opGen func(rng *rand.Rand) *sm.Msg
+
+// timerGen names one of the service's own timers to fire.
+type timerGen func(rng *rand.Rand) string
+
+func fixedTimers(names ...string) timerGen {
+	return func(rng *rand.Rand) string { return names[rng.Intn(len(names))] }
+}
 
 func randtreeOps(rng *rand.Rand) *sm.Msg {
 	src := sm.NodeID(rng.Intn(8))
@@ -113,8 +121,24 @@ func paxosOps(rng *rand.Rand) *sm.Msg {
 	}
 }
 
-// checkServiceInvariants runs the shared property battery.
-func checkServiceInvariants(t *testing.T, name string, mk func() sm.Service, gen opGen) {
+// paxosTimers fires the retry of an instance node 1 of 5 can own, the
+// resubmission of a command paxosOps can submit, or the proposer's CPU.
+func paxosTimers(rng *rand.Rand) string {
+	switch rng.Intn(3) {
+	case 0:
+		return fmt.Sprintf("px.retry.%d", rng.Intn(4)*5+1)
+	case 1:
+		return fmt.Sprintf("px.resubmit.%d", rng.Intn(20))
+	default:
+		return "px.cpu"
+	}
+}
+
+// checkServiceInvariants runs the shared property battery. Messages from
+// gen and, one time in four, a timer from timers drive the service; a
+// service whose Digest is maintained incrementally passes the
+// from-scratch recomputation as oracle (nil otherwise).
+func checkServiceInvariants(t *testing.T, name string, mk func() sm.Service, gen opGen, timers timerGen, oracle func(sm.Service) uint64) {
 	t.Helper()
 	f := func(seed int64, nOps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -128,10 +152,20 @@ func checkServiceInvariants(t *testing.T, name string, mk func() sm.Service, gen
 
 		ops := int(nOps%24) + 1
 		for i := 0; i < ops; i++ {
-			m := gen(rng)
-			svc.OnMessage(env, m)
-			cp := *m
-			twin.OnMessage(twinEnv, &cp)
+			if timers != nil && rng.Intn(4) == 0 {
+				name := timers(rng)
+				svc.OnTimer(env, name)
+				twin.OnTimer(twinEnv, name)
+			} else {
+				m := gen(rng)
+				svc.OnMessage(env, m)
+				cp := *m
+				twin.OnMessage(twinEnv, &cp)
+			}
+			// 5. A maintained digest equals its recomputation after every op.
+			if oracle != nil && svc.Digest() != oracle(svc) {
+				return false
+			}
 		}
 		// 1. Digest is a pure function: recomputing does not change it.
 		if svc.Digest() != svc.Digest() {
@@ -152,7 +186,12 @@ func checkServiceInvariants(t *testing.T, name string, mk func() sm.Service, gen
 		cEnv := &nullEnv{id: 1, rng: rand.New(rand.NewSource(seed + 2))}
 		for i := 0; i < 5; i++ {
 			c.OnMessage(cEnv, gen(rng))
-			c.OnTimer(cEnv, "rt.hbSend")
+			if timers != nil {
+				c.OnTimer(cEnv, timers(rng))
+			}
+			if oracle != nil && c.Digest() != oracle(c) {
+				return false
+			}
 		}
 		return svc.Digest() == before
 	}
@@ -163,27 +202,33 @@ func checkServiceInvariants(t *testing.T, name string, mk func() sm.Service, gen
 
 func TestServiceInvariantsRandTreeBaseline(t *testing.T) {
 	checkServiceInvariants(t, "randtree-baseline",
-		func() sm.Service { return randtree.NewBaseline(1, 0) }, randtreeOps)
+		func() sm.Service { return randtree.NewBaseline(1, 0) }, randtreeOps, fixedTimers("rt.hbSend"), nil)
 }
 
 func TestServiceInvariantsRandTreeChoice(t *testing.T) {
 	checkServiceInvariants(t, "randtree-choice",
-		func() sm.Service { return randtree.NewChoice(1, 0) }, randtreeOps)
+		func() sm.Service { return randtree.NewChoice(1, 0) }, randtreeOps, fixedTimers("rt.hbSend"), nil)
 }
 
 func TestServiceInvariantsGossip(t *testing.T) {
 	checkServiceInvariants(t, "gossip",
-		func() sm.Service { return gossip.New(1, []sm.NodeID{0, 2, 3}) }, gossipOps)
+		func() sm.Service { return gossip.New(1, []sm.NodeID{0, 2, 3}) }, gossipOps, fixedTimers("g.round"), nil)
 }
 
 func TestServiceInvariantsDissem(t *testing.T) {
 	checkServiceInvariants(t, "dissem",
-		func() sm.Service { return dissem.New(1, []sm.NodeID{0, 2, 3}, 8, 1024, false) }, dissemOps)
+		func() sm.Service { return dissem.New(1, []sm.NodeID{0, 2, 3}, 8, 1024, false) }, dissemOps, fixedTimers("d.tick"), nil)
 }
 
 func TestServiceInvariantsPaxos(t *testing.T) {
-	checkServiceInvariants(t, "paxos",
-		func() sm.Service { return paxos.New(1, 5) }, paxosOps)
+	// WorkDelay queues proposals behind px.cpu, so that timer has work.
+	mk := func() sm.Service {
+		r := paxos.New(1, 5)
+		r.WorkDelay = time.Millisecond
+		return r
+	}
+	oracle := func(s sm.Service) uint64 { return paxos.DigestOracle(s.(*paxos.Replica)) }
+	checkServiceInvariants(t, "paxos", mk, paxosOps, paxosTimers, oracle)
 }
 
 func trackerOps(rng *rand.Rand) *sm.Msg {
@@ -196,5 +241,5 @@ func trackerOps(rng *rand.Rand) *sm.Msg {
 
 func TestServiceInvariantsTracker(t *testing.T) {
 	checkServiceInvariants(t, "tracker",
-		func() sm.Service { return tracker.New(9) }, trackerOps)
+		func() sm.Service { return tracker.New(9) }, trackerOps, nil, nil)
 }
