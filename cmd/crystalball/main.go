@@ -22,8 +22,8 @@ import (
 
 // lookahead is the engine configuration every experiment hands its
 // runtime lookaheads (-workers, -strategy, -faults, -partitions,
-// -maxfrontier, -autoworkers); lookaheadClassCache caches steering/resolve
-// verdicts under canonical violation-class and scenario keys.
+// -maxfrontier); lookaheadClassCache caches steering/resolve verdicts
+// under canonical violation-class and scenario keys.
 var (
 	lookahead           explore.Options
 	lookaheadClassCache bool
@@ -36,13 +36,12 @@ func run() int {
 	app := flag.String("app", "all", "experiment to run: gossip | dissem | paxos | overload | steering | tracker | all")
 	seed := flag.Int64("seed", 1, "first seed")
 	seeds := flag.Int("seeds", 3, "seeds to average over")
-	flag.IntVar(&lookahead.Workers, "workers", 1, "lookahead exploration worker pool per node")
+	flag.IntVar(&lookahead.Workers, "workers", 1, "lookahead exploration worker pool ceiling per node")
 	strategy := flag.String("strategy", "chaindfs", "lookahead exploration strategy: chaindfs | bfs | randomwalk | guided")
 	flag.IntVar(&lookahead.FaultBudget, "faults", 0, "fault-transition budget per runtime lookahead (crash/recover/reset)")
 	flag.BoolVar(&lookahead.PartitionFaults, "partitions", false, "also explore partition transitions in runtime lookaheads")
 	flag.IntVar(&lookahead.MaxFrontier, "maxfrontier", 0, "cap on pending lookahead frontier units, dropping lowest-priority work (0 = unbounded)")
 	flag.BoolVar(&lookaheadClassCache, "classcache", false, "cache steering/resolve verdicts under violation-class keys")
-	flag.BoolVar(&lookahead.AutoWorkers, "autoworkers", false, "autoscale lookahead worker pools mid-run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	flag.Parse()

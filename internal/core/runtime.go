@@ -46,7 +46,7 @@ type Config struct {
 	SteeringMaxStates int
 	// Lookahead is the engine configuration of every explorer the runtime
 	// creates — steering checks and predictive resolution alike: worker
-	// pool (values <= 1 keep the deterministic sequential engine),
+	// pool (values <= 1 run inline on the caller, deterministically),
 	// strategy (nil means the paper's causal-chain search), frontier cap,
 	// and fault branching. FaultBudget and PartitionFaults let consequence
 	// prediction explore node failures and recoveries alongside message

@@ -38,8 +38,18 @@ func violProps() []Property {
 // nodes) at commit 8679000, the last one that carried it. The arena engine
 // must keep reproducing them: arenas are pure allocation placement, so any
 // divergence means a trace node was recycled while a branch still needed
-// it. Regenerate with UPDATE_EXPLORE_GOLDEN=1 only together with the
-// engine goldens, when a traversal change is intended and understood.
+// it. Regenerate with UPDATE_EXPLORE_GOLDEN=1 only when a traversal change
+// is intended and understood.
+//
+// Regenerated once since, when the one-worker FIFO scheduler was retired
+// for the deque loop: the two bfs sections moved, every other section
+// (and every section's states=/maxdepth=/violations= header) is the heap
+// arm's byte for byte. BFS's units now drain newest-first, so its
+// violations are recorded in depth-first order, and where several
+// interleavings reach one violating state the recorded witness is the
+// depth-first one; chaindfs (roots still run in root order), randomwalk,
+// guided (same heap, same insertion order) and the sorted parallel set
+// did not move.
 const traceGoldenPath = "testdata/trace_golden.txt"
 
 // traceGoldenParallelMark separates the sequential reports from the

@@ -77,12 +77,12 @@ type Report struct {
 	FrontierDropped int
 	Elapsed         time.Duration
 	// WorkerHighWater is the largest number of concurrently unparked
-	// workers the run used: Workers for fixed pools, the autoscaler's
-	// high-water mark under AutoWorkers. StealMisses counts steal scans
-	// that swept every deque and found nothing — the contention signal
-	// the autoscaler shrinks on. Both are scheduler observability,
-	// stamped after the merge like Elapsed: timing-dependent, so
-	// determinism comparisons must ignore them.
+	// workers the run used — the autoscaler's high-water mark, at most
+	// the pool that actually ran (1 for a one-worker run). StealMisses
+	// counts scans that swept every queue and found nothing — the
+	// contention signal the autoscaler shrinks on. Both are scheduler
+	// observability, stamped after the merge like Elapsed:
+	// timing-dependent, so determinism comparisons must ignore them.
 	WorkerHighWater int
 	StealMisses     int64
 
@@ -111,8 +111,8 @@ func (r *Report) Safe() bool { return len(r.Violations) == 0 }
 //
 // The engine is split into three layers: a Strategy decides the traversal
 // (ChainDFS, the default, preserves the causal-chain semantics; BFS and
-// RandomWalk trade it for scenario diversity), a scheduler drains the
-// strategy's frontier across Workers goroutines with per-worker report
+// RandomWalk trade it for scenario diversity), one scheduler (run) drains
+// the strategy's frontier across Workers workers with per-worker report
 // shards and a shared digest set, and worlds fork copy-on-write so
 // branching costs pointer copies instead of deep clones.
 type Explorer struct {
@@ -158,23 +158,18 @@ type Explorer struct {
 // plain value so that a runtime configuration can carry one and assign
 // it to each explorer it builds.
 type Options struct {
-	// Workers sizes the scheduler's pool. Values <= 1 run sequentially
-	// and deterministically; with ChainDFS that reproduces the original
-	// engine's reports byte for byte. Parallel runs require the world's
-	// ChoicePolicy to be thread-safe — wrap stateful policies in Locked.
+	// Workers is the ceiling of the scheduler's pool. Values <= 1 run the
+	// scheduler's loop on the calling goroutine, deterministically: units
+	// drain newest-first from one deque (roots in root order), or by
+	// priority from the heap; with ChainDFS that reproduces the original
+	// engine's reports byte for byte. A larger pool sizes its active set
+	// to the work it finds: a worker whose steal scans keep missing parks
+	// itself (sleeping, stealable deque left behind) and rejoins when
+	// published work outgrows the active set; worker 0 never parks, so
+	// termination and exactly-once expansion do not depend on the
+	// resizing. Parallel runs require the world's ChoicePolicy to be
+	// thread-safe — wrap stateful policies in Locked.
 	Workers int
-	// AutoWorkers lets the work-stealing scheduler shrink and grow its
-	// active worker set mid-run instead of keeping all Workers goroutines
-	// spinning: a worker whose steal scans keep missing parks itself
-	// (sleeping, stealable deque left behind), and parked workers rejoin
-	// when published work outgrows the active set. Workers stays the hard
-	// ceiling and worker 0 never parks, so termination and exactly-once
-	// expansion are untouched; the merged Report is identical to the
-	// fixed-pool run whenever the workload's report is
-	// schedule-independent. Only the stealing scheduler honors the flag
-	// (best-first runs block on a condition variable and have no spin
-	// loop to save).
-	AutoWorkers bool
 	// Strategy selects the traversal. Nil means ChainDFS.
 	Strategy Strategy
 	// FaultBudget bounds the fault transitions (crash, recover, reset,
@@ -190,11 +185,11 @@ type Options struct {
 	PartitionFaults bool
 	// MaxFrontier caps the number of pending frontier units. Zero, the
 	// default, means unbounded. When the cap binds, the lowest-priority
-	// pending unit is dropped (for FIFO and work-stealing frontiers the
-	// newest — deepest — pending unit); the report counts the drops in
-	// FrontierDropped and marks itself Truncated. This makes
-	// multi-million-state budgets safe on small machines: BFS frontier
-	// width, not the state budget, is what exhausts memory.
+	// pending unit is dropped (on the deques, each holding an equal share
+	// of the cap, the newest incoming units); the report counts the drops
+	// in FrontierDropped and marks itself Truncated. This makes
+	// multi-million-state budgets safe on small machines: fan-out
+	// frontier width, not the state budget, is what exhausts memory.
 	MaxFrontier int
 }
 
@@ -325,7 +320,6 @@ func (x *Explorer) Explore(w *World) *Report {
 		budget = 4096
 	}
 	ctx := newCtx(x, w, budget)
-	ctx.workerHigh.Store(int64(workers))
 	// Prime the maintained digest (and per-message digest memos) while
 	// the start world is still single-threaded: every fork then inherits
 	// valid caches instead of rebuilding them — and, for parallel runs,
@@ -366,16 +360,7 @@ func (x *Explorer) Explore(w *World) *Report {
 		reports[0].addViolation(*rootPanic)
 	}
 	x.checkRoot(ctx, w, reports[0]) // score the root state too
-	switch {
-	case workers > 1 && bestFirst(strat):
-		x.runShared(ctx, strat, newHeapFrontier(frontier, ctx), reports)
-	case workers > 1:
-		x.runStealing(ctx, strat, frontier, reports)
-	case bestFirst(strat):
-		x.runSequential(ctx, strat, newHeapFrontier(frontier, ctx), reports[0])
-	default:
-		x.runSequential(ctx, strat, newFIFOFrontier(frontier, ctx), reports[0])
-	}
+	x.run(ctx, strat, frontier, reports)
 	// Detach the per-worker scratch before the shards escape: the merged
 	// report is plain data (determinism tests DeepEqual whole reports),
 	// and the arenas' chunks become garbage with the run.
@@ -423,7 +408,7 @@ func (x *Explorer) IterativeExplore(w *World, maxDepth int, budget time.Duration
 		r := x.Explore(w)
 		best = r
 		reached = d
-		if x.AutoWorkers && savedWorkers > 1 {
+		if savedWorkers > 1 {
 			// Feed the previous iteration's observed demand forward: start
 			// the next (deeper, wider) iteration at its high-water worker
 			// count, plus one when stealing was still contended, instead of

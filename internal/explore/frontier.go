@@ -1,16 +1,17 @@
 package explore
 
-// Frontier containers. The scheduler drains units out of one of three
-// shapes: a FIFO queue (the sequential engine's order), a priority heap
-// (best-first strategies), or a set of per-worker deques (the
-// work-stealing pool; EXPERIMENTS.md E14 is why parallel FIFO runs steal
-// instead of sharing one locked queue). All of them zero
-// consumed slots: a Unit owns a forked *World, and a pointer left behind
-// in a backing array would pin that world — services, timers, in-flight
-// messages — for the rest of the run. All of them also honor the
+import "sync"
+
+// Frontier containers. The scheduler (scheduler.go) drains units out of
+// one of two shapes: per-worker deques (wsDeque; EXPERIMENTS.md E14 is
+// why workers steal instead of sharing one locked queue) or, for
+// best-first strategies, one priority heap that all workers share. Both
+// zero consumed slots: a Unit owns a forked *World, and a pointer left
+// behind in a backing array would pin that world — services, timers,
+// in-flight messages — for the rest of the run. Both also honor the
 // Explorer.MaxFrontier spill cap: when the cap binds, the lowest-priority
-// pending unit is dropped (for FIFO order, the newest — deepest — one),
-// counted into the run's FrontierDropped tally, and its world recycled.
+// pending unit is dropped (on a deque, the newest incoming one), counted
+// into the run's FrontierDropped tally, and its world recycled.
 
 // unitQueue is an unsynchronized double-ended unit buffer: pushes append
 // at the tail, pops take either end. buf[head:] are the live entries.
@@ -21,17 +22,15 @@ type unitQueue struct {
 
 func (q *unitQueue) len() int { return len(q.buf) - q.head }
 
-func (q *unitQueue) push(u Unit) { q.buf = append(q.buf, u) }
-
 func (q *unitQueue) pushAll(us []Unit) {
 	if len(us) > 0 {
 		q.buf = append(q.buf, us...)
 	}
 }
 
-// popHead takes the oldest entry (FIFO). The vacated slot is zeroed and
-// the dead prefix compacted away once it dominates the buffer, so consumed
-// units never pin their worlds.
+// popHead takes the oldest entry (a thief's end). The vacated slot is
+// zeroed and the dead prefix compacted away once it dominates the buffer,
+// so consumed units never pin their worlds.
 func (q *unitQueue) popHead() (Unit, bool) {
 	if q.head == len(q.buf) {
 		return Unit{}, false
@@ -49,7 +48,8 @@ func (q *unitQueue) popHead() (Unit, bool) {
 	return u, true
 }
 
-// popTail takes the newest entry (LIFO), zeroing the vacated slot.
+// popTail takes the newest entry (the owner's end), zeroing the vacated
+// slot.
 func (q *unitQueue) popTail() (Unit, bool) {
 	if q.head == len(q.buf) {
 		return Unit{}, false
@@ -63,15 +63,68 @@ func (q *unitQueue) popTail() (Unit, bool) {
 	return u, true
 }
 
-// frontier is the scheduler's view of a pending-unit container. pop
-// returns the container's next unit by its own discipline: FIFO for
-// fifoFrontier, highest priority for heapFrontier. pushAll returns how
-// many of the offered units were actually enqueued — the spill cap may
-// drop the rest — so schedulers can keep exact pending counts.
+// frontier is a worker's view of its own queue. pop returns the queue's
+// next unit by its own discipline: the newest for a deque, the highest
+// priority for the heap. pushAll returns how many of the offered units
+// were actually enqueued — the spill cap may drop the rest — so the
+// scheduler's pending count stays exact. Both are safe for concurrent use.
 type frontier interface {
-	len() int
 	pushAll(us []Unit) int
 	pop() (Unit, bool)
+}
+
+// wsDeque is one worker's work-stealing deque: the owner pushes and pops
+// at the tail (LIFO — the freshest unit's world is the one still warm in
+// cache), thieves steal from the head (FIFO — the oldest unit roots the
+// largest remaining subtree, so one steal buys the thief the most work).
+// A plain mutex per deque is enough: the owner's operations are almost
+// always uncontended, and a steal contends with at most one owner.
+type wsDeque struct {
+	mu sync.Mutex
+	q  unitQueue
+	// max caps the deque's pending units (its share of MaxFrontier);
+	// zero means unbounded.
+	max int
+	ctx *Ctx
+	// Pad so neighboring deques in the scheduler's slice do not false-share.
+	_ [24]byte
+}
+
+// pushAll enqueues us, dropping the newest incoming units beyond the
+// deque's MaxFrontier share (max 0 = unbounded), and returns how many
+// were accepted so the scheduler's pending counter stays exact.
+func (d *wsDeque) pushAll(us []Unit) int {
+	if len(us) == 0 {
+		return 0
+	}
+	var dropped []Unit
+	d.mu.Lock()
+	if d.max > 0 {
+		if room := d.max - d.q.len(); room < len(us) {
+			if room < 0 {
+				room = 0
+			}
+			us, dropped = us[:room], us[room:]
+		}
+	}
+	d.q.pushAll(us)
+	d.mu.Unlock()
+	dropUnits(d.ctx, dropped)
+	return len(us)
+}
+
+func (d *wsDeque) pop() (Unit, bool) {
+	d.mu.Lock()
+	u, ok := d.q.popTail()
+	d.mu.Unlock()
+	return u, ok
+}
+
+func (d *wsDeque) steal() (Unit, bool) {
+	d.mu.Lock()
+	u, ok := d.q.popHead()
+	d.mu.Unlock()
+	return u, ok
 }
 
 // dropUnits spills units that did not fit under the frontier cap:
@@ -94,46 +147,14 @@ func dropUnits(ctx *Ctx, us []Unit) {
 	clearUnits(us)
 }
 
-// fifoFrontier drains oldest-first — the original engine's order. The
-// spill cap drops incoming (newest, hence deepest) units.
-type fifoFrontier struct {
-	unitQueue
-	max int
-	ctx *Ctx
-}
-
-func newFIFOFrontier(units []Unit, ctx *Ctx) *fifoFrontier {
-	f := &fifoFrontier{}
-	if ctx != nil {
-		f.max, f.ctx = ctx.x.MaxFrontier, ctx
-	}
-	f.pushAll(units)
-	clearUnits(units)
-	return f
-}
-
-func (f *fifoFrontier) pushAll(us []Unit) int {
-	if f.max > 0 {
-		if room := f.max - f.unitQueue.len(); room < len(us) {
-			if room < 0 {
-				room = 0
-			}
-			dropUnits(f.ctx, us[room:])
-			us = us[:room]
-		}
-	}
-	f.unitQueue.pushAll(us)
-	return len(us)
-}
-
-func (f *fifoFrontier) pop() (Unit, bool) { return f.popHead() }
-
 // heapFrontier drains highest-Priority-first; ties break toward the
 // earliest insertion, so best-first runs are deterministic for a fixed
 // frontier history (Workers<=1). The spill cap evicts the lowest-priority
 // pending unit (ties evict the newest), which for a best-first search is
-// exactly the work it was least likely to reach within budget.
+// exactly the work it was least likely to reach within budget. One mutex
+// guards the heap: all of a best-first run's workers pop and push it.
 type heapFrontier struct {
+	mu    sync.Mutex
 	items []heapItem
 	seq   uint64
 	max   int
@@ -144,18 +165,6 @@ type heapItem struct {
 	u   Unit
 	seq uint64
 }
-
-func newHeapFrontier(units []Unit, ctx *Ctx) *heapFrontier {
-	h := &heapFrontier{}
-	if ctx != nil {
-		h.max, h.ctx = ctx.x.MaxFrontier, ctx
-	}
-	h.pushAll(units)
-	clearUnits(units)
-	return h
-}
-
-func (h *heapFrontier) len() int { return len(h.items) }
 
 func (h *heapFrontier) less(i, j int) bool {
 	if h.items[i].u.Priority != h.items[j].u.Priority {
@@ -194,6 +203,11 @@ func (h *heapFrontier) siftDown(i int) {
 }
 
 func (h *heapFrontier) pushAll(us []Unit) int {
+	if len(us) == 0 {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	for _, u := range us {
 		h.seq++
 		h.items = append(h.items, heapItem{u: u, seq: h.seq})
@@ -235,6 +249,8 @@ func (h *heapFrontier) dropMin() {
 }
 
 func (h *heapFrontier) pop() (Unit, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if len(h.items) == 0 {
 		return Unit{}, false
 	}

@@ -30,7 +30,7 @@ func assertReleased(t *testing.T, backing []Unit, where string) {
 // run. Every frontier container must zero consumed slots so forked
 // worlds become collectible the moment they are expanded.
 func TestConsumedFrontierReleasesWorlds(t *testing.T) {
-	// FIFO drain (sequential engine and single-queue ablation).
+	// Oldest-first drain (the thief's end of a deque).
 	var q unitQueue
 	q.pushAll(mkUnits(8))
 	backing := q.buf
@@ -41,7 +41,7 @@ func TestConsumedFrontierReleasesWorlds(t *testing.T) {
 	}
 	assertReleased(t, backing, "unitQueue.popHead")
 
-	// LIFO drain (work-stealing owner).
+	// Newest-first drain (the owner's end).
 	q = unitQueue{}
 	q.pushAll(mkUnits(8))
 	backing = q.buf
@@ -54,7 +54,8 @@ func TestConsumedFrontierReleasesWorlds(t *testing.T) {
 
 	// Priority heap (guided best-first frontier). The captured slice
 	// aliases the heap's backing array, so zeroed pops show through it.
-	h := newHeapFrontier(mkUnits(8), nil)
+	h := &heapFrontier{}
+	h.pushAll(mkUnits(8))
 	items := h.items
 	for i := 0; i < 8; i++ {
 		if _, ok := h.pop(); !ok {
@@ -67,10 +68,16 @@ func TestConsumedFrontierReleasesWorlds(t *testing.T) {
 		}
 	}
 
-	// The seed slice handed to a container is zeroed too.
-	units := mkUnits(4)
-	newFIFOFrontier(units, nil)
-	assertReleased(t, units, "root frontier slice")
+	// The root slice handed to the scheduler is zeroed too (the units
+	// carry no action, so expanding them is a no-op).
+	for _, strat := range []Strategy{BFS{}, Guided{}} {
+		x := &Explorer{}
+		ctx := newCtx(x, NewWorld(FirstPolicy, 1), 64)
+		ctx.seen = plainSeen{}
+		units := mkUnits(4)
+		x.run(ctx, strat, units, []*Report{{arena: &pathArena{}}})
+		assertReleased(t, units, strat.Name()+" root frontier slice")
+	}
 }
 
 // TestFIFOCompaction drives the queue past the compaction threshold and
@@ -86,7 +93,7 @@ func TestFIFOCompaction(t *testing.T) {
 		}
 	}
 	// Interleave pushes to exercise post-compaction appends.
-	q.push(Unit{Depth: n})
+	q.pushAll([]Unit{{Depth: n}})
 	for i := 150; i <= n; i++ {
 		u, ok := q.popHead()
 		if !ok || u.Depth != i {
@@ -106,7 +113,7 @@ func TestFIFOCompaction(t *testing.T) {
 // TestHeapFrontierOrder: pops come out by descending priority, ties by
 // insertion order.
 func TestHeapFrontierOrder(t *testing.T) {
-	h := newHeapFrontier(nil, nil)
+	h := &heapFrontier{}
 	h.pushAll([]Unit{
 		{Depth: 0, Priority: 1},
 		{Depth: 1, Priority: 3},
@@ -129,19 +136,17 @@ func TestHeapFrontierOrder(t *testing.T) {
 // oldest.
 func TestDequeStealOrder(t *testing.T) {
 	var d wsDeque
-	for i := 0; i < 3; i++ {
-		d.push(Unit{Depth: i})
-	}
+	d.pushAll([]Unit{{Depth: 0}, {Depth: 1}, {Depth: 2}})
 	if u, _ := d.steal(); u.Depth != 0 {
 		t.Fatalf("thief got depth %d, want the oldest (0)", u.Depth)
 	}
-	if u, _ := d.popTail(); u.Depth != 2 {
+	if u, _ := d.pop(); u.Depth != 2 {
 		t.Fatalf("owner got depth %d, want the newest (2)", u.Depth)
 	}
-	if u, _ := d.popTail(); u.Depth != 1 {
+	if u, _ := d.pop(); u.Depth != 1 {
 		t.Fatalf("owner got depth %d, want 1", u.Depth)
 	}
-	if _, ok := d.popTail(); ok {
+	if _, ok := d.pop(); ok {
 		t.Fatal("empty deque popped")
 	}
 }
@@ -150,8 +155,7 @@ func TestDequeStealOrder(t *testing.T) {
 // evict the lowest-priority pending unit, never the high-priority work a
 // best-first search is about to expand.
 func TestHeapFrontierSpillDropsLowest(t *testing.T) {
-	h := newHeapFrontier(nil, nil)
-	h.max = 2
+	h := &heapFrontier{max: 2}
 	accepted := h.pushAll([]Unit{
 		{Depth: 0, Priority: 5},
 		{Depth: 1, Priority: 1},

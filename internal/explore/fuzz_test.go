@@ -15,15 +15,15 @@ import (
 // deterministic. Run with `go test -fuzz=FuzzExploreConfig` to search;
 // the seed corpus runs on every plain `go test`.
 func FuzzExploreConfig(f *testing.F) {
-	f.Add(byte(0), uint8(1), uint8(0), uint8(3), int64(1), false, false)
-	f.Add(byte(1), uint8(4), uint8(1), uint8(4), int64(7), true, false)
-	f.Add(byte(2), uint8(0), uint8(2), uint8(6), int64(-3), false, true)
-	f.Add(byte(0), uint8(2), uint8(2), uint8(5), int64(99), true, true)
-	f.Add(byte(3), uint8(1), uint8(1), uint8(4), int64(13), false, true)
-	f.Add(byte(3), uint8(4), uint8(2), uint8(5), int64(21), true, true)
-	f.Fuzz(func(t *testing.T, stratSel, workers, faults, depth uint8, seed int64, partitions, autoWorkers bool) {
+	f.Add(byte(0), uint8(1), uint8(0), uint8(3), int64(1), false)
+	f.Add(byte(1), uint8(4), uint8(1), uint8(4), int64(7), true)
+	f.Add(byte(2), uint8(0), uint8(2), uint8(6), int64(-3), false)
+	f.Add(byte(0), uint8(2), uint8(2), uint8(5), int64(99), true)
+	f.Add(byte(3), uint8(1), uint8(1), uint8(4), int64(13), false)
+	f.Add(byte(3), uint8(4), uint8(2), uint8(5), int64(21), true)
+	f.Fuzz(func(t *testing.T, stratSel, workers, faults, depth uint8, seed int64, partitions bool) {
 		const maxStates = 512
-		nWorkers := int(workers % 5) // 0..4; <=1 runs sequentially
+		nWorkers := int(workers % 5) // 0..4; <=1 runs inline, deterministically
 		run := func() *Report {
 			w := NewWorld(FirstPolicy, seed)
 			for i := 0; i < 4; i++ {
@@ -36,7 +36,6 @@ func FuzzExploreConfig(f *testing.F) {
 			x := NewExplorer(1 + int(depth%7))
 			x.MaxStates = maxStates
 			x.Workers = nWorkers
-			x.AutoWorkers = autoWorkers
 			x.FaultBudget = int(faults % 4)
 			x.PartitionFaults = partitions
 			switch stratSel % 4 {

@@ -47,10 +47,10 @@ func stripElapsed(r *Report) *Report {
 }
 
 // TestSchedulerMatchesSequential: on a single-chain world every state
-// has exactly one successor, so no scheduler can reorder anything and
-// each parallel discipline — the ChainDFS pool capped to its one root,
-// BFS on stealing deques, independent walks, the shared best-first heap
-// — must yield a byte-identical report to the sequential engine.
+// has exactly one successor, so no pool size can reorder anything and
+// each discipline — the ChainDFS pool capped to its one root, BFS on
+// stealing deques, independent walks, the shared best-first heap — must
+// yield a byte-identical report to the inline one-worker run.
 func TestSchedulerMatchesSequential(t *testing.T) {
 	for _, strat := range []Strategy{ChainDFS{}, BFS{}, RandomWalk{Walks: 6, Seed: 9}, Guided{}} {
 		mk := func(workers int) *Report {
@@ -69,8 +69,8 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 }
 
 // TestCappedPoolAllocatesLikeSequential: a ChainDFS pool is capped to
-// its root count, so Workers: 4 over a one-root frontier runs the
-// sequential engine — and must be set up like it, with the plain map as
+// its root count, so Workers: 4 over a one-root frontier runs one
+// worker inline — and must be set up like it, with the plain map as
 // its seen set rather than a lock-free table sized for a pool that never
 // starts (32 KB at the smallest, per lookahead).
 func TestCappedPoolAllocatesLikeSequential(t *testing.T) {

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +32,16 @@ type Ctx struct {
 	deadline time.Time
 	polls    atomic.Int64
 	expired  atomic.Bool
+	// Scheduler state (Explorer.run): per-worker deques, or the one heap
+	// a best-first run's workers share; pending counts queued plus
+	// in-expansion units; active is the autoscaler's worker-count target.
+	deques  []wsDeque
+	heap    *heapFrontier
+	pending atomic.Int64
+	active  atomic.Int64
 	// stealMisses and workerHigh feed Report.StealMisses and
-	// Report.WorkerHighWater: empty full-deque sweeps, and the stealing
-	// scheduler's active-worker high-water mark (Explore seeds workerHigh
-	// with the pool size for the non-stealing paths).
+	// Report.WorkerHighWater: sweeps that found every queue empty, and
+	// the high-water mark of active.
 	stealMisses atomic.Int64
 	workerHigh  atomic.Int64
 }
@@ -117,141 +124,13 @@ func (c *Ctx) Exhausted() bool {
 // already recorded — the caller then prunes the duplicate subtree.
 func (c *Ctx) Visit(d uint64) bool { return c.seen.visit(d) }
 
-// runSequential drains fr on the calling goroutine, accumulating into a
-// single report. With a FIFO frontier and the ChainDFS strategy this is
-// step-for-step the original recursive engine; with a heap frontier it is
-// the best-first loop of the Guided strategy.
-func (x *Explorer) runSequential(ctx *Ctx, strat Strategy, fr frontier, r *Report) {
-	for fr.len() > 0 {
-		if ctx.Exhausted() {
-			r.Truncated = true
-			return
-		}
-		u, _ := fr.pop()
-		fr.pushAll(x.expand(ctx, strat, u, r))
-	}
-}
-
-// runShared drains one shared locked priority frontier with a pool of
-// workers: the best-first scheduler, where a global priority order is the
-// point and per-worker deques would defeat it. Each worker accumulates
-// into its own report shard; `pending` counts queued plus in-expansion
-// units, so the pool terminates exactly when the frontier is drained and
-// no expansion is outstanding.
-func (x *Explorer) runShared(ctx *Ctx, strat Strategy, fr *heapFrontier, reports []*Report) {
-	var (
-		mu      sync.Mutex
-		cond    = sync.NewCond(&mu)
-		pending = fr.len()
-		wg      sync.WaitGroup
-	)
-	for wi := range reports {
-		r := reports[wi]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for fr.len() == 0 && pending > 0 {
-					cond.Wait()
-				}
-				u, ok := fr.pop()
-				if !ok {
-					mu.Unlock()
-					return
-				}
-				mu.Unlock()
-
-				var succ []Unit
-				if ctx.Exhausted() {
-					r.Truncated = true
-					ctx.release(u.World) // never expanded: recycle now
-					releaseTrace(r.arena, u.trace)
-				} else {
-					succ = x.expand(ctx, strat, u, r)
-				}
-
-				mu.Lock()
-				accepted := fr.pushAll(succ)
-				pending += accepted - 1
-				if pending == 0 || accepted > 0 {
-					cond.Broadcast()
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// wsDeque is one worker's work-stealing deque: the owner pushes and pops
-// at the tail (LIFO — the freshest unit's world is the one still warm in
-// cache), thieves steal from the head (FIFO — the oldest unit roots the
-// largest remaining subtree, so one steal buys the thief the most work).
-// A plain mutex per deque is enough: the owner's operations are almost
-// always uncontended, and a steal contends with at most one owner.
-type wsDeque struct {
-	mu sync.Mutex
-	q  unitQueue
-	// max caps the deque's pending units (its share of MaxFrontier);
-	// zero means unbounded.
-	max int
-	ctx *Ctx
-	// Pad so neighboring deques in the scheduler's slice do not false-share.
-	_ [24]byte
-}
-
-func (d *wsDeque) push(u Unit) {
-	d.mu.Lock()
-	d.q.push(u)
-	d.mu.Unlock()
-}
-
-// pushAll enqueues us, dropping the newest incoming units beyond the
-// deque's MaxFrontier share (max 0 = unbounded), and returns how many
-// were accepted so the scheduler's pending counter stays exact.
-func (d *wsDeque) pushAll(us []Unit) int {
-	if len(us) == 0 {
-		return 0
-	}
-	var dropped []Unit
-	d.mu.Lock()
-	if d.max > 0 {
-		if room := d.max - d.q.len(); room < len(us) {
-			if room < 0 {
-				room = 0
-			}
-			us, dropped = us[:room], us[room:]
-		}
-	}
-	d.q.pushAll(us)
-	d.mu.Unlock()
-	dropUnits(d.ctx, dropped)
-	return len(us)
-}
-
-func (d *wsDeque) popTail() (Unit, bool) {
-	d.mu.Lock()
-	u, ok := d.q.popTail()
-	d.mu.Unlock()
-	return u, ok
-}
-
-func (d *wsDeque) steal() (Unit, bool) {
-	d.mu.Lock()
-	u, ok := d.q.popHead()
-	d.mu.Unlock()
-	return u, ok
-}
-
-// Autoscaler tuning (Explorer.AutoWorkers). The control law is a
-// hysteresis pair: shrink needs autoMissStreak consecutive empty sweeps
-// from the highest-indexed active worker (work is scarce), grow needs the
-// pending counter to exceed autoGrowFactor times the active set (work is
-// abundant) — the two conditions cannot hold at once, so the set cannot
-// flap. Parked workers poll on a doubling backoff between autoParkMin and
-// autoParkMax, replacing the 20µs idle spin that otherwise burns a core
-// per surplus worker.
+// Autoscaler tuning. The control law is a hysteresis pair: shrink needs
+// autoMissStreak consecutive empty sweeps from the highest-indexed active
+// worker (work is scarce), grow needs the pending counter to exceed
+// autoGrowFactor times the active set (work is abundant) — the two
+// conditions cannot hold at once, so the set cannot flap. Parked workers
+// poll on a doubling backoff between autoParkMin and autoParkMax instead
+// of burning a core each on the 20µs idle spin.
 const (
 	autoMissStreak = 4
 	autoGrowFactor = 2
@@ -259,144 +138,154 @@ const (
 	autoParkMax    = 500 * time.Microsecond
 )
 
-// runStealing drains the frontier with per-worker deques and work
-// stealing. Roots are dealt round-robin so every worker starts local;
-// successors go to the expanding worker's own deque. An idle worker scans
-// the other deques for a steal, and only when every deque is empty does it
-// consult the atomic pending counter: zero means the run is over, nonzero
-// means in-flight expansions may still publish work, so it backs off and
-// rescans. No global lock, no condition-variable broadcast storms — the
-// hot path touches exactly one deque mutex per unit.
+// run is the scheduler: it seeds the run's queues with the root units and
+// drains them with one worker per report shard. Each worker owns a deque
+// and steals from the others' — except under a best-first strategy, where
+// all workers share the one heap as their own queue, because a global
+// priority order is the point and per-worker queues would defeat it.
 //
-// Under AutoWorkers the pool additionally resizes itself mid-run: workers
-// with index >= the atomic active target park (their deques stay
-// stealable, so no unit is ever stranded), the highest-indexed active
-// worker lowers the target after a streak of empty sweeps, and publishing
-// a backlog raises it again. Worker 0 never parks and parked workers
-// still poll the pending counter, so the termination argument — every
-// worker observes pending == 0 — is unchanged.
-func (x *Explorer) runStealing(ctx *Ctx, strat Strategy, units []Unit, reports []*Report) {
+// Roots are dealt round-robin and then flipped, so every owner (who pops
+// its newest unit) takes its roots in root order. With one worker the
+// loop runs on the calling goroutine and the whole run is deterministic:
+// a depth-first drain in root order, or the heap's priority order.
+func (x *Explorer) run(ctx *Ctx, strat Strategy, units []Unit, reports []*Report) {
 	n := len(reports)
-	deques := make([]wsDeque, n)
-	if x.MaxFrontier > 0 {
-		// Each deque gets an equal share of the global cap (at least 1).
-		share := (x.MaxFrontier + n - 1) / n
-		for i := range deques {
-			deques[i].max, deques[i].ctx = share, ctx
-		}
-	}
-	// Roots go through pushAll so the MaxFrontier cap binds on the seed
-	// frontier too, exactly as in the best-first and sequential paths.
 	accepted := 0
-	for i := range units {
-		accepted += deques[i%n].pushAll(units[i : i+1])
+	if bestFirst(strat) {
+		ctx.heap = &heapFrontier{max: x.MaxFrontier, ctx: ctx}
+		accepted = ctx.heap.pushAll(units)
+	} else {
+		ctx.deques = make([]wsDeque, n)
+		// Each deque gets an equal share of the global cap, rounded up
+		// (zero stays zero: unbounded), and roots go through pushAll so
+		// the cap binds on the seed frontier too.
+		share := (x.MaxFrontier + n - 1) / n
+		for i := range ctx.deques {
+			d := &ctx.deques[i]
+			d.max, d.ctx = share, ctx
+			d.q.buf = make([]Unit, 0, (len(units)+n-1)/n)
+		}
+		for i := range units {
+			accepted += ctx.deques[i%n].pushAll(units[i : i+1])
+		}
+		for i := range ctx.deques {
+			slices.Reverse(ctx.deques[i].q.buf)
+		}
 	}
 	clearUnits(units)
-	var pending atomic.Int64
-	pending.Store(int64(accepted))
-	// active is the autoscaler's worker-count target. Fixed pools pin it
-	// at n; autoscaled pools start at the root frontier's width (no point
-	// spinning eight thieves over three chains) and move inside [1, n].
-	var active atomic.Int64
-	auto := x.AutoWorkers && n > 1
-	if auto {
-		start := int64(accepted)
-		if start < 1 {
-			start = 1
-		}
-		if start > int64(n) {
-			start = int64(n)
-		}
-		active.Store(start)
-		ctx.workerHigh.Store(start)
-	} else {
-		active.Store(int64(n))
+	ctx.pending.Store(int64(accepted))
+	// The active-worker target starts at the root frontier's width (no
+	// point spinning eight thieves over three chains) and moves inside
+	// [1, n] from there.
+	start := int64(min(max(accepted, 1), n))
+	ctx.active.Store(start)
+	ctx.workerHigh.Store(start)
+	if n == 1 {
+		x.work(ctx, strat, reports, 0)
+		return
 	}
 	var wg sync.WaitGroup
-	for wi := 0; wi < n; wi++ {
-		wi, r := wi, reports[wi]
+	for wi := range reports {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			idle, missStreak := 0, 0
-			parkSleep := autoParkMin
-			for {
-				if auto && wi > 0 && int64(wi) >= active.Load() {
-					// Parked: off the steal path entirely. The deque stays
-					// stealable and pending is still polled, so work cannot
-					// strand and termination still reaches every worker.
-					if pending.Load() == 0 {
-						return
-					}
-					time.Sleep(parkSleep)
-					if parkSleep *= 2; parkSleep > autoParkMax {
-						parkSleep = autoParkMax
-					}
-					continue
-				}
-				parkSleep = autoParkMin
-				u, ok := deques[wi].popTail()
-				for off := 1; !ok && off < n; off++ {
-					u, ok = deques[(wi+off)%n].steal()
-				}
-				if !ok {
-					if pending.Load() == 0 {
-						return
-					}
-					ctx.stealMisses.Add(1)
-					if auto {
-						if missStreak++; missStreak >= autoMissStreak {
-							// Persistent scarcity: the highest-indexed active
-							// worker bows out (and parks on the next pass).
-							if cur := active.Load(); cur > 1 && int64(wi) == cur-1 {
-								active.CompareAndSwap(cur, cur-1)
-							}
-							missStreak = 0
-						}
-					}
-					// Work is in expansion elsewhere and may fan out; yield,
-					// then sleep once yielding has not produced anything.
-					if idle++; idle < 8 {
-						runtime.Gosched()
-					} else {
-						time.Sleep(20 * time.Microsecond)
-					}
-					continue
-				}
-				idle, missStreak = 0, 0
-
-				var succ []Unit
-				if ctx.Exhausted() {
-					r.Truncated = true
-					ctx.release(u.World) // never expanded: recycle now
-					releaseTrace(r.arena, u.trace)
-				} else {
-					succ = x.expand(ctx, strat, u, r)
-				}
-				// Publish successors before giving up this unit's pending
-				// slot, so the counter never reads zero while work exists.
-				accepted := deques[wi].pushAll(succ)
-				p := pending.Add(int64(accepted) - 1)
-				if auto && accepted > 0 {
-					// Abundance: published work outgrew the active set;
-					// raise the target so a parked worker rejoins.
-					for {
-						cur := active.Load()
-						if cur >= int64(n) || p <= autoGrowFactor*cur {
-							break
-						}
-						if active.CompareAndSwap(cur, cur+1) {
-							if hw := ctx.workerHigh.Load(); cur+1 > hw {
-								ctx.workerHigh.CompareAndSwap(hw, cur+1)
-							}
-							break
-						}
-					}
-				}
-			}
+			x.work(ctx, strat, reports, wi)
 		}()
 	}
 	wg.Wait()
+}
+
+// work is worker wi's loop: pop the own queue or steal, expand, publish
+// the successors to the own queue. `pending` counts queued plus
+// in-expansion units, so an idle worker that finds every queue empty
+// consults it: zero means the run is over, nonzero means in-flight
+// expansions may still publish work, so it backs off and rescans. The hot
+// path touches exactly one queue mutex per unit.
+//
+// A pool of more than one resizes itself mid-run: workers with index >=
+// the atomic active target park (their deques stay stealable, so no unit
+// is ever stranded), the highest-indexed active worker lowers the target
+// after a streak of empty sweeps, and publishing a backlog raises it
+// again. Worker 0 never parks and parked workers still poll the pending
+// counter, so the termination argument — every worker observes pending
+// == 0 — holds at any target. A lone worker never misses (its queue is
+// empty only when pending is zero), so for it none of this runs.
+func (x *Explorer) work(ctx *Ctx, strat Strategy, reports []*Report, wi int) {
+	n, r := len(reports), reports[wi]
+	var own frontier
+	if ctx.heap != nil {
+		own = ctx.heap
+	} else {
+		own = &ctx.deques[wi]
+	}
+	idle, missStreak := 0, 0
+	parkSleep := autoParkMin
+	for {
+		if wi > 0 && int64(wi) >= ctx.active.Load() {
+			// Parked: off the steal path entirely.
+			if ctx.pending.Load() == 0 {
+				return
+			}
+			time.Sleep(parkSleep)
+			parkSleep = min(parkSleep*2, autoParkMax)
+			continue
+		}
+		parkSleep = autoParkMin
+		u, ok := own.pop()
+		for off := 1; !ok && off < len(ctx.deques); off++ {
+			u, ok = ctx.deques[(wi+off)%n].steal()
+		}
+		if !ok {
+			if ctx.pending.Load() == 0 {
+				return
+			}
+			ctx.stealMisses.Add(1)
+			if missStreak++; missStreak >= autoMissStreak {
+				// Persistent scarcity: the highest-indexed active worker
+				// bows out (and parks on the next pass).
+				if cur := ctx.active.Load(); cur > 1 && int64(wi) == cur-1 {
+					ctx.active.CompareAndSwap(cur, cur-1)
+				}
+				missStreak = 0
+			}
+			// Work is in expansion elsewhere and may fan out; yield, then
+			// sleep once yielding has not produced anything.
+			if idle++; idle < 8 {
+				runtime.Gosched()
+			} else {
+				time.Sleep(20 * time.Microsecond)
+			}
+			continue
+		}
+		idle, missStreak = 0, 0
+
+		var succ []Unit
+		if ctx.Exhausted() {
+			r.Truncated = true
+			ctx.release(u.World) // never expanded: recycle now
+			releaseTrace(r.arena, u.trace)
+		} else {
+			succ = x.expand(ctx, strat, u, r)
+		}
+		// Publish successors before giving up this unit's pending slot,
+		// so the counter never reads zero while work exists.
+		accepted := own.pushAll(succ)
+		p := ctx.pending.Add(int64(accepted) - 1)
+		for accepted > 0 {
+			// Abundance: published work outgrew the active set; raise the
+			// target so a parked worker rejoins.
+			cur := ctx.active.Load()
+			if cur >= int64(n) || p <= autoGrowFactor*cur {
+				break
+			}
+			if ctx.active.CompareAndSwap(cur, cur+1) {
+				if hw := ctx.workerHigh.Load(); cur+1 > hw {
+					ctx.workerHigh.CompareAndSwap(hw, cur+1)
+				}
+				break
+			}
+		}
+	}
 }
 
 // merge folds a worker's report shard into r.

@@ -4,9 +4,9 @@ package explore
 // shared seen set, which makes it the hottest cross-worker structure in
 // the engine. Two implementations, chosen by how many workers run:
 //
-//   - plainSeen: an unsynchronized map, used by the sequential engine
-//     (one worker) so single-threaded runs stay byte-for-byte
-//     deterministic and pay no atomic traffic.
+//   - plainSeen: an unsynchronized map, used when one worker runs (the
+//     scheduler's inline loop) so single-threaded runs stay
+//     byte-for-byte deterministic and pay no atomic traffic.
 //   - lockFreeSeen: the parallel set — an open-addressing digest table
 //     with CAS inserts, grown by epoch handoff (below). EXPERIMENTS.md
 //     E16 measured it against the mutex-sharded map it replaced.
@@ -52,7 +52,7 @@ type seenSet interface {
 	visit(d uint64) bool
 }
 
-// plainSeen is the sequential engine's unsynchronized map.
+// plainSeen is the one-worker run's unsynchronized map.
 type plainSeen map[uint64]bool
 
 func (s plainSeen) visit(d uint64) bool {

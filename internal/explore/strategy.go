@@ -83,8 +83,8 @@ type Unit struct {
 	// Seed parameterizes strategies that randomize per unit (RandomWalk).
 	Seed int64
 	// Priority orders the unit in a best-first frontier (higher first).
-	// Only strategies marked BestFirst (Guided) set it; the FIFO and
-	// work-stealing schedulers ignore it.
+	// Only strategies marked BestFirst (Guided) set it; the deques every
+	// other strategy drains from ignore it.
 	Priority float64
 }
 
@@ -105,8 +105,9 @@ type Strategy interface {
 }
 
 // BestFirster marks strategies whose frontier is a priority queue: the
-// scheduler then expands the highest-Priority unit next instead of
-// draining FIFO or stealing from deques.
+// scheduler's workers then share one heap and each expands the
+// highest-Priority pending unit next, instead of popping and stealing
+// from per-worker deques.
 type BestFirster interface {
 	BestFirst() bool
 }
@@ -135,8 +136,9 @@ func ParseStrategy(name string) (Strategy, error) {
 // ChainDFS is the paper's consequence prediction (§2) and the default
 // strategy: one frontier unit per initially enabled action, each expanded
 // by following the chain of that action's causal consequences
-// depth-first. With Workers=1 it reproduces the original sequential
-// engine's reports byte for byte.
+// depth-first. With Workers<=1 the chains run in root order on the calling
+// goroutine, which reproduces the original sequential engine's reports
+// byte for byte.
 type ChainDFS struct{}
 
 // Name returns "chaindfs".
@@ -191,12 +193,17 @@ func (ChainDFS) Expand(x *Explorer, ctx *Ctx, u Unit, r *Report) []Unit {
 	return nil
 }
 
-// BFS explores the full interleaving space breadth-first: every enabled
-// action of every reached state becomes a frontier unit. Unlike ChainDFS
-// it interleaves unrelated events, reaching states no single causal chain
-// produces — more scenario diversity per depth level at a much higher
-// branching factor, so pair it with a budget. Messages to generic nodes
-// are absorbed silently (no reaction branching).
+// BFS is the full-interleaving fan-out: every enabled action of every
+// reached state becomes a frontier unit. Unlike ChainDFS it interleaves
+// unrelated events, reaching states no single causal chain produces —
+// more scenario diversity per depth level at a much higher branching
+// factor, so pair it with a budget. The name is historical: the scheduler
+// drains its deques newest-first, so within the depth bound the fan-out
+// is explored depth-first (a budgeted run reaches the bound instead of
+// spending itself on the first few levels), and a state first reached
+// deep may prune a later, shallower visit — the dedup key carries no
+// depth. Messages to generic nodes are absorbed silently (no reaction
+// branching).
 type BFS struct{}
 
 // Name returns "bfs".
