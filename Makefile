@@ -55,9 +55,12 @@ bench:
 # TestForkCostIndependentOfLogSize is the cost-shape gate of the paxos
 # service fork: Clone+Digest allocate the same at 64 and at 4096 decided
 # instances, and the first write after a fork copies one trie path.
+# TestAgreementStepIndependentOfLogSize is the same gate for the agreement
+# property's Step: one decision costs the same lookups, and no
+# allocation, at either size.
 bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState' -count=2 -v
-	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize' -count=2 -v
+	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize' -count=2 -v
 
 # profile runs the offline model checker under the runtime/pprof
 # collectors and prints the top allocation sites. mc.cpu.pprof and

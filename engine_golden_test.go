@@ -133,6 +133,29 @@ func goldenDump() string {
 
 const goldenPath = "testdata/explore_golden.txt"
 
+// goldenFaultWorld is the start world of goldenFaultDump.
+func goldenFaultWorld() *explore.World {
+	w := explore.NewWorld(explore.RandomPolicy(rand.New(rand.NewSource(21))), 9)
+	svcs := make([]*randtree.Choice, 7)
+	env := &benchEnv{}
+	for i := 0; i < 7; i++ {
+		svcs[i] = randtree.NewChoice(sm.NodeID(i), 0)
+		w.AddNode(sm.NodeID(i), svcs[i])
+		svcs[i].Init(env)
+	}
+	for i := 1; i < 7; i++ {
+		parent := (i - 1) / 2
+		svcs[parent].OnMessage(env, &sm.Msg{Src: sm.NodeID(i), Dst: sm.NodeID(parent),
+			Kind: randtree.KindJoin, Body: randtree.Join{Joiner: sm.NodeID(i)}})
+		svcs[i].OnMessage(env, &sm.Msg{Src: sm.NodeID(parent), Dst: sm.NodeID(i),
+			Kind: randtree.KindJoinReply, Body: randtree.JoinReply{Parent: sm.NodeID(parent), Depth: depthOf(i) + 1}})
+	}
+	w.InjectMessage(&sm.Msg{Src: 100, Dst: 0, Kind: randtree.KindJoin,
+		Body: randtree.Join{Joiner: 100}})
+	w.Initial = func(id sm.NodeID) sm.Service { return randtree.NewChoice(id, 0) }
+	return w
+}
+
 // goldenFaultDump runs a small fault-enabled randtree exploration: a fully
 // joined 7-node tree explored with one fault transition allowed per path
 // (plus a partition-enabled variant), cold restarts supplied by the
@@ -140,27 +163,6 @@ const goldenPath = "testdata/explore_golden.txt"
 // reset, what recovery replays, which inconsistencies surface at which
 // depth — so they cannot drift silently.
 func goldenFaultDump() string {
-	mkWorld := func() *explore.World {
-		w := explore.NewWorld(explore.RandomPolicy(rand.New(rand.NewSource(21))), 9)
-		svcs := make([]*randtree.Choice, 7)
-		env := &benchEnv{}
-		for i := 0; i < 7; i++ {
-			svcs[i] = randtree.NewChoice(sm.NodeID(i), 0)
-			w.AddNode(sm.NodeID(i), svcs[i])
-			svcs[i].Init(env)
-		}
-		for i := 1; i < 7; i++ {
-			parent := (i - 1) / 2
-			svcs[parent].OnMessage(env, &sm.Msg{Src: sm.NodeID(i), Dst: sm.NodeID(parent),
-				Kind: randtree.KindJoin, Body: randtree.Join{Joiner: sm.NodeID(i)}})
-			svcs[i].OnMessage(env, &sm.Msg{Src: sm.NodeID(parent), Dst: sm.NodeID(i),
-				Kind: randtree.KindJoinReply, Body: randtree.JoinReply{Parent: sm.NodeID(parent), Depth: depthOf(i) + 1}})
-		}
-		w.InjectMessage(&sm.Msg{Src: 100, Dst: 0, Kind: randtree.KindJoin,
-			Body: randtree.Join{Joiner: 100}})
-		w.Initial = func(id sm.NodeID) sm.Service { return randtree.NewChoice(id, 0) }
-		return w
-	}
 	props := []explore.Property{
 		randtree.NoParentCycleProperty(),
 		randtree.DegreeBoundProperty(),
@@ -172,7 +174,7 @@ func goldenFaultDump() string {
 	x.MaxStates = 4096
 	x.FaultBudget = 1
 	x.Properties = props
-	r := x.Explore(mkWorld())
+	r := x.Explore(goldenFaultWorld())
 	fmt.Fprintf(&b, "faults-injected=%d\n", r.FaultsInjected)
 	b.WriteString(dumpReport("randtree/faults1", r))
 
@@ -181,7 +183,7 @@ func goldenFaultDump() string {
 	x.FaultBudget = 1
 	x.PartitionFaults = true
 	x.Properties = props
-	r = x.Explore(mkWorld())
+	r = x.Explore(goldenFaultWorld())
 	fmt.Fprintf(&b, "faults-injected=%d\n", r.FaultsInjected)
 	b.WriteString(dumpReport("randtree/faults1+partitions", r))
 	return b.String()

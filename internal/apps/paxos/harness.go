@@ -170,26 +170,59 @@ func SubmitCmd(cl *core.Cluster, origin sm.NodeID, c int) {
 // different commands for the same consensus instance. Crashed replicas
 // count — a decision is permanent, and a conflicting decided value on a
 // down node is still a violation waiting to be observed.
+//
+// Check compares every replica's decided log against the replicas before
+// it; Step (explore.Property) looks up only the instances the touched
+// replica decided since prev — the entries its log does not share with
+// prev's — on the others. Neither allocates.
 func AgreementProperty() explore.Property {
 	return explore.Property{
 		Name: "px.agreement",
 		Check: func(w *explore.World) bool {
-			decided := make(map[int]int) // instance -> command ID
-			for _, id := range w.Nodes() {
+			nodes := w.Nodes()
+			for i, id := range nodes {
 				r, ok := w.Services[id].(*Replica)
 				if !ok {
 					continue
 				}
 				for inst, cmd := range r.decided.All {
-					if prev, ok := decided[inst]; ok && prev != cmd.ID {
+					if !agrees(w, nodes[:i], inst, cmd) {
 						return false
 					}
-					decided[inst] = cmd.ID
 				}
 			}
 			return true
 		},
+		Step: func(w *explore.World, id sm.NodeID, prev sm.Service) bool {
+			r, ok := w.Services[id].(*Replica)
+			if !ok {
+				return true
+			}
+			var old *sm.IntMap[Cmd] // nil: prev is not a replica, every entry is new
+			if p, ok := prev.(*Replica); ok {
+				old = &p.decided
+			}
+			held := true
+			r.decided.Diff(old, func(inst int, cmd Cmd) bool {
+				held = agrees(w, w.Nodes(), inst, cmd)
+				return held
+			})
+			return held
+		},
 	}
+}
+
+// agrees reports whether no replica among nodes has decided inst on a
+// command other than cmd.
+func agrees(w *explore.World, nodes []sm.NodeID, inst int, cmd Cmd) bool {
+	for _, id := range nodes {
+		if r, ok := w.Services[id].(*Replica); ok {
+			if v, decided := r.decided.Get(inst); decided && v.ID != cmd.ID {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Run executes one consensus experiment.

@@ -214,7 +214,9 @@ type Replica struct {
 	// the map is reachable from two replicas, replaced with the map.
 	decidedAtShared *atomic.Bool
 	// PendingCmds tracks commands this node submitted that are not yet
-	// learned; they are re-routed after resubmitAfter (client retry).
+	// learned; they are re-routed after resubmitAfter (client retry). Nil
+	// while there are none: onSubmit allocates it, Clone copies it only
+	// when it holds something.
 	PendingCmds map[int]Cmd
 	// OpenProposals counts in-flight proposals per proposer as known to
 	// this node; the latency objective reads it from checkpoints.
@@ -245,7 +247,6 @@ func New(id sm.NodeID, n int) *Replica {
 		Peers:           peers,
 		DecidedAt:       make(map[int]time.Duration),
 		decidedAtShared: new(atomic.Bool),
-		PendingCmds:     make(map[int]Cmd),
 	}
 }
 
@@ -284,6 +285,9 @@ func (r *Replica) onSubmit(env sm.Env, cmd Cmd) {
 	if cmd.Origin == r.ID {
 		if _, done := r.DecidedAt[cmd.ID]; done {
 			return // already learned; stale resubmission
+		}
+		if r.PendingCmds == nil {
+			r.PendingCmds = make(map[int]Cmd)
 		}
 		r.PendingCmds[cmd.ID] = cmd
 		env.SetTimer(resubmitTimer(cmd.ID), resubmitAfter)
@@ -511,11 +515,11 @@ func (r *Replica) OpenProposals() int { return r.openLocal }
 // DecidedCount returns the number of instances this node has learned.
 func (r *Replica) DecidedCount() int { return r.decided.Len() }
 
-// Clone forks the replica in O(1) plus the pending-command table: the
-// instance containers and DecidedAt are shared until either side writes,
-// Peers for good. All it writes to r are shared marks (see sm.IntMap), so
-// r may be mutated right afterwards, and one replica that nobody writes
-// may be cloned from several goroutines at once.
+// Clone forks the replica in O(1) plus the commands pending at the moment,
+// usually none: the instance containers and DecidedAt are shared until
+// either side writes, Peers for good. All it writes to r are shared marks
+// (see sm.IntMap), so r may be mutated right afterwards, and one replica
+// that nobody writes may be cloned from several goroutines at once.
 func (r *Replica) Clone() sm.Service {
 	c := *r
 	c.props = r.props.Clone()
@@ -525,7 +529,12 @@ func (r *Replica) Clone() sm.Service {
 		r.decidedAtShared.Store(true)
 	}
 	c.workQueue = append([]int(nil), r.workQueue...)
-	c.PendingCmds = maps.Clone(r.PendingCmds)
+	// An emptied Go map keeps the tables it grew, and maps.Clone copies
+	// them: clone entries, not capacity.
+	c.PendingCmds = nil
+	if len(r.PendingCmds) > 0 {
+		c.PendingCmds = maps.Clone(r.PendingCmds)
+	}
 	return &c
 }
 

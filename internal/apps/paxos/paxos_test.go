@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"crystalchoice/internal/explore"
 	"crystalchoice/internal/sm"
 )
 
@@ -361,12 +362,14 @@ func TestE7Shape(t *testing.T) {
 
 // agedReplica returns node 0 of 5 after `decided` instances: it proposed
 // every fifth, accepted and learned all of them.
-func agedReplica(decided int) (*Replica, *pumpEnv) {
-	r := New(0, 5)
-	env := newPump(0, &[]*sm.Msg{})
+func agedReplica(decided int) (*Replica, *pumpEnv) { return agedReplicaAt(0, decided) }
+
+func agedReplicaAt(id sm.NodeID, decided int) (*Replica, *pumpEnv) {
+	r := New(id, 5)
+	env := newPump(id, &[]*sm.Msg{})
 	for inst := 0; inst < decided; inst++ {
 		cmd := Cmd{ID: inst, Origin: sm.NodeID(inst % 5)}
-		if inst%5 == 0 {
+		if inst%5 == int(id) {
 			r.startProposal(env, cmd)
 		}
 		r.onAccept(env, 1, Accept{Inst: inst, Ballot: 1, Val: cmd})
@@ -407,6 +410,66 @@ func TestForkCostIndependentOfLogSize(t *testing.T) {
 		t.Errorf("Clone+onLearn allocates %v times at 64 decided, %v at 4096: want O(trie depth)", a, b)
 	}
 	t.Logf("allocs: Clone+Digest %v, Clone+onLearn %v (64 decided) / %v (4096 decided)", forkAndDigest(old), a, b)
+}
+
+// Cost-shape gate (make bench-alloc): checking agreement after one
+// decision looks up the entries of the one leaf the decision wrote, on
+// each replica, whatever the log's length — and allocates nothing, which
+// the from-scratch Check, the fallback, does not either.
+func TestAgreementStepIndependentOfLogSize(t *testing.T) {
+	prop := AgreementProperty()
+	// decide returns a world of five replicas aged to `decided` instances
+	// and its fork in which node 2 has learned the next one.
+	decide := func(decided int) (parent, child *explore.World) {
+		parent = explore.NewWorld(explore.FirstPolicy, 1)
+		for id := sm.NodeID(0); id < 5; id++ {
+			r, _ := agedReplicaAt(id, decided)
+			parent.AddNode(id, r)
+		}
+		parent.InjectMessage(&sm.Msg{Src: 0, Dst: 2, Kind: KindLearn,
+			Body: Learn{Inst: decided, Val: Cmd{ID: decided, Origin: 0}}})
+		child = parent.Clone()
+		child.DeliverMessage(0)
+		return parent, child
+	}
+	// lookups counts the Gets one Step makes: every entry the touched log
+	// does not share with its pre-image, on every replica.
+	lookups := func(parent, child *explore.World) (n int) {
+		now, was := child.Services[2].(*Replica), parent.Services[2].(*Replica)
+		now.decided.Diff(&was.decided, func(int, Cmd) bool {
+			n += len(child.Nodes())
+			return true
+		})
+		return n
+	}
+	for _, into := range []int{0, 5} { // the decision opens a leaf / lands among 5 neighbours
+		youngP, youngC := decide(64 + into)
+		oldP, oldC := decide(4096 + into)
+		a, b := lookups(youngP, youngC), lookups(oldP, oldC)
+		if a != b || a != 5*(into+1) {
+			t.Errorf("Step makes %d lookups at %d decided, %d at %d: want %d at both", a, 64+into, b, 4096+into, 5*(into+1))
+		}
+		for _, c := range []struct{ parent, child *explore.World }{{youngP, youngC}, {oldP, oldC}} {
+			if !prop.Step(c.child, 2, c.parent.Services[2]) || !prop.Check(c.child) {
+				t.Fatalf("agreement does not hold after learning instance %d", c.child.Services[2].(*Replica).DecidedCount()-1)
+			}
+			if n := testing.AllocsPerRun(100, func() { prop.Step(c.child, 2, c.parent.Services[2]) }); n != 0 {
+				t.Errorf("Step allocates %v times at %d decided", n, c.parent.Services[2].(*Replica).DecidedCount())
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { prop.Check(oldC) }); n != 0 {
+			t.Errorf("Check allocates %v times at %d decided", n, 4096+into)
+		}
+	}
+	// A conflicting decision is caught by both forms.
+	parent, _ := decide(64)
+	parent.InjectMessage(&sm.Msg{Src: 1, Dst: 3, Kind: KindLearn, Body: Learn{Inst: 64, Val: Cmd{ID: -1, Origin: 1}}})
+	split := parent.Clone()
+	split.DeliverMessage(0)
+	split.DeliverMessage(0)
+	if prop.Check(split) || prop.Step(split, 3, parent.Services[3]) {
+		t.Error("two commands decided for instance 64 and agreement still holds")
+	}
 }
 
 // Explorer workers fork one frozen replica concurrently (World.ownService

@@ -318,8 +318,7 @@ func (p *Predictive) evaluate(n *Node, c sm.Choice, base sm.Service, ev *pending
 	x.Properties = n.cluster.cfg.Properties
 	x.Objective = obj
 	x.Options = look
-	r := x.Explore(w)
-	n.stats.LookaheadStates += uint64(r.StatesExplored)
+	r := n.explore(x, w)
 	score := r.MeanScore
 	if obj == nil {
 		score = 0

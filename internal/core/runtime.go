@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -237,6 +238,11 @@ type Cluster struct {
 	// flushed lazily on mismatch: a verdict about one reachability
 	// relation says nothing about another.
 	topoEpoch uint64
+	// carryRoots says some configured property has an incremental form, so
+	// a lookahead's start world is worth keeping for the next one's root
+	// check (Node.explore). Without one the kept world would only pin its
+	// service clones.
+	carryRoots bool
 }
 
 // Panics returns the handler panics contained so far (empty unless
@@ -247,6 +253,7 @@ func (c *Cluster) Panics() []PanicRecord { return c.panics }
 func NewCluster(eng *sim.Engine, net *transport.Network, cfg Config) *Cluster {
 	cfg.fill()
 	c := &Cluster{eng: eng, net: net, cfg: cfg, nodes: make(map[NodeID]*Node)}
+	c.carryRoots = slices.ContainsFunc(cfg.Properties, func(p explore.Property) bool { return p.Step != nil })
 	// Partition-relation changes land directly on the network (fault
 	// schedules call Partition/Heal/HealGroups); observe them so cached
 	// verdicts cannot survive a reachability change.
@@ -340,6 +347,7 @@ func (c *Cluster) Crash(id NodeID) {
 	if n.ckptTimer != nil {
 		n.ckptTimer.Cancel()
 	}
+	n.lookRoot = nil
 	c.topoEpoch++
 	c.net.Crash(id)
 	c.cfg.Trace.Add(time.Duration(c.eng.Now()), int(id), "CRASH")
@@ -361,6 +369,7 @@ func (c *Cluster) Restart(id NodeID, fresh sm.Service) {
 	n.down = false
 	n.epoch++
 	n.decisionCache = make(map[uint64]int)
+	n.lookRoot = nil
 	c.topoEpoch++
 	c.net.Restart(id)
 	c.cfg.Trace.Add(time.Duration(c.eng.Now()), int(id), "RESTART")
@@ -476,6 +485,9 @@ type Node struct {
 
 	currentEvent  *pendingEvent
 	preEventState sm.Service
+	// lookRoot is the start world of the node's last lookahead, kept while
+	// no violation was predicted from it (see explore).
+	lookRoot *explore.World
 
 	decisionCache map[uint64]int
 	// cacheEpoch stamps the cluster topology epoch decisionCache and the
@@ -656,8 +668,7 @@ func (n *Node) steerAway(msg *sm.Msg) bool {
 	withMsg := n.buildLookahead(n.svc.Clone(), n.lookPolicy())
 	cp := *msg
 	withMsg.InjectMessage(&cp)
-	rWith := mkExplorer().Explore(withMsg)
-	n.stats.LookaheadStates += uint64(rWith.StatesExplored)
+	rWith := n.explore(mkExplorer(), withMsg)
 	if rWith.Safe() {
 		return false
 	}
@@ -681,8 +692,7 @@ func (n *Node) steerAway(msg *sm.Msg) bool {
 	// Only steer if the alternative (dropping the message) is not itself
 	// predicted to lead to a violation.
 	without := n.buildLookahead(n.svc.Clone(), n.lookPolicy())
-	rWithout := mkExplorer().Explore(without)
-	n.stats.LookaheadStates += uint64(rWithout.StatesExplored)
+	rWithout := n.explore(mkExplorer(), without)
 	steerable := rWithout.Safe()
 	if cfg.LookaheadClassCache {
 		n.recordSteerVerdict(classes, steerable)
@@ -726,6 +736,24 @@ func (n *Node) buildLookahead(base sm.Service, policy explore.ChoicePolicy) *exp
 	n.lookSeed++
 	w.Initial = n.cluster.cfg.InitialState
 	return w
+}
+
+// explore runs one lookahead from w. Consecutive lookahead worlds of a
+// node are built from one lineage of service states — its live service
+// and the checkpoints its model retains, cloned afresh each time — so
+// the previous root is handed over as Explorer.Prior and w's root check
+// looks only at what changed between the two. w is kept for the next
+// lookahead in turn when it can serve as one: no violation was predicted
+// from it, and some property has an incremental form to check with.
+func (n *Node) explore(x *explore.Explorer, w *explore.World) *explore.Report {
+	x.Prior = n.lookRoot
+	r := x.Explore(w)
+	n.stats.LookaheadStates += uint64(r.StatesExplored)
+	n.lookRoot = nil
+	if n.cluster.carryRoots && r.Safe() {
+		n.lookRoot = w
+	}
+	return r
 }
 
 // lookPolicy returns the node's lookahead choice policy, serialized when

@@ -15,6 +15,16 @@ import (
 type Property struct {
 	Name  string
 	Check func(w *World) bool
+	// Step, when set, is Check's incremental form (DESIGN.md §2.4.2): given
+	// that Check held on a world that differs from w only in node services
+	// — the engine calls Step once per differing node, prev being the
+	// frozen service that node held there — the calls together return what
+	// Check(w) would. Step may read w's services and nothing else of it
+	// (not the in-flight set, timers or down flags: those change without a
+	// call). The engine uses it when it knows the delta exactly and falls
+	// back to Check when it does not; a property without a Step is checked
+	// from scratch at every state, as before.
+	Step func(w *World, id NodeID, prev sm.Service) bool
 }
 
 // Objective scores a world; the runtime resolves choices to maximize it
@@ -150,6 +160,13 @@ type Explorer struct {
 	// NewExplorer enables it; zero-value Explorers keep panics fatal so
 	// engine bugs in tests fail loudly.
 	ContainPanics bool
+	// Prior, when set, is the start world of an earlier Explore over these
+	// same Properties on an earlier model of the same deployment. If every
+	// property held there and it models the same nodes, the start world is
+	// checked by Step against Prior's services instead of from scratch;
+	// anything else about Prior is ignored, and so is a Prior that does not
+	// qualify. It is only read, and must not be written after that run.
+	Prior *World
 }
 
 // Options is the part of an Explorer's configuration that describes the
@@ -320,6 +337,9 @@ func (x *Explorer) Explore(w *World) *Report {
 		budget = 4096
 	}
 	ctx := newCtx(x, w, budget)
+	// Whatever verdict w carries is some other run's: start it unchecked.
+	w.step.forget()
+	w.step = stepRecord{track: hasStep(x.Properties), touched: w.step.touched}
 	// Prime the maintained digest (and per-message digest memos) while
 	// the start world is still single-threaded: every fork then inherits
 	// valid caches instead of rebuilding them — and, for parallel runs,
@@ -360,6 +380,11 @@ func (x *Explorer) Explore(w *World) *Report {
 		reports[0].addViolation(*rootPanic)
 	}
 	x.checkRoot(ctx, w, reports[0]) // score the root state too
+	// The root forks were taken before the root was checked: hand them its
+	// verdict now (Strategy.Roots only forks, so they are still that state).
+	for i := range frontier {
+		frontier[i].World.step.inherit(&w.step)
+	}
 	x.run(ctx, strat, frontier, reports)
 	// Detach the per-worker scratch before the shards escape: the merged
 	// report is plain data (determinism tests DeepEqual whole reports),
@@ -664,7 +689,9 @@ func (x *Explorer) checkRoot(ctx *Ctx, w *World, r *Report) {
 			}
 		}()
 	}
+	w.carryVerdict(x.Prior, x.Properties)
 	x.check(ctx, w, r, branchTrace{}, 0)
+	w.step.props = x.Properties
 }
 
 // expand runs one strategy expansion for the scheduler, converting a
@@ -699,8 +726,11 @@ func (x *Explorer) check(ctx *Ctx, w *World, r *Report, trace branchTrace, depth
 	ctx.count.Add(1)
 	r.StatesExplored++
 	var mat []string // materialized at most once per state
-	for _, p := range x.Properties {
-		if p.Check != nil && !p.Check(w) {
+	var failed uint64
+	for i := range x.Properties {
+		p := &x.Properties[i]
+		if p.Check != nil && !w.step.holds(i, p, w) {
+			failed |= 1 << uint(i) // no bit past the 64th: holds never consults one
 			if mat == nil {
 				mat = ctx.materializeTrace(trace)
 				// A witness world must never return to the free-list:
@@ -717,6 +747,7 @@ func (x *Explorer) check(ctx *Ctx, w *World, r *Report, trace branchTrace, depth
 			})
 		}
 	}
+	w.step.settle(failed)
 	r.scoreCount++
 	if x.Objective == nil {
 		return 0

@@ -147,6 +147,7 @@ func (p *worldPool) put(w *World) {
 	w.forks.Store(0)
 	w.nodeOrder = nil
 	w.dig = worldDigest{}
+	w.step = stepRecord{touched: clearCap(w.step.touched)} // drop the pinned pre-images
 	w.pinned = false
 	// Handler/expansion scratch: keep the backing arrays, drop the
 	// pointers they hold so pooled shells never pin dead state.

@@ -98,7 +98,8 @@ type Unit struct {
 type Strategy interface {
 	Name() string
 	// Roots seeds the frontier from the start world. Each unit must own
-	// its world (fork it from w).
+	// its world (fork it from w) and leave it unstepped: the engine checks
+	// the start world after seeding, and the forks take over its verdict.
 	Roots(x *Explorer, ctx *Ctx, w *World) []Unit
 	// Expand processes one unit and returns successor units, if any.
 	Expand(x *Explorer, ctx *Ctx, u Unit, r *Report) []Unit

@@ -177,6 +177,9 @@ type World struct {
 	// dig is the maintained state digest (see Digest). Forks copy it and
 	// share the per-node component map copy-on-write.
 	dig worldDigest
+
+	// step is the service delta since the last checked state (step.go).
+	step stepRecord
 }
 
 // worldDigest is the incrementally maintained world digest: a finalized
@@ -245,6 +248,7 @@ func (w *World) AddNode(id NodeID, svc sm.Service) {
 	}
 	w.nodeOrder = nil
 	w.dig = worldDigest{} // membership changed: rebuild on next Digest
+	w.step.forget()
 }
 
 // Clone forks the world copy-on-write: the fork shares the parent's
@@ -293,6 +297,7 @@ func (w *World) cloneInto(c *World) *World {
 	c.partitioned = w.partitioned // shared; forked before first write
 	c.nodeOrder = w.nodeOrder
 	c.adoptDigest(&w.dig)
+	c.step.inherit(&w.step)
 	// The parent now shares state with the fork, so it must also fork
 	// before its next write. Freeze is skipped when already shared-and-
 	// unowned so that concurrent Clones of a frozen world stay read-only.
@@ -477,6 +482,7 @@ func (w *World) ownService(id NodeID) sm.Service {
 		w.unseal()
 	}
 	if !w.cow || w.ownedSvc[id] {
+		w.step.wroteInPlace(id)
 		return svc
 	}
 	cl := svc.Clone()
@@ -484,12 +490,16 @@ func (w *World) ownService(id NodeID) sm.Service {
 		// Self-cloning service: by returning itself, Clone declares the
 		// service holds no per-world state worth isolating, so the map
 		// write below would be a no-op. Skip the outer-map fork and the
-		// ownership mark entirely — stateless nodes cost nothing to own.
+		// ownership mark entirely — stateless nodes cost nothing to own,
+		// and have nothing a property's Step could find changed.
 		return svc
 	}
 	w.ownServicesMap()
 	w.Services[id] = cl
 	w.markOwnedSvc(id)
+	// svc is sealed — it is shared with the world this one was forked
+	// from — so it stays the pre-image of whatever the caller writes.
+	w.step.cloned(id, svc)
 	return cl
 }
 
@@ -762,6 +772,7 @@ func (w *World) ReplaceService(id NodeID, svc sm.Service) {
 	if w.cow {
 		w.markOwnedSvc(id)
 	}
+	w.step.forget() // no pre-image: the old service may be unrelated state
 }
 
 // Recover revives crashed node id and replays the service's Init through

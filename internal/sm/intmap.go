@@ -169,20 +169,42 @@ func (m *IntMap[V]) Put(k int, v V) {
 // All calls fn for every entry in ascending key order until fn returns
 // false; it is shaped for `for k, v := range m.All`.
 func (m *IntMap[V]) All(fn func(k int, v V) bool) {
-	if m.root == nil {
-		return
-	}
-	if m.shift < trieTopShift {
+	if m.root != nil {
 		m.root.walk(m.shift, 0, fn)
-		return
 	}
-	// Root slots 8..15 hold the keys with the sign bit set: visit them first.
-	for j := 0; j < 16; j++ {
-		i := uint64(j+8) & 15
-		if c := m.root.kids[i]; c != nil && !c.walk(m.shift-trieBits, i<<m.shift, fn) {
-			return
-		}
+}
+
+// Diff calls fn, in ascending key order until it returns false, for every
+// entry of m that old may not hold with the same value: each key m stores
+// that old lacks or maps to something else is visited with its value in m,
+// and so — a leaf being the unit of sharing — are the up to 31 entries in
+// the same leaf. Subtrees the two maps share by pointer are skipped, so
+// when m descends from a Clone of old, or both from Clones of one
+// ancestor, the cost follows the paths written since the fork and not
+// Len; a pointer-shared node is frozen by its mark, which is what makes
+// skipping it sound. Unrelated maps degrade to All. Keys only old holds
+// are not reported: there is no Delete to produce one inside a lineage.
+// old may be nil. Like All, Diff writes nothing, so frozen maps may be
+// diffed from several goroutines at once.
+func (m *IntMap[V]) Diff(old *IntMap[V], fn func(k int, v V) bool) {
+	switch {
+	case m.root == nil:
+	case old == nil || old.root == nil || old.shift > m.shift:
+		m.All(fn)
+	default:
+		m.root.diff(old.root, m.shift-old.shift, m.shift, 0, fn)
 	}
+}
+
+// slots returns how many of a node's slots keys can reach and the slot
+// its in-order visit starts from. A root at trieTopShift indexes by the
+// key's top four bits, and its slots 8..15 hold the keys with the sign
+// bit set, which sort first.
+func slots(shift uint) (width, first int) {
+	if shift == trieTopShift {
+		return 16, 8
+	}
+	return trieWidth, 0
 }
 
 // walk visits the subtree under n, whose keys share prefix, in key order.
@@ -196,8 +218,43 @@ func (n *trieNode[V]) walk(shift uint, prefix uint64, fn func(k int, v V) bool) 
 		}
 		return true
 	}
-	for i, c := range n.kids {
-		if c != nil && !c.walk(shift-trieBits, prefix|uint64(i)<<shift, fn) {
+	width, first := slots(shift)
+	for j := 0; j < width; j++ {
+		i := uint64(j+first) & uint64(width-1)
+		if c := n.kids[i]; c != nil && !c.walk(shift-trieBits, prefix|i<<shift, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// diff is walk restricted to what is not shared with the old map's node o.
+// above is how many bits n's level sits over o's: a root that grew keeps
+// the old root under slot 0 of each level it added, so while above > 0
+// slot 0 is compared against o itself and every other slot is new.
+func (n *trieNode[V]) diff(o *trieNode[V], above, shift uint, prefix uint64, fn func(k int, v V) bool) bool {
+	if n == o {
+		return true
+	}
+	if o == nil || n.vals != nil {
+		return n.walk(shift, prefix, fn)
+	}
+	width, first := slots(shift)
+	for j := 0; j < width; j++ {
+		i := uint64(j+first) & uint64(width-1)
+		c := n.kids[i]
+		if c == nil {
+			continue
+		}
+		var oc *trieNode[V]
+		below := above
+		switch {
+		case above == 0:
+			oc = o.kids[i]
+		case i == 0:
+			oc, below = o, above-trieBits
+		}
+		if !c.diff(oc, below, shift-trieBits, prefix|i<<shift, fn) {
 			return false
 		}
 	}

@@ -178,3 +178,166 @@ func TestIntMapConcurrentForks(t *testing.T) {
 		}
 	}
 }
+
+// diffKeys returns what m.Diff(old) yields, holding it to ascending order
+// and to the values model says m stores.
+func diffKeys(t *testing.T, m, old *IntMap[int], model map[int]int, what string) []int {
+	t.Helper()
+	var got []int
+	m.Diff(old, func(k, v int) bool {
+		if want, ok := model[k]; !ok || v != want {
+			t.Fatalf("%s: Diff yields %d=%d, map holds %d, %v", what, k, v, want, ok)
+		}
+		if n := len(got); n > 0 && got[n-1] >= k {
+			t.Fatalf("%s: Diff yields %d after %d", what, k, got[n-1])
+		}
+		got = append(got, k)
+		return true
+	})
+	return got
+}
+
+// leafOf names the leaf a key lives in: the 32 keys that agree above the
+// low five bits.
+func leafOf(k int) uint64 { return uint64(k) >> trieBits }
+
+// Diff against a reference: fork a map, let both sides move on as a live
+// replica and its checkpoint do, and hold what Diff reports to the two
+// models — every key that is new or maps to another value is there with
+// its current value, nothing is there for an untouched clone, and a key
+// reported beyond those shares a leaf with a key one side wrote.
+func TestIntMapDiffMatchesModel(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := &modelled{model: map[int]int{}}
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			base.put(fuzzKey(rng), rng.Int())
+		}
+		fork := base.fork()
+		if got := diffKeys(t, &fork.m, &base.m, fork.model, "untouched clone"); len(got) != 0 {
+			t.Fatalf("seed %d: Diff of an untouched clone yields %v", seed, got)
+		}
+		written := map[uint64]bool{}
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			p := fork
+			if rng.Intn(4) == 0 {
+				p = base
+			}
+			k := fuzzKey(rng)
+			p.put(k, rng.Int())
+			written[leafOf(k)] = true
+		}
+		got := diffKeys(t, &fork.m, &base.m, fork.model, "fork vs base")
+		for k, v := range fork.model {
+			if old, had := base.model[k]; !had || old != v {
+				if _, found := slices.BinarySearch(got, k); !found {
+					t.Fatalf("seed %d: Diff misses %d (now %d, was %d, %v)", seed, k, v, old, had)
+				}
+			}
+		}
+		for _, k := range got {
+			if !written[leafOf(k)] {
+				t.Fatalf("seed %d: Diff yields %d, in a leaf neither side wrote", seed, k)
+			}
+		}
+	}
+}
+
+// A root grows a level at 32, 1 024 and 32 768 keys (and for the first
+// negative key, to full height): the old root then sits under slot 0 of
+// the new levels, and Diff across the boundary still skips what it shares.
+func TestIntMapDiffAcrossGrowth(t *testing.T) {
+	for _, n := range []int{32, 1024, 32768} {
+		p := &modelled{model: map[int]int{}}
+		for k := 0; k < n; k++ {
+			p.put(k, k)
+		}
+		old := p.fork()
+		p.put(n, -1) // first key past the root's reach: one new level
+		if got := diffKeys(t, &p.m, &old.m, p.model, "grown"); !slices.Equal(got, []int{n}) {
+			t.Fatalf("growth past %d keys: Diff yields %v, want [%d]", n, got, n)
+		}
+		p.put(-7, -2) // a negative key: every level there is
+		p.put(3, -3)  // and a write below the old root
+		got := diffKeys(t, &p.m, &old.m, p.model, "grown to full height")
+		want := []int{-7}
+		for k := 0; k < 32; k++ { // key 3's leaf, whole
+			want = append(want, k)
+		}
+		if want = append(want, n); !slices.Equal(got, want) {
+			t.Fatalf("growth past %d keys, then to full height: Diff yields %v, want %v", n, got, want)
+		}
+		// The other way round the old map is the taller one: no shared
+		// spine to follow, so everything is reported.
+		if got := diffKeys(t, &old.m, &p.m, old.model, "shrunk"); len(got) != n {
+			t.Fatalf("Diff against a taller map yields %d keys, want all %d", len(got), n)
+		}
+	}
+}
+
+func TestIntMapDiffUnrelatedAndEmpty(t *testing.T) {
+	a := &modelled{model: map[int]int{}}
+	b := &modelled{model: map[int]int{}}
+	for k := -40; k < 300; k += 3 {
+		a.put(k, k)
+		b.put(k, k) // same content, no shared node
+	}
+	if got := diffKeys(t, &a.m, &b.m, a.model, "unrelated"); len(got) != len(a.model) {
+		t.Fatalf("Diff of unrelated maps yields %d keys, want all %d", len(got), len(a.model))
+	}
+	var empty IntMap[int]
+	if got := diffKeys(t, &a.m, &empty, a.model, "vs empty"); len(got) != len(a.model) {
+		t.Fatalf("Diff against an empty map yields %d keys, want all %d", len(got), len(a.model))
+	}
+	if got := diffKeys(t, &a.m, nil, a.model, "vs nil"); len(got) != len(a.model) {
+		t.Fatalf("Diff against nil yields %d keys, want all %d", len(got), len(a.model))
+	}
+	if got := diffKeys(t, &empty, &a.m, nil, "empty vs full"); len(got) != 0 {
+		t.Fatalf("Diff of an empty map yields %v", got)
+	}
+	n := 0
+	a.m.Diff(nil, func(int, int) bool { n++; return n < 5 })
+	if n != 5 {
+		t.Fatalf("Diff kept going for %d entries after fn returned false at 5", n)
+	}
+}
+
+// Eight goroutines fork one frozen map, write their forks and diff them
+// against the original, which nobody writes: the root-to-root check under
+// Workers > 1. Run with -race.
+func TestIntMapConcurrentDiff(t *testing.T) {
+	var frozen IntMap[int]
+	for k := 0; k < 5000; k++ {
+		frozen.Put(k, k)
+	}
+	var wg sync.WaitGroup
+	for g := 1; g <= 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := frozen.Clone()
+			for round := 0; round < 20; round++ {
+				k := 5000 + g*100 + round
+				c.Put(k, -g)
+				c.Put(g*32, -g) // and one write into the shared part
+				var got []int
+				c.Diff(&frozen, func(k, v int) bool {
+					if k >= 5000 {
+						got = append(got, k)
+					}
+					return true
+				})
+				if len(got) == 0 || got[len(got)-1] != k {
+					t.Errorf("fork %d round %d: Diff past the original's keys yields %v, want it to end in %d", g, round, got, k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k := 0; k < 5000; k++ {
+		if v, ok := frozen.Get(k); !ok || v != k {
+			t.Fatalf("original has %d=%d, %v after the forks", k, v, ok)
+		}
+	}
+}

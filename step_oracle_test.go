@@ -1,0 +1,202 @@
+// Property-oracle tests for the incremental property contract (DESIGN.md
+// §2.4.2), in the style of TestDigestMatchesFullAtEveryExploredState: with
+// explore.AuditSteps' referee installed, the verdict the engine reaches at
+// every state it checks — by Step, by its Check fallback, or by carrying a
+// start world's verdict over from the previous one — must be the one a
+// from-scratch Check gives.
+package crystalchoice
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"crystalchoice/internal/apps/paxos"
+	"crystalchoice/internal/core"
+	"crystalchoice/internal/explore"
+	"crystalchoice/internal/netmodel"
+	"crystalchoice/internal/sim"
+	"crystalchoice/internal/sm"
+	"crystalchoice/internal/transport"
+)
+
+// digestClassBound holds while at most k services have a digest divisible
+// by four: a property any service supports, that a single handler run
+// breaks and mends again, and whose Step has the shape of every counting
+// property's — only a touched node that newly enters the class can break
+// it, and only then is the count taken.
+func digestClassBound(k int) explore.Property {
+	return explore.Property{
+		Name:  "digest-class-bound",
+		Check: func(w *explore.World) bool { return digestClassSize(w) <= k },
+		Step: func(w *explore.World, id sm.NodeID, prev sm.Service) bool {
+			return !inDigestClass(w.Services[id]) || inDigestClass(prev) || digestClassSize(w) <= k
+		},
+	}
+}
+
+func inDigestClass(s sm.Service) bool { return s.Digest()&3 == 0 }
+
+func digestClassSize(w *explore.World) (n int) {
+	for _, id := range w.Nodes() {
+		if inDigestClass(w.Services[id]) {
+			n++
+		}
+	}
+	return n
+}
+
+// successor assembles the next lookahead world the way model.BuildWorld
+// would after one more delivery: a fresh world holding a clone of every
+// service of w, its pending events, and the first of them executed.
+func successor(w *explore.World) *explore.World {
+	next := explore.NewWorld(w.Policy, w.Seed+1)
+	next.Generic, next.Initial = w.Generic, w.Initial
+	for _, id := range w.Nodes() {
+		next.AddNode(id, w.Services[id].Clone())
+		for name, on := range w.Timers[id] {
+			if on {
+				next.SetTimerPending(id, name)
+			}
+		}
+	}
+	for _, m := range w.Inflight {
+		cp := *m
+		next.InjectMessage(&cp)
+	}
+	if len(next.Inflight) > 0 {
+		next.DeliverMessage(0)
+	}
+	return next
+}
+
+func failOnAuditViolations(t *testing.T, what string, r *explore.Report) {
+	t.Helper()
+	for _, v := range r.Violations {
+		if strings.HasSuffix(v.Property, explore.AuditSuffix) {
+			t.Errorf("%s: %v", what, v)
+		}
+	}
+}
+
+// TestStepMatchesCheckOnGoldenWorlds explores the golden worlds as the
+// golden tests configure them, and four successor worlds of each with the
+// previous start world as Explorer.Prior.
+func TestStepMatchesCheckOnGoldenWorlds(t *testing.T) {
+	cases := []struct {
+		name  string
+		world func() *explore.World
+		tune  func(x *explore.Explorer)
+		props []explore.Property
+	}{
+		{"randtree/depth5", goldenRandtreeWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates = 5, 2048 }, nil},
+		{"gossip/drop+generic", goldenGossipWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates, x.DropBranches = 4, 4096, true }, nil},
+		{"paxos/depth6", goldenPaxosWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates = 6, 1024 },
+			[]explore.Property{paxos.AgreementProperty()}},
+		{"randtree/faults1", goldenFaultWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates, x.FaultBudget = 4, 4096, 1 }, nil},
+		{"randtree/faults1+partitions", goldenFaultWorld, func(x *explore.Explorer) {
+			x.Depth, x.MaxStates, x.FaultBudget, x.PartitionFaults = 3, 4096, 1, true
+		}, nil},
+	}
+	refuted := 0
+	for _, tc := range cases {
+		// The bound is what the largest start world just meets: every start
+		// world holds, so each carries to the next, and one more service
+		// entering the class violates it.
+		roots, bound := []*explore.World{tc.world()}, 0
+		for len(roots) < 5 {
+			roots = append(roots, successor(roots[len(roots)-1]))
+		}
+		for _, w := range roots {
+			bound = max(bound, digestClassSize(w))
+		}
+		props, audit := explore.AuditSteps(append([]explore.Property{digestClassBound(bound)}, tc.props...))
+		var prior *explore.World
+		for _, w := range roots {
+			x := explore.NewExplorer(0)
+			tc.tune(x)
+			x.Properties = props
+			x.Prior = prior
+			failOnAuditViolations(t, tc.name, x.Explore(w))
+			prior = w
+		}
+		if audit.Mismatches != 0 || audit.Stepped == 0 || audit.Carried == 0 || audit.Full == 0 {
+			t.Errorf("%s: audit %v: want no mismatch, and Step, a carried start world and the Check fallback all exercised", tc.name, audit)
+		}
+		refuted += audit.Refuted
+	}
+	if refuted == 0 {
+		t.Error("no Step returned false on any golden world: the bound is never crossed")
+	}
+}
+
+// TestStepMatchesCheckOnConflictingDecision plants the violation paxos
+// must never show: replica 0 has decided instance 0, and a Learn carrying
+// another command for it is in flight to replica 1. Delivering it is a
+// Step that returns false; what the fan-out explores beyond that state has
+// a violating parent and goes back to Check.
+func TestStepMatchesCheckOnConflictingDecision(t *testing.T) {
+	for _, strat := range []explore.Strategy{explore.ChainDFS{}, explore.BFS{}} {
+		w := goldenPaxosWorld()
+		w.Services[0].OnMessage(&benchEnv{}, &sm.Msg{Src: 0, Dst: 0, Kind: paxos.KindLearn,
+			Body: paxos.Learn{Inst: 0, Val: paxos.Cmd{ID: 100, Origin: 0}}})
+		w.InjectMessage(&sm.Msg{Src: 2, Dst: 1, Kind: paxos.KindLearn,
+			Body: paxos.Learn{Inst: 0, Val: paxos.Cmd{ID: 200, Origin: 2}}})
+		props, audit := explore.AuditSteps([]explore.Property{paxos.AgreementProperty()})
+		x := explore.NewExplorer(4)
+		x.MaxStates = 1024
+		x.Strategy = strat
+		x.Properties = props
+		r := x.Explore(w)
+		failOnAuditViolations(t, strat.Name(), r)
+		if r.Safe() || audit.Mismatches != 0 || audit.Refuted == 0 {
+			t.Errorf("%s: %d violations, audit %v: want the conflicting decision found by a Step returning false", strat.Name(), len(r.Violations), audit)
+		}
+		if _, fans := strat.(explore.BFS); fans && audit.Full < 2 {
+			t.Errorf("%s: audit %v: want Check at the start world and again below the violating state", strat.Name(), audit)
+		}
+	}
+}
+
+// TestStepMatchesCheckOnLiveDeployment runs a steered paxos deployment with
+// a predictive resolver, a crash and a cold restart, under the referee:
+// several hundred deliveries each pay steerAway's lookaheads, whose start
+// worlds are checked against the previous one's (core.Node.explore).
+func TestStepMatchesCheckOnLiveDeployment(t *testing.T) {
+	for _, workers := range []int{1, 2} { // 2: forks of one frozen start world stepped and diffed concurrently
+		const sites = 5
+		eng := sim.NewEngine(3)
+		net := transport.New(eng, netmodel.Uniform(sites, 5*time.Millisecond, 0, 0))
+		props, audit := explore.AuditSteps([]explore.Property{paxos.AgreementProperty()})
+		cl := core.NewCluster(eng, net, core.Config{
+			Steering:           true,
+			Properties:         props,
+			CheckpointInterval: 50 * time.Millisecond,
+			NewResolver:        func(*core.Node) core.Resolver { return core.NewPredictive(2) },
+			Lookahead:          explore.Options{Workers: workers},
+		})
+		fresh := paxos.Deploy(cl, sites, 0)
+		cl.Start()
+		for c := 0; c < 60; c++ {
+			eng.Schedule(time.Duration(c)*20*time.Millisecond, func() { paxos.SubmitCmd(cl, sm.NodeID(c%sites), c) })
+		}
+		eng.Schedule(500*time.Millisecond, func() { cl.Crash(2) })
+		eng.Schedule(800*time.Millisecond, func() { cl.Restart(2, fresh(2)) })
+		eng.RunFor(3 * time.Second)
+
+		st := cl.Stats()
+		if st.SteeringChecks < 300 || st.Predictions == 0 {
+			t.Fatalf("workers=%d: only %d steering checks and %d predictions: the run is too small to mean anything", workers, st.SteeringChecks, st.Predictions)
+		}
+		if audit.Mismatches != 0 {
+			t.Errorf("workers=%d: %d states where the engine's verdict was not Check's", workers, audit.Mismatches)
+		}
+		// Nearly every start world is carried; the exceptions are each
+		// node's first, the ones after a crash or restart, and those whose
+		// model gained or lost a checkpoint since the last.
+		if audit.Carried == 0 || audit.Full*10 > audit.Carried {
+			t.Errorf("workers=%d: audit %v: want start worlds carried from their predecessors, with few full checks", workers, audit)
+		}
+		t.Logf("workers=%d: steering checks %d, lookahead states %d; audit %v", workers, st.SteeringChecks, st.LookaheadStates, audit)
+	}
+}
