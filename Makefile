@@ -58,9 +58,14 @@ bench:
 # TestAgreementStepIndependentOfLogSize is the same gate for the agreement
 # property's Step: one decision costs the same lookups, and no
 # allocation, at either size.
+# TestLookaheadSteadyStateAllocs is the gate of one whole decision: a
+# steering-shaped paxos lookahead allocates what its handlers allocate
+# plus a fixed few objects and <= 4 KB, the same at MaxStates 128 and
+# 4096 and at 64 and 4096 decided instances.
 bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState' -count=2 -v
 	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize' -count=2 -v
+	go test . -run 'TestLookaheadSteadyStateAllocs' -count=2 -v
 
 # profile runs the offline model checker under the runtime/pprof
 # collectors and prints the top allocation sites. mc.cpu.pprof and

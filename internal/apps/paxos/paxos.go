@@ -215,9 +215,13 @@ type Replica struct {
 	decidedAtShared *atomic.Bool
 	// PendingCmds tracks commands this node submitted that are not yet
 	// learned; they are re-routed after resubmitAfter (client retry). Nil
-	// while there are none: onSubmit allocates it, Clone copies it only
-	// when it holds something.
+	// while there are none: onSubmit allocates it. Clones share it, and
+	// workQueue, until one of them writes either: read them freely, call
+	// ownQueues before a write.
 	PendingCmds map[int]Cmd
+	// queuesShared is the shared mark of PendingCmds and workQueue, like
+	// decidedAtShared.
+	queuesShared *atomic.Bool
 	// OpenProposals counts in-flight proposals per proposer as known to
 	// this node; the latency objective reads it from checkpoints.
 	openLocal int
@@ -247,6 +251,7 @@ func New(id sm.NodeID, n int) *Replica {
 		Peers:           peers,
 		DecidedAt:       make(map[int]time.Duration),
 		decidedAtShared: new(atomic.Bool),
+		queuesShared:    new(atomic.Bool),
 	}
 }
 
@@ -286,6 +291,7 @@ func (r *Replica) onSubmit(env sm.Env, cmd Cmd) {
 		if _, done := r.DecidedAt[cmd.ID]; done {
 			return // already learned; stale resubmission
 		}
+		r.ownQueues()
 		if r.PendingCmds == nil {
 			r.PendingCmds = make(map[int]Cmd)
 		}
@@ -313,6 +319,7 @@ func (r *Replica) startProposal(env sm.Env, cmd Cmd) {
 	r.putProp(inst, propState{Val: cmd, Ballot: int(r.ID) + 1, HighestAccBallot: -1, Phase: 1})
 	r.openLocal++
 	if r.WorkDelay > 0 {
+		r.ownQueues()
 		r.workQueue = append(r.workQueue, inst)
 		if !r.cpuBusy {
 			r.cpuBusy = true
@@ -451,7 +458,10 @@ func (r *Replica) onLearn(env sm.Env, l Learn) {
 		if _, seen := r.DecidedAt[l.Val.ID]; !seen {
 			r.recordDecidedAt(l.Val.ID, env.Now())
 		}
-		delete(r.PendingCmds, l.Val.ID)
+		if _, pending := r.PendingCmds[l.Val.ID]; pending {
+			r.ownQueues()
+			delete(r.PendingCmds, l.Val.ID)
+		}
 		env.CancelTimer(resubmitTimer(l.Val.ID))
 	}
 }
@@ -464,6 +474,22 @@ func (r *Replica) recordDecidedAt(cmdID int, at time.Duration) {
 		r.decidedAtShared = new(atomic.Bool)
 	}
 	r.DecidedAt[cmdID] = at
+}
+
+// ownQueues takes private copies of PendingCmds and workQueue if a clone
+// still shares them. An emptied Go map keeps the tables it grew, and
+// maps.Clone would copy them: an empty map is dropped, not cloned.
+func (r *Replica) ownQueues() {
+	if !r.queuesShared.Load() {
+		return
+	}
+	if len(r.PendingCmds) > 0 {
+		r.PendingCmds = maps.Clone(r.PendingCmds)
+	} else {
+		r.PendingCmds = nil
+	}
+	r.workQueue = append([]int(nil), r.workQueue...)
+	r.queuesShared = new(atomic.Bool)
 }
 
 // OnTimer drains queued proposer work, resubmits unlearned commands, and
@@ -515,11 +541,11 @@ func (r *Replica) OpenProposals() int { return r.openLocal }
 // DecidedCount returns the number of instances this node has learned.
 func (r *Replica) DecidedCount() int { return r.decided.Len() }
 
-// Clone forks the replica in O(1) plus the commands pending at the moment,
-// usually none: the instance containers and DecidedAt are shared until
-// either side writes, Peers for good. All it writes to r are shared marks
-// (see sm.IntMap), so r may be mutated right afterwards, and one replica
-// that nobody writes may be cloned from several goroutines at once.
+// Clone forks the replica in O(1): the instance containers, DecidedAt,
+// PendingCmds and workQueue are shared until either side writes, Peers for
+// good. All it writes to r are shared marks (see sm.IntMap), so r may be
+// mutated right afterwards, and one replica that nobody writes may be
+// cloned from several goroutines at once.
 func (r *Replica) Clone() sm.Service {
 	c := *r
 	c.props = r.props.Clone()
@@ -528,12 +554,8 @@ func (r *Replica) Clone() sm.Service {
 	if !r.decidedAtShared.Load() {
 		r.decidedAtShared.Store(true)
 	}
-	c.workQueue = append([]int(nil), r.workQueue...)
-	// An emptied Go map keeps the tables it grew, and maps.Clone copies
-	// them: clone entries, not capacity.
-	c.PendingCmds = nil
-	if len(r.PendingCmds) > 0 {
-		c.PendingCmds = maps.Clone(r.PendingCmds)
+	if !r.queuesShared.Load() {
+		r.queuesShared.Store(true)
 	}
 	return &c
 }

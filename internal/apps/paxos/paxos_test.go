@@ -228,25 +228,34 @@ func TestLearnIsIdempotentAndRecordsOriginLatency(t *testing.T) {
 	}
 }
 
-// A clone is a snapshot in both directions: the containers and DecidedAt
-// are shared until written, and a write on either side stays on that side.
+// A clone is a snapshot in both directions: the containers, DecidedAt,
+// PendingCmds and workQueue are shared until written, and a write on
+// either side stays on that side.
 func TestCloneDeep(t *testing.T) {
 	r := New(0, 3)
+	r.WorkDelay = time.Millisecond
 	env := newPump(0, &[]*sm.Msg{})
-	r.startProposal(env, Cmd{ID: 1})
+	r.onSubmit(env, Cmd{ID: 1, Origin: 0}) // pending, proposed as instance 0, queued for CPU
+	r.OnTimer(env, timerCPU)               // phase 1 goes out, the queue empties
+	r.onSubmit(env, Cmd{ID: 2, Origin: 0}) // pending and queued
 	r.onLearn(env, Learn{Inst: 4, Val: Cmd{ID: 4, Origin: 0}})
 	c := r.Clone().(*Replica)
 	before := r.Digest()
 
-	// Writes to the clone: every container and DecidedAt.
+	// Writes to the clone: every container, DecidedAt and both queues.
 	c.onPromise(env, 1, Promise{Inst: 0, Ballot: 1, AccBallot: -1})
 	c.onPrepare(env, 1, Prepare{Inst: 7, Ballot: 2})
-	c.onLearn(env, Learn{Inst: 9, Val: Cmd{ID: 9, Origin: 0}})
+	c.onLearn(env, Learn{Inst: 9, Val: Cmd{ID: 1, Origin: 0}})
+	c.onSubmit(env, Cmd{ID: 3, Origin: 0})
 	if p, _ := r.props.Get(0); p.Promises.len() != 0 {
 		t.Fatal("clone shares proposals")
 	}
 	if r.acc.Len() != 0 || r.DecidedCount() != 1 || len(r.DecidedAt) != 1 {
 		t.Fatal("clone shares acceptor records, decisions or DecidedAt")
+	}
+	if len(r.PendingCmds) != 2 || len(r.workQueue) != 1 || len(c.PendingCmds) != 2 || len(c.workQueue) != 2 {
+		t.Fatalf("clone shares the queues: original %d pending %d queued, clone %d pending %d queued",
+			len(r.PendingCmds), len(r.workQueue), len(c.PendingCmds), len(c.workQueue))
 	}
 	if r.Digest() != before || r.Digest() != r.digestFull() {
 		t.Fatal("writing the clone moved the original's digest")
@@ -257,8 +266,13 @@ func TestCloneDeep(t *testing.T) {
 	r.onAccept(env, 2, Accept{Inst: 3, Ballot: 3, Val: Cmd{ID: 3}})
 	r.onLearn(env, Learn{Inst: 5, Val: Cmd{ID: 5, Origin: 0}})
 	r.OnTimer(env, retryTimer(0))
+	r.onLearn(env, Learn{Inst: 6, Val: Cmd{ID: 2, Origin: 0}})
+	r.onSubmit(env, Cmd{ID: 8, Origin: 0})
 	if p, _ := snap.props.Get(0); p.Ballot != 1 {
 		t.Fatal("snapshot saw the original's retry")
+	}
+	if _, kept := snap.PendingCmds[2]; !kept || len(snap.PendingCmds) != 2 || len(snap.workQueue) != 1 {
+		t.Fatal("snapshot saw the original's later submissions or learns in its queues")
 	}
 	if snap.acc.Len() != 0 || snap.DecidedCount() != 1 || len(snap.DecidedAt) != 1 {
 		t.Fatal("snapshot saw the original's later writes")
@@ -475,7 +489,11 @@ func TestAgreementStepIndependentOfLogSize(t *testing.T) {
 // Explorer workers fork one frozen replica concurrently (World.ownService
 // with Workers > 1) and run handlers on their forks. Run with -race.
 func TestConcurrentClonesOfFrozenReplica(t *testing.T) {
-	frozen, _ := agedReplica(300)
+	frozen, fenv := agedReplica(300)
+	frozen.WorkDelay = time.Millisecond
+	for id := 1000; id < 1003; id++ { // three commands pending, their proposals queued
+		frozen.onSubmit(fenv, Cmd{ID: id, Origin: 0})
+	}
 	want := frozen.digestFull()
 	var wg sync.WaitGroup
 	for g := 1; g <= 8; g++ {
@@ -489,6 +507,12 @@ func TestConcurrentClonesOfFrozenReplica(t *testing.T) {
 				c.onPrepare(env, 1, Prepare{Inst: inst, Ballot: g})
 				c.onLearn(env, Learn{Inst: inst, Val: Cmd{ID: inst, Origin: 0}})
 				c.OnTimer(env, retryTimer(295))
+			}
+			c.onSubmit(env, Cmd{ID: 2000 + g, Origin: 0})
+			c.OnTimer(env, timerCPU)
+			c.onLearn(env, Learn{Inst: 9000 + g, Val: Cmd{ID: 1000, Origin: 0}})
+			if len(c.PendingCmds) != 3 || len(c.workQueue) != 3 {
+				t.Errorf("fork %d: %d pending, %d queued, want 3 and 3", g, len(c.PendingCmds), len(c.workQueue))
 			}
 			if c.Digest() != c.digestFull() {
 				t.Errorf("fork %d: maintained digest diverged", g)
@@ -506,7 +530,8 @@ func TestConcurrentClonesOfFrozenReplica(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if len(frozen.DecidedAt) != 60 || frozen.DecidedCount() != 300 {
-		t.Fatalf("original has %d commit times, %d decisions after the forks", len(frozen.DecidedAt), frozen.DecidedCount())
+	if len(frozen.DecidedAt) != 60 || frozen.DecidedCount() != 300 || len(frozen.PendingCmds) != 3 || len(frozen.workQueue) != 3 {
+		t.Fatalf("original has %d commit times, %d decisions, %d pending, %d queued after the forks",
+			len(frozen.DecidedAt), frozen.DecidedCount(), len(frozen.PendingCmds), len(frozen.workQueue))
 	}
 }

@@ -303,7 +303,7 @@ func (p *Predictive) resolveAsync(n *Node, c sm.Choice, base sm.Service) int {
 
 func (p *Predictive) evaluate(n *Node, c sm.Choice, base sm.Service, ev *pendingEvent, candidate int, obj explore.Objective) float64 {
 	look := n.cluster.cfg.Lookahead
-	policy := explore.ForceFirst(n.id, c.Name, candidate, explore.RandomPolicy(n.lookRng))
+	policy := explore.ForceFirst(n.id, c.Name, candidate, n.lookRand)
 	if look.Workers > 1 {
 		// ForceFirst's latch and the rng are shared by every forked
 		// world; serialize them across the worker pool.

@@ -289,6 +289,12 @@ func (c *Cluster) AddNode(id NodeID, svc sm.Service) *Node {
 		model:         model.New(id),
 		decisionCache: make(map[uint64]int),
 	}
+	n.lookRand = explore.RandomPolicy(n.lookRng)
+	n.lookPolicy = n.lookRand
+	if c.cfg.Lookahead.Workers > 1 {
+		n.lookPolicy = explore.Locked(n.lookRand)
+	}
+	n.steerX = steerExplorer(&c.cfg)
 	if c.cfg.CheckpointInterval > 0 {
 		// Checkpoints older than a few rounds are presumed to describe
 		// departed or unreachable nodes and are excluded from lookahead.
@@ -469,6 +475,13 @@ type Node struct {
 	rng      *rand.Rand
 	lookRng  *rand.Rand
 	lookSeed int64
+	// lookRand draws lookahead choices from lookRng; lookPolicy is the
+	// same policy, serialized when the lookahead explorer runs a parallel
+	// worker pool (the rng is stateful and shared by every forked world).
+	// steerX is steerAway's explorer. All three are built once: a decision
+	// allocates what its handlers allocate, not its own plumbing.
+	lookRand, lookPolicy explore.ChoicePolicy
+	steerX               *explore.Explorer
 
 	resolver  Resolver
 	objective explore.Objective
@@ -641,6 +654,23 @@ func (n *Node) onDeliver(tm *transport.Message) {
 	n.dispatchMessage(msg)
 }
 
+// steerExplorer configures the explorer steerAway runs. Steering
+// predicates on violations *caused by this message*: it compares the
+// with-message future against the without-message one and steers only
+// when the difference is unsafe-vs-safe. Fault branching stays off — a
+// violation reachable through a crash or reset alone would taint both
+// futures equally, making every message look unsteerable (and paying two
+// fault searches per delivery for it). Lookahead's fault settings apply to
+// choice resolution, not steering.
+func steerExplorer(cfg *Config) *explore.Explorer {
+	x := explore.NewExplorer(cfg.SteeringDepth)
+	x.MaxStates = cfg.SteeringMaxStates
+	x.Properties = cfg.Properties
+	x.Options = cfg.Lookahead
+	x.FaultBudget, x.PartitionFaults = 0, false
+	return x
+}
+
 // steerAway reports whether delivering msg is predicted to violate a
 // safety property while not delivering it is predicted safe; if so the
 // message is dropped and the connection to its sender broken (paper §2).
@@ -650,25 +680,10 @@ func (n *Node) steerAway(msg *sm.Msg) bool {
 	defer func() { n.observeDecision(&n.stats.SteerLatency, start) }()
 	cfg := n.cluster.cfg
 	now := time.Duration(n.cluster.eng.Now())
-	// Steering predicates on violations *caused by this message*: it
-	// compares the with-message future against the without-message one and
-	// steers only when the difference is unsafe-vs-safe. Fault branching
-	// stays off here — a violation reachable through a crash or reset alone
-	// would taint both futures equally, making every message look
-	// unsteerable (and paying two fault searches per delivery for it).
-	// Lookahead's fault settings apply to choice resolution, not steering.
-	mkExplorer := func() *explore.Explorer {
-		x := explore.NewExplorer(cfg.SteeringDepth)
-		x.MaxStates = cfg.SteeringMaxStates
-		x.Properties = cfg.Properties
-		x.Options = cfg.Lookahead
-		x.FaultBudget, x.PartitionFaults = 0, false
-		return x
-	}
-	withMsg := n.buildLookahead(n.svc.Clone(), n.lookPolicy())
+	withMsg := n.buildLookahead(n.svc.Clone(), n.lookPolicy)
 	cp := *msg
 	withMsg.InjectMessage(&cp)
-	rWith := n.explore(mkExplorer(), withMsg)
+	rWith := n.explore(n.steerX, withMsg)
 	if rWith.Safe() {
 		return false
 	}
@@ -691,8 +706,8 @@ func (n *Node) steerAway(msg *sm.Msg) bool {
 	}
 	// Only steer if the alternative (dropping the message) is not itself
 	// predicted to lead to a violation.
-	without := n.buildLookahead(n.svc.Clone(), n.lookPolicy())
-	rWithout := n.explore(mkExplorer(), without)
+	without := n.buildLookahead(n.svc.Clone(), n.lookPolicy)
+	rWithout := n.explore(n.steerX, without)
 	steerable := rWithout.Safe()
 	if cfg.LookaheadClassCache {
 		n.recordSteerVerdict(classes, steerable)
@@ -748,23 +763,13 @@ func (n *Node) buildLookahead(base sm.Service, policy explore.ChoicePolicy) *exp
 func (n *Node) explore(x *explore.Explorer, w *explore.World) *explore.Report {
 	x.Prior = n.lookRoot
 	r := x.Explore(w)
+	x.Prior = nil // x may outlive the call (steerX); the old root must not
 	n.stats.LookaheadStates += uint64(r.StatesExplored)
 	n.lookRoot = nil
 	if n.cluster.carryRoots && r.Safe() {
 		n.lookRoot = w
 	}
 	return r
-}
-
-// lookPolicy returns the node's lookahead choice policy, serialized when
-// the lookahead explorer runs a parallel worker pool (the rng is stateful
-// and shared by every forked world).
-func (n *Node) lookPolicy() explore.ChoicePolicy {
-	p := explore.RandomPolicy(n.lookRng)
-	if n.cluster.cfg.Lookahead.Workers > 1 {
-		p = explore.Locked(p)
-	}
-	return p
 }
 
 func (n *Node) needsLookahead() bool {

@@ -125,8 +125,16 @@ func readTraceGolden(t *testing.T) (sequential, parallel string) {
 // every strategy, faults off and on, the arena-backed run must produce a
 // byte-identical report — violation traces included — to the one the heap
 // arm produced (see traceGoldenPath).
+//
+// The dump is taken twice: the second one's runs are served recycled
+// contexts (Ctx.recycle), whose arenas have handed every slot out before. A
+// node the first run left referenced, or one reused while a witness still
+// needed it, shows as a second dump that differs.
 func TestArenaTracesMatchHeapGoldens(t *testing.T) {
 	got := sequentialTraceDump(t)
+	if again := sequentialTraceDump(t); again != got {
+		t.Errorf("the same runs on recycled arenas report otherwise:\n--- first ---\n%s\n--- second ---\n%s", got, again)
+	}
 	if os.Getenv("UPDATE_EXPLORE_GOLDEN") != "" {
 		all := got + traceGoldenParallelMark + parallelTraceDump(t)
 		if err := os.WriteFile(traceGoldenPath, []byte(all), 0o644); err != nil {
@@ -143,9 +151,67 @@ func TestArenaTracesMatchHeapGoldens(t *testing.T) {
 // work-stealing pool, where arena nodes are released cross-worker:
 // the violation set must equal the heap arm's.
 func TestArenaTracesMatchHeapParallel(t *testing.T) {
-	got := parallelTraceDump(t)
-	if _, want := readTraceGolden(t); got != want {
-		t.Errorf("parallel arena violations diverge from the heap-arm golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	_, want := readTraceGolden(t)
+	for _, run := range []string{"fresh", "recycled"} {
+		if got := parallelTraceDump(t); got != want {
+			t.Errorf("parallel arena violations (%s arenas) diverge from the heap-arm golden:\n--- got ---\n%s\n--- want ---\n%s", run, got, want)
+		}
+	}
+}
+
+// TestCtxRecycledHoldsNothing: what a run leaves on the free list for the
+// next one references neither the run nor anything it explored, and is a
+// few kilobytes however large the run was.
+func TestCtxRecycledHoldsNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		strat   Strategy
+	}{{"chain", 1, ChainDFS{}}, {"bfs", 1, BFS{}}, {"bfs/workers=3", 3, BFS{}}, {"guided", 2, Guided{}}} {
+		x := NewExplorer(12)
+		x.Workers, x.Strategy, x.Properties = tc.workers, tc.strat, violProps()
+		ctx := newCtx(x, fanWorld(4, 2, 10), 1<<14)
+		ctxPool.Put(ctx) // Explore takes it from the free list, and returns it
+		r := x.Explore(ctx.root)
+		if _, chain := tc.strat.(ChainDFS); len(r.Violations) == 0 || (!chain && r.StatesExplored < 4*pathChunkMax) {
+			t.Fatalf("%s: %d states, %d violations: the run is too small to grow its scratch", tc.name, r.StatesExplored, len(r.Violations))
+		}
+		if raceEnabled {
+			continue // the detector drops pool operations: ctx may not be the one that ran
+		}
+		if ctx.x != nil || ctx.root != nil || ctx.seen != nil || ctx.heap != nil || ctx.count.Load() != 0 || ctx.pending.Load() != 0 {
+			t.Errorf("%s: the recycled context still carries its run", tc.name)
+		}
+		if len(ctx.plain) != 0 || len(ctx.deques) != 0 || len(ctx.rootBuf) != 0 || cap(ctx.rootBuf) > keepUnits {
+			t.Errorf("%s: recycled seen set, deques or root buffer not emptied", tc.name)
+		}
+		for i := range ctx.deques[:cap(ctx.deques)] {
+			if d := &ctx.deques[:cap(ctx.deques)][i]; d.ctx != nil || d.q.len() != 0 || cap(d.q.buf) > keepUnits {
+				t.Errorf("%s: a recycled deque still holds units or its run", tc.name)
+			}
+		}
+		for i, s := range ctx.succ {
+			if len(s) != 0 || cap(s) > keepUnits {
+				t.Errorf("%s: worker %d's successor buffer survived", tc.name, i)
+			}
+		}
+		for i, r := range ctx.shards[:cap(ctx.shards)] {
+			if r != nil {
+				t.Errorf("%s: worker %d's report shard survived", tc.name, i)
+			}
+		}
+		for _, a := range append([]*pathArena{ctx.rootArena}, ctx.arenas...) {
+			if len(a.chunks) > 1 || a.used != 0 || a.free != nil {
+				t.Errorf("%s: a recycled arena keeps %d chunks, %d slots out", tc.name, len(a.chunks), a.used)
+			}
+			for _, c := range a.chunks {
+				for i := range c {
+					if c[i].parent != nil || c[i].msg != nil {
+						t.Fatalf("%s: recycled arena slot %d still references a trace", tc.name, i)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -101,11 +100,11 @@ type Report struct {
 	// a count and its shortest witness. See ViolationClasses.
 	classes map[classKey]*ViolationClass
 
-	// Per-worker run scratch, nil'd before Explore returns so reports
-	// stay plain data (tests compare them with reflect.DeepEqual).
-	// arena allocates this worker's trace nodes; succ is Expand's
-	// reusable successor buffer, safe because every frontier copies
-	// pushed units out of it before the worker's next expansion.
+	// Per-worker run scratch, on loan from the run's Ctx and nil'd before
+	// Explore returns so reports stay plain data (tests compare them with
+	// reflect.DeepEqual). arena allocates this worker's trace nodes; succ
+	// is Expand's reusable successor buffer, safe because every frontier
+	// copies pushed units out of it before the worker's next expansion.
 	arena *pathArena
 	succ  []Unit
 }
@@ -357,24 +356,17 @@ func (x *Explorer) Explore(w *World) *Report {
 		}
 	}
 	// The seen set follows the pool that actually runs, not the one that
-	// was asked for: a capped-to-one ChainDFS run is a sequential run.
+	// was asked for: a capped-to-one ChainDFS run is a sequential run. Its
+	// map is the context's, grown on demand and kept from run to run.
 	if workers == 1 {
-		// A small presize absorbs the first growth steps; beyond it the
-		// map doubles on demand, which costs O(log n) allocations over a
-		// whole run — presizing to the budget would charge every run for
-		// its worst case (most explorations stop far under budget).
-		hint := budget
-		if hint > 1<<10 {
-			hint = 1 << 10
+		if ctx.plain == nil {
+			ctx.plain = make(plainSeen)
 		}
-		ctx.seen = make(plainSeen, hint)
+		ctx.seen = ctx.plain
 	} else {
 		ctx.seen = newLockFreeSeen(budget)
 	}
-	reports := make([]*Report, workers)
-	for i := range reports {
-		reports[i] = &Report{MinScore: math.Inf(1), MaxScore: math.Inf(-1), arena: &pathArena{}}
-	}
+	reports := ctx.newShards(workers)
 	if rootPanic != nil {
 		reports[0].Panics++
 		reports[0].addViolation(*rootPanic)
@@ -386,12 +378,9 @@ func (x *Explorer) Explore(w *World) *Report {
 		frontier[i].World.step.inherit(&w.step)
 	}
 	x.run(ctx, strat, frontier, reports)
-	// Detach the per-worker scratch before the shards escape: the merged
-	// report is plain data (determinism tests DeepEqual whole reports),
-	// and the arenas' chunks become garbage with the run.
-	for _, o := range reports {
-		o.arena, o.succ = nil, nil
-	}
+	// Take the per-worker scratch back before the shards escape: the merged
+	// report is plain data (determinism tests DeepEqual whole reports).
+	ctx.returnShards()
 	r := reports[0]
 	for _, o := range reports[1:] {
 		r.merge(o)
@@ -412,6 +401,7 @@ func (x *Explorer) Explore(w *World) *Report {
 	// timing-dependent by nature.
 	r.WorkerHighWater = int(ctx.workerHigh.Load())
 	r.StealMisses = ctx.stealMisses.Load()
+	ctx.recycle()
 	r.Elapsed = time.Since(start) //crystalvet:wallclock stopwatch readout for Report.Elapsed; diagnostics only
 	return r
 }

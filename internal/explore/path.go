@@ -93,10 +93,14 @@ type pathNode struct {
 	refs atomic.Int32
 }
 
-// pathChunkSize is the number of pathNodes bump-allocated per arena
-// chunk: 512 nodes × 32 bytes keeps a chunk comfortably inside the
-// per-P allocation fast path while amortizing the append.
-const pathChunkSize = 512
+// An arena's chunks grow geometrically from pathChunkMin to pathChunkMax
+// nodes (32 bytes each): a lookahead of a handful of states touches one
+// 2 KB chunk, and a million-state run amortizes the append over 16 KB
+// chunks that still sit inside the per-P allocation fast path.
+const (
+	pathChunkMin = 64
+	pathChunkMax = 512
+)
 
 // pathArena is a per-worker pathNode allocator: nodes are bump-allocated
 // from worker-owned chunks and reclaimed through a free list threaded
@@ -106,9 +110,10 @@ const pathChunkSize = 512
 // of the nodes themselves is shared across workers. Releasing a node
 // allocated by another worker is fine: it simply migrates to the
 // releasing worker's free list, while its chunk stays pinned by its
-// original arena until the run ends.
+// original arena until the run ends. Arenas outlive the run (Ctx.recycle):
+// reset is what makes one safe to hand to the next.
 type pathArena struct {
-	chunks []*[pathChunkSize]pathNode
+	chunks [][]pathNode
 	used   int       // slots handed out of the newest chunk
 	free   *pathNode // reclaimed nodes, threaded through parent
 }
@@ -119,13 +124,35 @@ func (a *pathArena) alloc() *pathNode {
 		a.free = n.parent
 		return n
 	}
-	if len(a.chunks) == 0 || a.used == pathChunkSize {
-		a.chunks = append(a.chunks, new([pathChunkSize]pathNode))
+	if len(a.chunks) == 0 || a.used == len(a.chunks[len(a.chunks)-1]) {
+		size := pathChunkMax
+		if n := len(a.chunks); n < 3 { // 64, 128, 256, then pathChunkMax each
+			size = pathChunkMin << n
+		}
+		a.chunks = append(a.chunks, make([]pathNode, size))
 		a.used = 0
 	}
 	n := &a.chunks[len(a.chunks)-1][a.used]
 	a.used++
 	return n
+}
+
+// reset readies the arena for another run. It must run after every worker
+// of the run it served has returned, on all of that run's arenas before
+// any is reused: the free list may thread through another arena's chunks.
+// Only the first chunk is kept, and only the slots handed out of it are
+// cleared (a node a panicking branch abandoned still holds its message),
+// so a pooled arena costs 2 KB however large the run that grew it was.
+func (a *pathArena) reset() {
+	switch {
+	case len(a.chunks) > 1:
+		clear(a.chunks[0])
+		clear(a.chunks[1:])
+		a.chunks = a.chunks[:1]
+	case len(a.chunks) == 1:
+		clear(a.chunks[0][:a.used])
+	}
+	a.used, a.free = 0, nil
 }
 
 // releaseTrace releases one branchTrace handle. When the handle held the
@@ -163,8 +190,8 @@ func (n *pathNode) kind() byte     { return byte(n.code) }
 func (n *pathNode) target() NodeID { return NodeID(int32(uint32(n.code >> 8))) }
 func (n *pathNode) aux() int       { return int(n.code >> 40 & 0xffffff) }
 
-// nameTable interns timer names for one exploration run, so a pathNode
-// carries a small integer instead of a string header. The published
+// nameTable interns timer names for the exploration runs of one Ctx, so a
+// pathNode carries a small integer instead of a string header. The published
 // version is immutable and read lock-free; interning a new name (rare —
 // protocols use a handful of static timer names) copies it under the
 // mutex and republishes.
@@ -209,6 +236,17 @@ func (t *nameTable) id(name string) int {
 
 // name resolves an id interned by a previous call.
 func (t *nameTable) name(id int) string { return t.v.Load().names[id] }
+
+// trim forgets every name once more than keep are interned. The table
+// outlives the run with its Ctx — ids mean nothing outside a run, and a
+// protocol's handful of static timer names then interns once per process —
+// but a service that builds timer names as it goes must not grow it
+// forever.
+func (t *nameTable) trim(keep int) {
+	if v := t.v.Load(); v != nil && len(v.names) > keep {
+		t.v.Store(nil)
+	}
+}
 
 // branchTrace is the trace handle an in-flight branch carries: the tip
 // of its path spine. The zero value is the empty trace.

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -10,20 +11,43 @@ import (
 
 // Ctx is the state one Explore run shares across its workers: the frozen
 // start world, the global handler-execution budget, the cross-worker
-// digest deduplication set, and the per-run action-label intern table.
+// digest deduplication set, and the action-label intern table.
 type Ctx struct {
-	x      *Explorer
-	root   *World
-	budget int
-	count  atomic.Int64
-	seen   seenSet
+	runState
+	// Everything below is scratch that outlives the run: a Ctx comes from,
+	// and recycle returns it to, a process-wide free list like
+	// sharedWorldPool — the runtime calls Explore once per decision, and a
+	// lookahead of four states must not pay for a fresh context, seen set
+	// and arena chunks each time. recycle says what each piece keeps; none
+	// of it is sized by the state budget.
+
 	// names interns timer names so lazy trace nodes carry integers.
 	names *nameTable
 	// rootArena allocates the root frontier's trace nodes. Roots are
 	// built single-threaded before the workers start, and the nodes are
 	// released — possibly into another arena's free list — by whichever
-	// worker exhausts the branch.
+	// worker exhausts the branch. arenas[i] and succ[i] are worker i's
+	// trace arena and Expand buffer, lent to its report shard for the run.
 	rootArena *pathArena
+	arenas    []*pathArena
+	succ      [][]Unit
+	shards    []*Report
+	// rootBuf backs the root frontier (rootUnits).
+	rootBuf []Unit
+	// plain is the one-worker run's seen set.
+	plain plainSeen
+	// deques are the per-worker queues of a run that is not best-first.
+	deques []wsDeque
+}
+
+// runState is the part of a Ctx that belongs to one run; recycle zeroes it
+// whole.
+type runState struct {
+	x      *Explorer
+	root   *World
+	budget int
+	count  atomic.Int64
+	seen   seenSet
 	// dropped counts frontier units discarded by the MaxFrontier cap.
 	dropped atomic.Int64
 	// deadline, when non-zero, wall-clock-bounds the run (Explorer.Deadline).
@@ -32,10 +56,10 @@ type Ctx struct {
 	deadline time.Time
 	polls    atomic.Int64
 	expired  atomic.Bool
-	// Scheduler state (Explorer.run): per-worker deques, or the one heap
-	// a best-first run's workers share; pending counts queued plus
-	// in-expansion units; active is the autoscaler's worker-count target.
-	deques  []wsDeque
+	// Scheduler state (Explorer.run): heap is the one queue a best-first
+	// run's workers share (the others use Ctx.deques); pending counts
+	// queued plus in-expansion units; active is the autoscaler's
+	// worker-count target.
 	heap    *heapFrontier
 	pending atomic.Int64
 	active  atomic.Int64
@@ -46,11 +70,85 @@ type Ctx struct {
 	workerHigh  atomic.Int64
 }
 
+// ctxPool is the free list of run contexts.
+var ctxPool sync.Pool
+
 // newCtx returns the shared state of one run of x from w. Explore picks
 // the seen set once it knows how many workers actually run.
 func newCtx(x *Explorer, w *World, budget int) *Ctx {
-	return &Ctx{x: x, root: w, budget: budget, names: &nameTable{},
-		rootArena: &pathArena{}, deadline: x.Deadline}
+	c, _ := ctxPool.Get().(*Ctx)
+	if c == nil {
+		c = &Ctx{names: &nameTable{}, rootArena: &pathArena{}}
+	}
+	c.x, c.root, c.budget, c.deadline = x, w, budget, x.Deadline
+	return c
+}
+
+// newShards returns one empty report per worker, each lent that worker's
+// arena and successor buffer; returnShards takes the loans back, so the
+// reports leave the run as plain data.
+func (c *Ctx) newShards(n int) []*Report {
+	for len(c.arenas) < n {
+		c.arenas = append(c.arenas, &pathArena{})
+		c.succ = append(c.succ, nil)
+	}
+	c.shards = slices.Grow(c.shards[:0], n)[:n]
+	for i := range c.shards {
+		c.shards[i] = &Report{MinScore: math.Inf(1), MaxScore: math.Inf(-1), arena: c.arenas[i], succ: c.succ[i]}
+	}
+	return c.shards
+}
+
+func (c *Ctx) returnShards() {
+	for i, r := range c.shards {
+		c.succ[i] = r.succ
+		r.arena, r.succ = nil, nil
+	}
+}
+
+// Retention bounds of a pooled Ctx: what a steering-sized lookahead needs
+// is kept, what only a large run grew is left to the garbage collector, so
+// the free list holds a few kilobytes whatever ran before.
+const (
+	keepUnits = 16  // capacity of a unit buffer (roots, successors, a deque)
+	keepSeen  = 256 // entries of the one-worker seen set
+	keepNames = 64  // interned timer names
+)
+
+// recycle returns the context to the free list. Every worker of the run
+// has returned and the shards' loans are back (returnShards); what is kept
+// holds no reference into the run.
+func (c *Ctx) recycle() {
+	c.runState = runState{}
+	c.names.trim(keepNames)
+	c.rootArena.reset()
+	for _, a := range c.arenas {
+		a.reset()
+	}
+	for i := range c.succ {
+		c.succ[i] = emptyUnits(c.succ[i])
+	}
+	c.rootBuf = emptyUnits(c.rootBuf)
+	clear(c.shards)
+	for i := range c.deques {
+		d := &c.deques[i]
+		d.ctx, d.q = nil, unitQueue{buf: emptyUnits(d.q.buf)}
+	}
+	c.deques = c.deques[:0]
+	if len(c.plain) > keepSeen {
+		c.plain = nil
+	}
+	clear(c.plain)
+	ctxPool.Put(c)
+}
+
+// emptyUnits returns a unit buffer emptied for reuse — its slots zeroed,
+// since a Unit pins a world — or nil when it grew past keepUnits.
+func emptyUnits(s []Unit) []Unit {
+	if cap(s) > keepUnits {
+		return nil
+	}
+	return clearCap(s)
 }
 
 // release returns a dead world's shell and exclusively owned containers
@@ -155,7 +253,10 @@ func (x *Explorer) run(ctx *Ctx, strat Strategy, units []Unit, reports []*Report
 		ctx.heap = &heapFrontier{max: x.MaxFrontier, ctx: ctx}
 		accepted = ctx.heap.pushAll(units)
 	} else {
-		ctx.deques = make([]wsDeque, n)
+		if cap(ctx.deques) < n {
+			ctx.deques = make([]wsDeque, n)
+		}
+		ctx.deques = ctx.deques[:n]
 		// Each deque gets an equal share of the global cap, rounded up
 		// (zero stays zero: unbounded), and roots go through pushAll so
 		// the cap binds on the seed frontier too.
@@ -163,7 +264,7 @@ func (x *Explorer) run(ctx *Ctx, strat Strategy, units []Unit, reports []*Report
 		for i := range ctx.deques {
 			d := &ctx.deques[i]
 			d.max, d.ctx = share, ctx
-			d.q.buf = make([]Unit, 0, (len(units)+n-1)/n)
+			d.q.buf = slices.Grow(d.q.buf, (len(units)+n-1)/n)
 		}
 		for i := range units {
 			accepted += ctx.deques[i%n].pushAll(units[i : i+1])

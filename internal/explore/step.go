@@ -20,7 +20,10 @@ type stepRecord struct {
 	// is false on a start world, after a write that left no pre-image (an
 	// in-place handler run, ReplaceService, AddNode) and on a fork taken
 	// between a step and its check.
-	known   bool
+	known bool
+	// carried says touched was seeded from another run's start world
+	// (carryVerdict) rather than recorded step by step; StepAudit counts it.
+	carried bool
 	failed  uint64 // bit i: Properties[i] failed at that state
 	touched []stepTouch
 	// props is set on a start world whose check ran to completion: the
@@ -64,7 +67,7 @@ func (s *stepRecord) wroteInPlace(id NodeID) {
 
 // forget marks the delta unknown and drops the pre-images it pinned.
 func (s *stepRecord) forget() {
-	s.known = false
+	s.known, s.carried = false, false
 	clear(s.touched)
 	s.touched = s.touched[:0]
 }
@@ -131,5 +134,5 @@ func (w *World) carryVerdict(prior *World, props []Property) {
 			s.touched = append(s.touched, stepTouch{id, old})
 		}
 	}
-	s.known = true
+	s.known, s.carried = true, true
 }

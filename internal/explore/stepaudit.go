@@ -10,21 +10,22 @@ import (
 // StepAudit is the tally of an audited run (AuditSteps). Its counters are
 // read after the runs that share it have returned.
 type StepAudit struct {
-	// Stepped counts states at which a property was decided by Step calls,
-	// Carried those of them decided by more than one call — a start world
-	// checked against Explorer.Prior — and Refuted the Step calls that
-	// returned false. Full counts states at which a property that has a
-	// Step was nevertheless decided by Check (the engine's fallback), and
-	// Mismatches states where the engine's verdict was not Check's.
-	Stepped, Carried, Refuted, Full, Mismatches int
+	// Stepped counts states at which a property was decided by Step calls
+	// (or by none: nothing was touched), Carried those of them that are
+	// start worlds whose delta came from Explorer.Prior, Touched the
+	// services those deltas named, and Refuted the Step calls that returned
+	// false. Full counts states at which a property that has a Step was
+	// nevertheless decided by Check (the engine's fallback), and Mismatches
+	// states where the engine's verdict was not Check's.
+	Stepped, Carried, Touched, Refuted, Full, Mismatches int
 
 	mu      sync.Mutex
 	pending map[*World]auditVerdict
 }
 
 func (a *StepAudit) String() string {
-	return fmt.Sprintf("stepped=%d carried=%d refuted=%d full=%d mismatches=%d",
-		a.Stepped, a.Carried, a.Refuted, a.Full, a.Mismatches)
+	return fmt.Sprintf("stepped=%d carried=%d touched=%d refuted=%d full=%d mismatches=%d",
+		a.Stepped, a.Carried, a.Touched, a.Refuted, a.Full, a.Mismatches)
 }
 
 // auditVerdict is what the engine has concluded about one property on the
@@ -105,8 +106,9 @@ func (a *StepAudit) settle(w *World, want bool) bool {
 	if v.steps > 0 || !seen {
 		a.Stepped++
 	}
-	if v.steps > 1 {
+	if w.step.carried {
 		a.Carried++
+		a.Touched += len(w.step.touched)
 	}
 	if v.holds != want {
 		a.Mismatches++

@@ -155,11 +155,11 @@ func (ChainDFS) Roots(x *Explorer, ctx *Ctx, w *World) []Unit {
 // per enabled action, then one per enabled fault transition. Trace nodes
 // come from the run's root arena (roots are built before the workers
 // start); each unit owns its trace handle, released by whichever worker
-// exhausts — or whichever spill path drops — the unit.
+// exhausts — or whichever spill path drops — the unit. The slice is the
+// run context's: the scheduler copies the units out and clears it.
 func rootUnits(x *Explorer, ctx *Ctx, w *World) []Unit {
-	acts := x.enabled(w)
-	units := make([]Unit, 0, len(acts))
-	for _, a := range acts {
+	units := ctx.rootBuf[:0]
+	for _, a := range x.enabled(w) {
 		units = append(units, Unit{World: w.fork(), Act: a, Depth: 1,
 			trace: ctx.extendTrace(ctx.rootArena, branchTrace{}, actionStep(a))})
 	}
@@ -167,6 +167,7 @@ func rootUnits(x *Explorer, ctx *Ctx, w *World) []Unit {
 		units = append(units, Unit{World: w.fork(), Act: a, Depth: 1, Faults: 1,
 			trace: ctx.extendTrace(ctx.rootArena, branchTrace{}, actionStep(a))})
 	}
+	ctx.rootBuf = units
 	return units
 }
 

@@ -70,9 +70,12 @@ func Locked(p ChoicePolicy) ChoicePolicy {
 	}
 }
 
-// World is a global state the explorer can fork and evolve. Worlds own
-// their services: constructing a World must hand it clones, never live
-// service state.
+// World is a global state the explorer can fork and evolve. A World owns
+// its services — constructing one must hand it clones, never live service
+// state — or is frozen and borrows immutable ones: a frozen world never
+// writes a service in place (ownService clones first), so it may hold, by
+// reference, states their owner promises never to mutate. The predictive
+// model's standing world is built that way (ForkWith, Patch).
 type World struct {
 	Services map[NodeID]sm.Service
 	Inflight []*sm.Msg
@@ -273,6 +276,32 @@ func (w *World) fork() *World {
 		c = &World{}
 	}
 	return w.cloneInto(c)
+}
+
+// ForkWith returns a fork of w in which node id holds svc, a state the
+// fork owns. It is how a standing world is used: w is frozen and digested,
+// lives as long as what it models, and every world handed out is a
+// ForkWith of it. The fork leaves with its own Services map and component
+// hashes — the two containers replacing a service writes — so nothing that
+// reaches it reaches w's, which is what lets Patch write both in place
+// while forks are alive; everything else of w is shared and immutable.
+// Seed, Policy, Now and the recovery hooks are the caller's to set.
+func (w *World) ForkWith(id NodeID, svc sm.Service) *World {
+	w.rehashDirty()
+	c := w.fork()
+	c.ReplaceService(id, svc)
+	c.flushDigestDirty()
+	return c
+}
+
+// Patch makes svc node id's state in a standing world (see ForkWith), in
+// place and in O(1): the node's digest component is recomputed by the next
+// ForkWith. The node must exist, and svc must never be written again.
+//
+//crystalvet:cowwrite a standing world's Services map is shared with no fork: ForkWith copies it before returning one
+func (w *World) Patch(id NodeID, svc sm.Service) {
+	w.markDigestDirty(id)
+	w.Services[id] = svc
 }
 
 // cloneInto fills c — an empty shell, possibly carrying recycled spare
@@ -1049,6 +1078,13 @@ func (w *World) flushDigestDirty() {
 		}
 		w.dig.hashOwned = true
 	}
+	w.rehashDirty()
+}
+
+// rehashDirty is flushDigestDirty's loop, writing the component array in
+// place: for a world that owns it, or — a standing world — shares it with
+// no fork.
+func (w *World) rehashDirty() {
 	for _, id := range w.dig.dirty {
 		i := w.dig.idx[id]
 		nh := w.nodeComponent(id)

@@ -138,7 +138,40 @@ type StateEntry struct {
 // StateModel retains the freshest known checkpoint per participant.
 type StateModel struct {
 	entries map[NodeID]StateEntry
+	// standing is the world Model.BuildWorld forks; nil until the first
+	// call and after a change to which entries a world would model.
+	standing *standing
 }
+
+// standing is a model's lookahead world kept between decisions: frozen and
+// digested, holding a placeholder for the owner and, by reference, the
+// retained state of every peer a world built at a time inside (after,
+// until] models. An entry is never written once retained and a frozen
+// world clones before it writes, so nothing needs copying; Update swaps a
+// fresher checkpoint in (explore.World.Patch), and a peer entering or
+// leaving — a first checkpoint, Forget, an entry crossing MaxAge — drops
+// the world for the next BuildWorld to rebuild.
+type standing struct {
+	w      *explore.World
+	owner  NodeID
+	maxAge time.Duration
+	// after is the latest instant at which an entry left out was still
+	// fresh, until the earliest at which one of those modeled goes stale.
+	// Update only ever lowers until: it may call for a rebuild that finds
+	// the same peers, never miss one that would not.
+	after, until time.Duration
+}
+
+// ownerSlot holds the owner's place in a standing world. Every fork
+// replaces it with the state the caller brings, so the world retains no
+// state of the owner's.
+type ownerSlot struct{}
+
+func (ownerSlot) Init(sm.Env)               {}
+func (ownerSlot) OnMessage(sm.Env, *sm.Msg) {}
+func (ownerSlot) OnTimer(sm.Env, string)    {}
+func (o ownerSlot) Clone() sm.Service       { return o }
+func (ownerSlot) Digest() uint64            { return 0 }
 
 // NewStateModel returns an empty state model.
 func NewStateModel() *StateModel {
@@ -153,12 +186,25 @@ func (m *StateModel) Stale(id NodeID, at time.Duration, epoch uint64) bool {
 	return ok && (cur.Epoch > epoch || (cur.Epoch == epoch && cur.At > at))
 }
 
-// Update retains svc (a clone owned by the model) unless it is Stale.
+// Update retains svc (a clone owned by the model, never written again)
+// unless it is Stale.
 func (m *StateModel) Update(id NodeID, svc sm.Service, at time.Duration, epoch uint64) {
 	if m.Stale(id, at, epoch) {
 		return
 	}
 	m.entries[id] = StateEntry{State: svc, At: at, Epoch: epoch}
+	s := m.standing
+	if s == nil || id == s.owner {
+		return
+	}
+	if _, modeled := s.w.Services[id]; !modeled {
+		m.standing = nil // a new peer, or one that was too stale to model
+		return
+	}
+	s.w.Patch(id, svc)
+	if s.maxAge > 0 {
+		s.until = min(s.until, at+s.maxAge)
+	}
 }
 
 // Get returns the entry for id.
@@ -168,7 +214,10 @@ func (m *StateModel) Get(id NodeID) (StateEntry, bool) {
 }
 
 // Forget discards the entry for id.
-func (m *StateModel) Forget(id NodeID) { delete(m.entries, id) }
+func (m *StateModel) Forget(id NodeID) {
+	delete(m.entries, id)
+	m.standing = nil
+}
 
 // Known returns the IDs with retained state, ascending.
 func (m *StateModel) Known() []NodeID {
@@ -209,23 +258,54 @@ func New(owner NodeID) *Model {
 	return &Model{Owner: owner, Net: NewNetEstimator(), State: NewStateModel()}
 }
 
-// BuildWorld assembles a lookahead world from the state model: the caller's
-// own (pre-event) state plus clones of every retained neighbor checkpoint.
-// selfState must already be a clone owned by the caller; the world takes
-// ownership. now is the virtual time of the lookahead's origin.
-func (m *Model) BuildWorld(selfState sm.Service, now time.Duration, policy explore.ChoicePolicy, seed int64) *explore.World {
-	w := explore.NewWorld(policy, seed)
-	w.Now = now
-	w.AddNode(m.Owner, selfState)
-	for id, e := range m.State.entries {
-		if id == m.Owner {
-			continue
-		}
-		if m.MaxAge > 0 && now-e.At > m.MaxAge {
-			continue // too stale to trust (likely departed or partitioned)
-		}
-		w.AddNode(id, e.State.Clone())
+// fresh reports whether entry e is young enough at now to be modeled.
+func (m *Model) fresh(e StateEntry, now time.Duration) bool {
+	return m.MaxAge <= 0 || now-e.At <= m.MaxAge
+}
+
+// standingAt returns the standing world for a lookahead at now, building
+// it when there is none or the one there is models other peers than a
+// world built at now would.
+func (m *Model) standingAt(now time.Duration) *explore.World {
+	if s := m.State.standing; s != nil && s.owner == m.Owner && s.maxAge == m.MaxAge &&
+		s.after < now && now <= s.until {
+		return s.w
 	}
+	s := &standing{w: explore.NewWorld(nil, 0), owner: m.Owner, maxAge: m.MaxAge,
+		after: math.MinInt64, until: math.MaxInt64}
+	s.w.AddNode(m.Owner, ownerSlot{})
+	for id, e := range m.State.entries {
+		switch {
+		case id == m.Owner:
+		case !m.fresh(e, now):
+			// Too stale to trust (likely departed or partitioned).
+			s.after = max(s.after, e.At+m.MaxAge)
+		default:
+			if m.MaxAge > 0 {
+				s.until = min(s.until, e.At+m.MaxAge)
+			}
+			s.w.AddNode(id, e.State)
+		}
+	}
+	s.w.Digest()
+	s.w.Freeze()
+	m.State.standing = s
+	return s.w
+}
+
+// BuildWorld assembles a lookahead world from the state model: the caller's
+// own (pre-event) state plus every retained neighbor checkpoint no older
+// than MaxAge. selfState must already be a clone owned by the caller; the
+// world takes ownership. The neighbor states are the model's own, shared
+// copy-on-write: the world is a fork of the model's standing world and
+// clones one before a handler writes it. now is the virtual time of the
+// lookahead's origin.
+func (m *Model) BuildWorld(selfState sm.Service, now time.Duration, policy explore.ChoicePolicy, seed int64) *explore.World {
+	if policy == nil {
+		policy = explore.FirstPolicy
+	}
+	w := m.standingAt(now).ForkWith(m.Owner, selfState)
+	w.Policy, w.Seed, w.Now = policy, seed, now
 	// Fault lookaheads recover crashed nodes from the freshest retained
 	// checkpoint — the loop the paper draws between checkpoint exchange
 	// and prediction. The hook is called from exploration workers, so it
@@ -233,7 +313,7 @@ func (m *Model) BuildWorld(selfState sm.Service, now time.Duration, policy explo
 	// hands out clones.
 	hasEntry := func(id sm.NodeID) bool {
 		e, ok := m.State.entries[id]
-		return ok && (m.MaxAge <= 0 || now-e.At <= m.MaxAge)
+		return ok && m.fresh(e, now)
 	}
 	w.Recovery = func(id sm.NodeID) sm.Service {
 		if !hasEntry(id) {

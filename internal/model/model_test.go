@@ -1,6 +1,11 @@
 package model
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,11 +155,209 @@ func TestBuildWorld(t *testing.T) {
 	if w.Now != 3*time.Second {
 		t.Fatalf("world time = %v", w.Now)
 	}
-	// Neighbor states must be clones: mutating the world must not reach
-	// the model's retained checkpoint.
-	w.Services[1].(*stub).val = -1
-	if e, _ := m.State.Get(1); e.State.(*stub).val != 7 {
-		t.Fatal("world shares state with the model")
+}
+
+// buildWorldFromScratch is BuildWorld as it was before the model kept a
+// standing world: a fresh world holding a clone of every fresh entry. It
+// is what every fork of the standing world must be indistinguishable from.
+func buildWorldFromScratch(m *Model, selfState sm.Service, now time.Duration, policy explore.ChoicePolicy, seed int64) *explore.World {
+	w := explore.NewWorld(policy, seed)
+	w.Now = now
+	w.AddNode(m.Owner, selfState)
+	for id, e := range m.State.entries {
+		if id == m.Owner {
+			continue
+		}
+		if m.MaxAge > 0 && now-e.At > m.MaxAge {
+			continue
+		}
+		w.AddNode(id, e.State.Clone())
+	}
+	hasEntry := func(id sm.NodeID) bool {
+		e, ok := m.State.entries[id]
+		return ok && (m.MaxAge <= 0 || now-e.At <= m.MaxAge)
+	}
+	w.Recovery = func(id sm.NodeID) sm.Service {
+		if !hasEntry(id) {
+			return nil
+		}
+		return m.State.entries[id].State.Clone()
+	}
+	w.HasRecovery = hasEntry
+	return w
+}
+
+// flood is a service every delivery writes: it counts the message, arms a
+// timer and sends one on to each of its peers, so a lookahead a few levels
+// deep runs a handler on every node of its world. An instance the model
+// retains is marked, and a handler run on a marked instance is the bug the
+// standing world must not have: it borrows the model's entries.
+type flood struct {
+	id, n    NodeID
+	val      int
+	retained bool
+}
+
+var (
+	wroteRetained atomic.Int32
+	floodWrote    atomic.Uint64 // bit id: a handler ran on some copy of node id
+)
+
+func (s *flood) Init(sm.Env)            {}
+func (s *flood) OnTimer(sm.Env, string) {}
+func (s *flood) OnMessage(env sm.Env, _ *sm.Msg) {
+	if s.retained {
+		wroteRetained.Add(1)
+	}
+	floodWrote.Or(1 << uint(s.id))
+	s.val++
+	env.SetTimer("seen", time.Second)
+	for j := NodeID(0); j < s.n; j++ {
+		if j != s.id {
+			env.Send(j, "flood", nil, 0)
+		}
+	}
+}
+func (s *flood) Clone() sm.Service { c := *s; c.retained = false; return &c }
+func (s *flood) Digest() uint64 {
+	return sm.NewHasher().WriteNode(s.id).WriteInt(int64(s.val)).Sum()
+}
+
+// sameWorld fails unless got, a fork of the standing world, answers like
+// want, the from-scratch build of the same model at the same instant.
+func sameWorld(t *testing.T, what string, n NodeID, got, want *explore.World) {
+	t.Helper()
+	if got.Digest() != want.DigestFull() || got.DigestFull() != want.DigestFull() {
+		t.Fatalf("%s: digest %x, from scratch %x, reference %x", what, got.Digest(), got.DigestFull(), want.DigestFull())
+	}
+	if !slices.Equal(got.Nodes(), want.Nodes()) {
+		t.Fatalf("%s: nodes %v, reference %v", what, got.Nodes(), want.Nodes())
+	}
+	if got.Seed != want.Seed || got.Now != want.Now {
+		t.Fatalf("%s: seed %d at %v, reference %d at %v", what, got.Seed, got.Now, want.Seed, want.Now)
+	}
+	for _, id := range want.Nodes() {
+		if !maps.Equal(got.Timers[id], want.Timers[id]) || got.Down[id] != want.Down[id] {
+			t.Fatalf("%s: node %v has timers %v down %v, reference %v %v", what, id, got.Timers[id], got.Down[id], want.Timers[id], want.Down[id])
+		}
+		if got.Services[id].Digest() != want.Services[id].Digest() {
+			t.Fatalf("%s: node %v holds another state than the reference", what, id)
+		}
+	}
+	for id := NodeID(0); id <= n; id++ { // n itself: a node nobody knows
+		if got.HasRecovery(id) != want.HasRecovery(id) {
+			t.Fatalf("%s: HasRecovery(%v) = %v, reference %v", what, id, got.HasRecovery(id), want.HasRecovery(id))
+		}
+		g, w := got.Recovery(id), want.Recovery(id)
+		if (g == nil) != (w == nil) || (g != nil && g.Digest() != w.Digest()) {
+			t.Fatalf("%s: Recovery(%v) = %v, reference %v", what, id, g, w)
+		}
+	}
+}
+
+// TestStandingWorldMatchesFromScratch is the equivalence oracle of the
+// standing world: over seeded random histories of checkpoints arriving
+// (fresh, stale, and too old to model), peers forgotten, time moving across
+// MaxAge in both directions, MaxAge itself changing and the owner's state
+// moving on, every world BuildWorld hands out equals the from-scratch
+// build; a world handed out earlier is not moved by what the model learns
+// later; and an exploration that writes every node of a fork writes no
+// entry of the model. Run with -race: workers fork one root concurrently.
+func TestStandingWorldMatchesFromScratch(t *testing.T) {
+	const n, maxAge = NodeID(6), 4 * time.Second
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := New(NodeID(rng.Intn(int(n))))
+		m.MaxAge = maxAge
+		now := 10 * time.Second
+		self := &flood{id: m.Owner, n: n}
+		retained := map[NodeID]uint64{} // digest of each entry when the model took it
+		var kept *explore.World         // a world handed out at the last check, and the reference's digest then
+		var keptDigest uint64
+		for step := 0; step < 400; step++ {
+			id := NodeID(rng.Intn(int(n)))
+			cur, _ := m.State.Get(id)
+			svc := &flood{id: id, n: n, val: rng.Intn(1000), retained: true}
+			at, epoch := now-time.Duration(rng.Int63n(int64(time.Second))), cur.Epoch
+			switch op := rng.Intn(12); op {
+			case 0, 1, 2, 3: // a fresher checkpoint
+			case 4: // one the model must drop
+				at = cur.At - time.Second
+			case 5: // a restarted peer whose checkpoint is already too old to model
+				at, epoch = now-maxAge-time.Second, epoch+1
+			case 6:
+				m.State.Forget(id)
+				delete(retained, id)
+				continue
+			case 7:
+				now += time.Duration(rng.Int63n(int64(maxAge) * 3 / 2))
+				continue
+			case 8: // a lookahead dated before the last one
+				now -= time.Duration(rng.Int63n(int64(maxAge)))
+				continue
+			case 9:
+				m.MaxAge = maxAge - m.MaxAge // off and on again
+				continue
+			default: // the owner handled an event
+				self = &flood{id: m.Owner, n: n, val: self.val + 1}
+				continue
+			}
+			if !m.State.Stale(id, at, epoch) {
+				retained[id] = svc.Digest()
+			}
+			m.State.Update(id, svc, at, epoch)
+
+			what := fmt.Sprintf("seed %d step %d", seed, step)
+			ref := buildWorldFromScratch(m, self.Clone(), now, nil, seed+int64(step))
+			sameWorld(t, what, n, m.BuildWorld(self.Clone(), now, nil, seed+int64(step)), ref)
+			if kept != nil {
+				if kept.Digest() != keptDigest || kept.DigestFull() != keptDigest {
+					t.Fatalf("%s: a world built earlier moved with the model: digest %x, from scratch %x, was %x",
+						what, kept.Digest(), kept.DigestFull(), keptDigest)
+				}
+				// And it still maintains its digest once written.
+				for _, id := range kept.Nodes() {
+					kept.InjectMessage(&sm.Msg{Src: id, Dst: id, Kind: "flood"})
+				}
+				for range kept.Nodes() {
+					kept.DeliverMessage(0)
+				}
+				if kept.Digest() != kept.DigestFull() {
+					t.Fatalf("%s: a world built earlier lost its digest: %x, from scratch %x", what, kept.Digest(), kept.DigestFull())
+				}
+			}
+			// Kept undigested: what it shares with the standing world, it
+			// shares while the model goes on learning.
+			kept, keptDigest = m.BuildWorld(self.Clone(), now, nil, 3), ref.DigestFull()
+			if step%8 != 0 {
+				continue
+			}
+			// Explore a second fork, two roots so that two workers run.
+			look := m.BuildWorld(self.Clone(), now, nil, 1)
+			look.InjectMessage(&sm.Msg{Src: m.Owner, Dst: m.Owner, Kind: "flood"})
+			look.InjectMessage(&sm.Msg{Src: m.Owner, Dst: look.Nodes()[len(look.Nodes())-1], Kind: "flood"})
+			floodWrote.Store(0)
+			x := explore.NewExplorer(3)
+			x.Workers = 1 + step/8%2
+			x.MaxStates = 1 << 12
+			x.Explore(look)
+			var all uint64
+			for _, id := range look.Nodes() {
+				all |= 1 << uint(id)
+			}
+			if got := floodWrote.Load(); got != all {
+				t.Fatalf("%s: handlers ran on nodes %b of %b: the exploration is too small to mean anything", what, got, all)
+			}
+			if wroteRetained.Load() != 0 {
+				t.Fatalf("%s: a handler ran on a state the model retains", what)
+			}
+			for id, d := range retained {
+				if e, _ := m.State.Get(id); e.State.Digest() != d {
+					t.Fatalf("%s: the model's entry for %v changed under an exploration", what, id)
+				}
+			}
+			sameWorld(t, what+" after exploring", n, m.BuildWorld(self.Clone(), now, nil, 2), buildWorldFromScratch(m, self.Clone(), now, nil, 2))
+		}
 	}
 }
 

@@ -7,6 +7,7 @@
 package crystalchoice
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -158,10 +159,30 @@ func TestStepMatchesCheckOnConflictingDecision(t *testing.T) {
 	}
 }
 
+// scratchLookahead assembles node n's lookahead world at now the way
+// model.BuildWorld did before the model kept a standing world: a fresh
+// world holding a clone of the live state and of every checkpoint young
+// enough to model.
+func scratchLookahead(n *core.Node, now time.Duration) *explore.World {
+	m := n.Model()
+	w := explore.NewWorld(nil, 1)
+	w.Now = now
+	w.AddNode(m.Owner, n.Service().Clone())
+	for _, id := range m.State.Known() {
+		if e, _ := m.State.Get(id); id != m.Owner && (m.MaxAge <= 0 || now-e.At <= m.MaxAge) {
+			w.AddNode(id, e.State.Clone())
+		}
+	}
+	return w
+}
+
 // TestStepMatchesCheckOnLiveDeployment runs a steered paxos deployment with
 // a predictive resolver, a crash and a cold restart, under the referee:
 // several hundred deliveries each pay steerAway's lookaheads, whose start
-// worlds are checked against the previous one's (core.Node.explore).
+// worlds are checked against the previous one's (core.Node.explore). Every
+// 20 ms each live node's lookahead world — a fork of its model's standing
+// world, patched by every checkpoint since — is held to the from-scratch
+// build of the same model.
 func TestStepMatchesCheckOnLiveDeployment(t *testing.T) {
 	for _, workers := range []int{1, 2} { // 2: forks of one frozen start world stepped and diffed concurrently
 		const sites = 5
@@ -180,6 +201,23 @@ func TestStepMatchesCheckOnLiveDeployment(t *testing.T) {
 		for c := 0; c < 60; c++ {
 			eng.Schedule(time.Duration(c)*20*time.Millisecond, func() { paxos.SubmitCmd(cl, sm.NodeID(c%sites), c) })
 		}
+		compared := 0
+		for at := 10 * time.Millisecond; at < 3*time.Second; at += 20 * time.Millisecond {
+			eng.Schedule(at, func() {
+				for _, n := range cl.Nodes() {
+					if n.Down() {
+						continue
+					}
+					now := time.Duration(eng.Now())
+					got, want := n.Model().BuildWorld(n.Service().Clone(), now, nil, 1), scratchLookahead(n, now)
+					if got.Digest() != want.DigestFull() || got.DigestFull() != want.DigestFull() || !slices.Equal(got.Nodes(), want.Nodes()) {
+						t.Errorf("workers=%d: node %v at %v: lookahead world %x (from scratch %x) over %v, reference %x over %v",
+							workers, n.ID(), now, got.Digest(), got.DigestFull(), got.Nodes(), want.DigestFull(), want.Nodes())
+					}
+					compared++
+				}
+			})
+		}
 		eng.Schedule(500*time.Millisecond, func() { cl.Crash(2) })
 		eng.Schedule(800*time.Millisecond, func() { cl.Restart(2, fresh(2)) })
 		eng.RunFor(3 * time.Second)
@@ -196,6 +234,15 @@ func TestStepMatchesCheckOnLiveDeployment(t *testing.T) {
 		// model gained or lost a checkpoint since the last.
 		if audit.Carried == 0 || audit.Full*10 > audit.Carried {
 			t.Errorf("workers=%d: audit %v: want start worlds carried from their predecessors, with few full checks", workers, audit)
+		}
+		// Peers are the model's entries by reference, the same from root to
+		// root: a carried root differs from its predecessor in the owner's
+		// state and in the peers whose checkpoint arrived in between.
+		if audit.Touched > audit.Carried+int(st.Checkpoints) {
+			t.Errorf("workers=%d: audit %v: carried roots touch more than their owner and the %d checkpoints received", workers, audit, st.Checkpoints)
+		}
+		if compared < 500 {
+			t.Errorf("workers=%d: only %d lookahead worlds compared with the from-scratch build", workers, compared)
 		}
 		t.Logf("workers=%d: steering checks %d, lookahead states %d; audit %v", workers, st.SteeringChecks, st.LookaheadStates, audit)
 	}
