@@ -62,9 +62,13 @@ bench:
 # steering-shaped paxos lookahead allocates what its handlers allocate
 # plus a fixed few objects and <= 4 KB, the same at MaxStates 128 and
 # 4096 and at 64 and 4096 decided instances.
+# TestStaleCheckpointResponseNotCloned is the gate of the checkpoint
+# receive path: fresh, stale and same-epoch-earlier responses cost zero
+# clones, the delivered state being the one the state model retains.
 bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState' -count=2 -v
 	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize' -count=2 -v
+	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned' -count=2 -v
 	go test . -run 'TestLookaheadSteadyStateAllocs' -count=2 -v
 
 # profile runs the offline model checker under the runtime/pprof

@@ -1,11 +1,13 @@
 // The Section-4 case study end to end: build a 31-node random overlay
 // tree, fail the largest subtree, let it rejoin, and watch how each setup
-// recovers. Prints a depth histogram per phase for one setup, then the
-// summary table across all three.
+// recovers. Prints a depth histogram per phase for the Choice-CrystalBall
+// setup. The summary table across all three setups, with the paper's
+// reference row, is cmd/randtree's.
 //
 // Run with:
 //
 //	go run ./examples/randtree
+//	go run ./cmd/randtree        # the table
 package main
 
 import (
@@ -50,15 +52,5 @@ func main() {
 	e.Run(time.Duration(len(failed))*200*time.Millisecond/4 + 15*time.Second)
 	printHistogram(e, "after rejoin")
 
-	fmt.Println("\nall setups (averaged over 3 seeds):")
-	fmt.Printf("  %-22s %10s %12s\n", "setup", "join depth", "rejoin depth")
-	for _, setup := range randtree.Setups {
-		var join, rejoin float64
-		for seed := int64(1); seed <= 3; seed++ {
-			r := randtree.RunSection4(setup, 31, seed)
-			join += float64(r.JoinDepth)
-			rejoin += float64(r.RejoinDepth)
-		}
-		fmt.Printf("  %-22s %10.1f %12.1f\n", setup, join/3, rejoin/3)
-	}
+	fmt.Println("\nall three setups, with the paper's numbers: go run ./cmd/randtree")
 }

@@ -1,13 +1,13 @@
-// Package checkpoint implements CrystalBall's periodic collection of
-// consistent neighborhood checkpoints (paper §2).
+// Package checkpoint implements CrystalBall's periodic exchange of
+// neighborhood checkpoints (paper §2).
 //
 // Each node runs a Manager. On every Tick the manager opens a new epoch and
-// requests an epoch-tagged checkpoint from each neighbor; neighbors answer
-// with a clone of their service state captured at receipt. The manager
-// retains, per neighbor, the freshest checkpoint, and Snapshot() returns
-// the latest mutually consistent set: the newest epoch for which every
-// reachable neighbor has answered (falling back to freshest-available when
-// no complete epoch exists, with Complete=false).
+// requests an epoch-tagged checkpoint from each neighbor; a neighbor's
+// manager answers with a clone of its service state captured at receipt.
+// The manager keeps nothing of what comes back: the runtime hands every
+// Response to the node's state model (model.StateModel), the node's one
+// checkpoint store, which retains the freshest checkpoint per peer and
+// assembles the neighborhood snapshot from them.
 //
 // In the paper checkpoints travel over the same network as the protocol;
 // here the Manager is transport-agnostic — the runtime wires its Send
@@ -16,7 +16,6 @@
 package checkpoint
 
 import (
-	"slices"
 	"time"
 
 	"crystalchoice/internal/sm"
@@ -30,6 +29,13 @@ type NodeID = sm.NodeID
 const (
 	KindRequest  = "cb.ckpt.req"
 	KindResponse = "cb.ckpt.resp"
+)
+
+// Modeled wire sizes in bytes. A response is a fixed 512 whatever the
+// state it carries.
+const (
+	requestSize  = 16
+	responseSize = 512
 )
 
 // Request asks a neighbor for its state under the controller's epoch.
@@ -59,26 +65,6 @@ func (r Response) DigestBody(h *sm.Hasher) {
 	}
 }
 
-// Entry is one retained checkpoint.
-type Entry struct {
-	State sm.Service
-	Epoch uint64
-	At    time.Duration
-}
-
-// Snapshot is a consistent set of neighborhood checkpoints plus the
-// collector's own state.
-type Snapshot struct {
-	Origin NodeID
-	Epoch  uint64
-	// States maps node -> checkpointed service clone. Includes Origin.
-	States map[NodeID]sm.Service
-	At     map[NodeID]time.Duration
-	// Complete reports whether every requested neighbor contributed a
-	// checkpoint from the same epoch.
-	Complete bool
-}
-
 // SendFunc transmits a checkpoint-protocol message.
 type SendFunc func(dst NodeID, kind string, body any, size int)
 
@@ -94,24 +80,13 @@ type Manager struct {
 	Send SendFunc
 	// Now returns virtual time.
 	Now func() time.Duration
-	// CheckpointSize is the modeled wire size of one checkpoint in bytes.
-	CheckpointSize int
 
-	epoch   uint64
-	latest  map[NodeID]Entry
-	pending map[uint64]map[NodeID]bool // epoch -> neighbors asked
+	epoch uint64
 }
 
 // NewManager returns a Manager for node id. The caller must set the
 // Neighbors, SelfState, Send and Now callbacks before use.
-func NewManager(id NodeID) *Manager {
-	return &Manager{
-		id:             id,
-		CheckpointSize: 512,
-		latest:         make(map[NodeID]Entry),
-		pending:        make(map[uint64]map[NodeID]bool),
-	}
-}
+func NewManager(id NodeID) *Manager { return &Manager{id: id} }
 
 // ID returns the owning node.
 func (m *Manager) ID() NodeID { return m.id }
@@ -126,126 +101,22 @@ func (m *Manager) Tick() {
 		return
 	}
 	m.epoch++
-	asked := make(map[NodeID]bool, len(neighbors))
 	for _, nb := range neighbors {
-		if nb == m.id {
-			continue
-		}
-		asked[nb] = true
-		m.Send(nb, KindRequest, Request{Epoch: m.epoch}, 16)
-	}
-	m.pending[m.epoch] = asked
-	// Garbage-collect stale pending epochs.
-	for e := range m.pending {
-		if e+8 < m.epoch {
-			delete(m.pending, e)
+		if nb != m.id {
+			m.Send(nb, KindRequest, Request{Epoch: m.epoch}, requestSize)
 		}
 	}
 }
 
-// HandleMessage processes a checkpoint-protocol message, reporting whether
-// it consumed the message. Non-checkpoint kinds are ignored (false).
+// HandleMessage answers a checkpoint request, reporting whether it consumed
+// the message. A malformed request is consumed unanswered; every other
+// kind, responses included, is left to the caller (false).
 func (m *Manager) HandleMessage(src NodeID, kind string, body any) bool {
-	switch kind {
-	case KindRequest:
-		req, ok := body.(Request)
-		if !ok {
-			return true
-		}
-		m.Send(src, KindResponse, Response{
-			Epoch: req.Epoch,
-			State: m.SelfState(),
-			At:    m.Now(),
-		}, m.CheckpointSize)
-		return true
-	case KindResponse:
-		resp, ok := body.(Response)
-		if !ok {
-			return true
-		}
-		cur := m.latest[src]
-		// Keep the freshest by epoch, then by capture time.
-		if resp.Epoch > cur.Epoch || (resp.Epoch == cur.Epoch && resp.At >= cur.At) {
-			m.latest[src] = Entry{State: resp.State, Epoch: resp.Epoch, At: resp.At}
-		}
-		return true
+	if kind != KindRequest {
+		return false
 	}
-	return false
-}
-
-// Forget discards the retained checkpoint for a departed neighbor.
-func (m *Manager) Forget(id NodeID) { delete(m.latest, id) }
-
-// Have reports whether a checkpoint for id is retained.
-func (m *Manager) Have(id NodeID) bool { _, ok := m.latest[id]; return ok }
-
-// Latest returns the retained checkpoint entry for id.
-func (m *Manager) Latest(id NodeID) (Entry, bool) {
-	e, ok := m.latest[id]
-	return e, ok
-}
-
-// RecoveryState returns a clone of the freshest checkpointed state retained
-// for id, or nil when none is held. It is the state a lookahead world
-// restores when it explores id's recovery (paper §2: checkpoints are what
-// consequence prediction rebuilds failed participants from).
-func (m *Manager) RecoveryState(id NodeID) sm.Service {
-	e, ok := m.latest[id]
-	if !ok {
-		return nil
+	if req, ok := body.(Request); ok {
+		m.Send(src, KindResponse, Response{Epoch: req.Epoch, State: m.SelfState(), At: m.Now()}, responseSize)
 	}
-	return e.State.Clone()
-}
-
-// Snapshot assembles the neighborhood snapshot. Service states in the
-// result are fresh clones, safe to hand to an explore.World.
-func (m *Manager) Snapshot() Snapshot {
-	s := Snapshot{
-		Origin: m.id,
-		States: make(map[NodeID]sm.Service),
-		At:     make(map[NodeID]time.Duration),
-	}
-	neighbors := m.Neighbors()
-	// Determine the newest epoch every current neighbor has answered.
-	complete := uint64(0)
-	if len(neighbors) > 0 {
-		var minEpoch uint64 = ^uint64(0)
-		all := true
-		for _, nb := range neighbors {
-			if nb == m.id {
-				continue
-			}
-			e, ok := m.latest[nb]
-			if !ok {
-				all = false
-				break
-			}
-			if e.Epoch < minEpoch {
-				minEpoch = e.Epoch
-			}
-		}
-		if all && minEpoch != ^uint64(0) {
-			complete = minEpoch
-			s.Complete = true
-		}
-	}
-	s.Epoch = complete
-	s.States[m.id] = m.SelfState()
-	s.At[m.id] = m.Now()
-	for nb, e := range m.latest {
-		s.States[nb] = e.State.Clone()
-		s.At[nb] = e.At
-	}
-	return s
-}
-
-// Retained returns the IDs for which checkpoints are held, in ascending
-// order, for tests and introspection.
-func (m *Manager) Retained() []NodeID {
-	ids := make([]NodeID, 0, len(m.latest))
-	for id := range m.latest {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"crystalchoice/internal/model"
 	"crystalchoice/internal/sm"
 )
 
@@ -19,9 +20,12 @@ func (s *stub) OnTimer(sm.Env, string)    {}
 func (s *stub) Clone() sm.Service         { c := *s; return &c }
 func (s *stub) Digest() uint64            { return sm.NewHasher().WriteNode(s.id).WriteInt(int64(s.val)).Sum() }
 
-// wire connects managers with synchronous in-test delivery.
+// wire connects managers with synchronous in-test delivery. Requests go to
+// the destination's manager; responses go to its state model, the store a
+// runtime node keeps them in.
 type wire struct {
 	managers map[NodeID]*Manager
+	stores   map[NodeID]*model.StateModel
 	dropTo   map[NodeID]bool
 	sent     int
 }
@@ -32,6 +36,10 @@ func (w *wire) send(src NodeID) SendFunc {
 		if w.dropTo[dst] {
 			return
 		}
+		if resp, ok := body.(Response); ok {
+			w.stores[dst].Update(src, resp.State, resp.At, resp.Epoch)
+			return
+		}
 		if m := w.managers[dst]; m != nil {
 			m.HandleMessage(src, kind, body)
 		}
@@ -39,7 +47,7 @@ func (w *wire) send(src NodeID) SendFunc {
 }
 
 func rig(n int) (*wire, map[NodeID]*stub) {
-	w := &wire{managers: make(map[NodeID]*Manager), dropTo: make(map[NodeID]bool)}
+	w := &wire{managers: make(map[NodeID]*Manager), stores: make(map[NodeID]*model.StateModel), dropTo: make(map[NodeID]bool)}
 	svcs := make(map[NodeID]*stub)
 	now := time.Second
 	for i := 0; i < n; i++ {
@@ -58,20 +66,27 @@ func rig(n int) (*wire, map[NodeID]*stub) {
 		}
 		m.Neighbors = func() []NodeID { return all }
 		w.managers[id] = m
+		w.stores[id] = model.NewStateModel()
 	}
 	return w, svcs
+}
+
+// snapshot is node id's neighborhood snapshot as its runtime assembles it.
+func (w *wire) snapshot(id NodeID) model.Snapshot {
+	m := w.managers[id]
+	return w.stores[id].Snapshot(id, m.SelfState(), m.Now(), m.Neighbors())
 }
 
 func TestTickCollectsNeighborhood(t *testing.T) {
 	w, _ := rig(4)
 	m := w.managers[0]
 	m.Tick()
-	if got := len(m.Retained()); got != 3 {
+	if got := len(w.stores[0].Known()); got != 3 {
 		t.Fatalf("retained %d checkpoints, want 3", got)
 	}
-	s := m.Snapshot()
-	if !s.Complete {
-		t.Fatal("snapshot should be complete after full round")
+	s := w.snapshot(0)
+	if !s.Complete || s.Epoch != 1 {
+		t.Fatalf("snapshot complete=%v at epoch %d after a full round, want true 1", s.Complete, s.Epoch)
 	}
 	if len(s.States) != 4 {
 		t.Fatalf("snapshot has %d states, want 4 (incl. self)", len(s.States))
@@ -85,25 +100,24 @@ func TestSnapshotStatesAreClones(t *testing.T) {
 	w, svcs := rig(2)
 	m := w.managers[0]
 	m.Tick()
-	s := m.Snapshot()
+	s := w.snapshot(0)
 	s.States[1].(*stub).val = -1
 	if svcs[1].val != 101 {
 		t.Fatal("snapshot mutation reached the live service")
 	}
 	// A second snapshot must not see the first one's mutation.
-	if m.Snapshot().States[1].(*stub).val != 101 {
+	if w.snapshot(0).States[1].(*stub).val != 101 {
 		t.Fatal("snapshots share state clones")
 	}
 }
 
 func TestIncompleteWhenNeighborSilent(t *testing.T) {
 	w, _ := rig(3)
-	w.dropTo[2] = false
 	m := w.managers[0]
 	// Drop responses from 2 by dropping requests to it.
 	w.dropTo[2] = true
 	m.Tick()
-	s := m.Snapshot()
+	s := w.snapshot(0)
 	if s.Complete {
 		t.Fatal("snapshot claims completeness with a silent neighbor")
 	}
@@ -113,32 +127,28 @@ func TestIncompleteWhenNeighborSilent(t *testing.T) {
 }
 
 func TestFreshestCheckpointWins(t *testing.T) {
-	m := NewManager(0)
-	m.Now = func() time.Duration { return 0 }
-	m.Neighbors = func() []NodeID { return []NodeID{1} }
-	m.SelfState = func() sm.Service { return &stub{id: 0} }
-	m.Send = func(NodeID, string, any, int) {}
-	m.HandleMessage(1, KindResponse, Response{Epoch: 5, State: &stub{id: 1, val: 5}, At: time.Second})
-	m.HandleMessage(1, KindResponse, Response{Epoch: 3, State: &stub{id: 1, val: 3}, At: 2 * time.Second})
-	e, ok := m.Latest(1)
+	w, _ := rig(2)
+	deliver := w.send(1)
+	deliver(0, KindResponse, Response{Epoch: 5, State: &stub{id: 1, val: 5}, At: time.Second}, responseSize)
+	deliver(0, KindResponse, Response{Epoch: 3, State: &stub{id: 1, val: 3}, At: 2 * time.Second}, responseSize)
+	e, ok := w.stores[0].Get(1)
 	if !ok || e.State.(*stub).val != 5 {
 		t.Fatal("older epoch overwrote newer checkpoint")
 	}
-	m.HandleMessage(1, KindResponse, Response{Epoch: 6, State: &stub{id: 1, val: 6}, At: 3 * time.Second})
-	if e, _ := m.Latest(1); e.State.(*stub).val != 6 {
+	deliver(0, KindResponse, Response{Epoch: 6, State: &stub{id: 1, val: 6}, At: 3 * time.Second}, responseSize)
+	if e, _ := w.stores[0].Get(1); e.State.(*stub).val != 6 {
 		t.Fatal("newer epoch not retained")
 	}
 }
 
 func TestForget(t *testing.T) {
 	w, _ := rig(3)
-	m := w.managers[0]
-	m.Tick()
-	m.Forget(1)
-	if m.Have(1) {
+	w.managers[0].Tick()
+	w.stores[0].Forget(1)
+	if _, ok := w.stores[0].Get(1); ok {
 		t.Fatal("Forget did not drop the checkpoint")
 	}
-	if !m.Have(2) {
+	if _, ok := w.stores[0].Get(2); !ok {
 		t.Fatal("Forget dropped an unrelated checkpoint")
 	}
 }
@@ -179,24 +189,8 @@ func TestMalformedBodiesConsumedSafely(t *testing.T) {
 	if !m.HandleMessage(1, KindRequest, "garbage") {
 		t.Fatal("malformed request not consumed")
 	}
-	if !m.HandleMessage(1, KindResponse, 42) {
-		t.Fatal("malformed response not consumed")
-	}
-}
-
-func TestRecoveryState(t *testing.T) {
-	w, svcs := rig(3)
-	w.managers[0].Tick()
-	rs := w.managers[0].RecoveryState(1)
-	if rs == nil || rs.(*stub).val != svcs[1].val {
-		t.Fatalf("recovery state does not match the retained checkpoint: %v", rs)
-	}
-	// Must be a clone: mutating it cannot corrupt the retained entry.
-	rs.(*stub).val = -1
-	if e, _ := w.managers[0].Latest(1); e.State.(*stub).val != svcs[1].val {
-		t.Fatal("RecoveryState leaked the retained checkpoint")
-	}
-	if w.managers[0].RecoveryState(9) != nil {
-		t.Fatal("RecoveryState invented a checkpoint for an unknown node")
+	// Responses are the receiving node's state model's to integrate.
+	if m.HandleMessage(1, KindResponse, Response{Epoch: 1}) {
+		t.Fatal("manager consumed a response")
 	}
 }

@@ -152,10 +152,62 @@ func TestCheckpointsPopulateModel(t *testing.T) {
 	if cl.Stats().Checkpoints == 0 {
 		t.Fatal("checkpoint counter not incremented")
 	}
-	// Snapshot through the manager too.
+	// The snapshot is assembled from the same store.
 	snap := cl.Node(0).Snapshot()
 	if !snap.Complete {
 		t.Fatal("snapshot incomplete after several rounds")
+	}
+	if snap.States[1].Digest() != e.State.Digest() || snap.States[1] == e.State {
+		t.Fatal("snapshot does not hold a clone of the model's entry")
+	}
+}
+
+// TestRecoveryState: after a checkpoint round the cluster restores a node
+// from the checkpoint its peers' models retain, as a clone — mutating it
+// cannot corrupt the retained entry. (TestMaterializeWorld checks that
+// nothing is invented for a node no model knows.)
+func TestRecoveryState(t *testing.T) {
+	eng, cl := rig(t, 3, Config{
+		NewResolver:        func(*Node) Resolver { return First{} },
+		CheckpointInterval: 100 * time.Millisecond,
+	})
+	cl.Node(1).Service().(*balSvc).val = 42
+	eng.RunFor(500 * time.Millisecond)
+	rs := cl.RecoveryState(1)
+	if rs == nil || rs.(*balSvc).val != 42 {
+		t.Fatalf("recovery state does not match the retained checkpoint: %v", rs)
+	}
+	rs.(*balSvc).val = -1
+	for _, holder := range []NodeID{0, 2} {
+		if e, _ := cl.Node(holder).Model().State.Get(1); e.State.(*balSvc).val != 42 {
+			t.Fatalf("RecoveryState leaked node %v's retained checkpoint", holder)
+		}
+	}
+}
+
+// Two holders whose checkpoints of a node tie on (epoch, at) but differ in
+// content: Cluster.RecoveryState and a materialized world's Recovery hook
+// pick the same one, the first holder's in cluster order.
+func TestRecoveryTieFirstHolderWins(t *testing.T) {
+	_, cl := rig(t, 4, Config{NewResolver: func(*Node) Resolver { return First{} }})
+	first, second := &balSvc{id: 2, val: 1}, &balSvc{id: 2, val: 2}
+	cl.Node(1).Model().State.Update(2, second, time.Second, 3)
+	cl.Node(0).Model().State.Update(2, first, time.Second, 3)
+	if got := cl.RecoveryState(2); got == nil || got.Digest() != first.Digest() {
+		t.Fatalf("RecoveryState(2) = %v, want the first holder's %v", got, first)
+	}
+	w := cl.MaterializeWorld(explore.FirstPolicy, 1, nil)
+	if got := w.Recovery(2); got == nil || got.Digest() != first.Digest() {
+		t.Fatalf("materialized Recovery(2) = %v, want the first holder's %v", got, first)
+	}
+	// A fresher checkpoint at a later holder wins over both.
+	later := &balSvc{id: 2, val: 3}
+	cl.Node(3).Model().State.Update(2, later, 2*time.Second, 3)
+	if got := cl.RecoveryState(2); got.Digest() != later.Digest() {
+		t.Fatalf("RecoveryState(2) = %v, want the freshest %v", got, later)
+	}
+	if got := cl.MaterializeWorld(explore.FirstPolicy, 1, nil).Recovery(2); got.Digest() != later.Digest() {
+		t.Fatalf("materialized Recovery(2) = %v, want the freshest %v", got, later)
 	}
 }
 
@@ -168,28 +220,38 @@ type cloneCounter struct {
 
 func (s *cloneCounter) Clone() sm.Service { *s.clones++; return s }
 
-// A checkpoint response older than the retained entry is dropped by the
-// state model, so onDeliver must not pay for cloning it first.
+// A checkpoint response's state is already a clone the sender made for the
+// receiver, so receiving one clones nothing: a fresh response is retained
+// as delivered, and a stale one — an older epoch, or the same epoch
+// captured earlier — is dropped.
 func TestStaleCheckpointResponseNotCloned(t *testing.T) {
 	_, cl := rig(t, 2, Config{NewResolver: func(*Node) Resolver { return First{} }})
 	n := cl.Node(0)
 	clones := 0
-	deliver := func(at time.Duration, epoch uint64) {
+	deliver := func(at time.Duration, epoch uint64) *cloneCounter {
+		st := &cloneCounter{clones: &clones}
 		n.onDeliver(&transport.Message{Src: 1, Dst: 0, Kind: checkpoint.KindResponse, Reliable: true,
-			Payload: envelope{Body: checkpoint.Response{Epoch: epoch, At: at, State: &cloneCounter{clones: &clones}}}})
+			Payload: envelope{Body: checkpoint.Response{Epoch: epoch, At: at, State: st}}})
+		return st
 	}
-	deliver(2*time.Second, 4)
-	if e, ok := n.Model().State.Get(1); !ok || e.Epoch != 4 || clones != 1 {
-		t.Fatalf("fresh response: retained=%v epoch=%d clones=%d, want true 4 1", ok, e.Epoch, clones)
+	fresh := deliver(2*time.Second, 4)
+	if e, ok := n.Model().State.Get(1); !ok || e.State != fresh {
+		t.Fatalf("fresh response: retained=%v, state %p, want the delivered %p", ok, e.State, fresh)
 	}
 	deliver(3*time.Second, 3) // older epoch
 	deliver(time.Second, 4)   // same epoch, earlier capture
-	if clones != 1 {
-		t.Fatalf("stale responses were cloned: %d clones, want 1", clones)
+	if e, _ := n.Model().State.Get(1); e.State != fresh {
+		t.Fatal("a stale response replaced the retained entry")
 	}
-	deliver(3*time.Second, 4)
-	if e, _ := n.Model().State.Get(1); e.At != 3*time.Second || clones != 2 {
-		t.Fatalf("fresher response: at=%v clones=%d, want 3s 2", e.At, clones)
+	fresher := deliver(3*time.Second, 4)
+	if e, _ := n.Model().State.Get(1); e.State != fresher {
+		t.Fatal("a fresher response was not retained as delivered")
+	}
+	if clones != 0 {
+		t.Fatalf("receiving four responses cloned %d times, want 0", clones)
+	}
+	if got := n.Stats().Checkpoints; got != 4 {
+		t.Fatalf("Stats.Checkpoints = %d, want 4 responses received", got)
 	}
 }
 

@@ -100,8 +100,6 @@ type Predictive struct {
 	// evaluated — the paper's "choices based on previous similar scenarios
 	// as a fast alternative". Default true via NewPredictive.
 	UseCache bool
-	// ViolationPenalty is subtracted per predicted safety violation.
-	ViolationPenalty float64
 	// Explore mixes in a random decision with this probability. Argmax
 	// resolution couples the participants — with a shared, slightly stale
 	// model every node converges on the same "best" target, the emergent
@@ -122,12 +120,16 @@ type Predictive struct {
 	PredictionLatency time.Duration
 }
 
+// violationPenalty is subtracted from a candidate's score per predicted
+// safety violation.
+const violationPenalty = 1e12
+
 // NewPredictive returns a Predictive resolver with default bounds.
 func NewPredictive(depth int) *Predictive {
 	if depth <= 0 {
 		depth = 4
 	}
-	return &Predictive{Depth: depth, MaxStates: 256, UseCache: true, ViolationPenalty: 1e12}
+	return &Predictive{Depth: depth, MaxStates: 256, UseCache: true}
 }
 
 // Name returns "crystalball".
@@ -323,6 +325,6 @@ func (p *Predictive) evaluate(n *Node, c sm.Choice, base sm.Service, ev *pending
 	if obj == nil {
 		score = 0
 	}
-	score -= p.ViolationPenalty * float64(len(r.Violations))
+	score -= violationPenalty * float64(len(r.Violations))
 	return score
 }

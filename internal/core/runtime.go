@@ -35,16 +35,10 @@ type Config struct {
 	// exchange. Zero disables checkpointing (and thus prediction quality
 	// degrades to self-state-only worlds).
 	CheckpointInterval time.Duration
-	// CheckpointSize is the modeled wire size of a checkpoint.
-	CheckpointSize int
 	// Steering enables execution steering: inbound messages whose
 	// delivery is predicted to violate a property are dropped and the
 	// connection to the sender broken, when doing so is predicted safe.
 	Steering bool
-	// SteeringDepth and SteeringMaxStates bound the per-message steering
-	// prediction. Defaults 3 / 128.
-	SteeringDepth     int
-	SteeringMaxStates int
 	// Lookahead is the engine configuration of every explorer the runtime
 	// creates — steering checks and predictive resolution alike: worker
 	// pool (values <= 1 run inline on the caller, deterministically),
@@ -90,27 +84,22 @@ type Config struct {
 	// and killing the whole run. Off by default so engine bugs in tests
 	// still fail loudly; the scenario runner turns it on.
 	ContainPanics bool
-	// EnvelopeOverhead is added to every message's modeled size.
-	EnvelopeOverhead int
 	// Trace receives structured log entries (nil = discard).
 	Trace *trace.Log
 }
 
+const (
+	// steeringDepth and steeringMaxStates bound the per-message steering
+	// prediction.
+	steeringDepth     = 3
+	steeringMaxStates = 128
+	// envelopeOverhead is added to every message's modeled size.
+	envelopeOverhead = 32
+)
+
 func (c *Config) fill() {
 	if c.NewResolver == nil {
 		c.NewResolver = func(*Node) Resolver { return Random{} }
-	}
-	if c.CheckpointSize == 0 {
-		c.CheckpointSize = 512
-	}
-	if c.SteeringDepth == 0 {
-		c.SteeringDepth = 3
-	}
-	if c.SteeringMaxStates == 0 {
-		c.SteeringMaxStates = 128
-	}
-	if c.EnvelopeOverhead == 0 {
-		c.EnvelopeOverhead = 32
 	}
 }
 
@@ -124,7 +113,7 @@ type Stats struct {
 	LookaheadStates  uint64 // handler executions inside lookahead worlds
 	Steered          uint64 // messages dropped by execution steering
 	SteeringChecks   uint64 // messages inspected by steering
-	Checkpoints      uint64 // checkpoint responses integrated
+	Checkpoints      uint64 // checkpoint responses received
 	DroppedWindows   uint64 // decisions overrunning Config.DecisionSlot
 	// ClassCacheHits counts interposition decisions answered from the
 	// class-keyed verdict cache (Config.LookaheadClassCache): steering
@@ -305,7 +294,6 @@ func (c *Cluster) AddNode(id NodeID, svc sm.Service) *Node {
 		n.objective = c.cfg.ObjectiveFor(n)
 	}
 	n.ckpt = checkpoint.NewManager(id)
-	n.ckpt.CheckpointSize = c.cfg.CheckpointSize
 	n.ckpt.Neighbors = n.checkpointNeighbors
 	n.ckpt.SelfState = func() sm.Service { return n.svc.Clone() }
 	n.ckpt.Now = func() time.Duration { return time.Duration(c.eng.Now()) }
@@ -386,9 +374,10 @@ func (c *Cluster) Restart(id NodeID, fresh sm.Service) {
 // explorable world: per-node service clones, down flags, the network's
 // partition relation, and the given protocol timers marked pending on
 // every live node. Recovery inside the world restores the freshest
-// checkpoint any node retains for the target (RecoveryState), falling back
-// to the cluster's InitialState hook, so offline fault exploration replays
-// the same restart states the predictive runtime would.
+// checkpoint any node's state model retains for the target (the one
+// RecoveryState returns), falling back to the cluster's InitialState hook,
+// so offline fault exploration replays the same restart states the
+// predictive runtime would.
 func (c *Cluster) MaterializeWorld(policy explore.ChoicePolicy, seed int64, timers []string) *explore.World {
 	w := explore.NewWorld(policy, seed)
 	w.Now = time.Duration(c.eng.Now())
@@ -408,19 +397,13 @@ func (c *Cluster) MaterializeWorld(policy explore.ChoicePolicy, seed int64, time
 	}
 	// Snapshot recovery state eagerly, like every other piece of the
 	// materialized world: the freshest retained checkpoint entry per node
-	// is captured now (entries are immutable once stored — managers only
-	// ever replace them), so the hooks never read live cluster state after
-	// materialization and are safe for concurrent exploration workers.
-	best := make(map[NodeID]checkpoint.Entry)
-	for _, nid := range c.order {
-		for _, rid := range c.nodes[nid].ckpt.Retained() {
-			e, ok := c.nodes[nid].ckpt.Latest(rid)
-			if !ok {
-				continue
-			}
-			if cur, held := best[rid]; !held || e.Epoch > cur.Epoch || (e.Epoch == cur.Epoch && e.At > cur.At) {
-				best[rid] = e
-			}
+	// is captured now (entries are immutable once stored — a state model
+	// only ever replaces them), so the hooks never read live cluster state
+	// after materialization and are safe for concurrent exploration workers.
+	best := make(map[NodeID]model.StateEntry)
+	for _, id := range c.order {
+		if e, ok := c.freshestCheckpoint(id); ok {
+			best[id] = e
 		}
 	}
 	w.Recovery = func(id NodeID) sm.Service {
@@ -438,22 +421,22 @@ func (c *Cluster) MaterializeWorld(policy explore.ChoicePolicy, seed int64, time
 // RecoveryState returns a clone of the freshest checkpoint any node in the
 // cluster retains for id, or nil when none is held.
 func (c *Cluster) RecoveryState(id NodeID) sm.Service {
-	var best checkpoint.Entry
-	holder := NodeID(-1)
-	for _, nid := range c.order {
-		e, ok := c.nodes[nid].ckpt.Latest(id)
-		if !ok {
-			continue
-		}
-		if holder < 0 || e.Epoch > best.Epoch || (e.Epoch == best.Epoch && e.At > best.At) {
-			best = e
-			holder = nid
-		}
-	}
-	if holder < 0 {
+	e, ok := c.freshestCheckpoint(id)
+	if !ok {
 		return nil
 	}
-	return c.nodes[holder].ckpt.RecoveryState(id)
+	return e.State.Clone()
+}
+
+// freshestCheckpoint returns the freshest entry for id across every node's
+// state model; of equally fresh ones, the first holder's in cluster order.
+func (c *Cluster) freshestCheckpoint(id NodeID) (best model.StateEntry, found bool) {
+	for _, nid := range c.order {
+		if e, ok := c.nodes[nid].model.State.Get(id); ok && (!found || e.Fresher(best)) {
+			best, found = e, true
+		}
+	}
+	return best, found
 }
 
 // Stats sums runtime counters over all nodes.
@@ -567,8 +550,11 @@ func (n *Node) Stats() Stats { return n.stats }
 // Down reports whether the node is crashed.
 func (n *Node) Down() bool { return n.down }
 
-// Snapshot returns the node's latest neighborhood snapshot.
-func (n *Node) Snapshot() checkpoint.Snapshot { return n.ckpt.Snapshot() }
+// Snapshot returns the node's latest neighborhood snapshot, assembled from
+// its state model.
+func (n *Node) Snapshot() model.Snapshot {
+	return n.model.State.Snapshot(n.id, n.svc.Clone(), time.Duration(n.cluster.eng.Now()), n.checkpointNeighbors())
+}
 
 func (n *Node) start() {
 	n.svc.Init(n.env())
@@ -609,7 +595,7 @@ func (n *Node) env() sm.Env { return (*liveEnv)(n) }
 
 func (n *Node) sendRaw(dst NodeID, kind string, body any, size int, reliable bool) {
 	wrapped := envelope{Body: body, SentAt: time.Duration(n.cluster.eng.Now())}
-	total := size + n.cluster.cfg.EnvelopeOverhead
+	total := size + envelopeOverhead
 	if reliable {
 		n.cluster.net.Send(n.id, dst, kind, wrapped, total)
 	} else {
@@ -636,13 +622,14 @@ func (n *Node) onDeliver(tm *transport.Message) {
 		}
 	}
 	if strings.HasPrefix(tm.Kind, "cb.ckpt.") {
+		// A response's state is already a clone the sender made for this
+		// node: the model retains it as delivered.
 		if resp, isResp := env.Body.(checkpoint.Response); isResp {
 			n.stats.Checkpoints++
-			if !n.model.State.Stale(tm.Src, resp.At, resp.Epoch) {
-				n.model.State.Update(tm.Src, resp.State.Clone(), resp.At, resp.Epoch)
-			}
+			n.model.State.Update(tm.Src, resp.State, resp.At, resp.Epoch)
+		} else {
+			n.ckpt.HandleMessage(tm.Src, tm.Kind, env.Body)
 		}
-		n.ckpt.HandleMessage(tm.Src, tm.Kind, env.Body)
 		return
 	}
 	msg := &sm.Msg{Src: tm.Src, Dst: tm.Dst, Kind: tm.Kind, Body: env.Body, Size: tm.Size, Unreliable: !tm.Reliable}
@@ -663,8 +650,8 @@ func (n *Node) onDeliver(tm *transport.Message) {
 // fault searches per delivery for it). Lookahead's fault settings apply to
 // choice resolution, not steering.
 func steerExplorer(cfg *Config) *explore.Explorer {
-	x := explore.NewExplorer(cfg.SteeringDepth)
-	x.MaxStates = cfg.SteeringMaxStates
+	x := explore.NewExplorer(steeringDepth)
+	x.MaxStates = steeringMaxStates
 	x.Properties = cfg.Properties
 	x.Options = cfg.Lookahead
 	x.FaultBudget, x.PartitionFaults = 0, false

@@ -135,7 +135,18 @@ type StateEntry struct {
 	Epoch uint64
 }
 
-// StateModel retains the freshest known checkpoint per participant.
+// Fresher reports whether e comes after o in checkpoint freshness order: a
+// later epoch, or the same epoch captured later. It is the one order every
+// choice between two checkpoints of a node follows.
+func (e StateEntry) Fresher(o StateEntry) bool {
+	return e.Epoch > o.Epoch || (e.Epoch == o.Epoch && e.At > o.At)
+}
+
+// StateModel retains the freshest known checkpoint per participant. It is
+// a node's only checkpoint store: each entry is the state a checkpoint
+// response delivered, held once and never written — the standing world
+// borrows it frozen, and Recovery hooks and Snapshot clone it before
+// handing it out.
 type StateModel struct {
 	entries map[NodeID]StateEntry
 	// standing is the world Model.BuildWorld forks; nil until the first
@@ -178,21 +189,16 @@ func NewStateModel() *StateModel {
 	return &StateModel{entries: make(map[NodeID]StateEntry)}
 }
 
-// Stale reports whether a checkpoint of id taken at (epoch, at) is older
-// than the retained entry, so that Update would drop it. Callers that must
-// clone a state before handing it over ask first.
-func (m *StateModel) Stale(id NodeID, at time.Duration, epoch uint64) bool {
-	cur, ok := m.entries[id]
-	return ok && (cur.Epoch > epoch || (cur.Epoch == epoch && cur.At > at))
-}
-
-// Update retains svc (a clone owned by the model, never written again)
-// unless it is Stale.
+// Update retains svc as the entry for id unless the retained one is
+// Fresher; an equally fresh checkpoint replaces it. svc is taken as it is
+// — the clone a checkpoint response delivered, owned by the model from
+// here on and never written again — so a stale one costs nothing.
 func (m *StateModel) Update(id NodeID, svc sm.Service, at time.Duration, epoch uint64) {
-	if m.Stale(id, at, epoch) {
+	e := StateEntry{State: svc, At: at, Epoch: epoch}
+	if cur, ok := m.entries[id]; ok && cur.Fresher(e) {
 		return
 	}
-	m.entries[id] = StateEntry{State: svc, At: at, Epoch: epoch}
+	m.entries[id] = e
 	s := m.standing
 	if s == nil || id == s.owner {
 		return
@@ -240,6 +246,53 @@ func (m *StateModel) Age(id NodeID, now time.Duration) (time.Duration, bool) {
 		age = 0
 	}
 	return age, true
+}
+
+// Snapshot is a consistent set of neighborhood checkpoints plus the
+// collector's own state.
+type Snapshot struct {
+	Origin NodeID
+	// Epoch is the newest epoch every neighbor has answered; zero unless
+	// Complete.
+	Epoch uint64
+	// States maps node -> checkpointed service clone. Includes Origin.
+	States map[NodeID]sm.Service
+	At     map[NodeID]time.Duration
+	// Complete reports whether every neighbor has a retained checkpoint.
+	Complete bool
+}
+
+// Snapshot assembles origin's neighborhood snapshot: self, a clone of
+// origin's state captured at now that the snapshot takes over, plus a clone
+// of every retained peer entry. Every state in it is safe to hand to an
+// explore.World.
+func (m *StateModel) Snapshot(origin NodeID, self sm.Service, now time.Duration, neighbors []NodeID) Snapshot {
+	s := Snapshot{
+		Origin: origin,
+		States: map[NodeID]sm.Service{origin: self},
+		At:     map[NodeID]time.Duration{origin: now},
+	}
+	oldest, all := ^uint64(0), true
+	for _, nb := range neighbors {
+		if nb == origin {
+			continue
+		}
+		e, ok := m.entries[nb]
+		if !ok {
+			all = false
+			break
+		}
+		oldest = min(oldest, e.Epoch)
+	}
+	if all && oldest != ^uint64(0) {
+		s.Epoch, s.Complete = oldest, true
+	}
+	for id, e := range m.entries {
+		if id != origin {
+			s.States[id], s.At[id] = e.State.Clone(), e.At
+		}
+	}
+	return s
 }
 
 // Model bundles the network and state models for one node.

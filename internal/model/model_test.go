@@ -110,11 +110,13 @@ func TestKnownSorted(t *testing.T) {
 }
 
 func TestStateModelFreshnessRules(t *testing.T) {
+	e5 := StateEntry{At: time.Second, Epoch: 5}
+	if e5.Fresher(e5) || !e5.Fresher(StateEntry{At: 2 * time.Second, Epoch: 3}) ||
+		!e5.Fresher(StateEntry{At: 0, Epoch: 5}) || e5.Fresher(StateEntry{At: 0, Epoch: 6}) {
+		t.Fatal("Fresher disagrees with the rules below")
+	}
 	m := NewStateModel()
 	m.Update(1, &stub{id: 1, val: 1}, time.Second, 5)
-	if m.Stale(1, time.Second, 5) || !m.Stale(1, 2*time.Second, 3) || m.Stale(2, 0, 0) {
-		t.Fatal("Stale disagrees with the rules below")
-	}
 	m.Update(1, &stub{id: 1, val: 2}, 2*time.Second, 3) // older epoch: reject
 	if e, _ := m.Get(1); e.State.(*stub).val != 1 {
 		t.Fatal("older epoch replaced newer checkpoint")
@@ -127,11 +129,17 @@ func TestStateModelFreshnessRules(t *testing.T) {
 	if e, _ := m.Get(1); e.State.(*stub).val != 4 {
 		t.Fatal("newer epoch rejected")
 	}
+	again := &stub{id: 1, val: 5}
+	m.Update(1, again, time.Second, 6) // equally fresh: accept, as handed over
+	if e, _ := m.Get(1); e.State != again {
+		t.Fatal("an equally fresh checkpoint did not replace the entry")
+	}
 }
 
 func TestStateModelAgeAndForget(t *testing.T) {
 	m := NewStateModel()
 	m.Update(2, &stub{id: 2}, time.Second, 1)
+	m.Update(3, &stub{id: 3}, time.Second, 1)
 	age, ok := m.Age(2, 5*time.Second)
 	if !ok || age != 4*time.Second {
 		t.Fatalf("age = %v, %v", age, ok)
@@ -139,6 +147,9 @@ func TestStateModelAgeAndForget(t *testing.T) {
 	m.Forget(2)
 	if _, ok := m.Get(2); ok {
 		t.Fatal("Forget left the entry")
+	}
+	if !slices.Equal(m.Known(), []NodeID{3}) {
+		t.Fatalf("Known() = %v after Forget(2), want [3]", m.Known())
 	}
 }
 
@@ -302,7 +313,7 @@ func TestStandingWorldMatchesFromScratch(t *testing.T) {
 				self = &flood{id: m.Owner, n: n, val: self.val + 1}
 				continue
 			}
-			if !m.State.Stale(id, at, epoch) {
+			if cur, ok := m.State.Get(id); !ok || !cur.Fresher(StateEntry{At: at, Epoch: epoch}) {
 				retained[id] = svc.Digest()
 			}
 			m.State.Update(id, svc, at, epoch)
