@@ -55,6 +55,9 @@ bench:
 # TestForkCostIndependentOfLogSize is the cost-shape gate of the paxos
 # service fork: Clone+Digest allocate the same at 64 and at 4096 decided
 # instances, and the first write after a fork copies one trie path.
+# TestForkCostIndependentOfUpdates is the same gate for the gossip peer:
+# Clone+Digest and Clone+Delta cost the same at 64 and 4096 held updates,
+# and the first update learned after a fork copies the receipt log once.
 # TestAgreementStepIndependentOfLogSize is the same gate for the agreement
 # property's Step: one decision costs the same lookups, and no
 # allocation, at either size.
@@ -68,6 +71,7 @@ bench:
 bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState' -count=2 -v
 	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize' -count=2 -v
+	go test ./internal/apps/gossip -run 'TestForkCostIndependentOfUpdates' -count=2 -v
 	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned' -count=2 -v
 	go test . -run 'TestLookaheadSteadyStateAllocs' -count=2 -v
 

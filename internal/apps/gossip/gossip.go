@@ -14,10 +14,19 @@
 //   - Predictive (core.NewPredictive + SpreadObjective): CrystalBall picks
 //     the partner whose exchange is predicted to spread the most new
 //     information per unit of predicted latency.
+//
+// A Peer forks in O(1) (DESIGN.md §2.4.1), because the live runtime clones
+// it on every interposed delivery and every checkpoint: its held updates
+// are a sorted slice that is replaced, never written, so clones and
+// message bodies share it, a digest hashes it without sorting and a
+// digest or delta is answered by merging two sorted lists; the receipt log
+// is shared behind a shared mark until a clone writes it.
 package gossip
 
 import (
-	"sort"
+	"maps"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"crystalchoice/internal/core"
@@ -37,7 +46,9 @@ const (
 // RoundEvery is the gossip round period.
 const RoundEvery = 200 * time.Millisecond
 
-// Digest advertises the sender's update set.
+// Digest advertises the sender's update set. Update lists in message
+// bodies are sorted ascending without duplicates and may be the sender's
+// own held slice: receivers read them, never write them.
 type Digest struct {
 	Have []int
 }
@@ -80,15 +91,22 @@ func (p Publish) DigestBody(h *sm.Hasher) { h.WriteString("gpub").WriteInt(int64
 // Peer is one gossip participant.
 type Peer struct {
 	ID   sm.NodeID
-	View []sm.NodeID
-	// Updates is the set of known update IDs.
-	Updates map[int]bool
+	View []sm.NodeID // immutable, shared by clones
+	// held is the set of known update IDs, sorted ascending. It is never
+	// written in place — add replaces it — so Clone, Digest{Have} and
+	// Delta{Have} share it.
+	held []int
 	// ExchangingWith marks the partner of the in-progress exchange (-1
 	// when idle). It is part of the state deliberately: lookahead
 	// objectives use it to charge the predicted link cost of the choice.
 	ExchangingWith sm.NodeID
-	// Received logs (update, time) on first receipt for the harness.
+	// Received logs (update, time) on first receipt for the harness; its
+	// keys are held's. Clones share the map until one of them writes: read
+	// it freely, write it only through add.
 	Received map[int]time.Duration
+	// receivedShared is Received's shared mark (see sm.IntMap): set once
+	// the map is reachable from two peers, replaced with the map.
+	receivedShared *atomic.Bool
 }
 
 // New creates a gossip peer with the given view.
@@ -96,9 +114,9 @@ func New(id sm.NodeID, view []sm.NodeID) *Peer {
 	return &Peer{
 		ID:             id,
 		View:           sm.CloneNodes(view),
-		Updates:        make(map[int]bool),
 		ExchangingWith: -1,
 		Received:       make(map[int]time.Duration),
+		receivedShared: new(atomic.Bool),
 	}
 }
 
@@ -126,7 +144,7 @@ func (p *Peer) OnTimer(env sm.Env, name string) {
 		})
 		partner := p.View[i]
 		p.ExchangingWith = partner
-		env.Send(partner, KindDigest, Digest{Have: p.have()}, 4*len(p.Updates)+16)
+		env.Send(partner, KindDigest, Digest{Have: p.held}, 4*len(p.held)+16)
 	}
 	env.SetTimer(timerRound, RoundEvery)
 }
@@ -135,18 +153,18 @@ func (p *Peer) OnTimer(env sm.Env, name string) {
 func (p *Peer) OnMessage(env sm.Env, m *sm.Msg) {
 	switch m.Kind {
 	case KindPublish:
-		p.learn(env, m.Body.(Publish).Update)
+		p.add(env.Now(), m.Body.(Publish).Update)
 	case KindDigest:
 		d := m.Body.(Digest)
 		missing := p.missingFrom(d.Have)
-		env.Send(m.Src, KindDelta, Delta{Updates: missing, Have: p.have()}, 32*len(missing)+4*len(p.Updates)+16)
+		env.Send(m.Src, KindDelta, Delta{Updates: missing, Have: p.held}, 32*len(missing)+4*len(p.held)+16)
 	case KindDelta:
 		d := m.Body.(Delta)
 		// The sender computed what we lack from our digest; absorb it.
-		for _, u := range d.Updates {
-			p.learn(env, u)
-		}
+		p.add(env.Now(), d.Updates...)
 		// Pull half: send the partner what it lacks per its digest.
+		// Known defect, kept on purpose (ROADMAP, "exchange never terminates"):
+		// this Delta carries no Have, so its receiver echoes back all it holds.
 		missing := p.missingFrom(d.Have)
 		if len(missing) > 0 {
 			env.Send(m.Src, KindDelta, Delta{Updates: missing}, 32*len(missing)+16)
@@ -157,67 +175,119 @@ func (p *Peer) OnMessage(env sm.Env, m *sm.Msg) {
 	}
 }
 
-func (p *Peer) learn(env sm.Env, u int) {
-	if !p.Updates[u] {
-		p.Updates[u] = true
-		p.Received[u] = env.Now()
+// add learns the updates of us (sorted, as in a message body) not yet
+// held, logging their receipt at `at`: one merge into a fresh held slice,
+// and a private copy of Received first if a clone still shares it.
+func (p *Peer) add(at time.Duration, us ...int) {
+	fresh := subtract(us, p.held, nil)
+	if fresh == 0 {
+		return
 	}
-}
-
-// have returns the sorted update IDs.
-func (p *Peer) have() []int {
-	out := make([]int, 0, len(p.Updates))
-	for u := range p.Updates {
-		out = append(out, u)
+	if p.receivedShared.Load() {
+		p.Received = maps.Clone(p.Received)
+		p.receivedShared = new(atomic.Bool)
 	}
-	sort.Ints(out)
-	return out
-}
-
-// missingFrom returns our updates absent from theirs (sorted).
-func (p *Peer) missingFrom(theirs []int) []int {
-	th := make(map[int]bool, len(theirs))
-	for _, u := range theirs {
-		th[u] = true
-	}
-	var out []int
-	for u := range p.Updates {
-		if !th[u] {
-			out = append(out, u)
+	merged := make([]int, 0, len(p.held)+fresh)
+	i := 0
+	for _, u := range us {
+		for i < len(p.held) && p.held[i] < u {
+			merged = append(merged, p.held[i])
+			i++
 		}
+		if i < len(p.held) && p.held[i] == u {
+			continue
+		}
+		merged = append(merged, u)
+		p.Received[u] = at
 	}
-	sort.Ints(out)
+	p.held = append(merged, p.held[i:]...)
+}
+
+// has reports whether update u is held.
+func (p *Peer) has(u int) bool {
+	_, ok := slices.BinarySearch(p.held, u)
+	return ok
+}
+
+// missingFrom returns our updates absent from theirs, sorted, allocating
+// only the result. When theirs is empty that is everything we hold: the
+// held slice itself, since message bodies are never written.
+func (p *Peer) missingFrom(theirs []int) []int {
+	if len(theirs) == 0 {
+		return p.held
+	}
+	n := subtract(p.held, theirs, nil)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	subtract(p.held, theirs, out)
 	return out
+}
+
+// subtract walks the sorted lists a and b in step and counts the elements
+// of a absent from b, writing them to out unless out is nil.
+func subtract(a, b, out []int) int {
+	n, j := 0, 0
+	for _, u := range a {
+		for j < len(b) && b[j] < u {
+			j++
+		}
+		if j < len(b) && b[j] == u {
+			continue
+		}
+		if out != nil {
+			out[n] = u
+		}
+		n++
+	}
+	return n
 }
 
 // OnConnDown is a no-op: gossip tolerates broken links by design.
 func (p *Peer) OnConnDown(env sm.Env, peer sm.NodeID) {}
 
-// Clone deep-copies the peer.
+// Clone forks the peer in O(1): held and View are shared for good, Received
+// until either side writes. All it writes to p is the shared mark, so p may
+// be mutated right afterwards, and one peer that nobody writes may be cloned
+// from several goroutines at once.
 func (p *Peer) Clone() sm.Service {
 	c := *p
-	c.View = sm.CloneNodes(p.View)
-	c.Updates = make(map[int]bool, len(p.Updates))
-	for u := range p.Updates {
-		c.Updates[u] = true
-	}
-	c.Received = make(map[int]time.Duration, len(p.Received))
-	for u, t := range p.Received {
-		c.Received[u] = t
+	if !p.receivedShared.Load() {
+		p.receivedShared.Store(true)
 	}
 	return &c
 }
 
-// Digest returns the stable state hash.
-func (p *Peer) Digest() uint64 {
+// Digest returns the stable state hash: ID, View, ExchangingWith, then the
+// held updates' count and IDs in ascending order.
+func (p *Peer) Digest() uint64 { return p.digestOf(p.held) }
+
+func (p *Peer) digestOf(held []int) uint64 {
 	h := sm.NewHasher()
 	h.WriteNode(p.ID).WriteNodes(p.View).WriteNode(p.ExchangingWith)
-	hs := p.have()
-	h.WriteInt(int64(len(hs)))
-	for _, u := range hs {
+	h.WriteInt(int64(len(held)))
+	for _, u := range held {
 		h.WriteInt(int64(u))
 	}
 	return h.Sum()
+}
+
+// DigestOracle is Digest recomputed from the sorted keys of Received,
+// ignoring held: the test oracle for add, for the cross-application
+// invariant battery in the root package. It also checks held's own
+// invariants — strictly ascending, shared rather than copied by Clone —
+// and returns a value Digest cannot equal when one fails. Tests only.
+func DigestOracle(p *Peer) uint64 {
+	for i := 1; i < len(p.held); i++ {
+		if p.held[i-1] >= p.held[i] {
+			return ^p.Digest()
+		}
+	}
+	if c := p.Clone().(*Peer); len(p.held) > 0 && &c.held[0] != &p.held[0] {
+		return ^p.Digest()
+	}
+	return p.digestOf(slices.Sorted(maps.Keys(p.Received)))
 }
 
 // Restricted is the BAR-Gossip-style resolver: partner selection follows a
@@ -260,7 +330,7 @@ func SpreadObjective(n *core.Node) explore.Objective {
 			if !ok {
 				continue
 			}
-			spread += float64(len(p.Updates))
+			spread += float64(len(p.held))
 			if p.ExchangingWith >= 0 {
 				est := n.Model().Net.Latency(p.ExchangingWith, 50*time.Millisecond)
 				cost += est.Seconds()

@@ -1,12 +1,20 @@
 package gossip
 
 import (
+	"maps"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"crystalchoice/internal/core"
+	"crystalchoice/internal/netmodel"
+	"crystalchoice/internal/sim"
 	"crystalchoice/internal/sm"
+	"crystalchoice/internal/transport"
 )
 
 type fakeEnv struct {
@@ -51,7 +59,7 @@ func TestRoundSendsDigestToChosenPeer(t *testing.T) {
 		}
 		return 2
 	}
-	p.Updates[7] = true
+	p.add(0, 7)
 	p.OnTimer(env, timerRound)
 	if len(env.sent) != 1 || env.sent[0].Kind != KindDigest || env.sent[0].Dst != 3 {
 		t.Fatalf("sent = %+v", env.sent)
@@ -71,8 +79,7 @@ func TestRoundSendsDigestToChosenPeer(t *testing.T) {
 func TestDigestAnswersWithDelta(t *testing.T) {
 	p := New(1, []sm.NodeID{0})
 	env := newFakeEnv(1)
-	p.Updates[1] = true
-	p.Updates[2] = true
+	p.add(0, 1, 2)
 	p.OnMessage(env, &sm.Msg{Src: 0, Kind: KindDigest, Body: Digest{Have: []int{2, 9}}})
 	if len(env.sent) != 1 || env.sent[0].Kind != KindDelta {
 		t.Fatalf("sent = %v", env.sent)
@@ -89,10 +96,10 @@ func TestDigestAnswersWithDelta(t *testing.T) {
 func TestDeltaAbsorbsAndCompletesPull(t *testing.T) {
 	p := New(0, []sm.NodeID{1})
 	env := newFakeEnv(0)
-	p.Updates[5] = true
+	p.add(0, 5)
 	p.ExchangingWith = 1
 	p.OnMessage(env, &sm.Msg{Src: 1, Kind: KindDelta, Body: Delta{Updates: []int{8}, Have: []int{8}}})
-	if !p.Updates[8] {
+	if !p.has(8) {
 		t.Fatal("delta update not absorbed")
 	}
 	if p.Received[8] != env.now {
@@ -121,24 +128,26 @@ func TestDeltaNoEchoWhenNothingMissing(t *testing.T) {
 
 func TestLearnIdempotent(t *testing.T) {
 	p := New(0, nil)
-	env := newFakeEnv(0)
-	env.now = time.Second
-	p.learn(env, 3)
-	first := p.Received[3]
-	env.now = 2 * time.Second
-	p.learn(env, 3)
-	if p.Received[3] != first {
+	p.add(time.Second, 3)
+	p.add(2*time.Second, 3)
+	if p.Received[3] != time.Second {
 		t.Fatal("re-learning overwrote first receipt time")
 	}
 }
 
-func TestCloneDeep(t *testing.T) {
+// A clone is a snapshot in both directions, though it shares the held
+// slice and, until one side writes, the receipt log.
+func TestCloneIsolatesWrites(t *testing.T) {
 	p := New(0, []sm.NodeID{1})
-	p.Updates[1] = true
+	p.add(0, 1)
 	c := p.Clone().(*Peer)
-	c.Updates[2] = true
-	if p.Updates[2] {
-		t.Fatal("clone shares update set")
+	c.add(0, 2)
+	if p.has(2) || len(p.Received) != 1 {
+		t.Fatal("a write to the clone reached the original")
+	}
+	p.add(0, 3)
+	if c.has(3) || len(c.Received) != 2 {
+		t.Fatal("a write to the original reached the clone")
 	}
 	if p.Digest() == c.Digest() {
 		t.Fatal("diverged clone digests collide")
@@ -149,10 +158,10 @@ func TestDigestOrderInsensitive(t *testing.T) {
 	a := New(0, []sm.NodeID{1, 2})
 	b := New(0, []sm.NodeID{1, 2})
 	for _, u := range []int{5, 1, 9} {
-		a.Updates[u] = true
+		a.add(0, u)
 	}
 	for _, u := range []int{9, 5, 1} {
-		b.Updates[u] = true
+		b.add(0, u)
 	}
 	if a.Digest() != b.Digest() {
 		t.Fatal("digest depends on insertion order")
@@ -180,11 +189,11 @@ func TestExchangePreservesUnionProperty(t *testing.T) {
 		a, b := New(0, []sm.NodeID{1}), New(1, []sm.NodeID{0})
 		union := make(map[int]bool)
 		for _, u := range aUpd {
-			a.Updates[int(u)] = true
+			a.add(0, int(u))
 			union[int(u)] = true
 		}
 		for _, u := range bUpd {
-			b.Updates[int(u)] = true
+			b.add(0, int(u))
 			union[int(u)] = true
 		}
 		envA, envB := newFakeEnv(0), newFakeEnv(1)
@@ -199,7 +208,7 @@ func TestExchangePreservesUnionProperty(t *testing.T) {
 			}
 		}
 		if digest == nil {
-			return len(union) == 0 || true // no view => nothing to check
+			return false // a has a view of one, so its round must send a digest
 		}
 		b.OnMessage(envB, digest)
 		for _, m := range envB.sent {
@@ -213,7 +222,7 @@ func TestExchangePreservesUnionProperty(t *testing.T) {
 			}
 		}
 		for u := range union {
-			if !a.Updates[u] || !b.Updates[u] {
+			if !a.has(u) || !b.has(u) {
 				return false
 			}
 		}
@@ -221,6 +230,180 @@ func TestExchangePreservesUnionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// agedPeer holds updates 0..n-1, learned in one delta.
+func agedPeer(n int) *Peer {
+	p := New(0, []sm.NodeID{1, 2, 3})
+	p.add(0, upTo(n)...)
+	return p
+}
+
+func upTo(n int) []int {
+	us := make([]int, n)
+	for i := range us {
+		us[i] = i
+	}
+	return us
+}
+
+// lastSendEnv keeps only the body of the last message sent, so sending
+// allocates nothing beyond the message itself.
+type lastSendEnv struct {
+	*fakeEnv
+	body any
+}
+
+func (e *lastSendEnv) Send(_ sm.NodeID, _ string, body any, _ int) { e.body = body }
+
+// allocsPerRun is testing.AllocsPerRun reporting bytes as well as
+// objects, both rounded down like its count.
+func allocsPerRun(runs int, f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// Cost-shape gate (make bench-alloc): a fork and its digest cost the same
+// whatever the number of held updates, answering a delta that brings
+// nothing new allocates only the outgoing message, and the first update
+// learned after a fork copies the receipt log once — the second does not
+// copy it again. Each costs at most a few objects and 256 B, at both sizes:
+// less than one copy of the held slice at 64 updates (512 B).
+func TestForkCostIndependentOfUpdates(t *testing.T) {
+	var sink uint64
+	forkAndDigest := func(p *Peer) (uint64, uint64) {
+		return allocsPerRun(100, func() { sink += p.Clone().Digest() })
+	}
+	// The delta repeats updates p holds and advertises all of them but the
+	// last, so the answer carries one update.
+	forkAndDelta := func(p *Peer) (uint64, uint64) {
+		env := &lastSendEnv{fakeEnv: newFakeEnv(0)}
+		m := &sm.Msg{Src: 1, Kind: KindDelta, Body: Delta{Updates: p.held[:len(p.held)/2], Have: p.held[:len(p.held)-1]}}
+		objs, bytes := allocsPerRun(100, func() { p.Clone().OnMessage(env, m) })
+		if got := env.body.(Delta).Updates; len(got) != 1 || got[0] != len(p.held)-1 {
+			t.Fatalf("pull half answered %v", got)
+		}
+		return objs, bytes
+	}
+	// forkAndLearn learns k new updates on a fork and reports what that
+	// allocates beyond one copy of the receipt log and k of the held slice.
+	forkAndLearn := func(k int) func(*Peer) (uint64, uint64) {
+		return func(p *Peer) (uint64, uint64) {
+			n := len(p.held)
+			objs, bytes := allocsPerRun(100, func() {
+				c := p.Clone().(*Peer)
+				for i := 0; i < k; i++ {
+					c.add(0, n+i)
+				}
+				sink += c.Digest()
+			})
+			mapObjs, mapBytes := allocsPerRun(100, func() { sink += uint64(len(maps.Clone(p.Received))) })
+			objs, bytes = objs-mapObjs, bytes-mapBytes
+			for i := 1; i <= k; i++ {
+				heldObjs, heldBytes := allocsPerRun(100, func() { sink += uint64(cap(make([]int, 0, n+i))) })
+				objs, bytes = objs-heldObjs, bytes-heldBytes
+			}
+			return objs, bytes
+		}
+	}
+	young, old := agedPeer(64), agedPeer(4096)
+	if DigestOracle(old) != old.Digest() {
+		t.Fatal("aged peer's digest disagrees with its oracle")
+	}
+	check := func(what string, f func(*Peer) (uint64, uint64), maxObjs uint64) {
+		t.Helper()
+		const maxBytes = 256
+		ao, ab := f(young)
+		bo, bb := f(old)
+		if ao != bo || bo > maxObjs || ab > maxBytes || bb > maxBytes {
+			t.Errorf("%s allocates %d objects / %d B at 64 updates, %d / %d B at 4096: want the same, at most %d objects and %d B",
+				what, ao, ab, bo, bb, maxObjs, maxBytes)
+		}
+		t.Logf("%s: %d objects / %d B at 64 updates, %d / %d B at 4096", what, ao, ab, bo, bb)
+	}
+	check("Clone+Digest", forkAndDigest, 1)                           // the fork
+	check("Clone+Delta", forkAndDelta, 3)                             // the fork, the answer's update list, its body
+	check("Clone+learn, less the log copy", forkAndLearn(1), 2)       // the fork, its mark
+	check("Clone+learn twice, less the log copy", forkAndLearn(2), 2) // no second copy
+}
+
+// Explorer workers fork one frozen peer concurrently (World.ownService
+// with Workers > 1) and run handlers on their forks. Run with -race.
+func TestConcurrentClonesOfFrozenPeer(t *testing.T) {
+	frozen := agedPeer(300)
+	want := frozen.Digest()
+	var wg sync.WaitGroup
+	for g := 1; g <= 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := newFakeEnv(0)
+			c := frozen.Clone().(*Peer)
+			for i := 0; i < 50; i++ {
+				c.OnMessage(env, &sm.Msg{Src: 1, Kind: KindDelta, Body: Delta{Updates: []int{1000 + i*g}, Have: []int{i}}})
+				c.OnMessage(env, &sm.Msg{Src: 2, Kind: KindDigest, Body: Digest{Have: []int{i, 2 * i}}})
+			}
+			c.OnMessage(env, &sm.Msg{Src: 3, Kind: KindPublish, Body: Publish{Update: 5000 + g}})
+			if len(c.held) != 351 || len(c.Received) != 351 {
+				t.Errorf("fork %d holds %d updates, logs %d, want 351", g, len(c.held), len(c.Received))
+			}
+			if c.Digest() != DigestOracle(c) {
+				t.Errorf("fork %d: digest disagrees with its oracle", g)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if frozen.Digest() != want || DigestOracle(frozen) != want {
+				t.Error("original changed while its forks were written")
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if len(frozen.held) != 300 || len(frozen.Received) != 300 {
+		t.Fatalf("original holds %d updates, logs %d after the forks", len(frozen.held), len(frozen.Received))
+	}
+}
+
+// A checkpoint a neighbour's state model retains shares the origin's
+// receipt log; publishing at the origin must copy it, not write through.
+func TestPublishLeavesRetainedCheckpointUnchanged(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := transport.New(eng, netmodel.Uniform(4, 10*time.Millisecond, 1<<20, 0))
+	cl := core.NewCluster(eng, net, core.Config{
+		NewResolver:        func(*core.Node) core.Resolver { return core.Random{} },
+		CheckpointInterval: 50 * time.Millisecond,
+	})
+	Deploy(cl, 4)
+	cl.Start()
+	PublishUpdate(cl, 0, 1)
+	eng.RunFor(2 * time.Second)
+	e, ok := cl.Node(1).Model().State.Get(0)
+	if !ok {
+		t.Fatal("node 1 retains no checkpoint of node 0")
+	}
+	retained, live := e.State.(*Peer), cl.Node(0).Service().(*Peer)
+	if reflect.ValueOf(retained.Received).UnsafePointer() != reflect.ValueOf(live.Received).UnsafePointer() {
+		t.Fatal("precondition: the retained checkpoint does not share node 0's receipt log")
+	}
+	before := retained.Digest()
+	PublishUpdate(cl, 0, 2)
+	if !live.has(2) {
+		t.Fatal("publish did not reach node 0")
+	}
+	if _, leaked := retained.Received[2]; leaked || retained.has(2) || retained.Digest() != before {
+		t.Fatal("publishing at node 0 changed the checkpoint node 1 retains")
 	}
 }
 

@@ -114,19 +114,18 @@ func Deploy(cl *core.Cluster, n int) func(sm.NodeID) sm.Service {
 func Timers() []string { return []string{timerRound} }
 
 // PublishUpdate seeds update u at origin, as the experiment's staggered
-// publisher does. A crashed origin drops the publish.
+// publisher does. A crashed origin drops the publish. It writes through
+// add, like a handler: the receipt log may be shared with a checkpoint.
 func PublishUpdate(cl *core.Cluster, origin sm.NodeID, u int) {
 	node := cl.Node(origin)
 	if node == nil || node.Down() {
 		return
 	}
-	p := node.Service().(*Peer)
-	p.Updates[u] = true
-	p.Received[u] = time.Duration(cl.Engine().Now())
+	node.Service().(*Peer).add(time.Duration(cl.Engine().Now()), u)
 }
 
 // ReceiptProperty asserts gossip receipt consistency: every update a peer
-// has logged a receipt time for is also in its held-update set. learn()
+// has logged a receipt time for is also in its held-update set. add
 // maintains the two together, so a divergence means a corrupted exchange.
 // It is the property scenario specs and the benchmark's gossip workload
 // steer over and probe.
@@ -140,7 +139,7 @@ func ReceiptProperty() explore.Property {
 					continue
 				}
 				for u := range p.Received {
-					if !p.Updates[u] {
+					if !p.has(u) {
 						return false
 					}
 				}

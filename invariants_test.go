@@ -1,6 +1,6 @@
 // Cross-application property tests: every protocol service in the
 // repository must satisfy the contracts the CrystalBall machinery depends
-// on — Clone is a deep behavioral copy, and Digest is a stable function of
+// on — Clone is a behavioral snapshot, and Digest is a stable function of
 // state. Violations would silently corrupt lookahead worlds and the
 // explorer's state deduplication, so these invariants are checked across
 // randomized operation sequences for all five services.
@@ -211,8 +211,11 @@ func TestServiceInvariantsRandTreeChoice(t *testing.T) {
 }
 
 func TestServiceInvariantsGossip(t *testing.T) {
+	// The oracle also fails a held slice that is unsorted, has duplicates
+	// or is copied by Clone.
+	oracle := func(s sm.Service) uint64 { return gossip.DigestOracle(s.(*gossip.Peer)) }
 	checkServiceInvariants(t, "gossip",
-		func() sm.Service { return gossip.New(1, []sm.NodeID{0, 2, 3}) }, gossipOps, fixedTimers("g.round"), nil)
+		func() sm.Service { return gossip.New(1, []sm.NodeID{0, 2, 3}) }, gossipOps, fixedTimers("g.round"), oracle)
 }
 
 func TestServiceInvariantsDissem(t *testing.T) {
