@@ -11,6 +11,7 @@ import (
 	"crystalchoice/internal/apps/gossip"
 	"crystalchoice/internal/apps/paxos"
 	"crystalchoice/internal/apps/randtree"
+	"crystalchoice/internal/core"
 )
 
 // BenchmarkAblationLookaheadDepth sweeps the consequence-prediction chain
@@ -47,9 +48,9 @@ func BenchmarkAblationCheckpointInterval(b *testing.B) {
 		b.Run(iv.String(), func(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
-				r := randtree.RunSection4FromConfig(randtree.ExperimentConfig{
+				r := randtree.RunSection4(randtree.ExperimentConfig{
 					N: 31, Seed: int64(i + 1), Setup: randtree.SetupChoiceCrystalBall,
-					CheckpointInterval: iv,
+					Runtime: core.Config{CheckpointInterval: iv},
 				})
 				total += r.RejoinDepth
 			}
@@ -178,7 +179,7 @@ func BenchmarkAblationOffCriticalPath(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			total := 0
 			for i := 0; i < b.N; i++ {
-				r := randtree.RunSection4FromConfig(randtree.ExperimentConfig{
+				r := randtree.RunSection4(randtree.ExperimentConfig{
 					N: 31, Seed: int64(i + 1), Setup: randtree.SetupChoiceCrystalBall,
 					OffCriticalPath: async,
 				})

@@ -18,6 +18,7 @@ import (
 	"crystalchoice/internal/apps/paxos"
 	"crystalchoice/internal/apps/randtree"
 	"crystalchoice/internal/apps/tracker"
+	"crystalchoice/internal/core"
 	"crystalchoice/internal/explore"
 	"crystalchoice/internal/metrics"
 	"crystalchoice/internal/sm"
@@ -49,7 +50,7 @@ func benchSection4(b *testing.B, setup randtree.Setup, rejoin bool) {
 	depth := 0
 	seed := int64(1)
 	for i := 0; i < b.N; i++ {
-		r := randtree.RunSection4(setup, 31, seed)
+		r := randtree.RunSection4(randtree.ExperimentConfig{N: 31, Seed: seed, Setup: setup})
 		seed++
 		if rejoin {
 			depth += r.RejoinDepth
@@ -244,7 +245,7 @@ func BenchmarkE8ExecutionSteering(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			steered, cycles := 0.0, 0.0
 			for i := 0; i < b.N; i++ {
-				r := randtree.RunSteering(on, 15, int64(i+1), explore.Options{}, false)
+				r := randtree.RunSteering(randtree.ExperimentConfig{N: 15, Seed: int64(i + 1), Runtime: core.Config{Steering: on}})
 				steered += float64(r.Steered)
 				if r.CycleFormed {
 					cycles++

@@ -16,18 +16,16 @@ import (
 	"crystalchoice/internal/apps/randtree"
 	"crystalchoice/internal/apps/tracker"
 	"crystalchoice/internal/cliutil"
+	"crystalchoice/internal/core"
 	"crystalchoice/internal/explore"
 	"crystalchoice/internal/profiling"
 )
 
-// lookahead is the engine configuration every experiment hands its
-// runtime lookaheads (-workers, -strategy, -faults, -partitions,
-// -maxfrontier); lookaheadClassCache caches steering/resolve verdicts
-// under canonical violation-class and scenario keys.
-var (
-	lookahead           explore.Options
-	lookaheadClassCache bool
-)
+// runtimeCfg is the runtime configuration every experiment hands its
+// cluster: the lookahead engine (-workers, -strategy, -faults,
+// -partitions, -maxfrontier) and the class-keyed verdict cache
+// (-classcache).
+var runtimeCfg core.Config
 
 // main delegates to run so deferred profile writers flush before exit.
 func main() { os.Exit(run()) }
@@ -36,27 +34,27 @@ func run() int {
 	app := flag.String("app", "all", "experiment to run: gossip | dissem | paxos | overload | steering | tracker | all")
 	seed := flag.Int64("seed", 1, "first seed")
 	seeds := flag.Int("seeds", 3, "seeds to average over")
-	flag.IntVar(&lookahead.Workers, "workers", 1, "lookahead exploration worker pool ceiling per node")
+	flag.IntVar(&runtimeCfg.Lookahead.Workers, "workers", 1, "lookahead exploration worker pool ceiling per node")
 	strategy := flag.String("strategy", "chaindfs", "lookahead exploration strategy: chaindfs | bfs | randomwalk | guided")
-	flag.IntVar(&lookahead.FaultBudget, "faults", 0, "fault-transition budget per runtime lookahead (crash/recover/reset)")
-	flag.BoolVar(&lookahead.PartitionFaults, "partitions", false, "also explore partition transitions in runtime lookaheads")
-	flag.IntVar(&lookahead.MaxFrontier, "maxfrontier", 0, "cap on pending lookahead frontier units, dropping lowest-priority work (0 = unbounded)")
-	flag.BoolVar(&lookaheadClassCache, "classcache", false, "cache steering/resolve verdicts under violation-class keys")
+	flag.IntVar(&runtimeCfg.Lookahead.FaultBudget, "faults", 0, "fault-transition budget per runtime lookahead (crash/recover/reset)")
+	flag.BoolVar(&runtimeCfg.Lookahead.PartitionFaults, "partitions", false, "also explore partition transitions in runtime lookaheads")
+	flag.IntVar(&runtimeCfg.Lookahead.MaxFrontier, "maxfrontier", 0, "cap on pending lookahead frontier units, dropping lowest-priority work (0 = unbounded)")
+	flag.BoolVar(&runtimeCfg.LookaheadClassCache, "classcache", false, "cache steering/resolve verdicts under violation-class keys")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	flag.Parse()
 	if err := cliutil.FirstErr(
-		cliutil.Positive("workers", lookahead.Workers),
+		cliutil.Positive("workers", runtimeCfg.Lookahead.Workers),
 		cliutil.Positive("seeds", *seeds),
-		cliutil.NonNegative("faults", lookahead.FaultBudget),
-		cliutil.NonNegative("maxfrontier", lookahead.MaxFrontier),
+		cliutil.NonNegative("faults", runtimeCfg.Lookahead.FaultBudget),
+		cliutil.NonNegative("maxfrontier", runtimeCfg.Lookahead.MaxFrontier),
 	); err != nil {
 		fmt.Fprintf(os.Stderr, "crystalball: %v\n", err)
 		flag.Usage()
 		return 2
 	}
 	var err error
-	if lookahead.Strategy, err = explore.ParseStrategy(*strategy); err != nil {
+	if runtimeCfg.Lookahead.Strategy, err = explore.ParseStrategy(*strategy); err != nil {
 		fmt.Fprintf(os.Stderr, "crystalball: %v\n", err)
 		flag.Usage()
 		return 2
@@ -108,7 +106,7 @@ func runOverload(seed0 int64, seeds int) {
 		committed, submitted := 0, 0
 		for k := 0; k < seeds; k++ {
 			r := paxos.Run(paxos.ExperimentConfig{
-				Seed: seed0 + int64(k), Policy: p, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache,
+				Seed: seed0 + int64(k), Policy: p, Runtime: runtimeCfg,
 				UniformLatency: 20 * time.Millisecond,
 				WorkDelay:      60 * time.Millisecond,
 				Interarrival:   40 * time.Millisecond,
@@ -126,7 +124,9 @@ func runSteering(seed int64) {
 	fmt.Println("E8 — execution steering (forged parent-cycle message, 15-node tree)")
 	fmt.Printf("%-10s %18s %14s %10s %10s\n", "steering", "forged delivered", "cycle formed", "steered", "checks")
 	for _, on := range []bool{false, true} {
-		r := randtree.RunSteering(on, 15, seed, lookahead, lookaheadClassCache)
+		rt := runtimeCfg
+		rt.Steering = on
+		r := randtree.RunSteering(randtree.ExperimentConfig{N: 15, Seed: seed, Runtime: rt})
 		mode := "off"
 		if on {
 			mode = "on"
@@ -141,7 +141,7 @@ func runGossip(seed0 int64, seeds int) {
 	for _, s := range gossip.Strategies {
 		var mean, max, fmean, fmax float64
 		for k := 0; k < seeds; k++ {
-			r := gossip.Run(gossip.ExperimentConfig{N: 16, Seed: seed0 + int64(k), Strategy: s, SlowNodes: 4, Updates: 6, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache})
+			r := gossip.Run(gossip.ExperimentConfig{N: 16, Seed: seed0 + int64(k), Strategy: s, SlowNodes: 4, Updates: 6, Runtime: runtimeCfg})
 			mean += r.MeanDissemination.Seconds()
 			max += r.MaxDissemination.Seconds()
 			fmean += r.FastMeanDissemination.Seconds()
@@ -159,7 +159,7 @@ func runDissem(seed0 int64, seeds int) {
 		for _, s := range dissem.Strategies {
 			var mean, max float64
 			for k := 0; k < seeds; k++ {
-				r := dissem.Run(dissem.ExperimentConfig{N: 10, Blocks: 16, Seed: seed0 + int64(k), Strategy: s, Setting: set, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache})
+				r := dissem.Run(dissem.ExperimentConfig{N: 10, Blocks: 16, Seed: seed0 + int64(k), Strategy: s, Setting: set, Runtime: runtimeCfg})
 				mean += r.MeanCompletion.Seconds()
 				max += r.MaxCompletion.Seconds()
 			}
@@ -176,7 +176,7 @@ func runPaxos(seed0 int64, seeds int) {
 		var mean, p99 float64
 		committed, submitted := 0, 0
 		for k := 0; k < seeds; k++ {
-			r := paxos.Run(paxos.ExperimentConfig{Seed: seed0 + int64(k), Policy: p, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache})
+			r := paxos.Run(paxos.ExperimentConfig{Seed: seed0 + int64(k), Policy: p, Runtime: runtimeCfg})
 			mean += r.MeanCommit.Seconds()
 			p99 += r.P99Commit.Seconds()
 			committed += r.Committed
@@ -194,7 +194,7 @@ func runTracker(seed0 int64, seeds int) {
 		var frac, mean float64
 		completed, peers := 0, 0
 		for k := 0; k < seeds; k++ {
-			r := tracker.Run(tracker.ExperimentConfig{Seed: seed0 + int64(k), Policy: p, Lookahead: lookahead, LookaheadClassCache: lookaheadClassCache})
+			r := tracker.Run(tracker.ExperimentConfig{Seed: seed0 + int64(k), Policy: p, Runtime: runtimeCfg})
 			frac += r.CrossFraction()
 			mean += r.MeanCompletion.Seconds()
 			completed += r.Completed

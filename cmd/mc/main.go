@@ -104,11 +104,7 @@ func run() int {
 	if *deadline > 0 {
 		x.Deadline = time.Now().Add(*deadline)
 	}
-	x.Properties = []explore.Property{
-		randtree.NoParentCycleProperty(),
-		randtree.DegreeBoundProperty(),
-		randtree.NoOrphanedChildProperty(),
-	}
+	x.Properties = randtree.Properties()
 	r := x.Explore(w)
 	fmt.Printf("explored %d states to depth %d in %v (strategy=%s workers=%d faults=%d injected=%d truncated=%v)\n",
 		r.StatesExplored, r.MaxDepth, r.Elapsed.Round(time.Microsecond), opts.Strategy.Name(), opts.Workers, opts.FaultBudget, r.FaultsInjected, r.Truncated)

@@ -30,7 +30,7 @@ func main() {
 	for _, setup := range randtree.Setups {
 		var join, rejoin, joined float64
 		for s := 0; s < *seeds; s++ {
-			r := randtree.RunSection4(setup, *n, *seed0+int64(s))
+			r := randtree.RunSection4(randtree.ExperimentConfig{N: *n, Seed: *seed0 + int64(s), Setup: setup})
 			join += float64(r.JoinDepth)
 			rejoin += float64(r.RejoinDepth)
 			joined += float64(r.RejoinJoined)

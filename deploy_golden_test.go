@@ -64,11 +64,11 @@ func scenarioGoldenDump(t *testing.T) string {
 func harnessGoldenDump() string {
 	var b strings.Builder
 	for _, setup := range randtree.Setups {
-		r := randtree.RunSection4(setup, 31, 1)
+		r := randtree.RunSection4(randtree.ExperimentConfig{N: 31, Seed: 1, Setup: setup})
 		r.Stats.SteerLatency, r.Stats.ResolveLatency = core.LatencyHist{}, core.LatencyHist{}
 		fmt.Fprintf(&b, "E2/E3 %+v\n", r)
 	}
-	r := randtree.RunSection4FromConfig(randtree.ExperimentConfig{N: 31, Seed: 1, Setup: randtree.SetupChoiceCrystalBall, CheckpointInterval: 50 * time.Millisecond})
+	r := randtree.RunSection4(randtree.ExperimentConfig{N: 31, Seed: 1, Setup: randtree.SetupChoiceCrystalBall, Runtime: core.Config{CheckpointInterval: 50 * time.Millisecond}})
 	r.Stats.SteerLatency, r.Stats.ResolveLatency = core.LatencyHist{}, core.LatencyHist{}
 	fmt.Fprintf(&b, "E3 checkpoint-50ms %+v\n", r)
 	for _, s := range gossip.Strategies {
@@ -91,11 +91,13 @@ func harnessGoldenDump() string {
 			Commands:       30,
 		}))
 	}
-	fmt.Fprintf(&b, "E7 classcache %+v\n", paxos.Run(paxos.ExperimentConfig{Seed: 1, Policy: paxos.PolicyPredictive, LookaheadClassCache: true}))
+	fmt.Fprintf(&b, "E7 classcache %+v\n", paxos.Run(paxos.ExperimentConfig{Seed: 1, Policy: paxos.PolicyPredictive, Runtime: core.Config{LookaheadClassCache: true}}))
 	for _, on := range []bool{false, true} {
-		fmt.Fprintf(&b, "E8 %+v\n", randtree.RunSteering(on, 15, 1, explore.Options{}, false))
+		fmt.Fprintf(&b, "E8 %+v\n", randtree.RunSteering(randtree.ExperimentConfig{N: 15, Seed: 1, Runtime: core.Config{Steering: on}}))
 	}
-	fmt.Fprintf(&b, "E8 randomwalk+classcache %+v\n", randtree.RunSteering(true, 15, 1, explore.Options{Strategy: explore.RandomWalk{}}, true))
+	fmt.Fprintf(&b, "E8 randomwalk+classcache %+v\n", randtree.RunSteering(randtree.ExperimentConfig{N: 15, Seed: 1, Runtime: core.Config{
+		Steering: true, Lookahead: explore.Options{Strategy: explore.RandomWalk{}}, LookaheadClassCache: true,
+	}}))
 	for _, p := range tracker.Policies {
 		fmt.Fprintf(&b, "E9 %+v\n", tracker.Run(tracker.ExperimentConfig{Seed: 1, Policy: p}))
 	}

@@ -17,21 +17,12 @@ import (
 	"crystalchoice/internal/sm"
 )
 
-// treeProperties is the mc property suite.
-func treeProperties() []explore.Property {
-	return []explore.Property{
-		randtree.NoParentCycleProperty(),
-		randtree.DegreeBoundProperty(),
-		randtree.NoOrphanedChildProperty(),
-	}
-}
-
 // mkFaultExplorer mirrors cmd/mc's explorer configuration.
 func mkFaultExplorer(faults int) *explore.Explorer {
 	x := explore.NewExplorer(6)
 	x.MaxStates = 8192
 	x.FaultBudget = faults
-	x.Properties = treeProperties()
+	x.Properties = randtree.Properties()
 	return x
 }
 
@@ -43,7 +34,7 @@ func mkFaultExplorer(faults int) *explore.Explorer {
 func TestFaultLookaheadFindsRejoinViolation(t *testing.T) {
 	e := randtree.NewExperiment(randtree.ExperimentConfig{N: 15, Seed: 1, Setup: randtree.SetupChoiceRandom})
 	e.Run(5 * time.Second)
-	timers := []string{"rt.hbSend", "rt.hbCheck", "rt.summarize"}
+	timers := randtree.Timers()
 
 	if r := mkFaultExplorer(0).Explore(e.Cluster.MaterializeWorld(explore.FirstPolicy, 1, timers)); !r.Safe() {
 		t.Fatalf("fault-free lookahead predicted %d violations; faults must be the trigger", len(r.Violations))

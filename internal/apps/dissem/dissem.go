@@ -14,6 +14,13 @@
 //   - crystalball: predictive resolution against AvailabilityObjective,
 //     which rewards futures where block availability is both high and
 //     evenly spread.
+//
+// NewExperiment (harness.go) is the app's one deployment builder — the
+// setting's topology, the strategy's resolver, Deploy, start — which Run
+// measures and the scenario lab (internal/scenario) translates its specs
+// into; the caller's runtime settings arrive whole in
+// ExperimentConfig.Runtime. RunToCompletion, the download loop, serves the
+// tracker's swarm too.
 package dissem
 
 import (

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"crystalchoice/internal/core"
-	"crystalchoice/internal/explore"
 	"crystalchoice/internal/netmodel"
 	"crystalchoice/internal/sim"
 	"crystalchoice/internal/sm"
@@ -55,14 +54,12 @@ type ExperimentConfig struct {
 	// SeedBandwidth caps the seed's upload per pair in the
 	// bottleneck-seed setting.
 	SeedBandwidth float64
-	// Lookahead configures the exploration engine of every runtime
-	// lookahead — consequence prediction and steering (see
-	// core.Config.Lookahead).
-	Lookahead explore.Options
-	// LookaheadClassCache caches steering/resolve verdicts under
-	// canonical violation-class and scenario keys (see
-	// core.Config.LookaheadClassCache).
-	LookaheadClassCache bool
+	// Runtime is the cluster's runtime configuration — lookahead engine,
+	// class cache, panic containment, trace. The strategy owns NewResolver
+	// and ObjectiveFor, which NewExperiment sets; the predictive strategy
+	// checkpoints every 150 ms unless Runtime.CheckpointInterval says
+	// otherwise.
+	Runtime core.Config
 }
 
 func (c *ExperimentConfig) fill() {
@@ -99,8 +96,8 @@ type Result struct {
 }
 
 // Deploy populates cl with an n-peer swarm (node 0 the seed) and returns
-// the cold-restart service factory for scripted resets. Run and the
-// scenario lab (internal/scenario) share it.
+// the cold-restart service factory for scripted resets. NewExperiment
+// builds through it.
 func Deploy(cl *core.Cluster, n, blocks, blockSize int) func(sm.NodeID) sm.Service {
 	var all []sm.NodeID
 	for i := 0; i < n; i++ {
@@ -125,8 +122,19 @@ func Deploy(cl *core.Cluster, n, blocks, blockSize int) func(sm.NodeID) sm.Servi
 // scenario materializes the deployment as an explorable world.
 func Timers() []string { return []string{timerTick} }
 
-// Run executes one download experiment.
-func Run(cfg ExperimentConfig) Result {
+// Experiment is a running swarm.
+type Experiment struct {
+	Cfg     ExperimentConfig
+	Eng     *sim.Engine
+	Cluster *core.Cluster
+	// Fresh is a peer's cold-restart state (Deploy's factory).
+	Fresh func(sm.NodeID) sm.Service
+}
+
+// NewExperiment builds and starts the swarm in cfg's setting; the seed's
+// tick timer drives the download from there. Run and the scenario lab
+// (internal/scenario) both build through it.
+func NewExperiment(cfg ExperimentConfig) *Experiment {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)
 	top := netmodel.Uniform(cfg.N, cfg.Latency, cfg.Bandwidth, 0)
@@ -141,7 +149,7 @@ func Run(cfg ExperimentConfig) Result {
 		net.SetUploadCapacity(0, 4*cfg.SeedBandwidth)
 	}
 
-	ccfg := core.Config{Lookahead: cfg.Lookahead, LookaheadClassCache: cfg.LookaheadClassCache}
+	ccfg := cfg.Runtime
 	switch cfg.Strategy {
 	case StrategyRandom:
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.Random{} }
@@ -154,47 +162,54 @@ func Run(cfg ExperimentConfig) Result {
 			return pr
 		}
 		ccfg.ObjectiveFor = AvailabilityObjective
-		ccfg.CheckpointInterval = 150 * time.Millisecond
+		if ccfg.CheckpointInterval == 0 {
+			ccfg.CheckpointInterval = 150 * time.Millisecond
+		}
 	default:
 		panic("dissem: unknown strategy " + string(cfg.Strategy))
 	}
 
 	cl := core.NewCluster(eng, net, ccfg)
-	Deploy(cl, cfg.N, cfg.Blocks, cfg.BlockSize)
+	fresh := Deploy(cl, cfg.N, cfg.Blocks, cfg.BlockSize)
 	cl.Start()
+	return &Experiment{Cfg: cfg, Eng: eng, Cluster: cl, Fresh: fresh}
+}
 
-	// Run until every leecher completes or the deadline passes.
-	deadline := 10 * time.Minute
-	step := 500 * time.Millisecond
-	for elapsed := time.Duration(0); elapsed < deadline; elapsed += step {
-		eng.RunFor(step)
+// Run executes one download experiment.
+func Run(cfg ExperimentConfig) Result {
+	e := NewExperiment(cfg)
+	res := Result{Strategy: e.Cfg.Strategy, Setting: e.Cfg.Setting, Peers: e.Cfg.N - 1}
+	res.Completed, res.MeanCompletion, res.MaxCompletion = RunToCompletion(e.Cluster, e.Cfg.N)
+	return res
+}
+
+// RunToCompletion advances cl in 500 ms steps until every leecher — nodes
+// 1 … peers-1, each a *Peer — holds the whole file, or ten virtual minutes
+// pass, and returns how many completed and the mean and maximum of their
+// completion times. The tracker's swarm runs through it too.
+func RunToCompletion(cl *core.Cluster, peers int) (completed int, mean, worst time.Duration) {
+	leecher := func(i int) *Peer { return cl.Node(sm.NodeID(i)).Service().(*Peer) }
+	const step = 500 * time.Millisecond
+	for elapsed := time.Duration(0); elapsed < 10*time.Minute; elapsed += step {
+		cl.Engine().RunFor(step)
 		done := true
-		for i := 1; i < cfg.N; i++ {
-			if !cl.Node(sm.NodeID(i)).Service().(*Peer).Complete() {
-				done = false
-				break
-			}
+		for i := 1; i < peers && done; i++ {
+			done = leecher(i).Complete()
 		}
 		if done {
 			break
 		}
 	}
-
-	res := Result{Strategy: cfg.Strategy, Setting: cfg.Setting, Peers: cfg.N - 1}
 	var total time.Duration
-	for i := 1; i < cfg.N; i++ {
-		p := cl.Node(sm.NodeID(i)).Service().(*Peer)
-		if !p.Complete() {
-			continue
-		}
-		res.Completed++
-		total += p.CompletedAt
-		if p.CompletedAt > res.MaxCompletion {
-			res.MaxCompletion = p.CompletedAt
+	for i := 1; i < peers; i++ {
+		if p := leecher(i); p.Complete() {
+			completed++
+			total += p.CompletedAt
+			worst = max(worst, p.CompletedAt)
 		}
 	}
-	if res.Completed > 0 {
-		res.MeanCompletion = total / time.Duration(res.Completed)
+	if completed > 0 {
+		mean = total / time.Duration(completed)
 	}
-	return res
+	return completed, mean, worst
 }

@@ -21,6 +21,12 @@
 // message bodies share it, a digest hashes it without sorting and a
 // digest or delta is answered by merging two sorted lists; the receipt log
 // is shared behind a shared mark until a clone writes it.
+//
+// NewExperiment (harness.go) is the app's one deployment builder — the
+// network (slow nodes, dynamics), the strategy's resolver, Deploy, start —
+// which Run measures and the scenario lab (internal/scenario) translates
+// its specs into; each publishes on its own schedule. The caller's runtime
+// settings arrive whole in ExperimentConfig.Runtime.
 package gossip
 
 import (

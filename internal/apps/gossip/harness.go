@@ -45,14 +45,12 @@ type ExperimentConfig struct {
 	// the predictive resolver re-learns link quality from its passive
 	// measurements while fixed strategies cannot react.
 	Dynamic bool
-	// Lookahead configures the exploration engine of every runtime
-	// lookahead — consequence prediction and steering (see
-	// core.Config.Lookahead).
-	Lookahead explore.Options
-	// LookaheadClassCache caches steering/resolve verdicts under
-	// canonical violation-class and scenario keys (see
-	// core.Config.LookaheadClassCache).
-	LookaheadClassCache bool
+	// Runtime is the cluster's runtime configuration — lookahead engine,
+	// class cache, steering and its properties, panic containment, trace.
+	// The strategy owns NewResolver and ObjectiveFor, which NewExperiment
+	// sets; the predictive strategy checkpoints every 150 ms unless
+	// Runtime.CheckpointInterval says otherwise.
+	Runtime core.Config
 }
 
 func (c *ExperimentConfig) fill() {
@@ -86,9 +84,8 @@ type Result struct {
 }
 
 // Deploy populates cl with n fully-meshed gossip peers and returns the
-// cold-restart service factory for scripted resets. Run and the scenario
-// lab (internal/scenario) share it, so a scripted deployment is
-// node-for-node the experiment's.
+// cold-restart service factory for scripted resets. NewExperiment builds
+// through it; the benchmark deploys its own topologies with it.
 func Deploy(cl *core.Cluster, n int) func(sm.NodeID) sm.Service {
 	var view []sm.NodeID
 	for i := 0; i < n; i++ {
@@ -149,9 +146,20 @@ func ReceiptProperty() explore.Property {
 	}
 }
 
-// Run executes the experiment: publish cfg.Updates updates at staggered
-// times and measure how long each takes to reach all nodes.
-func Run(cfg ExperimentConfig) Result {
+// Experiment is a running gossip deployment.
+type Experiment struct {
+	Cfg     ExperimentConfig
+	Eng     *sim.Engine
+	Cluster *core.Cluster
+	// Fresh is a peer's cold-restart state (Deploy's factory).
+	Fresh func(sm.NodeID) sm.Service
+}
+
+// NewExperiment builds and starts cfg.N peers on a uniform network, the
+// highest SlowNodes IDs behind degraded links. Nothing is published yet:
+// Run and the scenario lab (internal/scenario) build through it and each
+// publishes on its own schedule.
+func NewExperiment(cfg ExperimentConfig) *Experiment {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)
 	top := netmodel.Uniform(cfg.N, cfg.BaseLatency, 1<<20, 0)
@@ -168,7 +176,7 @@ func Run(cfg ExperimentConfig) Result {
 		dyn.Drive(func(d time.Duration, fn func()) { eng.Schedule(d, fn) }, 500*time.Millisecond)
 	}
 
-	ccfg := core.Config{Lookahead: cfg.Lookahead, LookaheadClassCache: cfg.LookaheadClassCache}
+	ccfg := cfg.Runtime
 	switch cfg.Strategy {
 	case StrategyRandom:
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.Random{} }
@@ -190,14 +198,24 @@ func Run(cfg ExperimentConfig) Result {
 			return pr
 		}
 		ccfg.ObjectiveFor = SpreadObjective
-		ccfg.CheckpointInterval = 150 * time.Millisecond
+		if ccfg.CheckpointInterval == 0 {
+			ccfg.CheckpointInterval = 150 * time.Millisecond
+		}
 	default:
 		panic("gossip: unknown strategy " + string(cfg.Strategy))
 	}
 
 	cl := core.NewCluster(eng, net, ccfg)
-	Deploy(cl, cfg.N)
+	fresh := Deploy(cl, cfg.N)
 	cl.Start()
+	return &Experiment{Cfg: cfg, Eng: eng, Cluster: cl, Fresh: fresh}
+}
+
+// Run executes the experiment: publish cfg.Updates updates at staggered
+// times and measure how long each takes to reach all nodes.
+func Run(cfg ExperimentConfig) Result {
+	e := NewExperiment(cfg)
+	cfg, eng, cl := e.Cfg, e.Eng, e.Cluster
 
 	type pub struct {
 		update int
@@ -207,7 +225,6 @@ func Run(cfg ExperimentConfig) Result {
 	for u := 0; u < cfg.Updates; u++ {
 		at := time.Duration(u) * 400 * time.Millisecond
 		origin := sm.NodeID(u % (cfg.N - cfg.SlowNodes))
-		u := u
 		eng.Schedule(at, func() { PublishUpdate(cl, origin, u) })
 		pubs = append(pubs, pub{update: u, at: at})
 	}

@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -46,15 +47,12 @@ type ExperimentConfig struct {
 	// WorkDelay models per-proposal CPU cost at the proposer (see
 	// Replica.WorkDelay). Zero disables CPU modeling.
 	WorkDelay time.Duration
-	// Lookahead configures the exploration engine of every runtime
-	// lookahead — consequence prediction and steering (see
-	// core.Config.Lookahead).
-	Lookahead explore.Options
-	// LookaheadClassCache caches steering/resolve verdicts under
-	// canonical violation-class and scenario keys (see
-	// core.Config.LookaheadClassCache).
-	LookaheadClassCache bool
-	Trace               *trace.Log
+	// Runtime is the cluster's runtime configuration — lookahead engine,
+	// class cache, steering and its properties, panic containment, trace.
+	// The policy owns NewResolver and ObjectiveFor, which NewExperiment
+	// sets; the predictive policy checkpoints every 300 ms unless
+	// Runtime.CheckpointInterval says otherwise.
+	Runtime core.Config
 }
 
 func (c *ExperimentConfig) fill() {
@@ -137,8 +135,8 @@ func LatencyObjective(plane *iplane.Plane, sites int) func(n *core.Node) explore
 }
 
 // Deploy populates cl with one replica per site and returns the
-// cold-restart service factory for scripted resets. Run and the scenario
-// lab (internal/scenario) share it.
+// cold-restart service factory for scripted resets. NewExperiment builds
+// through it; the benchmark deploys its own topologies with it.
 func Deploy(cl *core.Cluster, sites int, workDelay time.Duration) func(sm.NodeID) sm.Service {
 	fresh := func(id sm.NodeID) sm.Service {
 		rep := New(id, sites)
@@ -225,8 +223,19 @@ func agrees(w *explore.World, nodes []sm.NodeID, inst int, cmd Cmd) bool {
 	return true
 }
 
-// Run executes one consensus experiment.
-func Run(cfg ExperimentConfig) Result {
+// Experiment is a running consensus deployment.
+type Experiment struct {
+	Cfg     ExperimentConfig
+	Eng     *sim.Engine
+	Cluster *core.Cluster
+	// Fresh is a replica's cold-restart state (Deploy's factory).
+	Fresh func(sm.NodeID) sm.Service
+}
+
+// NewExperiment builds and starts one replica per site and schedules the
+// client: cfg.Commands commands at random origins, cfg.Interarrival apart.
+// Run and the scenario lab (internal/scenario) both build through it.
+func NewExperiment(cfg ExperimentConfig) *Experiment {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)
 	var top *netmodel.Topology
@@ -237,40 +246,50 @@ func Run(cfg ExperimentConfig) Result {
 		if inter == nil {
 			inter = DefaultWAN()
 		}
+		if len(inter) < cfg.Sites {
+			panic(fmt.Sprintf("paxos: Sites = %d, but the inter-site latency matrix is %d×%d: set InterSite to a %d×%d matrix, or UniformLatency",
+				cfg.Sites, len(inter), len(inter), cfg.Sites, cfg.Sites))
+		}
 		top = netmodel.WANClusters(cfg.Sites, 1, time.Millisecond, inter, 0)
 	}
 	net := transport.New(eng, top)
-	plane := iplane.New(top, cfg.Seed+1)
-	plane.NoiseFrac = 0.05
 
-	ccfg := core.Config{Trace: cfg.Trace, Lookahead: cfg.Lookahead, LookaheadClassCache: cfg.LookaheadClassCache}
+	ccfg := cfg.Runtime
 	switch cfg.Policy {
 	case PolicyFixed:
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.First{} }
 	case PolicyRoundRobin:
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return &core.RoundRobin{} }
 	case PolicyPredictive:
+		plane := iplane.New(top, cfg.Seed+1)
+		plane.NoiseFrac = 0.05
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.NewPredictive(2) }
 		ccfg.ObjectiveFor = LatencyObjective(plane, cfg.Sites)
-		ccfg.CheckpointInterval = 300 * time.Millisecond
+		if ccfg.CheckpointInterval == 0 {
+			ccfg.CheckpointInterval = 300 * time.Millisecond
+		}
 	default:
 		panic("paxos: unknown policy " + string(cfg.Policy))
 	}
 
 	cl := core.NewCluster(eng, net, ccfg)
-	Deploy(cl, cfg.Sites, cfg.WorkDelay)
+	fresh := Deploy(cl, cfg.Sites, cfg.WorkDelay)
 	cl.Start()
 
 	// Submit commands at rotating origins.
 	rng := eng.Fork()
 	for c := 0; c < cfg.Commands; c++ {
-		at := time.Duration(c) * cfg.Interarrival
 		origin := sm.NodeID(rng.Intn(cfg.Sites))
-		c := c
-		eng.Schedule(at, func() { SubmitCmd(cl, origin, c) })
+		eng.Schedule(time.Duration(c)*cfg.Interarrival, func() { SubmitCmd(cl, origin, c) })
 	}
+	return &Experiment{Cfg: cfg, Eng: eng, Cluster: cl, Fresh: fresh}
+}
 
-	eng.RunFor(time.Duration(cfg.Commands)*cfg.Interarrival + 30*time.Second)
+// Run executes one consensus experiment.
+func Run(cfg ExperimentConfig) Result {
+	e := NewExperiment(cfg)
+	cfg, cl := e.Cfg, e.Cluster
+	e.Eng.RunFor(time.Duration(cfg.Commands)*cfg.Interarrival + 30*time.Second)
 
 	res := Result{Policy: cfg.Policy, Submitted: cfg.Commands, ProposerLoad: make(map[sm.NodeID]int)}
 	var lat trace.Sample

@@ -16,6 +16,12 @@
 //   - crystalball: predictive resolution against LatencyObjective, which
 //     charges every open proposal its proposer's predicted quorum round
 //     trips (network predictions served by the iPlane).
+//
+// NewExperiment (harness.go) is the app's one deployment builder — WAN or
+// uniform topology, the policy's resolver, Deploy, start and the command
+// client — which Run measures and the scenario lab (internal/scenario)
+// translates its specs into; the caller's runtime settings arrive whole in
+// ExperimentConfig.Runtime.
 package paxos
 
 import (

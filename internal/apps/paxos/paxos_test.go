@@ -1,7 +1,9 @@
 package paxos
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -334,6 +336,19 @@ func TestAllPoliciesCommitEverything(t *testing.T) {
 			t.Errorf("%s: non-positive commit latency", p)
 		}
 	}
+}
+
+// TestRunRejectsSitesBeyondLatencyMatrix: more sites than the default
+// 5-site WAN has rows, with no InterSite or UniformLatency, must fail with a
+// message naming Sites and the matrix size, not index past the matrix.
+func TestRunRejectsSitesBeyondLatencyMatrix(t *testing.T) {
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "Sites = 8") || !strings.Contains(msg, "5×5") {
+			t.Fatalf("got panic %q, want one naming Sites = 8 and the 5×5 matrix", msg)
+		}
+	}()
+	Run(ExperimentConfig{Sites: 8, Seed: 1, Policy: PolicyFixed})
 }
 
 func TestFixedPolicyLoadsLeaderOnly(t *testing.T) {

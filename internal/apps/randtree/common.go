@@ -12,6 +12,12 @@
 // heartbeat failure detection, and subtree summaries, so the only
 // difference — and the code-metrics comparison of experiment E1 — is how
 // the routing decision is made.
+//
+// NewExperiment (harness.go) is the app's one deployment builder — the
+// Internet-like topology, the setup's resolver, Deploy, start — which the
+// Section-4 and steering runs, cmd/mc and the scenario lab
+// (internal/scenario) all build through; the caller's runtime settings
+// arrive whole in ExperimentConfig.Runtime.
 package randtree
 
 import (

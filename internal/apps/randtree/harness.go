@@ -9,7 +9,6 @@ import (
 	"crystalchoice/internal/netmodel"
 	"crystalchoice/internal/sim"
 	"crystalchoice/internal/sm"
-	"crystalchoice/internal/trace"
 	"crystalchoice/internal/transport"
 )
 
@@ -35,30 +34,18 @@ type ExperimentConfig struct {
 	JoinSpacing time.Duration
 	// LookaheadDepth for the CrystalBall setup. Default 3.
 	LookaheadDepth int
-	// CheckpointInterval for the CrystalBall setup. Default 150ms.
-	CheckpointInterval time.Duration
 	// DisableCache turns off the predictive resolver's decision cache
 	// (ablation A3).
 	DisableCache bool
 	// OffCriticalPath resolves choices from the cache/randomly and runs
 	// consequence prediction in the background (ablation A6, paper §3.4).
 	OffCriticalPath bool
-	// Lookahead configures the exploration engine of every runtime
-	// lookahead — consequence prediction and steering (see
-	// core.Config.Lookahead).
-	Lookahead explore.Options
-	// LookaheadClassCache caches steering/resolve verdicts under
-	// canonical violation-class and scenario keys (see
-	// core.Config.LookaheadClassCache).
-	LookaheadClassCache bool
-	// Steering enables execution steering against Properties (E8).
-	Steering   bool
-	Properties []explore.Property
-	// ContainPanics converts handler panics into recorded PanicRecords
-	// plus a node crash (see core.Config.ContainPanics); the scenario lab
-	// turns it on so one faulty interleaving cannot kill a fuzz campaign.
-	ContainPanics bool
-	Trace         *trace.Log
+	// Runtime is the cluster's runtime configuration — lookahead engine,
+	// class cache, steering and its properties, panic containment, trace.
+	// The setup owns NewResolver, ObjectiveFor and InitialState, which
+	// NewExperiment sets; the CrystalBall setup checkpoints every 150 ms
+	// unless Runtime.CheckpointInterval says otherwise.
+	Runtime core.Config
 }
 
 func (c *ExperimentConfig) fill() {
@@ -71,9 +58,6 @@ func (c *ExperimentConfig) fill() {
 	if c.LookaheadDepth == 0 {
 		c.LookaheadDepth = 3
 	}
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = 150 * time.Millisecond
-	}
 }
 
 // Experiment is a running tree deployment.
@@ -82,17 +66,21 @@ type Experiment struct {
 	Eng     *sim.Engine
 	Net     *transport.Network
 	Cluster *core.Cluster
+	// Fresh is a node's cold-restart state (Deploy's factory).
+	Fresh func(sm.NodeID) sm.Service
 }
 
-// NewExperiment builds a deployment of cfg.N nodes on an Internet-like
-// topology, configured per the requested setup.
+// NewExperiment builds and starts a deployment of cfg.N nodes on an
+// Internet-like topology, configured per the requested setup. It is the
+// one deployment path: the Section-4 and steering runs, cmd/mc and the
+// scenario lab (internal/scenario) all build through it.
 func NewExperiment(cfg ExperimentConfig) *Experiment {
 	cfg.fill()
 	eng := sim.NewEngine(cfg.Seed)
 	top := netmodel.TransitStub(cfg.N, netmodel.DefaultInternetLike(), eng.Fork())
 	net := transport.New(eng, top)
 
-	ccfg := core.Config{Trace: cfg.Trace, ContainPanics: cfg.ContainPanics, Lookahead: cfg.Lookahead, LookaheadClassCache: cfg.LookaheadClassCache}
+	ccfg := cfg.Runtime
 	// Fault lookaheads restart reset nodes from the as-deployed cold state
 	// when no fresh checkpoint is retained.
 	ccfg.InitialState = func(id sm.NodeID) sm.Service { return newService(cfg.Setup, id, 0, 0) }
@@ -109,28 +97,22 @@ func NewExperiment(cfg ExperimentConfig) *Experiment {
 			return pr
 		}
 		ccfg.ObjectiveFor = func(*core.Node) explore.Objective { return BalanceObjective() }
-		ccfg.CheckpointInterval = cfg.CheckpointInterval
+		if ccfg.CheckpointInterval == 0 {
+			ccfg.CheckpointInterval = 150 * time.Millisecond
+		}
 	default:
 		panic(fmt.Sprintf("randtree: unknown setup %q", cfg.Setup))
 	}
-	if cfg.Steering {
-		ccfg.Steering = true
-		ccfg.Properties = cfg.Properties
-		if ccfg.CheckpointInterval == 0 {
-			ccfg.CheckpointInterval = cfg.CheckpointInterval
-		}
-	}
 
 	cl := core.NewCluster(eng, net, ccfg)
-	Deploy(cl, cfg.Setup, cfg.N, cfg.JoinSpacing)
+	fresh := Deploy(cl, cfg.Setup, cfg.N, cfg.JoinSpacing)
 	cl.Start()
-	return &Experiment{Cfg: cfg, Eng: eng, Net: net, Cluster: cl}
+	return &Experiment{Cfg: cfg, Eng: eng, Net: net, Cluster: cl, Fresh: fresh}
 }
 
 // Deploy populates cl with n tree nodes joining through the root at
 // staggered delays and returns the cold-restart service factory (an
-// immediate rejoin through the root). NewExperiment and the scenario lab
-// (internal/scenario) share it.
+// immediate rejoin through the root). NewExperiment builds through it.
 func Deploy(cl *core.Cluster, setup Setup, n int, joinSpacing time.Duration) func(sm.NodeID) sm.Service {
 	for i := 0; i < n; i++ {
 		cl.AddNode(sm.NodeID(i), newService(setup, sm.NodeID(i), 0, time.Duration(i)*joinSpacing))
@@ -151,10 +133,6 @@ func Properties() []explore.Property {
 		DegreeBoundProperty(),
 	}
 }
-
-// FreshService returns node id's cold-restart state — what Deploy's
-// factory builds — for scripted resets on an existing deployment.
-func FreshService(setup Setup, id sm.NodeID) sm.Service { return newService(setup, id, 0, 0) }
 
 // newService constructs the right variant with a staggered join delay.
 func newService(setup Setup, id, root sm.NodeID, joinDelay time.Duration) sm.Service {
@@ -323,22 +301,15 @@ type Section4Result struct {
 	Stats        core.Stats
 }
 
-// RunSection4 runs the full Section-4 scenario: N nodes join, the largest
-// root subtree fails, the failed nodes rejoin, and tree depth is measured
-// at both points.
-func RunSection4(setup Setup, n int, seed int64) Section4Result {
-	return RunSection4FromConfig(ExperimentConfig{N: n, Seed: seed, Setup: setup})
-}
-
-// RunSection4FromConfig is RunSection4 with full control over the
-// experiment configuration (used by the ablation benchmarks).
-func RunSection4FromConfig(cfg ExperimentConfig) Section4Result {
+// RunSection4 runs the full Section-4 scenario on cfg's deployment: N
+// nodes join, the largest root subtree fails, the failed nodes rejoin,
+// and tree depth is measured at both points.
+func RunSection4(cfg ExperimentConfig) Section4Result {
 	e := NewExperiment(cfg)
 	n := e.Cfg.N
-	setup := e.Cfg.Setup
 	// Join phase: staggered joins plus settling time.
 	e.Run(time.Duration(n)*e.Cfg.JoinSpacing + 10*time.Second)
-	res := Section4Result{Setup: setup, N: n, JoinDepth: e.MaxDepth(), JoinedAfter: e.JoinedCount()}
+	res := Section4Result{Setup: e.Cfg.Setup, N: n, JoinDepth: e.MaxDepth(), JoinedAfter: e.JoinedCount()}
 	// Failure phase.
 	failed := e.FailLargestSubtree()
 	res.Failed = len(failed)

@@ -306,7 +306,7 @@ func TestFailLargestSubtree(t *testing.T) {
 }
 
 func TestRejoinRecoversFullMembership(t *testing.T) {
-	r := RunSection4(SetupChoiceCrystalBall, 31, 5)
+	r := RunSection4(ExperimentConfig{N: 31, Seed: 5, Setup: SetupChoiceCrystalBall})
 	if r.JoinedAfter != 31 {
 		t.Fatalf("join phase attached %d/31", r.JoinedAfter)
 	}
@@ -332,7 +332,7 @@ func TestSection4Shape(t *testing.T) {
 	for _, setup := range Setups {
 		agg := struct{ join, rejoin int }{}
 		for seed := int64(1); seed <= seeds; seed++ {
-			r := RunSection4(setup, 31, seed)
+			r := RunSection4(ExperimentConfig{N: 31, Seed: seed, Setup: setup})
 			agg.join += r.JoinDepth
 			agg.rejoin += r.RejoinDepth
 		}

@@ -29,34 +29,23 @@ type SteeringResult struct {
 // RandTree: after the tree stabilizes, a stale JoinReply arrives at an
 // interior node X from its own child C, claiming C is X's parent. Without
 // interposition X adopts it, creating a parent two-cycle that silently
-// detaches the pair's subtree. With steering enabled, consequence
+// detaches the pair's subtree. With cfg.Runtime.Steering on, consequence
 // prediction sees the rt.no-parent-cycle violation one step into the
 // future and drops the message, breaking the connection with the sender
-// (the paper's corrective action). look and classCache configure the
-// steering lookaheads like every other harness's Lookahead fields.
-func RunSteering(enabled bool, n int, seed int64, look explore.Options, classCache bool) SteeringResult {
-	return RunSteeringFromConfig(ExperimentConfig{
-		N:                   n,
-		Seed:                seed,
-		Setup:               SetupChoiceRandom,
-		Steering:            enabled,
-		Properties:          []explore.Property{NoParentCycleProperty()},
-		CheckpointInterval:  150 * time.Millisecond,
-		Lookahead:           look,
-		LookaheadClassCache: classCache,
-	})
-}
-
-// RunSteeringFromConfig is RunSteering with full control over the
-// experiment configuration (e.g. lookahead fault budgets).
-func RunSteeringFromConfig(cfg ExperimentConfig) SteeringResult {
+// (the paper's corrective action). The setup defaults to Choice-Random;
+// steering defaults to that one property and to checkpoints every 150 ms.
+func RunSteering(cfg ExperimentConfig) SteeringResult {
 	if cfg.Setup == "" {
 		cfg.Setup = SetupChoiceRandom
 	}
-	if cfg.Properties == nil {
-		cfg.Properties = []explore.Property{NoParentCycleProperty()}
+	if rt := &cfg.Runtime; rt.Steering {
+		if rt.Properties == nil {
+			rt.Properties = []explore.Property{NoParentCycleProperty()}
+		}
+		if rt.CheckpointInterval == 0 {
+			rt.CheckpointInterval = 150 * time.Millisecond
+		}
 	}
-	enabled := cfg.Steering
 	e := NewExperiment(cfg)
 	e.Run(time.Duration(e.Cfg.N)*e.Cfg.JoinSpacing + 10*time.Second)
 
@@ -77,7 +66,7 @@ func RunSteeringFromConfig(cfg ExperimentConfig) SteeringResult {
 			break
 		}
 	}
-	res := SteeringResult{SteeringEnabled: enabled}
+	res := SteeringResult{SteeringEnabled: cfg.Runtime.Steering}
 	if victim < 0 {
 		return res
 	}

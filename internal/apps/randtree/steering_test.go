@@ -4,15 +4,21 @@ import (
 	"testing"
 	"time"
 
+	"crystalchoice/internal/core"
 	"crystalchoice/internal/explore"
 )
+
+// steeringRun is the E8 scenario at its test size, steering as given.
+func steeringRun(rt core.Config) SteeringResult {
+	return RunSteering(ExperimentConfig{N: 15, Seed: 3, Runtime: rt})
+}
 
 // TestE8SteeringMasksInconsistency pins the execution-steering result: the
 // forged parent-cycle message is delivered (and the cycle forms) without
 // steering, and is predicted and dropped with steering on — with no
 // false-positive drops of legitimate protocol traffic.
 func TestE8SteeringMasksInconsistency(t *testing.T) {
-	off := RunSteering(false, 15, 3, explore.Options{}, false)
+	off := steeringRun(core.Config{})
 	if !off.ForgedDelivered || !off.CycleFormed {
 		t.Fatalf("without steering the attack should succeed: %+v", off)
 	}
@@ -20,7 +26,7 @@ func TestE8SteeringMasksInconsistency(t *testing.T) {
 		t.Fatalf("steering disabled but messages dropped: %+v", off)
 	}
 
-	on := RunSteering(true, 15, 3, explore.Options{}, false)
+	on := steeringRun(core.Config{Steering: true})
 	if on.ForgedDelivered || on.CycleFormed {
 		t.Fatalf("steering failed to mask the inconsistency: %+v", on)
 	}
@@ -36,11 +42,14 @@ func TestE8SteeringMasksInconsistency(t *testing.T) {
 // attack at all: the tree must build normally and nothing may be dropped.
 func TestSteeringNoFalsePositives(t *testing.T) {
 	e := NewExperiment(ExperimentConfig{
-		N:          12,
-		Seed:       8,
-		Setup:      SetupChoiceRandom,
-		Steering:   true,
-		Properties: []explore.Property{NoParentCycleProperty()},
+		N:     12,
+		Seed:  8,
+		Setup: SetupChoiceRandom,
+		Runtime: core.Config{
+			Steering:           true,
+			Properties:         []explore.Property{NoParentCycleProperty()},
+			CheckpointInterval: 150 * time.Millisecond,
+		},
 	})
 	e.Run(20 * time.Second)
 	if got := e.JoinedCount(); got != 12 {
@@ -56,28 +65,25 @@ func TestSteeringNoFalsePositives(t *testing.T) {
 // fault-only violations (reachable by a reset alone) cannot make every
 // future look unsafe and disarm the steer gate.
 func TestSteeringUnaffectedByFaultBudget(t *testing.T) {
-	r := RunSteeringFromConfig(ExperimentConfig{
-		N:                  15,
-		Seed:               1,
-		Steering:           true,
-		Properties:         []explore.Property{NoParentCycleProperty(), NoOrphanedChildProperty()},
-		CheckpointInterval: 150 * time.Millisecond,
-		Lookahead:          explore.Options{FaultBudget: 1},
-	})
+	r := RunSteering(ExperimentConfig{N: 15, Seed: 1, Runtime: core.Config{
+		Steering:   true,
+		Properties: []explore.Property{NoParentCycleProperty(), NoOrphanedChildProperty()},
+		Lookahead:  explore.Options{FaultBudget: 1},
+	}})
 	if r.Steered == 0 || r.CycleFormed {
 		t.Fatalf("steering disarmed by fault budget: steered=%d cycle=%v", r.Steered, r.CycleFormed)
 	}
 }
 
 // TestRunSteeringHonorsLookaheadOptions: the engine configuration handed
-// to RunSteering must reach the steering explorer. A steering lookahead
+// to RunSteering in Runtime.Lookahead must reach the steering explorer. A steering lookahead
 // starts from one in-flight message, which the causal-chain default
 // follows once and the random-walk strategy samples twice, so the two
 // explore different state counts over the same deployment — while the
 // verdict on the forged message stays the same.
 func TestRunSteeringHonorsLookaheadOptions(t *testing.T) {
-	chain := RunSteering(true, 15, 3, explore.Options{}, false)
-	walk := RunSteering(true, 15, 3, explore.Options{Strategy: explore.RandomWalk{}}, false)
+	chain := steeringRun(core.Config{Steering: true})
+	walk := steeringRun(core.Config{Steering: true, Lookahead: explore.Options{Strategy: explore.RandomWalk{}}})
 	if walk.Steered != chain.Steered || walk.CycleFormed != chain.CycleFormed {
 		t.Fatalf("strategy changed the steering verdict: chaindfs %+v, randomwalk %+v", chain, walk)
 	}

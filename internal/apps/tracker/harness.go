@@ -35,14 +35,10 @@ type ExperimentConfig struct {
 	Policy    Policy
 	// GrantK is how many introductions the tracker returns per request.
 	GrantK int
-	// Lookahead configures the exploration engine of every runtime
-	// lookahead — consequence prediction and steering (see
-	// core.Config.Lookahead).
-	Lookahead explore.Options
-	// LookaheadClassCache caches steering/resolve verdicts under
-	// canonical violation-class and scenario keys (see
-	// core.Config.LookaheadClassCache).
-	LookaheadClassCache bool
+	// Runtime is the cluster's runtime configuration — lookahead engine,
+	// class cache, steering and its properties, panic containment, trace.
+	// The policy owns NewResolver, which NewExperiment sets.
+	Runtime core.Config
 }
 
 func (c *ExperimentConfig) fill() {
@@ -58,6 +54,15 @@ func (c *ExperimentConfig) fill() {
 	if c.GrantK == 0 {
 		c.GrantK = 4
 	}
+}
+
+// isp maps a node to its side of the dumbbell: the lower half of the
+// Peers+1 nodes is ISP 0.
+func (c *ExperimentConfig) isp(id sm.NodeID) int {
+	if int(id) < (c.Peers+2)/2 {
+		return 0
+	}
+	return 1
 }
 
 // Result summarizes one run.
@@ -81,8 +86,7 @@ func (r Result) CrossFraction() float64 {
 // Deploy populates cl with a tracker-mediated swarm: peers nodes of
 // dissem (node 0 the seed, discovering partners only through the tracker)
 // plus the tracker itself at NodeID(peers). It returns the cold-restart
-// service factory for scripted resets. Run and the scenario lab
-// (internal/scenario) share it.
+// service factory for scripted resets. NewExperiment builds through it.
 func Deploy(cl *core.Cluster, peers, blocks, blockSize, grantK int) func(sm.NodeID) sm.Service {
 	trackerID := sm.NodeID(peers)
 	fresh := func(id sm.NodeID) sm.Service {
@@ -105,8 +109,8 @@ func Deploy(cl *core.Cluster, peers, blocks, blockSize, grantK int) func(sm.Node
 // itself is purely reactive).
 func Timers() []string { return dissem.Timers() }
 
-// Enroll registers every live peer with the tracker, as Run does at start
-// and as a scenario's workload does after node churn.
+// Enroll registers every live peer with the tracker, as NewExperiment does
+// at start.
 func Enroll(cl *core.Cluster, peers int) {
 	trackerID := sm.NodeID(peers)
 	for i := 0; i < peers; i++ {
@@ -140,10 +144,19 @@ func RegistryProperty(peers int) explore.Property {
 	}
 }
 
-// Run executes the experiment: peers discover each other only through the
-// tracker, download a file seeded in ISP 0, and the harness accounts
-// cross-ISP traffic.
-func Run(cfg ExperimentConfig) Result {
+// Experiment is a running tracker-mediated swarm.
+type Experiment struct {
+	Cfg     ExperimentConfig
+	Eng     *sim.Engine
+	Cluster *core.Cluster
+	// Fresh is a node's cold-restart state (Deploy's factory).
+	Fresh func(sm.NodeID) sm.Service
+}
+
+// NewExperiment builds and starts the swarm on two ISPs joined by a
+// bottleneck and enrolls every peer with the tracker. Run and the scenario
+// lab (internal/scenario) both build through it.
+func NewExperiment(cfg ExperimentConfig) *Experiment {
 	cfg.fill()
 	total := cfg.Peers + 1 // + tracker
 	trackerID := sm.NodeID(cfg.Peers)
@@ -151,31 +164,16 @@ func Run(cfg ExperimentConfig) Result {
 	// Two ISPs joined by a bottleneck; the tracker sits in ISP 1 but its
 	// traffic is negligible.
 	top := netmodel.Dumbbell(total, 5*time.Millisecond, 40*time.Millisecond, 4<<20, 1<<20)
-	left := (total + 1) / 2
-	isp := func(id sm.NodeID) int {
-		if int(id) < left {
-			return 0
-		}
-		return 1
-	}
 	net := transport.New(eng, top)
 
-	res := Result{Policy: cfg.Policy, Peers: cfg.Peers - 1}
-	net.Monitor = func(m *transport.Message) {
-		res.TotalBytes += uint64(m.Size)
-		if isp(m.Src) != isp(m.Dst) {
-			res.CrossISPBytes += uint64(m.Size)
-		}
-	}
-
-	ccfg := core.Config{Lookahead: cfg.Lookahead, LookaheadClassCache: cfg.LookaheadClassCache}
+	ccfg := cfg.Runtime
 	switch cfg.Policy {
 	case PolicyRandom:
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.Random{} }
 	case PolicyLocality:
 		ccfg.NewResolver = func(n *core.Node) core.Resolver {
 			if n.ID() == trackerID {
-				return Locality{ISP: isp}
+				return Locality{ISP: cfg.isp}
 			}
 			return core.Random{} // block selection stays random for both
 		}
@@ -184,37 +182,25 @@ func Run(cfg ExperimentConfig) Result {
 	}
 
 	cl := core.NewCluster(eng, net, ccfg)
-	Deploy(cl, cfg.Peers, cfg.Blocks, cfg.BlockSize, cfg.GrantK)
+	fresh := Deploy(cl, cfg.Peers, cfg.Blocks, cfg.BlockSize, cfg.GrantK)
 	cl.Start()
 	// Registration: every peer enrolls at start.
 	Enroll(cl, cfg.Peers)
+	return &Experiment{Cfg: cfg, Eng: eng, Cluster: cl, Fresh: fresh}
+}
 
-	deadline := 10 * time.Minute
-	step := 500 * time.Millisecond
-	for elapsed := time.Duration(0); elapsed < deadline; elapsed += step {
-		eng.RunFor(step)
-		done := true
-		for i := 1; i < cfg.Peers; i++ {
-			if !cl.Node(sm.NodeID(i)).Service().(*dissem.Peer).Complete() {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
+// Run executes the experiment: peers discover each other only through the
+// tracker, download a file seeded in ISP 0, and the harness accounts
+// cross-ISP traffic.
+func Run(cfg ExperimentConfig) Result {
+	e := NewExperiment(cfg)
+	res := Result{Policy: e.Cfg.Policy, Peers: e.Cfg.Peers - 1}
+	e.Cluster.Network().Monitor = func(m *transport.Message) {
+		res.TotalBytes += uint64(m.Size)
+		if e.Cfg.isp(m.Src) != e.Cfg.isp(m.Dst) {
+			res.CrossISPBytes += uint64(m.Size)
 		}
 	}
-
-	var sum time.Duration
-	for i := 1; i < cfg.Peers; i++ {
-		p := cl.Node(sm.NodeID(i)).Service().(*dissem.Peer)
-		if p.Complete() {
-			res.Completed++
-			sum += p.CompletedAt
-		}
-	}
-	if res.Completed > 0 {
-		res.MeanCompletion = sum / time.Duration(res.Completed)
-	}
+	res.Completed, res.MeanCompletion, _ = dissem.RunToCompletion(e.Cluster, e.Cfg.Peers)
 	return res
 }

@@ -17,6 +17,12 @@
 //
 // The experiment measures cross-ISP traffic and completion time of a
 // dissem swarm whose peer discovery goes through the tracker.
+//
+// NewExperiment (harness.go) is the app's one deployment builder — the
+// two-ISP dumbbell, the policy's resolver, Deploy, start and enrollment —
+// which Run measures and the scenario lab (internal/scenario) translates
+// its specs into; the caller's runtime settings arrive whole in
+// ExperimentConfig.Runtime.
 package tracker
 
 import (

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"crystalchoice/internal/apps/randtree"
+	"crystalchoice/internal/core"
 	"crystalchoice/internal/explore"
 	"crystalchoice/internal/trace"
 )
@@ -19,12 +20,14 @@ import (
 func TestFigure1Dataflow(t *testing.T) {
 	log := &trace.Log{}
 	e := randtree.NewExperiment(randtree.ExperimentConfig{
-		N:          12,
-		Seed:       21,
-		Setup:      randtree.SetupChoiceCrystalBall,
-		Steering:   true,
-		Properties: []explore.Property{randtree.NoParentCycleProperty()},
-		Trace:      log,
+		N:     12,
+		Seed:  21,
+		Setup: randtree.SetupChoiceCrystalBall,
+		Runtime: core.Config{
+			Steering:   true,
+			Properties: []explore.Property{randtree.NoParentCycleProperty()},
+			Trace:      log,
+		},
 	})
 	e.Run(15 * time.Second)
 

@@ -64,8 +64,8 @@ type Options struct {
 	Deadline time.Time
 }
 
-// Run executes the spec: build the app's deployment (identical to the
-// hand-written harness's), compile and install the fault schedule, then
+// Run executes the spec: build the app's deployment (through the app's own
+// harness builder), compile and install the fault schedule, then
 // advance virtual time in probe-sized steps, materializing the live
 // cluster as an explorer world at each step and checking the app's safety
 // properties. Probing at ProbeEvery (default 50ms) is essential for
@@ -83,10 +83,8 @@ func Run(s *Spec, opt Options) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	d, err := build(spec)
-	if err != nil {
-		return nil, err
-	}
+	d := build(spec)
+	eng := d.cl.Engine()
 	sched, err := spec.Compile(d.fresh)
 	if err != nil {
 		return nil, err
@@ -104,7 +102,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 			seen[p.Name] = true
 			res.Violations = append(res.Violations, Violation{
 				Property: p.Name,
-				At:       Dur(d.eng.Now()),
+				At:       Dur(eng.Now()),
 			})
 		}
 	}
@@ -114,7 +112,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 			res.Truncated = true
 			break
 		}
-		d.eng.RunFor(step)
+		eng.RunFor(step)
 		probe()
 	}
 

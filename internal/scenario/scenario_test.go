@@ -70,6 +70,7 @@ func TestValidateRejects(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"unknown app", func(s *Spec) { s.App = "quake" }},
+		{"unknown variant", func(s *Spec) { s.Variant = "rarest" }},
 		{"one node", func(s *Spec) { s.N = 1 }},
 		{"paxos too small", func(s *Spec) { s.App = "paxos"; s.N = 2 }},
 		{"paxos too large", func(s *Spec) { s.App = "paxos"; s.N = 65 }},
@@ -367,16 +368,13 @@ func flapSpec() *Spec {
 func runFlaps(t *testing.T) (*Spec, *deployment) {
 	t.Helper()
 	s := flapSpec()
-	d, err := build(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build(s)
 	sched, err := s.Compile(d.fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched.Install(d.cl)
-	d.eng.RunFor(s.Duration.D())
+	d.cl.Engine().RunFor(s.Duration.D())
 	return s, d
 }
 
@@ -428,11 +426,8 @@ func TestSteeringUnderFlapsDigestParity(t *testing.T) {
 // steering on interposes over the registry property instead of nothing.
 func TestTrackerSteeringSpecChecksRegistry(t *testing.T) {
 	s := &Spec{App: "tracker", N: 5, Seed: 3, Duration: Dur(2 * time.Second), Steering: true}
-	d, err := build(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.eng.RunFor(s.Duration.D())
+	d := build(s)
+	d.cl.Engine().RunFor(s.Duration.D())
 	if len(d.props) == 0 || d.cl.Stats().SteeringChecks == 0 {
 		t.Fatalf("tracker steering spec: %d properties, %d checks", len(d.props), d.cl.Stats().SteeringChecks)
 	}

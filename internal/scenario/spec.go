@@ -207,12 +207,15 @@ func (s *Spec) Clone() *Spec {
 }
 
 // Validate checks the spec's static shape and simulates its compiled
-// timeline: node IDs in range, restarts only of crashed nodes, partition
+// timeline: a known app and variant, node IDs in range, restarts only of crashed nodes, partition
 // groups disjoint and nonempty, the fault budget respected, and — when
 // PreserveQuorum is set — a live majority at every instant.
 func (s *Spec) Validate() error {
-	if !validApp(s.App) {
+	if variants[s.App] == nil {
 		return fmt.Errorf("unknown app %q (want one of %v)", s.App, Apps)
+	}
+	if _, ok := variants[s.App][s.Variant]; !ok {
+		return fmt.Errorf("unknown %s variant %q", s.App, s.Variant)
 	}
 	if s.N < 2 {
 		return fmt.Errorf("n = %d: need at least 2 nodes", s.N)
@@ -243,15 +246,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("schedule has %d primitive events, over the max_faults budget %d", len(events), s.MaxFaults)
 	}
 	return s.checkTimeline(events)
-}
-
-func validApp(app string) bool {
-	for _, a := range Apps {
-		if a == app {
-			return true
-		}
-	}
-	return false
 }
 
 // checkTimeline replays the primitive events in time order, tracking the
