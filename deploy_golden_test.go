@@ -95,6 +95,9 @@ func harnessGoldenDump() string {
 	for _, on := range []bool{false, true} {
 		fmt.Fprintf(&b, "E8 %+v\n", randtree.RunSteering(randtree.ExperimentConfig{N: 15, Seed: 1, Runtime: core.Config{Steering: on}}))
 	}
+	fmt.Fprintf(&b, "E8 classcache %+v\n", randtree.RunSteering(randtree.ExperimentConfig{N: 15, Seed: 1, Runtime: core.Config{
+		Steering: true, LookaheadClassCache: true,
+	}}))
 	fmt.Fprintf(&b, "E8 randomwalk+classcache %+v\n", randtree.RunSteering(randtree.ExperimentConfig{N: 15, Seed: 1, Runtime: core.Config{
 		Steering: true, Lookahead: explore.Options{Strategy: explore.RandomWalk{}}, LookaheadClassCache: true,
 	}}))
