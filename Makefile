@@ -49,7 +49,7 @@ bench:
 
 # bench-alloc runs the hot-path allocation-regression tests, which pin
 # the per-state allocation budget of the non-violating expansion path
-# (chain, BFS, guided; faults off and on) via testing.AllocsPerRun.
+# (chain and BFS; faults off and on) via testing.AllocsPerRun.
 # -count=2: the second run executes with warm free-lists, so a threshold
 # that only holds on cold pools fails here instead of flaking in CI.
 # TestForkCostIndependentOfLogSize is the cost-shape gate of the paxos

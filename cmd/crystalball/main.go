@@ -35,10 +35,10 @@ func run() int {
 	seed := flag.Int64("seed", 1, "first seed")
 	seeds := flag.Int("seeds", 3, "seeds to average over")
 	flag.IntVar(&runtimeCfg.Lookahead.Workers, "workers", 1, "lookahead exploration worker pool ceiling per node")
-	strategy := flag.String("strategy", "chaindfs", "lookahead exploration strategy: chaindfs | bfs | randomwalk | guided")
+	strategy := flag.String("strategy", "chaindfs", "lookahead exploration strategy: chaindfs | bfs")
 	flag.IntVar(&runtimeCfg.Lookahead.FaultBudget, "faults", 0, "fault-transition budget per runtime lookahead (crash/recover/reset)")
 	flag.BoolVar(&runtimeCfg.Lookahead.PartitionFaults, "partitions", false, "also explore partition transitions in runtime lookaheads")
-	flag.IntVar(&runtimeCfg.Lookahead.MaxFrontier, "maxfrontier", 0, "cap on pending lookahead frontier units, dropping lowest-priority work (0 = unbounded)")
+	flag.IntVar(&runtimeCfg.Lookahead.MaxFrontier, "maxfrontier", 0, "cap on pending lookahead frontier units, dropping the newest incoming ones (0 = unbounded)")
 	flag.BoolVar(&runtimeCfg.LookaheadClassCache, "classcache", false, "cache steering/resolve verdicts under violation-class keys")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")

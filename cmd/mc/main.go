@@ -34,8 +34,8 @@ func run() int {
 	flag.IntVar(&opts.FaultBudget, "faults", 0, "fault-transition budget per explored path (crash/recover/reset as explorer actions)")
 	flag.BoolVar(&opts.PartitionFaults, "partitions", false, "also explore network-partition transitions (drawn from the fault budget)")
 	flag.IntVar(&opts.Workers, "workers", 1, "exploration worker pool ceiling (the active set sizes itself to the work)")
-	strategyName := flag.String("strategy", "chaindfs", "exploration strategy: chaindfs | bfs | randomwalk | guided")
-	flag.IntVar(&opts.MaxFrontier, "maxfrontier", 0, "cap on pending frontier units, dropping lowest-priority work (0 = unbounded)")
+	strategyName := flag.String("strategy", "chaindfs", "exploration strategy: chaindfs | bfs")
+	flag.IntVar(&opts.MaxFrontier, "maxfrontier", 0, "cap on pending frontier units, dropping the newest incoming ones (0 = unbounded)")
 	classesJSON := flag.String("classes-json", "", "write the violation classes (digest, count, shortest witness) as JSON to this path for cross-run diffing")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the exploration; past it the report is partial and marked truncated (0 = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")

@@ -19,7 +19,6 @@ import (
 	"crystalchoice/internal/apps/randtree"
 	"crystalchoice/internal/apps/tracker"
 	"crystalchoice/internal/core"
-	"crystalchoice/internal/explore"
 	"crystalchoice/internal/scenario"
 )
 
@@ -97,9 +96,6 @@ func harnessGoldenDump() string {
 	}
 	fmt.Fprintf(&b, "E8 classcache %+v\n", randtree.RunSteering(randtree.ExperimentConfig{N: 15, Seed: 1, Runtime: core.Config{
 		Steering: true, LookaheadClassCache: true,
-	}}))
-	fmt.Fprintf(&b, "E8 randomwalk+classcache %+v\n", randtree.RunSteering(randtree.ExperimentConfig{N: 15, Seed: 1, Runtime: core.Config{
-		Steering: true, Lookahead: explore.Options{Strategy: explore.RandomWalk{}}, LookaheadClassCache: true,
 	}}))
 	for _, p := range tracker.Policies {
 		fmt.Fprintf(&b, "E9 %+v\n", tracker.Run(tracker.ExperimentConfig{Seed: 1, Policy: p}))

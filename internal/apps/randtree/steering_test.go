@@ -1,6 +1,7 @@
 package randtree
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,19 +76,34 @@ func TestSteeringUnaffectedByFaultBudget(t *testing.T) {
 	}
 }
 
+// countingStrategy is a strategy that counts the lookaheads it seeds.
+type countingStrategy struct {
+	explore.Strategy
+	roots *atomic.Int64
+}
+
+func (s countingStrategy) Roots(x *explore.Explorer, ctx *explore.Ctx, w *explore.World) []explore.Unit {
+	s.roots.Add(1)
+	return s.Strategy.Roots(x, ctx, w)
+}
+
 // TestRunSteeringHonorsLookaheadOptions: the engine configuration handed
-// to RunSteering in Runtime.Lookahead must reach the steering explorer. A steering lookahead
-// starts from one in-flight message, which the causal-chain default
-// follows once and the random-walk strategy samples twice, so the two
-// explore different state counts over the same deployment — while the
-// verdict on the forged message stays the same.
+// to RunSteering in Runtime.Lookahead must reach the steering explorer. A
+// steering lookahead starts from one in-flight message and no timers, so
+// every strategy, pool size and frontier cap explores the same states;
+// the strategy given here counts its own runs instead, and must have
+// seeded at least one lookahead per steering check — while the verdict on
+// the forged message and the states explored stay the default's.
 func TestRunSteeringHonorsLookaheadOptions(t *testing.T) {
 	chain := steeringRun(core.Config{Steering: true})
-	walk := steeringRun(core.Config{Steering: true, Lookahead: explore.Options{Strategy: explore.RandomWalk{}}})
-	if walk.Steered != chain.Steered || walk.CycleFormed != chain.CycleFormed {
-		t.Fatalf("strategy changed the steering verdict: chaindfs %+v, randomwalk %+v", chain, walk)
+	var roots atomic.Int64
+	counted := steeringRun(core.Config{Steering: true, Lookahead: explore.Options{
+		Strategy: countingStrategy{Strategy: explore.ChainDFS{}, roots: &roots},
+	}})
+	if counted != chain {
+		t.Fatalf("a transparent strategy changed the steering run: chaindfs %+v, counted %+v", chain, counted)
 	}
-	if walk.LookaheadStates == chain.LookaheadStates {
-		t.Fatalf("Lookahead.Strategy never reached the steering explorer: both runs explored %d states", chain.LookaheadStates)
+	if n := roots.Load(); n < int64(chain.SteeringChecks) {
+		t.Fatalf("Lookahead.Strategy never reached the steering explorer: %d lookaheads seeded for %d steering checks", n, chain.SteeringChecks)
 	}
 }

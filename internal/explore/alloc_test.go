@@ -9,9 +9,9 @@ import (
 // Allocation-regression tests for the expansion hot path. The lookahead
 // budget is wall-clock bound (paper §2: the search runs beside the live
 // system), so per-state allocation is a product metric: these tests pin
-// it on the common, non-violating path — chain, BFS, and guided
-// traversals, faults off and on — and fail if bookkeeping allocations
-// creep back in. Run via `make bench-alloc` (and ordinary `go test`).
+// it on the common, non-violating path — chain and BFS traversals,
+// faults off and on — and fail if bookkeeping allocations creep back
+// in. Run via `make bench-alloc` (and ordinary `go test`).
 
 // allocWorld is a wide relay world: chains long enough to amortize the
 // per-run fixed cost (explorer, scheduler, report, digest priming) so
@@ -41,10 +41,10 @@ func allocsPerState(t *testing.T, w *World, mk func() *Explorer) float64 {
 // TestAllocRegressionPerState pins the per-state allocation budget of
 // the non-violating expansion path. The bounds have ~1.5× headroom over
 // the steady state (measured: chain 2.7, chain+faults 0.6, bfs 4.0,
-// bfs+faults 4.0, guided 6.4 — the fan-out floors depend on the drain
-// order: newest-first hands each dead shell to the next fork, and a
-// truncated run recycles what it leaves pending, where a level-order
-// frontier would outgrow the shell free-list); a failure means a
+// bfs+faults 4.0 — the fan-out floors depend on the drain order:
+// newest-first hands each dead shell to the next fork, and a truncated
+// run recycles what it leaves pending, where a level-order frontier
+// would outgrow the shell free-list); a failure means a
 // hot-path change reintroduced per-branch bookkeeping (eager labels,
 // trace copies, un-recycled worlds, re-boxed pool returns) and should be
 // treated like a performance regression, not loosened casually.
@@ -81,13 +81,6 @@ func TestAllocRegressionPerState(t *testing.T) {
 			x.FaultBudget = 1
 			return x
 		}, 6},
-		{"guided", func() *Explorer {
-			x := NewExplorer(6)
-			x.MaxStates = 4096
-			x.Strategy = Guided{}
-			x.Objective = sumObjective()
-			return x
-		}, 10},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

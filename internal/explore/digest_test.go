@@ -169,7 +169,7 @@ func digestOracle() Property {
 // World.Digest, so a single explored state where it disagrees with
 // DigestFull is a pruning bug.
 func TestDigestMatchesFullAtEveryExploredState(t *testing.T) {
-	for _, strat := range []Strategy{ChainDFS{}, BFS{}, RandomWalk{Walks: 6, Seed: 9}, Guided{}} {
+	for _, strat := range []Strategy{ChainDFS{}, BFS{}} {
 		for _, faults := range []int{0, 1} {
 			x := NewExplorer(5)
 			x.MaxStates = 2048

@@ -103,8 +103,8 @@ type Report struct {
 	// Per-worker run scratch, on loan from the run's Ctx and nil'd before
 	// Explore returns so reports stay plain data (tests compare them with
 	// reflect.DeepEqual). arena allocates this worker's trace nodes; succ
-	// is Expand's reusable successor buffer, safe because every frontier
-	// copies pushed units out of it before the worker's next expansion.
+	// is Expand's reusable successor buffer, safe because the deques copy
+	// pushed units out of it before the worker's next expansion.
 	arena *pathArena
 	succ  []Unit
 }
@@ -119,11 +119,11 @@ func (r *Report) Safe() bool { return len(r.Violations) == 0 }
 // what lets CrystalBall look several levels into the future quickly.
 //
 // The engine is split into three layers: a Strategy decides the traversal
-// (ChainDFS, the default, preserves the causal-chain semantics; BFS and
-// RandomWalk trade it for scenario diversity), one scheduler (run) drains
-// the strategy's frontier across Workers workers with per-worker report
-// shards and a shared digest set, and worlds fork copy-on-write so
-// branching costs pointer copies instead of deep clones.
+// (ChainDFS, the default, preserves the causal-chain semantics; BFS trades
+// it for scenario diversity), one scheduler (run) drains the strategy's
+// frontier across Workers workers with per-worker report shards and a
+// shared digest set, and worlds fork copy-on-write so branching costs
+// pointer copies instead of deep clones.
 type Explorer struct {
 	// Options is embedded, so its fields read x.Workers, x.Strategy, ….
 	Options
@@ -143,7 +143,7 @@ type Explorer struct {
 	// DropBranches additionally explores dropping each initial datagram
 	// (loss branch). Off by default; chains grow quadratically with it.
 	// Loss branches are a causal-chain notion: only ChainDFS implements
-	// them, BFS and RandomWalk ignore the flag.
+	// them, BFS ignores the flag.
 	DropBranches bool
 	// Deadline, when non-zero, is a wall-clock bound on the run: once it
 	// passes, workers stop expanding and the report comes back partial and
@@ -176,15 +176,15 @@ type Explorer struct {
 type Options struct {
 	// Workers is the ceiling of the scheduler's pool. Values <= 1 run the
 	// scheduler's loop on the calling goroutine, deterministically: units
-	// drain newest-first from one deque (roots in root order), or by
-	// priority from the heap; with ChainDFS that reproduces the original
-	// engine's reports byte for byte. A larger pool sizes its active set
-	// to the work it finds: a worker whose steal scans keep missing parks
-	// itself (sleeping, stealable deque left behind) and rejoins when
-	// published work outgrows the active set; worker 0 never parks, so
-	// termination and exactly-once expansion do not depend on the
-	// resizing. Parallel runs require the world's ChoicePolicy to be
-	// thread-safe — wrap stateful policies in Locked.
+	// drain newest-first from one deque (roots in root order); with
+	// ChainDFS that reproduces the original engine's reports byte for
+	// byte. A larger pool sizes its active set to the work it finds: a
+	// worker whose steal scans keep missing parks itself (sleeping,
+	// stealable deque left behind) and rejoins when published work
+	// outgrows the active set; worker 0 never parks, so termination and
+	// exactly-once expansion do not depend on the resizing. Parallel runs
+	// require the world's ChoicePolicy to be thread-safe — wrap stateful
+	// policies in Locked.
 	Workers int
 	// Strategy selects the traversal. Nil means ChainDFS.
 	Strategy Strategy
@@ -200,12 +200,12 @@ type Options struct {
 	// the same FaultBudget.
 	PartitionFaults bool
 	// MaxFrontier caps the number of pending frontier units. Zero, the
-	// default, means unbounded. When the cap binds, the lowest-priority
-	// pending unit is dropped (on the deques, each holding an equal share
-	// of the cap, the newest incoming units); the report counts the drops
-	// in FrontierDropped and marks itself Truncated. This makes
-	// multi-million-state budgets safe on small machines: fan-out
-	// frontier width, not the state budget, is what exhausts memory.
+	// default, means unbounded. Each worker's deque holds an equal share of
+	// the cap; when a share binds, the newest incoming units are dropped,
+	// and the report counts the drops in FrontierDropped and marks itself
+	// Truncated. This makes multi-million-state budgets safe on small
+	// machines: fan-out frontier width, not the state budget, is what
+	// exhausts memory.
 	MaxFrontier int
 }
 
@@ -233,9 +233,11 @@ func NewExplorer(depth int) *Explorer {
 }
 
 // enabled enumerates w's schedulable actions into the world's reusable
-// action scratch: the returned slice is valid until the next enabled
-// call on the same world, which every caller satisfies because worlds
-// are expanded by one frame at a time (recursion forks a fresh world).
+// action scratch: the returned slice is valid until the next enabled or
+// faultActions call on the same world, which every caller satisfies
+// because worlds are expanded by one frame at a time (recursion forks a
+// fresh world) and each frame is done with one result before asking for
+// the other.
 func (x *Explorer) enabled(w *World) []Action {
 	if w.actScratch == nil {
 		// First enumeration on a fresh shell: size for the in-flight set
@@ -279,15 +281,13 @@ func (x *Explorer) enabled(w *World) []Action {
 // recovery hook can supply restart state) for every live node, recover for
 // every down node, and — when PartitionFaults is on — isolate/heal. The
 // order follows the world's sorted node order, so runs are deterministic.
-// The result lives in the world's fault scratch — distinct from the
-// enabled() scratch because RandomWalk draws from both slices of the
-// same world in one step — and is valid until the next faultActions call
-// on the same world.
+// The result shares the world's action scratch with enabled() and is
+// valid until the next call of either on the same world.
 func (x *Explorer) faultActions(w *World, used int) []Action {
 	if x.FaultBudget <= used {
 		return nil
 	}
-	acts := w.faultScratch[:0]
+	acts := w.actScratch[:0]
 	nodes := w.Nodes()
 	var cuts map[NodeID]int
 	if x.PartitionFaults {
@@ -314,7 +314,7 @@ func (x *Explorer) faultActions(w *World, used int) []Action {
 			}
 		}
 	}
-	w.faultScratch = acts
+	w.actScratch = acts
 	return acts
 }
 
@@ -404,55 +404,6 @@ func (x *Explorer) Explore(w *World) *Report {
 	ctx.recycle()
 	r.Elapsed = time.Since(start) //crystalvet:wallclock stopwatch readout for Report.Elapsed; diagnostics only
 	return r
-}
-
-// IterativeExplore runs Explore with increasing chain depth (1, 2, ...,
-// maxDepth) until the real-time budget is exhausted, returning the report
-// of the deepest completed iteration and the depth it reached. This is the
-// paper's operating point: look as many levels into the future as the
-// available time allows (§2: "fast enough to look several levels of state
-// space into the future fairly quickly").
-func (x *Explorer) IterativeExplore(w *World, maxDepth int, budget time.Duration) (*Report, int) {
-	deadline := time.Now().Add(budget) //crystalvet:wallclock real-time deepening budget (paper: look as far as time allows); bounds work, not results
-	saved, savedWorkers := x.Depth, x.Workers
-	defer func() { x.Depth, x.Workers = saved, savedWorkers }()
-	var best *Report
-	reached := 0
-	for d := 1; d <= maxDepth; d++ {
-		x.Depth = d
-		r := x.Explore(w)
-		best = r
-		reached = d
-		if savedWorkers > 1 {
-			// Feed the previous iteration's observed demand forward: start
-			// the next (deeper, wider) iteration at its high-water worker
-			// count, plus one when stealing was still contended, instead of
-			// re-paying the autoscaler's ramp from the root width each time.
-			next := r.WorkerHighWater
-			if r.StatesExplored > 0 &&
-				r.StealMisses*10 < int64(r.StatesExplored) {
-				next++
-			}
-			if next > savedWorkers {
-				next = savedWorkers
-			}
-			if next < 1 {
-				next = 1
-			}
-			x.Workers = next
-		}
-		if r.MaxDepth < d && !r.Truncated {
-			// Chains genuinely exhausted before the bound: deeper adds
-			// nothing. A truncated iteration proves only that the state
-			// budget bound the search, not that the space is exhausted,
-			// so it must not end the deepening loop early.
-			break
-		}
-		if !time.Now().Before(deadline) { //crystalvet:wallclock deepening-budget check; bounds work, not results
-			break
-		}
-	}
-	return best, reached
 }
 
 // chain executes action a on w (which the callee owns), then recurses on
@@ -709,10 +660,8 @@ func (x *Explorer) expand(ctx *Ctx, strat Strategy, u Unit, r *Report) (succ []U
 }
 
 // check scores one reached state into the worker's report shard and the
-// run's global budget counter, returning the objective score (0 when no
-// objective is configured) so callers on the guided hot path can reuse it
-// instead of re-evaluating.
-func (x *Explorer) check(ctx *Ctx, w *World, r *Report, trace branchTrace, depth int) float64 {
+// run's global budget counter.
+func (x *Explorer) check(ctx *Ctx, w *World, r *Report, trace branchTrace, depth int) {
 	ctx.count.Add(1)
 	r.StatesExplored++
 	var mat []string // materialized at most once per state
@@ -740,7 +689,7 @@ func (x *Explorer) check(ctx *Ctx, w *World, r *Report, trace branchTrace, depth
 	w.step.settle(failed)
 	r.scoreCount++
 	if x.Objective == nil {
-		return 0
+		return
 	}
 	s := x.Objective.Score(w)
 	r.scoreSum += s
@@ -750,5 +699,4 @@ func (x *Explorer) check(ctx *Ctx, w *World, r *Report, trace branchTrace, depth
 	if s > r.MaxScore {
 		r.MaxScore = s
 	}
-	return s
 }

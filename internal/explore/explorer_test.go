@@ -2,6 +2,7 @@ package explore
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -345,5 +346,116 @@ func TestDeliverToMissingServiceConsumes(t *testing.T) {
 	out := w.DeliverMessage(0)
 	if out != nil || len(w.Inflight) != 0 {
 		t.Fatal("message to unmodeled node should be consumed silently")
+	}
+}
+
+// dgram sends an unreliable datagram on "go"; the receiver flips a flag.
+type dgram struct {
+	id  NodeID
+	got bool
+}
+
+func (d *dgram) Init(env sm.Env) {}
+func (d *dgram) OnMessage(env sm.Env, m *sm.Msg) {
+	switch m.Kind {
+	case "go":
+		env.SendDatagram(1, "flag", nil, 0)
+	case "flag":
+		d.got = true
+	}
+}
+func (d *dgram) OnTimer(env sm.Env, name string) {}
+func (d *dgram) Clone() sm.Service               { c := *d; return &c }
+func (d *dgram) Digest() uint64 {
+	return sm.NewHasher().WriteNode(d.id).WriteBool(d.got).Sum()
+}
+
+func TestDropBranchesExploresLoss(t *testing.T) {
+	mk := func() *World {
+		w := NewWorld(FirstPolicy, 1)
+		w.AddNode(0, &dgram{id: 0})
+		w.AddNode(1, &dgram{id: 1})
+		w.InjectMessage(&sm.Msg{Src: 1, Dst: 0, Kind: "go"})
+		return w
+	}
+	// Without drop branches, the datagram always arrives: a property that
+	// requires the flag to stay false is always violated at depth 2.
+	neverFlag := Property{Name: "never-flag", Check: func(w *World) bool {
+		return !w.Services[1].(*dgram).got
+	}}
+	x := NewExplorer(4)
+	x.Properties = []Property{neverFlag}
+	if r := x.Explore(mk()); r.Safe() {
+		t.Fatal("delivery branch missing")
+	}
+
+	// With drop branches, the explorer also visits the future where the
+	// datagram is lost. A property requiring the flag to become true must
+	// be violated on that branch.
+	x = NewExplorer(4)
+	x.DropBranches = true
+	flagRequired := Property{Name: "flag-required", Check: func(w *World) bool {
+		// Only meaningful once the channel drained.
+		if len(w.Inflight) > 0 {
+			return true
+		}
+		return w.Services[1].(*dgram).got
+	}}
+	x.Properties = []Property{flagRequired}
+	r := x.Explore(mk())
+	found := false
+	for _, v := range r.Violations {
+		for _, step := range v.Trace {
+			if len(step) >= 4 && step[:4] == "drop" {
+				found = true
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("loss branch not explored: %+v", r.Violations)
+	}
+}
+
+func TestReliableMessagesNotDropBranched(t *testing.T) {
+	w := NewWorld(FirstPolicy, 1)
+	w.AddNode(0, &relay{id: 0, n: 1})
+	w.InjectMessage(&sm.Msg{Src: 0, Dst: 0, Kind: "ping", Body: 0}) // reliable
+	x := NewExplorer(2)
+	x.DropBranches = true
+	r := x.Explore(w)
+	// Exactly: root + one delivery. No drop state.
+	if r.StatesExplored != 2 {
+		t.Fatalf("states = %d, want 2 (no loss branch for reliable)", r.StatesExplored)
+	}
+}
+
+// TestExploreStampsElapsed: Explore itself must report wall-clock time,
+// so consumers of a direct Explore (cmd/mc, steering stats) see it.
+func TestExploreStampsElapsed(t *testing.T) {
+	w := relayWorld(4, 3)
+	x := NewExplorer(5)
+	for _, workers := range []int{1, 4} {
+		x.Workers = workers
+		r := x.Explore(w)
+		if r.Elapsed <= 0 {
+			t.Fatalf("Workers=%d: Elapsed = %v, want > 0", workers, r.Elapsed)
+		}
+	}
+}
+
+// TestParseStrategyNames: the command-line names resolve to the two
+// strategies, and any other name — the retired ones included — is an
+// error that names it.
+func TestParseStrategyNames(t *testing.T) {
+	for name, want := range map[string]string{"": "chaindfs", "chaindfs": "chaindfs", "chain": "chaindfs", "bfs": "bfs"} {
+		s, err := ParseStrategy(name)
+		if err != nil || s.Name() != want {
+			t.Fatalf("ParseStrategy(%q) = %v, %v; want %s", name, s, err, want)
+		}
+	}
+	for _, name := range []string{"guided", "bestfirst", "randomwalk", "walk", "bogus"} {
+		if s, err := ParseStrategy(name); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("ParseStrategy(%q) = %v, %v; want an error naming it", name, s, err)
+		}
 	}
 }

@@ -286,9 +286,9 @@ func faultSteps(trace []string) int {
 
 // TestFaultBudgetRespected records every explored state's trace (via an
 // always-violated property) and checks no path exceeds the fault budget,
-// across all three strategies.
+// for both strategies.
 func TestFaultBudgetRespected(t *testing.T) {
-	for _, strat := range []Strategy{ChainDFS{}, BFS{}, RandomWalk{Walks: 8, Seed: 3}} {
+	for _, strat := range []Strategy{ChainDFS{}, BFS{}} {
 		for _, budget := range []int{0, 1, 2} {
 			w := rejoinerWorld(3)
 			w.Initial = func(id NodeID) sm.Service { return &rejoiner{id: id} }
@@ -322,7 +322,7 @@ func TestFaultBudgetRespected(t *testing.T) {
 // exploration: two identical runs must produce identical reports, for
 // every strategy.
 func TestFaultRunDeterministic(t *testing.T) {
-	for _, strat := range []Strategy{ChainDFS{}, BFS{}, RandomWalk{Walks: 6, Seed: 11}, Guided{}} {
+	for _, strat := range []Strategy{ChainDFS{}, BFS{}} {
 		run := func() *Report {
 			w := rejoinerWorld(3)
 			w.Initial = func(id NodeID) sm.Service { return &rejoiner{id: id} }

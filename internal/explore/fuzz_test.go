@@ -17,10 +17,10 @@ import (
 func FuzzExploreConfig(f *testing.F) {
 	f.Add(byte(0), uint8(1), uint8(0), uint8(3), int64(1), false)
 	f.Add(byte(1), uint8(4), uint8(1), uint8(4), int64(7), true)
-	f.Add(byte(2), uint8(0), uint8(2), uint8(6), int64(-3), false)
+	f.Add(byte(0), uint8(0), uint8(2), uint8(6), int64(-3), false)
 	f.Add(byte(0), uint8(2), uint8(2), uint8(5), int64(99), true)
-	f.Add(byte(3), uint8(1), uint8(1), uint8(4), int64(13), false)
-	f.Add(byte(3), uint8(4), uint8(2), uint8(5), int64(21), true)
+	f.Add(byte(1), uint8(1), uint8(1), uint8(4), int64(13), false)
+	f.Add(byte(1), uint8(4), uint8(2), uint8(5), int64(21), true)
 	f.Fuzz(func(t *testing.T, stratSel, workers, faults, depth uint8, seed int64, partitions bool) {
 		const maxStates = 512
 		nWorkers := int(workers % 5) // 0..4; <=1 runs inline, deterministically
@@ -38,26 +38,9 @@ func FuzzExploreConfig(f *testing.F) {
 			x.Workers = nWorkers
 			x.FaultBudget = int(faults % 4)
 			x.PartitionFaults = partitions
-			switch stratSel % 4 {
-			case 0:
-				x.Strategy = ChainDFS{}
-			case 1:
+			x.Strategy = ChainDFS{}
+			if stratSel%2 == 1 {
 				x.Strategy = BFS{}
-			case 2:
-				x.Strategy = RandomWalk{Walks: 5, Seed: seed}
-			case 3:
-				x.Strategy = Guided{}
-				// Guided orders its frontier by the objective; give it one
-				// so the priority path (not just the heuristics) is fuzzed.
-				x.Objective = ObjectiveFunc{ObjectiveName: "joined", Fn: func(w *World) float64 {
-					total := 0.0
-					for _, id := range w.Nodes() {
-						if w.Services[id].(*rejoiner).joined {
-							total++
-						}
-					}
-					return total
-				}}
 			}
 			// Beside the always-failing property, one with a Step under the
 			// referee: whatever the configuration makes of the delta

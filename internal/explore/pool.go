@@ -153,7 +153,6 @@ func (p *worldPool) put(w *World) {
 	// pointers they hold so pooled shells never pin dead state.
 	w.scratchEnv = worldEnv{produced: clearCap(w.scratchEnv.produced)}
 	w.actScratch = clearCap(w.actScratch)
-	w.faultScratch = clearCap(w.faultScratch)
 	w.conseqScratch = clearCap(w.conseqScratch)
 	p.shells.Put(w)
 }

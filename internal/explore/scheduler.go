@@ -36,7 +36,7 @@ type Ctx struct {
 	rootBuf []Unit
 	// plain is the one-worker run's seen set.
 	plain plainSeen
-	// deques are the per-worker queues of a run that is not best-first.
+	// deques are the per-worker queues of a run.
 	deques []wsDeque
 }
 
@@ -56,11 +56,8 @@ type runState struct {
 	deadline time.Time
 	polls    atomic.Int64
 	expired  atomic.Bool
-	// Scheduler state (Explorer.run): heap is the one queue a best-first
-	// run's workers share (the others use Ctx.deques); pending counts
-	// queued plus in-expansion units; active is the autoscaler's
-	// worker-count target.
-	heap    *heapFrontier
+	// Scheduler state (Explorer.run): pending counts queued plus
+	// in-expansion units; active is the autoscaler's worker-count target.
 	pending atomic.Int64
 	active  atomic.Int64
 	// stealMisses and workerHigh feed Report.StealMisses and
@@ -238,40 +235,33 @@ const (
 
 // run is the scheduler: it seeds the run's queues with the root units and
 // drains them with one worker per report shard. Each worker owns a deque
-// and steals from the others' — except under a best-first strategy, where
-// all workers share the one heap as their own queue, because a global
-// priority order is the point and per-worker queues would defeat it.
+// and steals from the others'.
 //
 // Roots are dealt round-robin and then flipped, so every owner (who pops
 // its newest unit) takes its roots in root order. With one worker the
 // loop runs on the calling goroutine and the whole run is deterministic:
-// a depth-first drain in root order, or the heap's priority order.
+// a depth-first drain in root order.
 func (x *Explorer) run(ctx *Ctx, strat Strategy, units []Unit, reports []*Report) {
 	n := len(reports)
+	if cap(ctx.deques) < n {
+		ctx.deques = make([]wsDeque, n)
+	}
+	ctx.deques = ctx.deques[:n]
+	// Each deque gets an equal share of the global cap, rounded up (zero
+	// stays zero: unbounded), and roots go through pushAll so the cap binds
+	// on the seed frontier too.
+	share := (x.MaxFrontier + n - 1) / n
+	for i := range ctx.deques {
+		d := &ctx.deques[i]
+		d.max, d.ctx = share, ctx
+		d.q.buf = slices.Grow(d.q.buf, (len(units)+n-1)/n)
+	}
 	accepted := 0
-	if bestFirst(strat) {
-		ctx.heap = &heapFrontier{max: x.MaxFrontier, ctx: ctx}
-		accepted = ctx.heap.pushAll(units)
-	} else {
-		if cap(ctx.deques) < n {
-			ctx.deques = make([]wsDeque, n)
-		}
-		ctx.deques = ctx.deques[:n]
-		// Each deque gets an equal share of the global cap, rounded up
-		// (zero stays zero: unbounded), and roots go through pushAll so
-		// the cap binds on the seed frontier too.
-		share := (x.MaxFrontier + n - 1) / n
-		for i := range ctx.deques {
-			d := &ctx.deques[i]
-			d.max, d.ctx = share, ctx
-			d.q.buf = slices.Grow(d.q.buf, (len(units)+n-1)/n)
-		}
-		for i := range units {
-			accepted += ctx.deques[i%n].pushAll(units[i : i+1])
-		}
-		for i := range ctx.deques {
-			slices.Reverse(ctx.deques[i].q.buf)
-		}
+	for i := range units {
+		accepted += ctx.deques[i%n].pushAll(units[i : i+1])
+	}
+	for i := range ctx.deques {
+		slices.Reverse(ctx.deques[i].q.buf)
 	}
 	clearUnits(units)
 	ctx.pending.Store(int64(accepted))
@@ -296,8 +286,8 @@ func (x *Explorer) run(ctx *Ctx, strat Strategy, units []Unit, reports []*Report
 	wg.Wait()
 }
 
-// work is worker wi's loop: pop the own queue or steal, expand, publish
-// the successors to the own queue. `pending` counts queued plus
+// work is worker wi's loop: pop the own deque or steal, expand, publish
+// the successors to the own deque. `pending` counts queued plus
 // in-expansion units, so an idle worker that finds every queue empty
 // consults it: zero means the run is over, nonzero means in-flight
 // expansions may still publish work, so it backs off and rescans. The hot
@@ -312,13 +302,7 @@ func (x *Explorer) run(ctx *Ctx, strat Strategy, units []Unit, reports []*Report
 // == 0 — holds at any target. A lone worker never misses (its queue is
 // empty only when pending is zero), so for it none of this runs.
 func (x *Explorer) work(ctx *Ctx, strat Strategy, reports []*Report, wi int) {
-	n, r := len(reports), reports[wi]
-	var own frontier
-	if ctx.heap != nil {
-		own = ctx.heap
-	} else {
-		own = &ctx.deques[wi]
-	}
+	n, r, own := len(reports), reports[wi], &ctx.deques[wi]
 	idle, missStreak := 0, 0
 	parkSleep := autoParkMin
 	for {
@@ -333,7 +317,7 @@ func (x *Explorer) work(ctx *Ctx, strat Strategy, reports []*Report, wi int) {
 		}
 		parkSleep = autoParkMin
 		u, ok := own.pop()
-		for off := 1; !ok && off < len(ctx.deques); off++ {
+		for off := 1; !ok && off < n; off++ {
 			u, ok = ctx.deques[(wi+off)%n].steal()
 		}
 		if !ok {

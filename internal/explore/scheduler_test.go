@@ -3,7 +3,6 @@ package explore
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"crystalchoice/internal/sm"
 )
@@ -34,7 +33,7 @@ func raggedWorld(chains, width int) *World {
 // identical, timing stamps aside.
 func TestOneWorkerSpendsExactBudget(t *testing.T) {
 	const depth, budget = 10, 500
-	for _, strat := range []Strategy{ChainDFS{}, BFS{}, RandomWalk{Walks: 200, Seed: 5}, Guided{}} {
+	for _, strat := range []Strategy{ChainDFS{}, BFS{}} {
 		run := func() *Report {
 			x := NewExplorer(depth)
 			x.MaxStates = budget
@@ -142,33 +141,6 @@ func TestWorkerHighWaterStamps(t *testing.T) {
 	}
 	if hw := stamp(4, BFS{}, fanWorld(3, 2, 4)); hw < 1 || hw > 4 {
 		t.Fatalf("BFS pool WorkerHighWater = %d, want within [1, 4]", hw)
-	}
-}
-
-// TestIterativeExplorePoolSizes pins the feed-forward loop: iterative
-// deepening, which sizes each iteration's pool from the previous one's
-// observed demand, must produce the same final report and reached depth
-// at every pool ceiling, and must restore Workers afterwards.
-func TestIterativeExplorePoolSizes(t *testing.T) {
-	run := func(workers int) (*Report, int) {
-		x := NewExplorer(1)
-		x.MaxStates = 4096
-		x.Workers = workers
-		r, reached := x.IterativeExplore(raggedWorld(4, 2), 30, time.Minute)
-		if x.Workers != workers {
-			t.Fatalf("IterativeExplore leaked Workers = %d, want %d restored", x.Workers, workers)
-		}
-		return stripElapsed(r), reached
-	}
-	one, oneReached := run(1)
-	for _, workers := range []int{4, 8} {
-		pool, reached := run(workers)
-		if reached != oneReached {
-			t.Fatalf("workers=%d reached depth %d, one worker %d", workers, reached, oneReached)
-		}
-		if !reflect.DeepEqual(one, pool) {
-			t.Fatalf("workers=%d iterative report diverges:\none  %+v\npool %+v", workers, one, pool)
-		}
 	}
 }
 

@@ -62,7 +62,7 @@ func TestStepMatchesCheckAtEveryExploredState(t *testing.T) {
 		{"ring", 3, 8, atMostOne("one-odd", oddRelayed)},
 	}
 	for _, tc := range worlds {
-		for _, strat := range []Strategy{ChainDFS{}, BFS{}, RandomWalk{Walks: 6, Seed: 9}, Guided{}} {
+		for _, strat := range []Strategy{ChainDFS{}, BFS{}} {
 			for _, faults := range []int{0, 1} {
 				explore := func(props []Property) *Report {
 					x := NewExplorer(tc.hops + 2)

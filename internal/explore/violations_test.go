@@ -120,6 +120,29 @@ func TestViolationClassesStableAcrossWorkers(t *testing.T) {
 	}
 }
 
+// chainNode forwards "ping" down a fixed chain, one count per hop.
+type chainNode struct {
+	id    NodeID
+	next  NodeID // -1 terminates the chain
+	count int
+}
+
+func (c *chainNode) Init(env sm.Env) {}
+func (c *chainNode) OnMessage(env sm.Env, m *sm.Msg) {
+	if m.Kind != "ping" {
+		return
+	}
+	c.count++
+	if c.next >= 0 {
+		env.Send(c.next, "ping", nil, 0)
+	}
+}
+func (c *chainNode) OnTimer(env sm.Env, name string) {}
+func (c *chainNode) Clone() sm.Service               { cp := *c; return &cp }
+func (c *chainNode) Digest() uint64 {
+	return sm.NewHasher().WriteNode(c.id).WriteInt(int64(c.count)).Sum()
+}
+
 // TestGoldenViolationsUntouched: canonicalization is summary-only — the
 // raw Violations slice (order, traces, duplicates) must be exactly what
 // the pre-canonicalization engine recorded, since the golden reports pin

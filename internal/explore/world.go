@@ -172,8 +172,7 @@ type World struct {
 	// chain/expansion frame at a time — recursion always moves to a
 	// fork — which is what makes single-buffer reuse safe.
 	scratchEnv    worldEnv  // handler invocation env + produced buffer
-	actScratch    []Action  // enabled() result
-	faultScratch  []Action  // faultActions() result (distinct: RandomWalk reads both)
+	actScratch    []Action  // enabled() or faultActions() result
 	conseqScratch []*sm.Msg // consequences() result
 	spareDirty    []NodeID  // reclaimed digest dirty-list backing
 
@@ -991,20 +990,6 @@ func (w *World) nodeComponent(id NodeID) uint64 {
 	d := sm.Mix64(h.Sum())
 	sm.PutHasher(h)
 	return d
-}
-
-// componentHint returns node id's maintained digest component without
-// flushing pending invalidations — a read-only, content-sensitive signal
-// for heuristics (the guided sibling tie-break), not a digest. Zero when
-// the maintained digest has not been built yet.
-func (w *World) componentHint(id NodeID) uint64 {
-	if !w.dig.valid {
-		return 0
-	}
-	if i, ok := w.dig.idx[id]; ok {
-		return w.dig.hashes[i]
-	}
-	return 0
 }
 
 // markDigestDirty records that node id's digest component is stale. No-op
