@@ -60,7 +60,9 @@ bench:
 # and the first update learned after a fork copies the receipt log once.
 # TestAgreementStepIndependentOfLogSize is the same gate for the agreement
 # property's Step: one decision costs the same lookups, and no
-# allocation, at either size.
+# allocation, at either size. TestTreeStepIndependentOfSize is the same
+# gate for the three randtree properties' Steps: a write to one node makes
+# the same TreeView reads, and no allocation, at 15 and at 255 nodes.
 # TestLookaheadSteadyStateAllocs is the gate of one whole decision: a
 # steering-shaped paxos lookahead allocates what its handlers allocate
 # plus a fixed few objects and <= 4 KB, the same at MaxStates 128 and
@@ -72,6 +74,7 @@ bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState' -count=2 -v
 	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize' -count=2 -v
 	go test ./internal/apps/gossip -run 'TestForkCostIndependentOfUpdates' -count=2 -v
+	go test ./internal/apps/randtree -run 'TestTreeStepIndependentOfSize' -count=2 -v
 	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned' -count=2 -v
 	go test . -run 'TestLookaheadSteadyStateAllocs' -count=2 -v
 

@@ -18,11 +18,12 @@ type Property struct {
 	// that Check held on a world that differs from w only in node services
 	// — the engine calls Step once per differing node, prev being the
 	// frozen service that node held there — the calls together return what
-	// Check(w) would. Step may read w's services and nothing else of it
-	// (not the in-flight set, timers or down flags: those change without a
-	// call). The engine uses it when it knows the delta exactly and falls
-	// back to Check when it does not; a property without a Step is checked
-	// from scratch at every state, as before.
+	// Check(w) would. Step may read w's services and down flags and
+	// nothing else of it (not the in-flight set, timers or partitions:
+	// those change without a call; a down flip makes the engine fall back
+	// to Check). The engine uses it when it knows the delta exactly and
+	// falls back to Check when it does not; a property without a Step is
+	// checked from scratch at every state, as before.
 	Step func(w *World, id NodeID, prev sm.Service) bool
 }
 
@@ -161,7 +162,8 @@ type Explorer struct {
 	ContainPanics bool
 	// Prior, when set, is the start world of an earlier Explore over these
 	// same Properties on an earlier model of the same deployment. If every
-	// property held there and it models the same nodes, the start world is
+	// property held there and it models the same nodes with the same down
+	// flags, the start world is
 	// checked by Step against Prior's services instead of from scratch;
 	// anything else about Prior is ignored, and so is a Prior that does not
 	// qualify. It is only read, and must not be written after that run.

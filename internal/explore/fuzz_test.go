@@ -42,10 +42,12 @@ func FuzzExploreConfig(f *testing.F) {
 			if stratSel%2 == 1 {
 				x.Strategy = BFS{}
 			}
-			// Beside the always-failing property, one with a Step under the
-			// referee: whatever the configuration makes of the delta
-			// bookkeeping, the engine's verdict must be Check's.
-			audited, _ := AuditSteps([]Property{atMostOne("one-heard", func(s sm.Service) bool { return s.(*rejoiner).heard > 0 })})
+			// Beside the always-failing property, two with a Step under the
+			// referee, one of them reading down flags: whatever the
+			// configuration makes of the delta bookkeeping, the engine's
+			// verdict must be Check's.
+			heard := func(s sm.Service) bool { return s.(*rejoiner).heard > 0 }
+			audited, _ := AuditSteps([]Property{atMostOne("one-heard", heard), staysUp("heard-up", heard)})
 			x.Properties = append([]Property{{Name: "never", Check: func(*World) bool { return false }}}, audited...)
 			return x.Explore(w)
 		}

@@ -26,6 +26,10 @@ type stepRecord struct {
 	carried bool
 	failed  uint64 // bit i: Properties[i] failed at that state
 	touched []stepTouch
+	// first backs touched until a second node is touched, so a fresh world
+	// (the world pool is emptied by every collection) records the common
+	// one-node step without allocating. Worlds are never copied by value.
+	first [1]stepTouch
 	// props is set on a start world whose check ran to completion: the
 	// property list failed is indexed by, so a later run can tell whether
 	// the verdict is about its own properties (Explorer.Prior).
@@ -53,8 +57,15 @@ func (s *stepRecord) has(id NodeID) bool {
 // pre-image: that is the one the checked state held.
 func (s *stepRecord) cloned(id NodeID, prev sm.Service) {
 	if s.track && s.known && !s.has(id) {
-		s.touched = append(s.touched, stepTouch{id, prev})
+		s.add(stepTouch{id, prev})
 	}
+}
+
+func (s *stepRecord) add(t stepTouch) {
+	if s.touched == nil {
+		s.touched = s.first[:0]
+	}
+	s.touched = append(s.touched, t)
 }
 
 // wroteInPlace records a handler run on a service this world already owns.
@@ -116,8 +127,8 @@ func hasStep(props []Property) bool {
 
 // carryVerdict seeds start world w's record from prior, the start world of
 // an earlier run: if every one of the same properties held there and the
-// two model the same nodes, w is prior with some services replaced, which
-// is a delta like any other.
+// two model the same nodes with the same down flags, w is prior with some
+// services replaced, which is a delta like any other.
 func (w *World) carryVerdict(prior *World, props []Property) {
 	s := &w.step
 	if !s.track || prior == nil {
@@ -130,8 +141,13 @@ func (w *World) carryVerdict(prior *World, props []Property) {
 		return
 	}
 	for _, id := range w.Nodes() {
+		if w.Down[id] != prior.Down[id] {
+			return
+		}
+	}
+	for _, id := range w.Nodes() {
 		if old := prior.Services[id]; !sameService(w.Services[id], old) {
-			s.touched = append(s.touched, stepTouch{id, old})
+			s.add(stepTouch{id, old})
 		}
 	}
 	s.known, s.carried = true, true

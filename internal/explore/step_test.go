@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,6 +27,20 @@ func atMostOne(name string, pred func(sm.Service) bool) Property {
 		Step: func(w *World, id NodeID, prev sm.Service) bool {
 			return !pred(w.Services[id]) || pred(prev) || others(w, id) == 0
 		},
+	}
+}
+
+// staysUp holds while no down node's service satisfies pred. Its Step
+// reads the touched node's down flag, which a crash flips without writing
+// a service: the verdict stays exact only because SetDown drops the delta.
+func staysUp(name string, pred func(sm.Service) bool) Property {
+	downAnd := func(w *World, id NodeID) bool { return w.Down[id] && pred(w.Services[id]) }
+	return Property{
+		Name: name,
+		Check: func(w *World) bool {
+			return !slices.ContainsFunc(w.Nodes(), func(id NodeID) bool { return downAnd(w, id) })
+		},
+		Step: func(w *World, id NodeID, _ sm.Service) bool { return !downAnd(w, id) },
 	}
 }
 
@@ -101,6 +116,27 @@ func TestStepMatchesCheckAtEveryExploredState(t *testing.T) {
 	}
 }
 
+// TestDownFlipForcesCheck crashes relayed nodes under a property whose
+// Step reads down flags: a crash writes no service, so a state reached by
+// one must be decided by Check, not inherit its parent's verdict.
+func TestDownFlipForcesCheck(t *testing.T) {
+	for _, strat := range []Strategy{ChainDFS{}, BFS{}} {
+		props, audit := AuditSteps([]Property{staysUp("relayed-up", relayed)})
+		x := NewExplorer(5)
+		x.MaxStates = 2048
+		x.Strategy = strat
+		x.FaultBudget = 1
+		x.Properties = props
+		r := x.Explore(relayWorld(4, 3))
+		for _, v := range auditFailures(r) {
+			t.Errorf("%s: %v", strat.Name(), v)
+		}
+		if audit.Mismatches != 0 || audit.Stepped == 0 || r.Safe() {
+			t.Errorf("%s: %d violations, audit %v: want a relayed node crashed, every verdict Check's", strat.Name(), len(r.Violations), audit)
+		}
+	}
+}
+
 // rebuilt is a lookahead world assembled the way model.BuildWorld does it:
 // a fresh world holding a clone of every service of w.
 func rebuilt(w *World) *World {
@@ -113,8 +149,8 @@ func rebuilt(w *World) *World {
 
 // TestPriorCarriesRootVerdict checks the start world against its
 // predecessor's services when Explorer.Prior qualifies, and from scratch
-// when it does not: another node set, another property list, a
-// predecessor some property failed at, or one never explored.
+// when it does not: another down flag, another node set, another property
+// list, a predecessor some property failed at, or one never explored.
 func TestPriorCarriesRootVerdict(t *testing.T) {
 	props, audit := AuditSteps([]Property{atMostOne("one-relayed", relayed)})
 	root := func(prior *World, ps []Property, w *World) (int, int) {
@@ -149,6 +185,11 @@ func TestPriorCarriesRootVerdict(t *testing.T) {
 	// The property failed at third: no use as a predecessor.
 	if carried, full := root(third, props, rebuilt(third)); carried != 0 || full != 1 {
 		t.Fatalf("root after a failing one: %d carried, %d full checks; want a full check", carried, full)
+	}
+	down := rebuilt(first)
+	down.Down[3] = true
+	if carried, full := root(first, props, down); carried != 0 || full != 1 {
+		t.Fatalf("root with another node down: %d carried, %d full checks; want a full check", carried, full)
 	}
 	grown := rebuilt(first)
 	grown.AddNode(9, &relay{id: 9, n: 4})

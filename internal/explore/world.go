@@ -894,7 +894,9 @@ func (w *World) Nodes() []NodeID {
 // SetDown marks node id as crashed (or revived), keeping the maintained
 // digest coherent. Writes to the Down map after the world has been
 // digested must go through it; setup code that has not digested yet may
-// keep writing Down directly.
+// keep writing Down directly. A property's Step may read down flags, and a
+// flip is no service write it is called for: the delta since the last
+// checked state becomes unknown.
 func (w *World) SetDown(id NodeID, down bool) {
 	if w.Down[id] == down {
 		return
@@ -902,6 +904,7 @@ func (w *World) SetDown(id NodeID, down bool) {
 	w.ownDownMap()
 	w.Down[id] = down
 	w.markDigestDirty(id)
+	w.step.forget()
 }
 
 // SetTimerPending marks node id's named timer as pending without executing

@@ -7,12 +7,14 @@
 package crystalchoice
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"crystalchoice/internal/apps/paxos"
+	"crystalchoice/internal/apps/randtree"
 	"crystalchoice/internal/core"
 	"crystalchoice/internal/explore"
 	"crystalchoice/internal/netmodel"
@@ -90,14 +92,14 @@ func TestStepMatchesCheckOnGoldenWorlds(t *testing.T) {
 		tune  func(x *explore.Explorer)
 		props []explore.Property
 	}{
-		{"randtree/depth5", goldenRandtreeWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates = 5, 2048 }, nil},
+		{"randtree/depth5", goldenRandtreeWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates = 5, 2048 }, randtree.Properties()},
 		{"gossip/drop+generic", goldenGossipWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates, x.DropBranches = 4, 4096, true }, nil},
 		{"paxos/depth6", goldenPaxosWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates = 6, 1024 },
 			[]explore.Property{paxos.AgreementProperty()}},
-		{"randtree/faults1", goldenFaultWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates, x.FaultBudget = 4, 4096, 1 }, nil},
+		{"randtree/faults1", goldenFaultWorld, func(x *explore.Explorer) { x.Depth, x.MaxStates, x.FaultBudget = 4, 4096, 1 }, randtree.Properties()},
 		{"randtree/faults1+partitions", goldenFaultWorld, func(x *explore.Explorer) {
 			x.Depth, x.MaxStates, x.FaultBudget, x.PartitionFaults = 3, 4096, 1, true
-		}, nil},
+		}, randtree.Properties()},
 	}
 	refuted := 0
 	for _, tc := range cases {
@@ -128,6 +130,88 @@ func TestStepMatchesCheckOnGoldenWorlds(t *testing.T) {
 	}
 	if refuted == 0 {
 		t.Error("no Step returned false on any golden world: the bound is never crossed")
+	}
+}
+
+// randtreeSnapshot materializes an n-node randtree deployment at 5 s the
+// way cmd/mc and the mc_offline benchmark do, and with -inject-cycle a
+// forged JoinReply from a child to its parent on top.
+func randtreeSnapshot(n, workers int, forge bool) *explore.World {
+	e := randtree.NewExperiment(randtree.ExperimentConfig{N: n, Seed: 1, Setup: randtree.SetupChoiceRandom})
+	e.Run(5 * time.Second)
+	policy := explore.RandomPolicy(rand.New(rand.NewSource(3)))
+	if workers > 1 {
+		policy = explore.Locked(policy)
+	}
+	w := e.Cluster.MaterializeWorld(policy, 1, randtree.Timers())
+	for _, node := range e.Cluster.Nodes() {
+		tv := node.Service().(randtree.TreeView)
+		if !forge || node.ID() == 0 || !tv.TreeJoined() {
+			continue
+		}
+		for c := sm.NodeID(1); int(c) < n; c++ {
+			if tv.TreeHasChild(c) {
+				d := e.Cluster.Node(c).Service().(randtree.TreeView).TreeDepth()
+				w.InjectMessage(&sm.Msg{Src: c, Dst: node.ID(), Kind: randtree.KindJoinReply,
+					Body: randtree.JoinReply{Parent: c, Depth: d + 1}})
+				return w
+			}
+		}
+	}
+	return w
+}
+
+// classDigests returns the digests of a report's violation classes.
+func classDigests(r *explore.Report) []uint64 {
+	var out []uint64
+	for _, c := range r.ViolationClasses() {
+		out = append(out, c.Digest)
+	}
+	return out
+}
+
+// TestRandtreeStepsMatchCheck holds the three tree properties' Steps to
+// their Checks on the worlds offline checking explores: the 31-node
+// snapshot mc_offline measures, breadth-first on one and two workers, and
+// the 15-node snapshot with cmd/mc's forged parent cycle. The verdict at
+// every state is Check's, and the violation classes are those of a run
+// without Steps.
+func TestRandtreeStepsMatchCheck(t *testing.T) {
+	cases := []struct {
+		name           string
+		n, workers     int
+		forge          bool
+		depth, budget  int
+		wantViolations bool
+	}{
+		{"mc_offline/w1", 31, 1, false, 10, 10000, false},
+		{"mc_offline/w2", 31, 2, false, 10, 10000, false},
+		{"forged-cycle", 15, 1, true, 6, 8192, true},
+	}
+	for _, tc := range cases {
+		explore1 := func(props []explore.Property) *explore.Report {
+			x := explore.NewExplorer(tc.depth)
+			x.MaxStates = tc.budget
+			x.Workers = tc.workers
+			x.Strategy = explore.BFS{}
+			x.Properties = props
+			return x.Explore(randtreeSnapshot(tc.n, tc.workers, tc.forge))
+		}
+		props, audit := explore.AuditSteps(randtree.Properties())
+		r := explore1(props)
+		failOnAuditViolations(t, tc.name, r)
+		if audit.Mismatches != 0 || audit.Stepped == 0 || (tc.wantViolations && audit.Refuted == 0) {
+			t.Errorf("%s: audit %v: want no mismatch, Step exercised and, on the forged world, returning false", tc.name, audit)
+		}
+		var plain []explore.Property
+		for _, p := range randtree.Properties() {
+			plain = append(plain, explore.Property{Name: p.Name, Check: p.Check})
+		}
+		want := explore1(plain)
+		if got := classDigests(r); !slices.Equal(got, classDigests(want)) || (len(got) > 0) != tc.wantViolations {
+			t.Errorf("%s: violation classes %x with Steps, %x with Check only (want violations: %v)", tc.name, got, classDigests(want), tc.wantViolations)
+		}
+		t.Logf("%s: %d states, %d classes; audit %v", tc.name, r.StatesExplored, len(r.ViolationClasses()), audit)
 	}
 }
 
