@@ -52,6 +52,10 @@ bench:
 # (chain and BFS; faults off and on) via testing.AllocsPerRun.
 # -count=2: the second run executes with warm free-lists, so a threshold
 # that only holds on cold pools fails here instead of flaking in CI.
+# TestForkWriteAllocsIndependentOfSize is the cost-shape gate of the world
+# fork itself: with a warm free-list a fork, its first service and timer
+# writes, its digest and its release allocate nothing at 15 and 255 nodes
+# (one slot copy into the recycled shell's spare, whatever the size).
 # TestForkCostIndependentOfLogSize is the cost-shape gate of the paxos
 # service fork: Clone+Digest allocate the same at 64 and at 4096 decided
 # instances, and the first write after a fork copies one trie path.
@@ -71,7 +75,7 @@ bench:
 # receive path: fresh, stale and same-epoch-earlier responses cost zero
 # clones, the delivered state being the one the state model retains.
 bench-alloc:
-	go test ./internal/explore -run 'TestAllocRegressionPerState' -count=2 -v
+	go test ./internal/explore -run 'TestAllocRegressionPerState|TestForkWriteAllocsIndependentOfSize' -count=2 -v
 	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize' -count=2 -v
 	go test ./internal/apps/gossip -run 'TestForkCostIndependentOfUpdates' -count=2 -v
 	go test ./internal/apps/randtree -run 'TestTreeStepIndependentOfSize' -count=2 -v

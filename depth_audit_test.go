@@ -92,7 +92,7 @@ func TestDepthCoverageAudit(t *testing.T) {
 			Name: "counter-under-2",
 			Check: func(w *explore.World) bool {
 				for _, id := range w.Nodes() {
-					if w.Services[id].(*pingRelay).counter >= 2 {
+					if w.Service(id).(*pingRelay).counter >= 2 {
 						return false
 					}
 				}

@@ -40,7 +40,7 @@ func digestApps() []digestApp {
 					svc := randtree.NewChoice(sm.NodeID(i), 0)
 					svc.Init(env)
 					w.AddNode(sm.NodeID(i), svc)
-					w.Timers[sm.NodeID(i)]["rt.hbSend"] = true
+					w.SetTimerPending(sm.NodeID(i), "rt.hbSend")
 				}
 				w.InjectMessage(&sm.Msg{Src: 100, Dst: 0, Kind: randtree.KindJoin,
 					Body: randtree.Join{Joiner: 100}})
@@ -60,7 +60,7 @@ func digestApps() []digestApp {
 				view := []sm.NodeID{0, 1, 2, 3}
 				for i := 0; i < 4; i++ {
 					w.AddNode(sm.NodeID(i), gossip.New(sm.NodeID(i), view))
-					w.Timers[sm.NodeID(i)]["g.round"] = true
+					w.SetTimerPending(sm.NodeID(i), "g.round")
 				}
 				w.InjectMessage(&sm.Msg{Src: 9, Dst: 0, Kind: gossip.KindPublish, Body: gossip.Publish{Update: 1}})
 				return w
@@ -95,7 +95,7 @@ func digestApps() []digestApp {
 				swarm := []sm.NodeID{0, 1, 2, 3}
 				for i := 0; i < 4; i++ {
 					w.AddNode(sm.NodeID(i), dissem.New(sm.NodeID(i), swarm, 4, 1024, i == 0))
-					w.Timers[sm.NodeID(i)]["d.tick"] = true
+					w.SetTimerPending(sm.NodeID(i), "d.tick")
 				}
 				w.InjectMessage(&sm.Msg{Src: 0, Dst: 1, Kind: dissem.KindAnnounce,
 					Body: dissem.Announce{Blocks: []int{0, 1, 2, 3}}})
@@ -137,10 +137,8 @@ func pendingTimer(w *explore.World, rng *rand.Rand) (sm.NodeID, string, bool) {
 	}
 	var all []pt
 	for _, id := range w.Nodes() {
-		for name, on := range w.Timers[id] {
-			if on {
-				all = append(all, pt{id, name})
-			}
+		for _, name := range w.PendingTimers(id) {
+			all = append(all, pt{id, name})
 		}
 	}
 	if len(all) == 0 {

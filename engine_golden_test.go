@@ -71,7 +71,7 @@ func goldenGossipWorld() *explore.World {
 	for i := 0; i < 4; i++ {
 		p := gossip.New(sm.NodeID(i), view)
 		w.AddNode(sm.NodeID(i), p)
-		w.Timers[sm.NodeID(i)]["g.round"] = true
+		w.SetTimerPending(sm.NodeID(i), "g.round")
 	}
 	w.Generic = explore.ReplyKinds(map[string][]string{
 		gossip.KindDigest: {"g.noop", "g.noop2"},
@@ -115,7 +115,7 @@ func goldenDump() string {
 	x.Objective = explore.ObjectiveFunc{ObjectiveName: "decided", Fn: func(w *explore.World) float64 {
 		total := 0.0
 		for _, id := range w.Nodes() {
-			if r, ok := w.Services[id].(*paxos.Replica); ok {
+			if r, ok := w.Service(id).(*paxos.Replica); ok {
 				total += float64(r.DecidedCount())
 			}
 		}

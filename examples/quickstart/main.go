@@ -106,7 +106,7 @@ func main() {
 			return explore.ObjectiveFunc{ObjectiveName: "prompt", Fn: func(w *explore.World) float64 {
 				open := 0
 				for _, id := range w.Nodes() {
-					open += w.Services[id].(*player).InFlight
+					open += w.Service(id).(*player).InFlight
 				}
 				return -float64(open)
 			}}

@@ -8,23 +8,30 @@ import (
 )
 
 // CowwriteAnalyzer enforces the copy-on-write discipline on World's
-// shared containers. A forked World shares Services, Timers, Down, the
+// shared containers. A forked World shares its per-node slot slice, the
 // partition relation, and the in-flight slice with its parent and
 // siblings; writing any of them without first claiming ownership through
 // the matching own* hook mutates every world sharing the container — a
 // cross-branch state leak the explorer cannot detect, and exactly the bug
 // class PR 8's interposition fixes were.
 //
+// A write to a slot's field (w.slots[i].svc = ...) is a write to the slot
+// slice.
+//
 // A write is accepted when one of:
 //
 //   - the enclosing function is itself an own* hook (or unseal) on World;
-//   - a call to the matching hook on the same receiver appears earlier in
-//     the function (ownServicesMap before Services, ownTimersMap/ownTimers
-//     before Timers, ownDownMap before Down, ownPartitions before the
-//     partition relation, ownInflight before Inflight);
+//   - a call to a claiming hook on the same receiver appears earlier in
+//     the function (ownSlots or ownTimers — which returns with the slots
+//     owned — before slots, ownPartitions before the partition relation,
+//     ownInflight before Inflight); ownService claims nothing, since it
+//     leaves a self-cloning service's slots shared;
 //   - the function's doc comment carries //crystalvet:cowwrite <reason> —
 //     the blessing for the few functions that manage container ownership
-//     by hand (cloneInto, the pool's put, RemoveInflight).
+//     by hand (cloneInto, Patch, the pool's put, RemoveInflight).
+//
+// A write through an alias (s := &w.slots[i]; s.svc = ...) is not seen:
+// outside the hooks, write through the receiver.
 var CowwriteAnalyzer = &Analyzer{
 	Name: "cowwrite",
 	Doc: "require World's shared containers to be claimed via their own* " +
@@ -38,9 +45,7 @@ var CowwriteAnalyzer = &Analyzer{
 // cowHooks maps each COW-guarded World field to the hook calls that claim
 // it for writing.
 var cowHooks = map[string][]string{
-	"Services":    {"ownServicesMap"},
-	"Timers":      {"ownTimersMap", "ownTimers"},
-	"Down":        {"ownDownMap"},
+	"slots":       {"ownSlots", "ownTimers"},
 	"partitioned": {"ownPartitions"},
 	"Inflight":    {"ownInflight"},
 }
@@ -91,9 +96,9 @@ func checkCowFunc(pass *Pass, fn *ast.FuncDecl) {
 				}
 			}
 		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
+			if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 {
 				if _, isBuiltin := pass.ObjectOf(id).(*types.Builtin); isBuiltin {
-					if base, field := worldField(pass, n.Args[0]); field != "" {
+					if base, field := worldField(pass, containerOf(n.Args[0])); field != "" {
 						checkCowWrite(pass, fn, n.Pos(), base, field)
 					}
 				}
@@ -104,13 +109,29 @@ func checkCowFunc(pass *Pass, fn *ast.FuncDecl) {
 }
 
 // cowWriteTarget decodes an assignment lhs into (receiver, field) when it
-// writes a COW-guarded World field — either the whole field (w.Services =
-// ...) or an element (w.Services[id] = ...).
+// writes a COW-guarded World field — the whole field (w.slots = ...), an
+// element (w.slots[i] = ...), or a part of one (w.slots[i].svc = ...,
+// w.slots[i].timers[name] = ...).
 func cowWriteTarget(pass *Pass, lhs ast.Expr) (ast.Expr, string) {
-	if idx, ok := lhs.(*ast.IndexExpr); ok {
-		lhs = idx.X
+	return worldField(pass, containerOf(lhs))
+}
+
+// containerOf peels element indexing, and field selection on an element,
+// off expr down to the expression naming the container.
+func containerOf(expr ast.Expr) ast.Expr {
+	for {
+		switch e := expr.(type) {
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.SelectorExpr:
+			if _, elem := e.X.(*ast.IndexExpr); !elem {
+				return expr
+			}
+			expr = e.X
+		default:
+			return expr
+		}
 	}
-	return worldField(pass, lhs)
 }
 
 // worldField reports the (receiver, field name) of expr when it selects a

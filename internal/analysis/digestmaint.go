@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -20,9 +21,9 @@ import (
 // Maintenance: inside methods of World, every write to a
 // digest-contributing container must be accompanied in the same function
 // by the corresponding incremental-hash update — markDigestDirty (or a
-// whole-digest reset) for per-node state (Services/Timers/Down), an
-// inflightSum adjustment for in-flight appends, a partSum adjustment for
-// partition-relation writes. This approximates the paper contract "every
+// whole-digest reset) for per-node state (a slot's svc, timers or down),
+// an inflightSum adjustment for in-flight appends, a partSum adjustment
+// for partition-relation writes. This approximates the paper contract "every
 // digest-contributing write is post-dominated by its hash update" at
 // function granularity, which is the granularity the World API actually
 // maintains.
@@ -143,14 +144,21 @@ type digestRule struct {
 	// appendOnly restricts the check to x.F = append(...) assignments
 	// (the in-flight slice: slicing/copying preserves the multiset).
 	appendOnly bool
+	// parts, when set, restricts the check to writes of these fields of an
+	// element (and of whole elements): the rest is bookkeeping.
+	parts []string
 }
 
 var digestRules = map[string]digestRule{
-	"Services":    {needle: "markDigestDirty", elementOnly: true},
-	"Timers":      {needle: "markDigestDirty", elementOnly: true},
-	"Down":        {needle: "markDigestDirty", elementOnly: true},
+	"slots":       {needle: "markDigestDirty", elementOnly: true, parts: []string{"svc", "timers", "down"}},
 	"partitioned": {needle: "partSum", elementOnly: true},
 	"Inflight":    {needle: "inflightSum", appendOnly: true},
+}
+
+// covers reports whether the rule applies to a write of element part
+// ("" for the whole element).
+func (r digestRule) covers(part string) bool {
+	return part == "" || r.parts == nil || slices.Contains(r.parts, part)
 }
 
 // checkDigestWrites enforces the maintenance half over World methods.
@@ -225,9 +233,9 @@ func checkDigestFunc(pass *Pass, fn *ast.FuncDecl, recv string) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				field, isElement := receiverField(recv, lhs)
+				field, isElement, part := receiverField(recv, lhs)
 				rule, tracked := digestRules[field]
-				if !tracked {
+				if !tracked || !rule.covers(part) {
 					continue
 				}
 				if rule.elementOnly && !isElement {
@@ -242,8 +250,8 @@ func checkDigestFunc(pass *Pass, fn *ast.FuncDecl, recv string) {
 			}
 		case *ast.CallExpr:
 			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
-				if field, _ := receiverField(recv, n.Args[0]); field != "" {
-					if rule, tracked := digestRules[field]; tracked && !rule.appendOnly {
+				if field, _, part := receiverField(recv, n.Args[0]); field != "" {
+					if rule, tracked := digestRules[field]; tracked && !rule.appendOnly && rule.covers(part) {
 						report(n.Pos(), field, rule)
 					}
 				}
@@ -253,23 +261,30 @@ func checkDigestFunc(pass *Pass, fn *ast.FuncDecl, recv string) {
 	})
 }
 
-// receiverField decodes expr as recv.Field or recv.Field[i], returning
-// the field name and whether the write addresses an element.
-func receiverField(recv string, expr ast.Expr) (string, bool) {
-	isElement := false
-	if idx, ok := expr.(*ast.IndexExpr); ok {
-		expr = idx.X
-		isElement = true
+// receiverField decodes expr as recv.Field, recv.Field[i] or
+// recv.Field[i].part (indexed further or not), returning the field name,
+// whether the write addresses an element, and the element's part ("" for
+// the whole element).
+func receiverField(recv string, expr ast.Expr) (field string, isElement bool, part string) {
+	for {
+		if idx, ok := expr.(*ast.IndexExpr); ok {
+			expr, isElement = idx.X, true
+			continue
+		}
+		sel, ok := expr.(*ast.SelectorExpr)
+		if !ok {
+			return "", false, ""
+		}
+		if _, elem := sel.X.(*ast.IndexExpr); elem {
+			expr, part = sel.X, sel.Sel.Name
+			continue
+		}
+		id, ok := sel.X.(*ast.Ident)
+		if !ok || id.Name != recv {
+			return "", false, ""
+		}
+		return sel.Sel.Name, isElement, part
 	}
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Name != recv {
-		return "", false
-	}
-	return sel.Sel.Name, isElement
 }
 
 func isAppendCall(e ast.Expr) bool {

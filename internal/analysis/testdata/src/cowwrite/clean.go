@@ -2,16 +2,21 @@
 // and blessed manual-ownership functions.
 package cowwrite
 
-func setOwned(w *World, id NodeID, v int) {
-	w.ownServicesMap()
-	w.Services[id] = v
+func setOwned(w *World, i int, v int) {
+	w.ownSlots()
+	w.slots[i].svc, w.slots[i].svcOwned = v, true
 }
 
-func armTimer(w *World, id NodeID, name string) {
-	set := w.ownTimers(id)
+func armTimer(w *World, i int, name string) {
+	set := w.ownTimers(i)
 	set[name] = true
-	w.ownTimersMap()
-	w.Timers[id] = set
+	w.slots[i].timersOwned = true
+}
+
+func crash(w *World, i int) {
+	w.ownSlots()
+	w.slots[i].down = true
+	delete(w.slots[i].timers, "tick")
 }
 
 func partition(w *World, a, b NodeID) {
@@ -22,7 +27,7 @@ func partition(w *World, a, b NodeID) {
 
 // Hooks themselves materialize the private copy and are exempt.
 func (w *World) ownSnapshots() {
-	w.Services = map[NodeID]int{}
+	w.slots = append([]nodeSlot(nil), w.slots...)
 }
 
 // Blessed manual ownership: the destination shell is private by
@@ -30,6 +35,14 @@ func (w *World) ownSnapshots() {
 //
 //crystalvet:cowwrite fixture clone: the destination has no sharers yet
 func fill(c *World, src *World) {
-	c.Services = src.Services
+	c.slots = src.slots
 	c.Inflight = src.Inflight
+}
+
+// Blessed teardown: a dead world's slots are released, not mutated.
+//
+//crystalvet:cowwrite fixture teardown: the world is dead and unshared
+func release(w *World) {
+	clear(w.slots)
+	w.slots = nil
 }

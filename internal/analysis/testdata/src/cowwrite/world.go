@@ -4,19 +4,24 @@ package cowwrite
 
 type NodeID int
 
+type nodeSlot struct {
+	svc         int
+	timers      map[string]bool
+	down        bool
+	svcOwned    bool
+	timersOwned bool
+}
+
 type World struct {
-	Services    map[NodeID]int
-	Timers      map[NodeID]map[string]bool
-	Down        map[NodeID]bool
+	slots       []nodeSlot
 	Inflight    []int
 	partitioned map[[2]NodeID]bool
 }
 
-func (w *World) ownServicesMap() {}
-func (w *World) ownTimersMap()   {}
-func (w *World) ownTimers(id NodeID) map[string]bool {
-	return w.Timers[id]
+func (w *World) ownSlots() {}
+func (w *World) ownTimers(i int) map[string]bool {
+	return w.slots[i].timers
 }
-func (w *World) ownDownMap()    {}
-func (w *World) ownPartitions() {}
-func (w *World) ownInflight()   {}
+func (w *World) ownService(i int) int { return w.slots[i].svc }
+func (w *World) ownPartitions()       {}
+func (w *World) ownInflight()         {}

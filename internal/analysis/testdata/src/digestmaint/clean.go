@@ -12,9 +12,17 @@ func (p Ping) DigestBody(h *Hasher) {}
 // NotAKind lacks the Kind prefix and is exempt from coverage.
 const NotAKind = "x"
 
-func (w *World) SetMaintained(id, v int) {
-	w.markDigestDirty(id)
-	w.Services[id] = v
+func (w *World) SetMaintained(i, v int) {
+	w.markDigestDirty(i)
+	w.slots[i].svc = v
+	w.slots[i].timers["tick"] = true
+}
+
+// Ownership marks and the component hash itself are bookkeeping, not
+// digest input.
+func (w *World) bookkeep(i int) {
+	w.slots[i].svcOwned = true
+	w.slots[i].hash = 0
 }
 
 func (w *World) PushMaintained(m int) {
@@ -30,13 +38,13 @@ func (w *World) CutMaintained(a int) {
 // A whole-digest reset counts as maintenance for every container.
 func (w *World) Reset() {
 	w.dig = worldDigest{}
-	w.Services[0] = 0
+	w.slots[0].svc = 0
 	w.Inflight = append(w.Inflight, 0)
 }
 
 // Whole-field assignment moves ownership, not content.
-func (w *World) swap(m map[int]int) {
-	w.Services = m
+func (w *World) swap(s []nodeSlot) {
+	w.slots = s
 }
 
 // Non-append in-flight assignments follow their own protocol (ownership

@@ -27,17 +27,37 @@ type worldDigest struct {
 	partSum     uint64
 }
 
+type nodeSlot struct {
+	svc      int
+	timers   map[string]bool
+	down     bool
+	hash     uint64
+	svcOwned bool
+}
+
 type World struct {
-	Services    map[int]int
+	slots       []nodeSlot
 	Inflight    []int
 	partitioned map[int]bool
 	dig         worldDigest
 }
 
-func (w *World) markDigestDirty(id int) {}
+func (w *World) markDigestDirty(i int) {}
 
-func (w *World) Set(id, v int) {
-	w.Services[id] = v // want "digest-contributing write to w.Services without markDigestDirty"
+func (w *World) Set(i, v int) {
+	w.slots[i].svc = v // want "digest-contributing write to w.slots without markDigestDirty"
+}
+
+func (w *World) Crash(i int) {
+	w.slots[i].down = true // want "digest-contributing write to w.slots without markDigestDirty"
+}
+
+func (w *World) Cancel(i int) {
+	delete(w.slots[i].timers, "tick") // want "digest-contributing write to w.slots without markDigestDirty"
+}
+
+func (w *World) Wipe(i int) {
+	w.slots[i] = nodeSlot{} // want "digest-contributing write to w.slots without markDigestDirty"
 }
 
 func (w *World) Push(m int) {

@@ -392,7 +392,7 @@ func AvailabilityObjective(n *core.Node) explore.Objective {
 	return explore.ObjectiveFunc{ObjectiveName: "d.availability", Fn: func(w *explore.World) float64 {
 		copies := map[int]float64{}
 		for _, id := range w.Nodes() {
-			p, ok := w.Services[id].(*Peer)
+			p, ok := w.Service(id).(*Peer)
 			if !ok {
 				continue
 			}

@@ -332,7 +332,7 @@ func SpreadObjective(n *core.Node) explore.Objective {
 		spread := 0.0
 		cost := 0.0
 		for _, id := range w.Nodes() {
-			p, ok := w.Services[id].(*Peer)
+			p, ok := w.Service(id).(*Peer)
 			if !ok {
 				continue
 			}

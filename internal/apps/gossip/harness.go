@@ -131,7 +131,7 @@ func ReceiptProperty() explore.Property {
 		Name: "g.receipt-held",
 		Check: func(w *explore.World) bool {
 			for _, id := range w.Nodes() {
-				p, ok := w.Services[id].(*Peer)
+				p, ok := w.Service(id).(*Peer)
 				if !ok {
 					continue
 				}

@@ -118,7 +118,7 @@ func LatencyObjective(plane *iplane.Plane, sites int) func(n *core.Node) explore
 		return explore.ObjectiveFunc{ObjectiveName: "px.latency", Fn: func(w *explore.World) float64 {
 			score := 0.0
 			for _, id := range w.Nodes() {
-				r, ok := w.Services[id].(*Replica)
+				r, ok := w.Service(id).(*Replica)
 				if !ok {
 					continue
 				}
@@ -179,7 +179,7 @@ func AgreementProperty() explore.Property {
 		Check: func(w *explore.World) bool {
 			nodes := w.Nodes()
 			for i, id := range nodes {
-				r, ok := w.Services[id].(*Replica)
+				r, ok := w.Service(id).(*Replica)
 				if !ok {
 					continue
 				}
@@ -192,7 +192,7 @@ func AgreementProperty() explore.Property {
 			return true
 		},
 		Step: func(w *explore.World, id sm.NodeID, prev sm.Service) bool {
-			r, ok := w.Services[id].(*Replica)
+			r, ok := w.Service(id).(*Replica)
 			if !ok {
 				return true
 			}
@@ -214,7 +214,7 @@ func AgreementProperty() explore.Property {
 // command other than cmd.
 func agrees(w *explore.World, nodes []sm.NodeID, inst int, cmd Cmd) bool {
 	for _, id := range nodes {
-		if r, ok := w.Services[id].(*Replica); ok {
+		if r, ok := w.Service(id).(*Replica); ok {
 			if v, decided := r.decided.Get(inst); decided && v.ID != cmd.ID {
 				return false
 			}

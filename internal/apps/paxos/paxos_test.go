@@ -464,7 +464,7 @@ func TestAgreementStepIndependentOfLogSize(t *testing.T) {
 	// lookups counts the Gets one Step makes: every entry the touched log
 	// does not share with its pre-image, on every replica.
 	lookups := func(parent, child *explore.World) (n int) {
-		now, was := child.Services[2].(*Replica), parent.Services[2].(*Replica)
+		now, was := child.Service(2).(*Replica), parent.Service(2).(*Replica)
 		now.decided.Diff(&was.decided, func(int, Cmd) bool {
 			n += len(child.Nodes())
 			return true
@@ -479,11 +479,11 @@ func TestAgreementStepIndependentOfLogSize(t *testing.T) {
 			t.Errorf("Step makes %d lookups at %d decided, %d at %d: want %d at both", a, 64+into, b, 4096+into, 5*(into+1))
 		}
 		for _, c := range []struct{ parent, child *explore.World }{{youngP, youngC}, {oldP, oldC}} {
-			if !prop.Step(c.child, 2, c.parent.Services[2]) || !prop.Check(c.child) {
-				t.Fatalf("agreement does not hold after learning instance %d", c.child.Services[2].(*Replica).DecidedCount()-1)
+			if !prop.Step(c.child, 2, c.parent.Service(2)) || !prop.Check(c.child) {
+				t.Fatalf("agreement does not hold after learning instance %d", c.child.Service(2).(*Replica).DecidedCount()-1)
 			}
-			if n := testing.AllocsPerRun(100, func() { prop.Step(c.child, 2, c.parent.Services[2]) }); n != 0 {
-				t.Errorf("Step allocates %v times at %d decided", n, c.parent.Services[2].(*Replica).DecidedCount())
+			if n := testing.AllocsPerRun(100, func() { prop.Step(c.child, 2, c.parent.Service(2)) }); n != 0 {
+				t.Errorf("Step allocates %v times at %d decided", n, c.parent.Service(2).(*Replica).DecidedCount())
 			}
 		}
 		if n := testing.AllocsPerRun(10, func() { prop.Check(oldC) }); n != 0 {
@@ -496,7 +496,7 @@ func TestAgreementStepIndependentOfLogSize(t *testing.T) {
 	split := parent.Clone()
 	split.DeliverMessage(0)
 	split.DeliverMessage(0)
-	if prop.Check(split) || prop.Step(split, 3, parent.Services[3]) {
+	if prop.Check(split) || prop.Step(split, 3, parent.Service(3)) {
 		t.Error("two commands decided for instance 64 and agreement still holds")
 	}
 }

@@ -27,7 +27,7 @@ func BalanceObjective() explore.Objective {
 	return explore.ObjectiveFunc{ObjectiveName: "rt.balance", Fn: func(w *explore.World) float64 {
 		worst, sum, cnt := 0.0, 0.0, 0
 		for _, id := range w.Nodes() {
-			tv, ok := w.Services[id].(TreeView)
+			tv, ok := w.Service(id).(TreeView)
 			if !ok || !tv.TreeJoined() {
 				continue
 			}
@@ -50,18 +50,18 @@ func BalanceObjective() explore.Objective {
 // a TreeView: the pairs the orphan and cycle properties constrain. ok is
 // false for every other node, which constrains nothing.
 func liveParent(w *explore.World, id sm.NodeID) (parent TreeView, ok bool) {
-	if w.Down[id] {
+	if w.IsDown(id) {
 		return nil, false // a crashed node's stale state accuses no one
 	}
-	a, ok := w.Services[id].(TreeView)
+	a, ok := w.Service(id).(TreeView)
 	if !ok || !a.TreeJoined() {
 		return nil, false
 	}
 	p := a.TreeParent()
-	if p < 0 || p == id || w.Down[p] {
+	if p < 0 || p == id || w.IsDown(p) {
 		return nil, false
 	}
-	parent, ok = w.Services[p].(TreeView)
+	parent, ok = w.Service(p).(TreeView)
 	return parent, ok
 }
 
@@ -113,7 +113,7 @@ func NoOrphanedChildProperty() explore.Property {
 			if !ok {
 				return check(w)
 			}
-			now, _ := w.Services[id].(TreeView)
+			now, _ := w.Service(id).(TreeView)
 			for c := range was.treeState().Children {
 				if (now == nil || !now.TreeHasChild(c)) && !adopted(w, c) {
 					return false
@@ -150,7 +150,7 @@ func NoParentCycleProperty() explore.Property {
 
 // withinDegree reports that node id has at most MaxChildren children.
 func withinDegree(w *explore.World, id sm.NodeID) bool {
-	tv, ok := w.Services[id].(TreeView)
+	tv, ok := w.Service(id).(TreeView)
 	return !ok || tv.TreeChildCount() <= MaxChildren
 }
 

@@ -27,7 +27,7 @@ func heapTree(n int, reads *int) *explore.World {
 		s.Joined, s.Depth = true, 1
 		if i > 0 {
 			s.Parent = sm.NodeID((i - 1) / 2)
-			s.Depth = w.Services[s.Parent].(counted).Depth + 1
+			s.Depth = w.Service(s.Parent).(counted).Depth + 1
 		}
 		for _, c := range []int{2*i + 1, 2*i + 2} {
 			if c < n {
@@ -52,10 +52,10 @@ func TestTreeStepIndependentOfSize(t *testing.T) {
 		var count int
 		w := heapTree(n, &count)
 		if drop && !orphan {
-			left := w.Services[3].(counted)
+			left := w.Service(3).(counted)
 			left.Joined, left.Parent = false, -1
 		}
-		node := w.Services[1].(counted)
+		node := w.Service(1).(counted)
 		prev := node.Clone()
 		node.Routed++
 		if drop {

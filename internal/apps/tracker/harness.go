@@ -129,7 +129,7 @@ func RegistryProperty(peers int) explore.Property {
 		Name: "tr.registry-sane",
 		Check: func(w *explore.World) bool {
 			for _, id := range w.Nodes() {
-				t, ok := w.Services[id].(*Tracker)
+				t, ok := w.Service(id).(*Tracker)
 				if !ok {
 					continue
 				}

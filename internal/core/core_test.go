@@ -264,7 +264,7 @@ func TestPredictiveResolverBalances(t *testing.T) {
 			return explore.ObjectiveFunc{ObjectiveName: "balance", Fn: func(w *explore.World) float64 {
 				worst := 0
 				for _, id := range w.Nodes() {
-					if v := w.Services[id].(*balSvc).val; v > worst {
+					if v := w.Service(id).(*balSvc).val; v > worst {
 						worst = v
 					}
 				}
@@ -297,7 +297,7 @@ func TestPredictiveCacheHits(t *testing.T) {
 			return explore.ObjectiveFunc{ObjectiveName: "balance", Fn: func(w *explore.World) float64 {
 				worst := 0
 				for _, id := range w.Nodes() {
-					if v := w.Services[id].(*balSvc).val; v > worst {
+					if v := w.Service(id).(*balSvc).val; v > worst {
 						worst = v
 					}
 				}
@@ -326,7 +326,7 @@ func TestExecutionSteering(t *testing.T) {
 		Name: "val<=10",
 		Check: func(w *explore.World) bool {
 			for _, id := range w.Nodes() {
-				if w.Services[id].(*balSvc).val > 10 {
+				if w.Service(id).(*balSvc).val > 10 {
 					return false
 				}
 			}
@@ -467,7 +467,7 @@ func TestOffCriticalPathPrediction(t *testing.T) {
 			return explore.ObjectiveFunc{ObjectiveName: "balance", Fn: func(w *explore.World) float64 {
 				worst := 0
 				for _, id := range w.Nodes() {
-					if v := w.Services[id].(*balSvc).val; v > worst {
+					if v := w.Service(id).(*balSvc).val; v > worst {
 						worst = v
 					}
 				}
@@ -608,23 +608,23 @@ func TestMaterializeWorld(t *testing.T) {
 	cl.Network().Partition([]NodeID{0}, []NodeID{1})
 
 	w := cl.MaterializeWorld(explore.FirstPolicy, 3, []string{"emit"})
-	if len(w.Services) != 4 {
-		t.Fatalf("world has %d nodes, want 4", len(w.Services))
+	if len(w.Nodes()) != 4 {
+		t.Fatalf("world has %d nodes, want 4", len(w.Nodes()))
 	}
-	if !w.Down[2] || w.Down[0] {
+	if !w.IsDown(2) || w.IsDown(0) {
 		t.Fatal("down flags not mirrored")
 	}
 	if w.Reachable(0, 1) || !w.Reachable(0, 3) {
 		t.Fatal("partition relation not mirrored")
 	}
-	if !w.Timers[0]["emit"] || len(w.Timers[2]) != 0 {
+	if !w.TimerPending(0, "emit") || len(w.PendingTimers(2)) != 0 {
 		t.Fatal("pending timers wrong: live nodes get them, down nodes do not")
 	}
 	if got, want := w.Digest(), w.DigestFull(); got != want {
 		t.Fatalf("materialized world digest: incremental %#x != full %#x", got, want)
 	}
 	// Services must be clones of the live state.
-	w.Services[0].(*balSvc).val = 999
+	w.Service(0).(*balSvc).val = 999
 	if cl.Node(0).Service().(*balSvc).val == 999 {
 		t.Fatal("materialized world shares live service state")
 	}

@@ -16,7 +16,7 @@ func valBound() explore.Property {
 		Name: "val<=10",
 		Check: func(w *explore.World) bool {
 			for _, id := range w.Nodes() {
-				if w.Services[id].(*balSvc).val > 10 {
+				if w.Service(id).(*balSvc).val > 10 {
 					return false
 				}
 			}
@@ -127,7 +127,7 @@ func TestAsyncPredictionDroppedAcrossRestart(t *testing.T) {
 			return explore.ObjectiveFunc{ObjectiveName: "balance", Fn: func(w *explore.World) float64 {
 				worst := 0
 				for _, id := range w.Nodes() {
-					if v := w.Services[id].(*balSvc).val; v > worst {
+					if v := w.Service(id).(*balSvc).val; v > worst {
 						worst = v
 					}
 				}
@@ -178,7 +178,7 @@ func TestDecisionLatencyInstrumentation(t *testing.T) {
 			return explore.ObjectiveFunc{ObjectiveName: "balance", Fn: func(w *explore.World) float64 {
 				worst := 0
 				for _, id := range w.Nodes() {
-					if v := w.Services[id].(*balSvc).val; v > worst {
+					if v := w.Service(id).(*balSvc).val; v > worst {
 						worst = v
 					}
 				}
@@ -332,7 +332,7 @@ func TestClassCacheResolveScenarioHit(t *testing.T) {
 			return explore.ObjectiveFunc{ObjectiveName: "balance", Fn: func(w *explore.World) float64 {
 				worst := 0
 				for _, id := range w.Nodes() {
-					if v := w.Services[id].(*balSvc).val; v > worst {
+					if v := w.Service(id).(*balSvc).val; v > worst {
 						worst = v
 					}
 				}

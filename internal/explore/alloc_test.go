@@ -40,8 +40,8 @@ func allocsPerState(t *testing.T, w *World, mk func() *Explorer) float64 {
 
 // TestAllocRegressionPerState pins the per-state allocation budget of
 // the non-violating expansion path. The bounds have ~1.5× headroom over
-// the steady state (measured: chain 2.7, chain+faults 0.6, bfs 4.0,
-// bfs+faults 4.0 — the fan-out floors depend on the drain order:
+// the steady state (measured: chain 2.6, chain+faults 0.6, bfs 3.3,
+// bfs+faults 3.3 — the fan-out floors depend on the drain order:
 // newest-first hands each dead shell to the next fork, and a truncated
 // run recycles what it leaves pending, where a level-order frontier
 // would outgrow the shell free-list); a failure means a
@@ -67,20 +67,20 @@ func TestAllocRegressionPerState(t *testing.T) {
 			x.MaxStates = 1 << 16
 			x.FaultBudget = 1
 			return x
-		}, 2},
+		}, 1},
 		{"bfs", func() *Explorer {
 			x := NewExplorer(6)
 			x.MaxStates = 4096
 			x.Strategy = BFS{}
 			return x
-		}, 6},
+		}, 5},
 		{"bfs+faults", func() *Explorer {
 			x := NewExplorer(5)
 			x.MaxStates = 4096
 			x.Strategy = BFS{}
 			x.FaultBudget = 1
 			return x
-		}, 6},
+		}, 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,5 +94,37 @@ func TestAllocRegressionPerState(t *testing.T) {
 				t.Errorf("%s: %.2f allocs per state, budget %.0f — the hot path regressed", tc.name, got, tc.budget)
 			}
 		})
+	}
+}
+
+// TestForkWriteAllocsIndependentOfSize is the cost-shape gate of the
+// copy-on-write slots: with a warm free-list, a fork, its first service
+// write, its first timer write, its digest and its release allocate
+// nothing, at 15 nodes and at 255 — the slot copy and the forked timer set
+// land in the recycled shell's spares, whatever the world's size.
+func TestForkWriteAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool operations; the free-list is not warm")
+	}
+	for _, n := range []int{15, 255} {
+		base := NewWorld(FirstPolicy, 1)
+		for i := 0; i < n; i++ {
+			base.AddNode(NodeID(i), &relay{id: NodeID(i), n: n})
+			base.SetTimerPending(NodeID(i), "tick")
+		}
+		base.Digest()
+		base.Freeze()
+		svc := &relay{id: 3, n: n, counter: 1}
+		got := testing.AllocsPerRun(100, func() {
+			c := base.fork()
+			c.ReplaceService(3, svc)
+			c.SetTimerPending(5, "tock")
+			c.Digest()
+			sharedWorldPool.put(c)
+		})
+		t.Logf("n=%d: %.1f allocs per fork+writes+put", n, got)
+		if got != 0 {
+			t.Errorf("n=%d: fork, first writes and put allocate %.1f objects, want 0", n, got)
+		}
 	}
 }

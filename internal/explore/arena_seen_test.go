@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,7 +25,7 @@ func violProps() []Property {
 		Name: "counter-under-2",
 		Check: func(w *World) bool {
 			for _, id := range w.Nodes() {
-				if r, ok := w.Services[id].(*relay); ok && r.counter >= 2 {
+				if r, ok := w.Service(id).(*relay); ok && r.counter >= 2 {
 					return false
 				}
 			}
@@ -211,6 +212,55 @@ func TestCtxRecycledHoldsNothing(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPooledShellsPinNothing: a dead world on the free list references no
+// message, service or timer set. Enumerations zero the actions they stop
+// using, so put clears only the last enumeration's; the world below makes
+// the fault enumeration shorter than the message one it overwrites.
+func TestPooledShellsPinNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the detector drops pool operations")
+	}
+	for _, strat := range []Strategy{ChainDFS{}, BFS{}} {
+		w := NewWorld(FirstPolicy, 1)
+		for i := 0; i < 2; i++ {
+			w.AddNode(NodeID(i), &relay{id: NodeID(i), n: 2})
+		}
+		for i := 0; i < 6; i++ {
+			w.InjectMessage(&sm.Msg{Src: 0, Dst: NodeID(i % 2), Kind: "ping", Body: 3})
+		}
+		x := NewExplorer(4)
+		x.Strategy, x.FaultBudget, x.MaxStates = strat, 1, 1<<12
+		x.Explore(w)
+		shells := 0
+		for s := sharedWorldPool.get(); s != nil; s = sharedWorldPool.get() {
+			shells++
+			for _, a := range s.actScratch[:cap(s.actScratch)] {
+				if a.Msg != nil || a.Timer != "" {
+					t.Fatalf("%s: a pooled shell's action scratch pins %+v", strat.Name(), a)
+				}
+			}
+			for _, sl := range s.spareSlots[:cap(s.spareSlots)] {
+				if sl.svc != nil || sl.timers != nil {
+					t.Fatalf("%s: a pooled shell's spare slots pin a service or timer set", strat.Name())
+				}
+			}
+			for _, buf := range [][]*sm.Msg{s.spareInflight, s.conseqScratch, s.scratchEnv.produced} {
+				if slices.ContainsFunc(buf[:cap(buf)], func(m *sm.Msg) bool { return m != nil }) {
+					t.Fatalf("%s: a pooled shell's message buffer pins a message", strat.Name())
+				}
+			}
+			for _, set := range s.spareTimerSets {
+				if len(set) != 0 {
+					t.Fatalf("%s: a pooled shell's spare timer set is not empty", strat.Name())
+				}
+			}
+		}
+		if shells == 0 {
+			t.Fatalf("%s: the run left no shell on the free list", strat.Name())
 		}
 	}
 }

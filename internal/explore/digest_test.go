@@ -13,7 +13,7 @@ func digestWorld(n int) *World {
 	w := NewWorld(FirstPolicy, 3)
 	for i := 0; i < n; i++ {
 		w.AddNode(NodeID(i), &relay{id: NodeID(i), n: n})
-		w.Timers[NodeID(i)]["tick"] = true
+		w.SetTimerPending(NodeID(i), "tick")
 	}
 	for i := 0; i < 3; i++ {
 		w.InjectMessage(&sm.Msg{Src: NodeID(i), Dst: NodeID((i + 1) % n), Kind: "ping", Body: 2})

@@ -248,7 +248,7 @@ func (x *Explorer) enabled(w *World) []Action {
 	}
 	acts := w.actScratch[:0]
 	for i, m := range w.Inflight {
-		if w.Down[m.Dst] || !w.Reachable(m.Src, m.Dst) {
+		if w.IsDown(m.Dst) || !w.Reachable(m.Src, m.Dst) {
 			continue
 		}
 		acts = append(acts, Action{Kind: ActionMessage, MsgIx: i, Msg: m})
@@ -256,23 +256,34 @@ func (x *Explorer) enabled(w *World) []Action {
 	if x.ExploreTimers {
 		np := borrowNames()
 		names := (*np)[:0]
-		for _, id := range w.Nodes() {
-			if w.Down[id] {
+		for i := range w.slots {
+			s := &w.slots[i]
+			if s.down || len(s.timers) == 0 {
 				continue
 			}
 			names = names[:0]
-			for name, on := range w.Timers[id] {
+			for name, on := range s.timers {
 				if on {
 					names = append(names, name)
 				}
 			}
 			slices.Sort(names) // deterministic order
 			for _, name := range names {
-				acts = append(acts, Action{Kind: ActionTimer, Node: id, Timer: name})
+				acts = append(acts, Action{Kind: ActionTimer, Node: w.nodeOrder[i], Timer: name})
 			}
 		}
 		*np = names
 		returnNames(np)
+	}
+	return w.keepActions(acts)
+}
+
+// keepActions makes acts the world's action scratch, zeroing the slots the
+// previous enumeration filled past its end: only the live actions pin
+// messages, so a recycled shell clears no more than they (worldPool.put).
+func (w *World) keepActions(acts []Action) []Action {
+	if prev := len(w.actScratch); len(acts) < prev {
+		clear(acts[len(acts):prev])
 	}
 	w.actScratch = acts // retain the (possibly grown) backing array
 	return acts
@@ -295,8 +306,8 @@ func (x *Explorer) faultActions(w *World, used int) []Action {
 	if x.PartitionFaults {
 		cuts = w.partitionCutCounts()
 	}
-	for _, id := range nodes {
-		if w.Down[id] {
+	for i, id := range nodes {
+		if w.slots[i].down {
 			acts = append(acts, Action{Kind: ActionRecover, Node: id})
 			continue
 		}
@@ -316,8 +327,7 @@ func (x *Explorer) faultActions(w *World, used int) []Action {
 			}
 		}
 	}
-	w.actScratch = acts
-	return acts
+	return w.keepActions(acts)
 }
 
 // Explore runs the configured strategy from w across the configured worker
@@ -425,7 +435,7 @@ func (x *Explorer) chain(ctx *Ctx, w *World, a Action, depth, faults int, r *Rep
 			return
 		}
 		if m := w.Inflight[a.MsgIx]; w.Generic != nil {
-			if _, modeled := w.Services[m.Dst]; !modeled {
+			if w.slotOf(m.Dst) < 0 {
 				x.genericDelivery(ctx, w, a.MsgIx, depth, faults, r, trace)
 				return
 			}

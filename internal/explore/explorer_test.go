@@ -76,7 +76,7 @@ func TestChainFollowsConsequences(t *testing.T) {
 	sum := ObjectiveFunc{ObjectiveName: "sum", Fn: func(w *World) float64 {
 		total := 0.0
 		for _, id := range w.Nodes() {
-			total += float64(w.Services[id].(*relay).counter)
+			total += float64(w.Service(id).(*relay).counter)
 		}
 		return total
 	}}
@@ -93,7 +93,7 @@ func TestChainFollowsConsequences(t *testing.T) {
 		t.Fatal("no properties installed, yet violations reported")
 	}
 	// The start world must be untouched.
-	if w.Services[0].(*relay).counter != 0 || len(w.Inflight) != 1 {
+	if w.Service(0).(*relay).counter != 0 || len(w.Inflight) != 1 {
 		t.Fatal("Explore mutated the start world")
 	}
 }
@@ -113,7 +113,7 @@ func TestPropertyViolationDetected(t *testing.T) {
 	x.Properties = []Property{{
 		Name: "node2-never-pinged",
 		Check: func(w *World) bool {
-			return w.Services[2].(*relay).counter == 0
+			return w.Service(2).(*relay).counter == 0
 		},
 	}}
 	r := x.Explore(w)
@@ -134,7 +134,7 @@ func TestTimerChainStart(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		w.AddNode(NodeID(i), &relay{id: NodeID(i), n: 3})
 	}
-	w.Timers[0]["kick"] = true
+	w.SetTimerPending(0, "kick")
 	x := NewExplorer(5)
 	r := x.Explore(w)
 	// Timer fires and produces a 3-hop ping chain: 4 executions total.
@@ -145,7 +145,7 @@ func TestTimerChainStart(t *testing.T) {
 
 func TestDownNodeNotExplored(t *testing.T) {
 	w := relayWorld(4, 3)
-	w.Down[0] = true
+	w.SetDown(0, true)
 	x := NewExplorer(10)
 	r := x.Explore(w)
 	// The only enabled action targets node 0, which is down.
@@ -163,7 +163,7 @@ func TestForcedChoice(t *testing.T) {
 		x := NewExplorer(5)
 		kinds := make(map[string]bool)
 		x.Objective = ObjectiveFunc{ObjectiveName: "probe", Fn: func(w *World) float64 {
-			kinds[w.Services[1].(*chooser).sent] = true
+			kinds[w.Service(1).(*chooser).sent] = true
 			return 0
 		}}
 		x.Explore(w)
@@ -195,7 +195,7 @@ func TestScoreAggregates(t *testing.T) {
 	w := relayWorld(3, 2)
 	x := NewExplorer(10)
 	x.Objective = ObjectiveFunc{ObjectiveName: "c0", Fn: func(w *World) float64 {
-		return float64(w.Services[0].(*relay).counter)
+		return float64(w.Service(0).(*relay).counter)
 	}}
 	r := x.Explore(w)
 	if r.MinScore != 0 {
@@ -211,17 +211,17 @@ func TestScoreAggregates(t *testing.T) {
 
 func TestWorldCloneIndependence(t *testing.T) {
 	w := relayWorld(3, 2)
-	w.Timers[1]["t"] = true
+	w.SetTimerPending(1, "t")
 	c := w.Clone()
 	c.DeliverMessage(0)
 	c.FireTimer(1, "t")
-	if w.Services[0].(*relay).counter != 0 {
+	if w.Service(0).(*relay).counter != 0 {
 		t.Fatal("clone delivery mutated original service")
 	}
 	if len(w.Inflight) != 1 {
 		t.Fatal("clone delivery mutated original channel")
 	}
-	if !w.Timers[1]["t"] {
+	if !w.TimerPending(1, "t") {
 		t.Fatal("clone timer fire mutated original timers")
 	}
 }
@@ -248,7 +248,7 @@ func TestWorldDigestInsensitiveToInflightOrder(t *testing.T) {
 func TestWorldDigestSensitiveToState(t *testing.T) {
 	w1 := relayWorld(2, 1)
 	w2 := relayWorld(2, 1)
-	w2.Services[0].(*relay).counter = 5
+	w2.Service(0).(*relay).counter = 5
 	if w1.Digest() == w2.Digest() {
 		t.Fatal("digests collide across different service states")
 	}
@@ -261,7 +261,7 @@ func TestExploreDeterministic(t *testing.T) {
 		x.Objective = ObjectiveFunc{ObjectiveName: "sum", Fn: func(w *World) float64 {
 			total := 0.0
 			for _, id := range w.Nodes() {
-				total += float64(w.Services[id].(*relay).counter)
+				total += float64(w.Service(id).(*relay).counter)
 			}
 			return total
 		}}
@@ -315,13 +315,13 @@ func BenchmarkExploreDepth4(b *testing.B) {
 func TestFireTimerOnDownNode(t *testing.T) {
 	w := NewWorld(FirstPolicy, 1)
 	w.AddNode(0, &relay{id: 0, n: 1})
-	w.Timers[0]["t"] = true
-	w.Down[0] = true
+	w.SetTimerPending(0, "t")
+	w.SetDown(0, true)
 	out := w.FireTimer(0, "t")
 	if out != nil {
 		t.Fatal("down node's timer produced messages")
 	}
-	if w.Timers[0]["t"] {
+	if w.TimerPending(0, "t") {
 		t.Fatal("timer not consumed")
 	}
 }
@@ -381,7 +381,7 @@ func TestDropBranchesExploresLoss(t *testing.T) {
 	// Without drop branches, the datagram always arrives: a property that
 	// requires the flag to stay false is always violated at depth 2.
 	neverFlag := Property{Name: "never-flag", Check: func(w *World) bool {
-		return !w.Services[1].(*dgram).got
+		return !w.Service(1).(*dgram).got
 	}}
 	x := NewExplorer(4)
 	x.Properties = []Property{neverFlag}
@@ -399,7 +399,7 @@ func TestDropBranchesExploresLoss(t *testing.T) {
 		if len(w.Inflight) > 0 {
 			return true
 		}
-		return w.Services[1].(*dgram).got
+		return w.Service(1).(*dgram).got
 	}}
 	x.Properties = []Property{flagRequired}
 	r := x.Explore(mk())

@@ -44,7 +44,7 @@ func rejoinerWorld(n int) *World {
 	w := NewWorld(FirstPolicy, 5)
 	for i := 0; i < n; i++ {
 		w.AddNode(NodeID(i), &rejoiner{id: NodeID(i), joined: true})
-		w.Timers[NodeID(i)]["rj.tick"] = true
+		w.SetTimerPending(NodeID(i), "rj.tick")
 	}
 	return w
 }
@@ -56,11 +56,11 @@ func TestCrashTransition(t *testing.T) {
 	w := rejoinerWorld(3)
 	before := w.Digest()
 	w.Crash(1)
-	if !w.Down[1] {
+	if !w.IsDown(1) {
 		t.Fatalf("crashed node not down")
 	}
-	if len(w.Timers[1]) != 0 {
-		t.Fatalf("crash left timers pending: %v", w.Timers[1])
+	if len(w.PendingTimers(1)) != 0 {
+		t.Fatalf("crash left timers pending: %v", w.PendingTimers(1))
 	}
 	if got, want := w.Digest(), w.DigestFull(); got != want {
 		t.Fatalf("after crash: incremental %#x != full %#x", got, want)
@@ -83,20 +83,20 @@ func TestCrashTransition(t *testing.T) {
 // rejoin announcement).
 func TestRecoverWarm(t *testing.T) {
 	w := rejoinerWorld(3)
-	w.Services[1].(*rejoiner).heard = 7
+	w.Service(1).(*rejoiner).heard = 7
 	w.Crash(1)
 	if msgs := w.Recover(2, nil); msgs != nil {
 		t.Fatalf("recovering a live node did something: %v", msgs)
 	}
 	w.Recover(1, nil)
-	if w.Down[1] {
+	if w.IsDown(1) {
 		t.Fatalf("recovered node still down")
 	}
-	svc := w.Services[1].(*rejoiner)
+	svc := w.Service(1).(*rejoiner)
 	if svc.heard != 7 || !svc.joined {
 		t.Fatalf("warm recovery lost state: %+v", svc)
 	}
-	if !w.Timers[1]["rj.tick"] {
+	if !w.TimerPending(1, "rj.tick") {
 		t.Fatalf("Init did not re-arm the tick timer")
 	}
 	if got, want := w.Digest(), w.DigestFull(); got != want {
@@ -119,7 +119,7 @@ func TestRecoverHookOrder(t *testing.T) {
 	w.Recovery = func(id NodeID) sm.Service { return &rejoiner{id: id, joined: true, heard: 42} }
 	w.Initial = func(id NodeID) sm.Service { return &rejoiner{id: id} }
 	w.Recover(1, nil)
-	if got := w.Services[1].(*rejoiner).heard; got != 42 {
+	if got := w.Service(1).(*rejoiner).heard; got != 42 {
 		t.Fatalf("recovery hook ignored: heard=%d", got)
 	}
 
@@ -127,7 +127,7 @@ func TestRecoverHookOrder(t *testing.T) {
 	w.Recovery = func(id NodeID) sm.Service { return nil } // no checkpoint retained
 	w.Initial = func(id NodeID) sm.Service { return &rejoiner{id: id} }
 	msgs := w.Recover(1, nil)
-	svc := w.Services[1].(*rejoiner)
+	svc := w.Service(1).(*rejoiner)
 	if svc.joined || svc.heard != 0 {
 		t.Fatalf("cold restart kept state: %+v", svc)
 	}
@@ -203,7 +203,7 @@ func TestPartitionGatesDelivery(t *testing.T) {
 	if msgs := w.DeliverMessage(0); msgs != nil {
 		t.Fatalf("partitioned delivery executed the handler")
 	}
-	if w.Services[1].(*rejoiner).heard != 0 {
+	if w.Service(1).(*rejoiner).heard != 0 {
 		t.Fatalf("partitioned message reached the service")
 	}
 	w.HealPair(0, 1)
@@ -393,7 +393,7 @@ func TestParallelFaultExploration(t *testing.T) {
 		}
 	}
 	// The start world must be untouched by the run.
-	if w.Partitioned() || w.Down[0] || w.Down[1] {
+	if w.Partitioned() || w.IsDown(0) || w.IsDown(1) {
 		t.Fatal("exploration mutated the start world")
 	}
 }
@@ -415,7 +415,7 @@ func TestFaultForkIsolation(t *testing.T) {
 	if got := w.Digest(); got != before {
 		t.Fatalf("parent digest drifted after fork faults: %#x != %#x", got, before)
 	}
-	if w.Down[0] || w.Partitioned() || len(w.Timers[0]) == 0 {
+	if w.IsDown(0) || w.Partitioned() || len(w.PendingTimers(0)) == 0 {
 		t.Fatalf("fork faults leaked into the parent")
 	}
 }

@@ -28,7 +28,7 @@ func FuzzExploreConfig(f *testing.F) {
 			w := NewWorld(FirstPolicy, seed)
 			for i := 0; i < 4; i++ {
 				w.AddNode(NodeID(i), &rejoiner{id: NodeID(i), joined: i%2 == 0})
-				w.Timers[NodeID(i)]["rj.tick"] = true
+				w.SetTimerPending(NodeID(i), "rj.tick")
 			}
 			w.InjectMessage(&sm.Msg{Src: 2, Dst: 0, Kind: "join"})
 			w.InjectMessage(&sm.Msg{Src: 3, Dst: 1, Kind: "welcome"})

@@ -33,13 +33,13 @@ func askerWorld(g GenericModel) *World {
 	w := NewWorld(FirstPolicy, 1)
 	w.Generic = g
 	w.AddNode(0, &asker{id: 0})
-	w.Timers[0]["ask"] = true
+	w.SetTimerPending(0, "ask")
 	return w
 }
 
 func neverRefused() Property {
 	return Property{Name: "never-refused", Check: func(w *World) bool {
-		return !w.Services[0].(*asker).refused
+		return !w.Service(0).(*asker).refused
 	}}
 }
 

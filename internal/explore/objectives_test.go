@@ -11,7 +11,7 @@ func twoRelayWorld(c0, c1 int) *World {
 
 func counterAtMost(node NodeID, max int) Property {
 	return Property{Name: "bound", Check: func(w *World) bool {
-		return w.Services[node].(*relay).counter <= max
+		return w.Service(node).(*relay).counter <= max
 	}}
 }
 
@@ -19,7 +19,7 @@ func counterSum() Objective {
 	return ObjectiveFunc{ObjectiveName: "sum", Fn: func(w *World) float64 {
 		total := 0.0
 		for _, id := range w.Nodes() {
-			total += float64(w.Services[id].(*relay).counter)
+			total += float64(w.Service(id).(*relay).counter)
 		}
 		return total
 	}}

@@ -30,7 +30,7 @@ func sumObjective() Objective {
 	return ObjectiveFunc{ObjectiveName: "sum", Fn: func(w *World) float64 {
 		total := 0.0
 		for _, id := range w.Nodes() {
-			total += float64(w.Services[id].(*relay).counter)
+			total += float64(w.Service(id).(*relay).counter)
 		}
 		return total
 	}}
@@ -136,7 +136,7 @@ func TestParallelFindsViolations(t *testing.T) {
 	x.Properties = []Property{{
 		Name: "node1-never-pinged",
 		Check: func(w *World) bool {
-			return w.Services[1].(*relay).counter == 0
+			return w.Service(1).(*relay).counter == 0
 		},
 	}}
 	r := x.Explore(w)
@@ -178,7 +178,7 @@ func TestBFSReachesInterleavings(t *testing.T) {
 		return w
 	}
 	both := Property{Name: "not-both-pinged", Check: func(w *World) bool {
-		return w.Services[0].(*relay).counter == 0 || w.Services[1].(*relay).counter == 0
+		return w.Service(0).(*relay).counter == 0 || w.Service(1).(*relay).counter == 0
 	}}
 
 	x := NewExplorer(4)
@@ -235,7 +235,7 @@ func TestDropBranchesDeepLoss(t *testing.T) {
 			}
 			total := 0
 			for _, id := range w.Nodes() {
-				total += w.Services[id].(*dgramRelay).counter
+				total += w.Service(id).(*dgramRelay).counter
 			}
 			return total == 4
 		},
@@ -319,7 +319,7 @@ func TestGenericReactionFanOut(t *testing.T) {
 	pendingAcks := map[int]bool{}
 	x.Objective = ObjectiveFunc{ObjectiveName: "acks", Fn: func(w *World) float64 {
 		pendingAcks[len(w.Inflight)] = true
-		return float64(w.Services[0].(*genericCounter).acks)
+		return float64(w.Service(0).(*genericCounter).acks)
 	}}
 	r := x.Explore(w)
 	// Every reaction delivery lands one ack at most (each chain follows
@@ -346,17 +346,17 @@ func TestGenericReactionFanOut(t *testing.T) {
 // front, and writes on either side must not leak across.
 func TestCOWCloneSharesUntilWrite(t *testing.T) {
 	w := relayWorld(4, 2)
-	w.Timers[2]["t"] = true
+	w.SetTimerPending(2, "t")
 	c := w.Clone()
 	for _, id := range w.Nodes() {
-		if w.Services[id] != c.Services[id] {
+		if w.Service(id) != c.Service(id) {
 			t.Fatalf("fork deep-copied service %v eagerly", id)
 		}
 	}
 	// Write on the fork: the parent must keep its view.
 	c.DeliverMessage(0)
 	c.FireTimer(2, "t")
-	if w.Services[0].(*relay).counter != 0 || len(w.Inflight) != 1 || !w.Timers[2]["t"] {
+	if w.Service(0).(*relay).counter != 0 || len(w.Inflight) != 1 || !w.TimerPending(2, "t") {
 		t.Fatal("fork write leaked into parent")
 	}
 	// Write on the parent: the fork must keep its (evolved) view.

@@ -2,12 +2,12 @@ package explore
 
 // Dead-world recycling. Exploration forks a world per branch and kills
 // it as soon as the branch's subtree is exhausted; before recycling, that
-// meant every fork paid for a fresh *World plus three outer maps
-// (Services, Timers, Down), and every first write paid again for the
-// copy-on-write container it forked. The free-list returns a dead
-// world's shell — with its exclusively owned containers attached as
-// spares — to the run, so the next fork and its first writes reuse them
-// instead of allocating.
+// meant every fork paid for a fresh *World, and every first write paid
+// again for the copy-on-write container it forked — the slot slice, a
+// timer set, the in-flight slice. The free-list returns a dead world's
+// shell — with its exclusively owned containers attached as spares — to
+// the run, so the next fork and its first writes reuse them instead of
+// allocating.
 //
 // Safety rules, in order of enforcement:
 //   - Only the branch that forked a world releases it, exactly once,
@@ -15,11 +15,13 @@ package explore
 //     fanOut releases the expanded unit's world; walks release at the
 //     trajectory end; schedulers release units the budget cut).
 //   - Only containers still *marked owned* at death are reclaimed. A
-//     fork shares inner state with its children and Clone Freezes the
-//     parent — clearing every ownership mark — before any sharing, so a
-//     mark that survives to death proves exclusivity. The outer maps and
-//     the shell itself are never shared: Clone always gives a fork its
-//     own.
+//     fork shares its slots and inner state with its children and Clone
+//     Freezes the parent — sealing every ownership mark — before any
+//     sharing, so a mark that survives unsealed to death proves
+//     exclusivity. Marks are per slot (svcOwned, timersOwned) and count
+//     only while the world owns the slot slice itself (slotsOwned), which
+//     ownSlots grants with every slot mark cleared. The shell itself is
+//     never shared: Clone always gives a fork its own.
 //   - A world that recorded a violation witness is Frozen and pinned by
 //     Explorer.check; Ctx.release refuses it, so state a report consumer
 //     could still inspect never re-enters circulation.
@@ -36,7 +38,7 @@ import "sync"
 
 // worldPool is the free-list of dead exploration worlds.
 type worldPool struct {
-	shells sync.Pool // *World shells with cleared outer maps and spares
+	shells sync.Pool // sanitized *World shells carrying their spares
 }
 
 // sharedWorldPool is the process-wide free-list every recycling run uses.
@@ -77,29 +79,25 @@ func (p *worldPool) put(w *World) {
 		clear(s) // drop message references before pooling
 		w.spareInflight = s[:0]
 	}
-	// Per-node timer sets this world forked or materialized for itself.
-	if w.ownedTimers != nil {
-		for id := range w.ownedTimers {
-			if len(w.spareTimerSets) >= spareTimerSetCap {
-				break
-			}
-			if set := w.Timers[id]; set != nil {
-				clear(set)
-				w.spareTimerSets = append(w.spareTimerSets, set) //crystalvet:mapiter spare-container reclamation; recycled sets are interchangeable, order immaterial
+	// Slots: reclaimed only when this world copied them for itself (a mark
+	// surviving to death proves no child shares them), with the timer sets
+	// their owned bits cover; otherwise they belong to the sharing
+	// ancestors and are merely dereferenced.
+	if w.slotsOwned {
+		for i := range w.slots {
+			s := &w.slots[i]
+			if s.timersOwned && s.timers != nil && len(w.spareTimerSets) < spareTimerSetCap {
+				clear(s.timers)
+				w.spareTimerSets = append(w.spareTimerSets, s.timers)
 			}
 		}
-		clear(w.ownedTimers)
-		w.spareOwnedTimers = w.ownedTimers
+		clear(w.slots)
+		w.spareSlots = w.slots[:0]
 	}
-	if w.ownedSvc != nil {
-		clear(w.ownedSvc)
-		w.spareOwnedSvc = w.ownedSvc
-	}
-	// Digest scratch: the flushed per-node component array, and the
-	// pending dirty list (adopted or first-marked by the next fork).
-	if w.dig.hashOwned {
-		w.spareHashes = w.dig.hashes[:0]
-	}
+	w.slots = nil
+	w.slotsOwned = false
+	// Digest scratch: the pending dirty list (adopted or first-marked by
+	// the next fork).
 	if w.dig.dirty != nil {
 		w.spareDirty = w.dig.dirty[:0]
 	}
@@ -108,27 +106,6 @@ func (p *worldPool) put(w *World) {
 		clear(w.partitioned)
 		w.sparePartitions = w.partitioned
 	}
-	// Outer maps: reclaimed only when this world copied them for itself
-	// (a mark surviving to death proves no child shares them); otherwise
-	// they belong to the sharing ancestors and are merely dereferenced.
-	if w.svcMapOwned {
-		clear(w.Services)
-		w.spareSvcMap = w.Services
-	}
-	if w.timerMapOwned {
-		clear(w.Timers)
-		w.spareTimerMap = w.Timers
-	}
-	if w.downMapOwned {
-		clear(w.Down)
-		w.spareDownMap = w.Down
-	}
-	w.Services = nil
-	w.Timers = nil
-	w.Down = nil
-	w.svcMapOwned = false
-	w.timerMapOwned = false
-	w.downMapOwned = false
 	clear(w.rngs)
 	w.Inflight = nil
 	w.Now = 0
@@ -141,8 +118,6 @@ func (p *worldPool) put(w *World) {
 	w.partitioned = nil
 	w.partOwned = false
 	w.cow = false
-	w.ownedSvc = nil
-	w.ownedTimers = nil
 	w.inflightOwned = false
 	w.forks.Store(0)
 	w.nodeOrder = nil
@@ -152,7 +127,10 @@ func (p *worldPool) put(w *World) {
 	// Handler/expansion scratch: keep the backing arrays, drop the
 	// pointers they hold so pooled shells never pin dead state.
 	w.scratchEnv = worldEnv{produced: clearCap(w.scratchEnv.produced)}
-	w.actScratch = clearCap(w.actScratch)
+	// Enumerations zero what they stop using (see enabled), so only the
+	// actions of the last one are live.
+	clear(w.actScratch)
+	w.actScratch = w.actScratch[:0]
 	w.conseqScratch = clearCap(w.conseqScratch)
 	p.shells.Put(w)
 }

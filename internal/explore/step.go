@@ -140,14 +140,14 @@ func (w *World) carryVerdict(prior *World, props []Property) {
 		!slices.Equal(w.Nodes(), prior.Nodes()) {
 		return
 	}
-	for _, id := range w.Nodes() {
-		if w.Down[id] != prior.Down[id] {
+	for i := range w.slots {
+		if w.slots[i].down != prior.slots[i].down {
 			return
 		}
 	}
-	for _, id := range w.Nodes() {
-		if old := prior.Services[id]; !sameService(w.Services[id], old) {
-			s.add(stepTouch{id, old})
+	for i := range w.slots {
+		if old := prior.slots[i].svc; !sameService(w.slots[i].svc, old) {
+			s.add(stepTouch{w.nodeOrder[i], old})
 		}
 	}
 	s.known, s.carried = true, true

@@ -15,7 +15,7 @@ func atMostOne(name string, pred func(sm.Service) bool) Property {
 	others := func(w *World, but NodeID) int {
 		n := 0
 		for _, id := range w.Nodes() {
-			if id != but && pred(w.Services[id]) {
+			if id != but && pred(w.Service(id)) {
 				n++
 			}
 		}
@@ -25,7 +25,7 @@ func atMostOne(name string, pred func(sm.Service) bool) Property {
 		Name:  name,
 		Check: func(w *World) bool { return others(w, -1) <= 1 },
 		Step: func(w *World, id NodeID, prev sm.Service) bool {
-			return !pred(w.Services[id]) || pred(prev) || others(w, id) == 0
+			return !pred(w.Service(id)) || pred(prev) || others(w, id) == 0
 		},
 	}
 }
@@ -34,7 +34,7 @@ func atMostOne(name string, pred func(sm.Service) bool) Property {
 // reads the touched node's down flag, which a crash flips without writing
 // a service: the verdict stays exact only because SetDown drops the delta.
 func staysUp(name string, pred func(sm.Service) bool) Property {
-	downAnd := func(w *World, id NodeID) bool { return w.Down[id] && pred(w.Services[id]) }
+	downAnd := func(w *World, id NodeID) bool { return w.IsDown(id) && pred(w.Service(id)) }
 	return Property{
 		Name: name,
 		Check: func(w *World) bool {
@@ -142,7 +142,7 @@ func TestDownFlipForcesCheck(t *testing.T) {
 func rebuilt(w *World) *World {
 	c := NewWorld(FirstPolicy, w.Seed+1)
 	for _, id := range w.Nodes() {
-		c.AddNode(id, w.Services[id].Clone())
+		c.AddNode(id, w.Service(id).Clone())
 	}
 	return c
 }
@@ -170,7 +170,7 @@ func TestPriorCarriesRootVerdict(t *testing.T) {
 	// One delivery later, every service re-cloned: the root is decided by
 	// one Step per node, every deeper state by a Step of its own.
 	second := rebuilt(first)
-	second.Services[0].(*relay).counter++
+	second.Service(0).(*relay).counter++
 	second.InjectMessage(&sm.Msg{Src: 0, Dst: 1, Kind: "ping", Body: 0})
 	if carried, full := root(first, props, second); carried != 1 || full != 0 {
 		t.Fatalf("second root: %d carried, %d full checks; want it carried", carried, full)
@@ -178,7 +178,7 @@ func TestPriorCarriesRootVerdict(t *testing.T) {
 	// second now holds one relayed node and its exploration found the
 	// second: a violating run, but the root itself passed, so it carries.
 	third := rebuilt(second)
-	third.Services[1].(*relay).counter++
+	third.Service(1).(*relay).counter++
 	if carried, full := root(second, props, third); carried != 1 || full != 0 {
 		t.Fatalf("third root: %d carried, %d full checks; want it carried", carried, full)
 	}
@@ -187,7 +187,7 @@ func TestPriorCarriesRootVerdict(t *testing.T) {
 		t.Fatalf("root after a failing one: %d carried, %d full checks; want a full check", carried, full)
 	}
 	down := rebuilt(first)
-	down.Down[3] = true
+	down.SetDown(3, true)
 	if carried, full := root(first, props, down); carried != 0 || full != 1 {
 		t.Fatalf("root with another node down: %d carried, %d full checks; want a full check", carried, full)
 	}
@@ -214,7 +214,7 @@ func TestForkOfUncheckedStepIsUnknown(t *testing.T) {
 	x.Explore(w)
 	stepped := w.Clone()
 	stepped.DeliverMessage(0)
-	if s := stepped.step; !s.known || len(s.touched) != 1 || s.touched[0].prev != w.Services[0] {
+	if s := stepped.step; !s.known || len(s.touched) != 1 || s.touched[0].prev != w.Service(0) {
 		t.Fatalf("a fork's first step records %+v, want node 0 forked from the start world's service", s)
 	}
 	if f := stepped.Clone(); f.step.known {

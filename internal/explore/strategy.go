@@ -206,9 +206,9 @@ func (BFS) Expand(x *Explorer, ctx *Ctx, u Unit, r *Report) []Unit {
 func fanOut(x *Explorer, ctx *Ctx, u Unit, r *Report) []Unit {
 	w := u.World
 	// The unit's world is dead once its successors have forked it (or
-	// once the state proves terminal): successors copy the outer maps and
-	// share inner state copy-on-write, so the shell and every container
-	// still marked owned after the forks return to the free-list. The
+	// once the state proves terminal): successors share its slots and
+	// inner state copy-on-write, so only the shell — the forks sealed
+	// every ownership mark — returns to the free-list. The
 	// unit's trace handle dies with it — successors took child references
 	// on the spine, so the prefix outlives the handle exactly as long as
 	// any successor is pending.

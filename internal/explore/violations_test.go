@@ -100,7 +100,7 @@ func TestViolationClassesStableAcrossWorkers(t *testing.T) {
 			Check: func(w *World) bool {
 				total := 0
 				for _, id := range w.Nodes() {
-					total += w.Services[id].(*relay).counter
+					total += w.Service(id).(*relay).counter
 				}
 				return total < 2
 			},

@@ -70,17 +70,18 @@ func Locked(p ChoicePolicy) ChoicePolicy {
 	}
 }
 
-// World is a global state the explorer can fork and evolve. A World owns
-// its services — constructing one must hand it clones, never live service
-// state — or is frozen and borrows immutable ones: a frozen world never
-// writes a service in place (ownService clones first), so it may hold, by
-// reference, states their owner promises never to mutate. The predictive
-// model's standing world is built that way (ForkWith, Patch).
+// World is a global state the explorer can fork and evolve. Per-node
+// state — service, pending timers, down flag — lives in one slot per node,
+// read through Service, PendingTimers/TimerPending and IsDown and written
+// through AddNode, ReplaceService, SetTimerPending, SetDown and the
+// handlers the world runs. A World owns its services — constructing one
+// must hand it clones, never live service state — or is frozen and borrows
+// immutable ones: a frozen world never writes a service in place
+// (ownService clones first), so it may hold, by reference, states their
+// owner promises never to mutate. The predictive model's standing world is
+// built that way (ForkWith, Patch).
 type World struct {
-	Services map[NodeID]sm.Service
 	Inflight []*sm.Msg
-	Timers   map[NodeID]map[string]bool
-	Down     map[NodeID]bool
 	Now      time.Duration
 	Policy   ChoicePolicy
 	Seed     int64
@@ -114,19 +115,22 @@ type World struct {
 	partitioned map[pairKey]bool
 	partOwned   bool
 
+	// slots holds one nodeSlot per node: slot i is node nodeOrder[i].
+	slots []nodeSlot
+	// nodeOrder is the ascending node IDs. Only AddNode replaces it; the
+	// slice is never written once built and is shared by forks.
+	nodeOrder []NodeID
+
 	// Copy-on-write bookkeeping. A world forked with Clone shares
-	// everything with its parent — the three outer maps (Services,
-	// Timers, Down) as whole maps, plus the individual services, per-node
-	// timer sets, and the in-flight slice — until either side writes.
-	// The own*Map flags record which outer maps this world has copied
-	// for itself; the owned* sets record which inner pieces. cow == false
+	// everything with its parent — the slot slice, and through it the
+	// individual services and per-node timer sets, plus the in-flight
+	// slice — until either side writes. slotsOwned records that this world
+	// copied the slot slice for itself (ownSlots); a slot's svcOwned and
+	// timersOwned bits record which inner pieces it copied, and count only
+	// while slotsOwned holds and the world is not sealed. cow == false
 	// means the world was never forked and owns everything outright.
 	cow           bool
-	svcMapOwned   bool
-	timerMapOwned bool
-	downMapOwned  bool
-	ownedSvc      map[NodeID]bool
-	ownedTimers   map[NodeID]bool
+	slotsOwned    bool
 	inflightOwned bool
 	// sealed records that the containers this world's marks cover were
 	// shared with at least one fork (Freeze). The marks survive as a
@@ -150,19 +154,10 @@ type World struct {
 
 	// Spare containers carried by recycled shells (see worldPool.put):
 	// the copy-on-write hooks consume them instead of allocating.
-	spareSvcMap      map[NodeID]sm.Service
-	spareTimerMap    map[NodeID]map[string]bool
-	spareDownMap     map[NodeID]bool
-	spareInflight    []*sm.Msg
-	spareHashes      []uint64
-	spareTimerSets   []map[string]bool
-	spareOwnedSvc    map[NodeID]bool
-	spareOwnedTimers map[NodeID]bool
-	sparePartitions  map[pairKey]bool
-
-	// nodeOrder caches the sorted node IDs (invalidated only by AddNode).
-	// The slice is immutable once built and shared by forks.
-	nodeOrder []NodeID
+	spareSlots      []nodeSlot
+	spareInflight   []*sm.Msg
+	spareTimerSets  []map[string]bool
+	sparePartitions map[pairKey]bool
 
 	// Per-world scratch reused across handler executions and action
 	// enumerations on this world. Never shared: cloneInto leaves the
@@ -172,38 +167,46 @@ type World struct {
 	// chain/expansion frame at a time — recursion always moves to a
 	// fork — which is what makes single-buffer reuse safe.
 	scratchEnv    worldEnv  // handler invocation env + produced buffer
-	actScratch    []Action  // enabled() or faultActions() result
+	actScratch    []Action  // enabled() or faultActions() result; zero past len
 	conseqScratch []*sm.Msg // consequences() result
-	spareDirty    []NodeID  // reclaimed digest dirty-list backing
+	spareDirty    []int     // reclaimed digest dirty-list backing
 
-	// dig is the maintained state digest (see Digest). Forks copy it and
-	// share the per-node component map copy-on-write.
+	// dig is the maintained state digest (see Digest). Forks copy it; the
+	// per-node components it sums live in the slots.
 	dig worldDigest
 
 	// step is the service delta since the last checked state (step.go).
 	step stepRecord
 }
 
+// nodeSlot is one node's state in a world.
+type nodeSlot struct {
+	svc sm.Service
+	// timers is the set of pending timer names; nil when none ever was.
+	timers map[string]bool
+	// hash is the node's finalized digest component, current while the
+	// world's digest is valid and the slot is not on its dirty list.
+	hash uint64
+	down bool
+	// svcOwned and timersOwned record that this world copied svc or timers
+	// for itself; they count only while the world's slotsOwned holds and it
+	// is not sealed (see World.unseal).
+	svcOwned, timersOwned bool
+}
+
 // worldDigest is the incrementally maintained world digest: a finalized
-// component hash per node (service digest + down flag + timer set) combined
-// as an order-independent sum, plus a commutative multiset hash over the
-// in-flight messages. COW write hooks record changed nodes in dirty; the
-// next Digest call recomputes only those components. inflightSum is updated
-// eagerly in O(1) on inject/remove/absorb.
+// component hash per node (service digest + down flag + timer set, kept in
+// the node's slot) combined as an order-independent sum, plus a
+// commutative multiset hash over the in-flight messages. COW write hooks
+// record changed slots in dirty; the next Digest call recomputes only
+// those components. inflightSum is updated eagerly in O(1) on
+// inject/remove/absorb.
 type worldDigest struct {
-	valid bool
-	// idx maps node IDs to slots in hashes. It is immutable once built
-	// (AddNode invalidates the whole digest) and therefore shared freely
-	// across forks.
-	idx map[NodeID]int
-	// hashes holds the finalized per-node component hashes, shared with
-	// forks copy-on-write: hashOwned says this world may write in place.
-	hashes      []uint64
-	hashOwned   bool
-	nodeSum     uint64   // sum over hashes
-	inflightSum uint64   // sum of finalized in-flight msg digests
-	partSum     uint64   // sum of finalized partitioned-pair hashes
-	dirty       []NodeID // components to recompute on next Digest
+	valid       bool
+	nodeSum     uint64 // sum over the slots' hashes
+	inflightSum uint64 // sum of finalized in-flight msg digests
+	partSum     uint64 // sum of finalized partitioned-pair hashes
+	dirty       []int  // slots to recompute on next Digest
 }
 
 // pairKey is an unordered node pair, normalized low-high.
@@ -230,45 +233,92 @@ func NewWorld(policy ChoicePolicy, seed int64) *World {
 	if policy == nil {
 		policy = FirstPolicy
 	}
-	return &World{
-		Services: make(map[NodeID]sm.Service),
-		Timers:   make(map[NodeID]map[string]bool),
-		Down:     make(map[NodeID]bool),
-		Policy:   policy,
-		Seed:     seed,
-	}
+	return &World{Policy: policy, Seed: seed}
 }
 
 // AddNode installs svc (which must already be a clone owned by the world)
-// as node id's state.
+// as node id's state, keeping the slots in ascending ID order. Membership
+// is setup-time: the node order is rebuilt and the digest recomputed from
+// scratch on its next call.
 func (w *World) AddNode(id NodeID, svc sm.Service) {
-	w.ownServicesMap()
-	w.Services[id] = svc
-	if w.Timers[id] == nil {
-		w.ownTimersMap()
-		w.Timers[id] = make(map[string]bool)
+	w.ownSlots()
+	i, found := slices.BinarySearch(w.nodeOrder, id)
+	if !found {
+		w.slots = slices.Insert(w.slots, i, nodeSlot{})
+		// Forks share the order: insert into a copy, never in place.
+		w.nodeOrder = slices.Insert(slices.Clip(w.nodeOrder), i, id)
 	}
-	w.nodeOrder = nil
+	w.slots[i].svc, w.slots[i].svcOwned = svc, true
 	w.dig = worldDigest{} // membership changed: rebuild on next Digest
 	w.step.forget()
 }
 
-// Clone forks the world copy-on-write: the fork shares the parent's
-// outer maps, service states, per-node timer sets, and in-flight slice,
-// and each side copies a piece only immediately before first writing to
-// it. This makes forking a branch O(1) pointer copies instead of a deep
-// copy of every service — or even of the per-node map shells — which
-// dominates exploration cost. The choice policy is shared (policies are
-// expected to be either stateless or installed fresh per exploration
-// branch via WithPolicy).
+// slotOf returns node id's slot index, or -1 when id is no node of the
+// world. Dense IDs (node i in slot i, the common deployment) resolve
+// without a search.
+func (w *World) slotOf(id NodeID) int {
+	if i := int(id); uint(i) < uint(len(w.nodeOrder)) && w.nodeOrder[i] == id {
+		return i
+	}
+	if i, ok := slices.BinarySearch(w.nodeOrder, id); ok {
+		return i
+	}
+	return -1
+}
+
+// Service returns node id's state, nil when id is no node of the world.
+// The state belongs to the world: callers only read it.
+func (w *World) Service(id NodeID) sm.Service {
+	if i := w.slotOf(id); i >= 0 {
+		return w.slots[i].svc
+	}
+	return nil
+}
+
+// IsDown reports whether node id is crashed inside the world.
+func (w *World) IsDown(id NodeID) bool {
+	i := w.slotOf(id)
+	return i >= 0 && w.slots[i].down
+}
+
+// TimerPending reports whether node id's named timer is pending.
+func (w *World) TimerPending(id NodeID, name string) bool {
+	i := w.slotOf(id)
+	return i >= 0 && w.slots[i].timers[name]
+}
+
+// PendingTimers returns node id's pending timer names, sorted; nil when
+// none is pending.
+func (w *World) PendingTimers(id NodeID) []string {
+	i := w.slotOf(id)
+	if i < 0 {
+		return nil
+	}
+	var names []string
+	for name, on := range w.slots[i].timers {
+		if on {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+// Clone forks the world copy-on-write: the fork shares the parent's slot
+// slice, service states, per-node timer sets, and in-flight slice, and
+// each side copies a piece only immediately before first writing to it.
+// This makes forking a branch O(1) pointer copies instead of a deep copy
+// of every service, which dominates exploration cost. The choice policy is
+// shared (policies are expected to be either stateless or installed fresh
+// per exploration branch via WithPolicy).
 func (w *World) Clone() *World {
 	return w.cloneInto(&World{})
 }
 
 // fork is Clone for the exploration engine: the fork's shell — the
-// *World plus its outer maps and copy-on-write spare containers — comes
-// from the free-list of dead worlds when one is available
-// (EXPERIMENTS.md E15 measured what recycling buys).
+// *World plus its copy-on-write spare containers — comes from the
+// free-list of dead worlds when one is available (EXPERIMENTS.md E15
+// measured what recycling buys).
 func (w *World) fork() *World {
 	c := sharedWorldPool.get()
 	if c == nil {
@@ -280,11 +330,12 @@ func (w *World) fork() *World {
 // ForkWith returns a fork of w in which node id holds svc, a state the
 // fork owns. It is how a standing world is used: w is frozen and digested,
 // lives as long as what it models, and every world handed out is a
-// ForkWith of it. The fork leaves with its own Services map and component
-// hashes — the two containers replacing a service writes — so nothing that
-// reaches it reaches w's, which is what lets Patch write both in place
-// while forks are alive; everything else of w is shared and immutable.
-// Seed, Policy, Now and the recovery hooks are the caller's to set.
+// ForkWith of it. The fork leaves with its own slot slice — the container
+// replacing a service and its digest component writes — so nothing that
+// reaches it reaches w's, which is what lets Patch write w's slots in
+// place while forks are alive; everything else of w is shared and
+// immutable. Seed, Policy, Now and the recovery hooks are the caller's to
+// set.
 func (w *World) ForkWith(id NodeID, svc sm.Service) *World {
 	w.rehashDirty()
 	c := w.fork()
@@ -297,22 +348,25 @@ func (w *World) ForkWith(id NodeID, svc sm.Service) *World {
 // place and in O(1): the node's digest component is recomputed by the next
 // ForkWith. The node must exist, and svc must never be written again.
 //
-//crystalvet:cowwrite a standing world's Services map is shared with no fork: ForkWith copies it before returning one
+//crystalvet:cowwrite a standing world's slots are shared with no fork: ForkWith's fork copies them before it is returned
 func (w *World) Patch(id NodeID, svc sm.Service) {
-	w.markDigestDirty(id)
-	w.Services[id] = svc
+	i := w.slotOf(id)
+	if i < 0 {
+		return
+	}
+	w.markDigestDirty(i)
+	w.slots[i].svc = svc
 }
 
 // cloneInto fills c — an empty shell, possibly carrying recycled spare
-// containers — as a copy-on-write fork of w. Every container, the outer
-// maps included, is shared by pointer; the own* hooks copy on first
+// containers — as a copy-on-write fork of w. Every container, the slot
+// slice included, is shared by pointer; the own* hooks copy on first
 // write.
 //
 //crystalvet:cowwrite initializes a fresh fork shell: c has no sharers yet, and sharing the parent's containers is the point
 func (w *World) cloneInto(c *World) *World {
-	c.Services = w.Services
-	c.Timers = w.Timers
-	c.Down = w.Down
+	c.slots = w.slots
+	c.nodeOrder = w.nodeOrder
 	c.Inflight = w.Inflight // shared; messages are immutable once in flight
 	c.Now = w.Now
 	c.Policy = w.Policy
@@ -323,7 +377,6 @@ func (w *World) cloneInto(c *World) *World {
 	c.Initial = w.Initial
 	c.cow = true
 	c.partitioned = w.partitioned // shared; forked before first write
-	c.nodeOrder = w.nodeOrder
 	c.adoptDigest(&w.dig)
 	c.step.inherit(&w.step)
 	// The parent now shares state with the fork, so it must also fork
@@ -342,18 +395,15 @@ func (w *World) owning() bool {
 	if w.sealed {
 		return false
 	}
-	return w.svcMapOwned || w.timerMapOwned || w.downMapOwned ||
-		len(w.ownedSvc) > 0 || len(w.ownedTimers) > 0 ||
-		w.inflightOwned || w.partOwned || w.dig.hashOwned
+	return w.slotsOwned || w.inflightOwned || w.partOwned
 }
 
 // adoptDigest copies the parent's maintained digest into the fork. The
-// per-node component map is shared copy-on-write; a pending dirty list is
+// per-node components are shared with the slots; a pending dirty list is
 // duplicated (into the shell's reclaimed backing when it fits) so sibling
 // appends cannot clobber each other's entries.
 func (c *World) adoptDigest(d *worldDigest) {
 	c.dig = *d
-	c.dig.hashOwned = false
 	switch {
 	case len(d.dirty) == 0:
 		c.dig.dirty = nil
@@ -361,7 +411,7 @@ func (c *World) adoptDigest(d *worldDigest) {
 		c.dig.dirty = append(c.spareDirty[:0], d.dirty...)
 		c.spareDirty = nil
 	default:
-		c.dig.dirty = append(make([]NodeID, 0, len(d.dirty)), d.dirty...)
+		c.dig.dirty = append(make([]int, 0, len(d.dirty)), d.dirty...)
 	}
 }
 
@@ -389,100 +439,41 @@ func (w *World) Freeze() {
 // turns back into reclaimable ownership.
 func (w *World) unseal() {
 	w.sealed = false
-	w.svcMapOwned = false
-	w.timerMapOwned = false
-	w.downMapOwned = false
-	w.ownedSvc = nil
-	w.ownedTimers = nil
+	w.slotsOwned = false
 	w.inflightOwned = false
 	w.partOwned = false
-	w.dig.hashOwned = false
 }
 
-// ownServicesMap copies the shared outer Services map before the first
-// write of a service pointer into it, reusing the shell's spare.
-func (w *World) ownServicesMap() {
+// ownSlots copies the shared slot slice before the first write into it —
+// one copy of n slots into the shell's spare when it fits — with every
+// owned bit cleared: the copy shares each service and timer set with the
+// world it was forked from.
+func (w *World) ownSlots() {
 	if w.sealed {
 		w.unseal()
 	}
-	if !w.cow || w.svcMapOwned {
+	if !w.cow || w.slotsOwned {
 		return
 	}
-	cp := w.spareSvcMap
-	w.spareSvcMap = nil
-	if cp == nil {
-		cp = make(map[NodeID]sm.Service, len(w.Services))
+	n := len(w.slots)
+	cp := w.spareSlots[:0]
+	w.spareSlots = nil
+	if cap(cp) < n {
+		cp = make([]nodeSlot, n)
 	}
-	for id, svc := range w.Services {
-		cp[id] = svc
+	cp = cp[:n]
+	copy(cp, w.slots)
+	for i := range cp {
+		cp[i].svcOwned, cp[i].timersOwned = false, false
 	}
-	w.Services = cp
-	w.svcMapOwned = true
+	w.slots = cp
+	w.slotsOwned = true
 }
 
-// ownTimersMap is ownServicesMap for the outer per-node timer-set map.
-func (w *World) ownTimersMap() {
-	if w.sealed {
-		w.unseal()
-	}
-	if !w.cow || w.timerMapOwned {
-		return
-	}
-	cp := w.spareTimerMap
-	w.spareTimerMap = nil
-	if cp == nil {
-		cp = make(map[NodeID]map[string]bool, len(w.Timers))
-	}
-	for id, set := range w.Timers {
-		cp[id] = set
-	}
-	w.Timers = cp
-	w.timerMapOwned = true
-}
-
-// ownDownMap is ownServicesMap for the outer down-flag map.
-func (w *World) ownDownMap() {
-	if w.sealed {
-		w.unseal()
-	}
-	if !w.cow || w.downMapOwned {
-		return
-	}
-	cp := w.spareDownMap
-	w.spareDownMap = nil
-	if cp == nil {
-		cp = make(map[NodeID]bool, len(w.Down))
-	}
-	for id, v := range w.Down {
-		cp[id] = v
-	}
-	w.Down = cp
-	w.downMapOwned = true
-}
-
-// markOwnedSvc records node id's service as this world's own copy,
-// reusing the shell's spare bookkeeping map when one is attached.
-func (w *World) markOwnedSvc(id NodeID) {
-	if w.ownedSvc == nil {
-		if w.spareOwnedSvc != nil {
-			w.ownedSvc, w.spareOwnedSvc = w.spareOwnedSvc, nil
-		} else {
-			w.ownedSvc = make(map[NodeID]bool)
-		}
-	}
-	w.ownedSvc[id] = true
-}
-
-// markOwnedTimers is markOwnedSvc for per-node timer sets.
-func (w *World) markOwnedTimers(id NodeID) {
-	if w.ownedTimers == nil {
-		if w.spareOwnedTimers != nil {
-			w.ownedTimers, w.spareOwnedTimers = w.spareOwnedTimers, nil
-		} else {
-			w.ownedTimers = make(map[NodeID]bool)
-		}
-	}
-	w.ownedTimers[id] = true
+// owns reports whether the world may write the piece a slot's owned bit
+// covers in place. The caller has unsealed the world.
+func (w *World) owns(bit bool) bool {
+	return !w.cow || (w.slotsOwned && bit)
 }
 
 // newTimerSet returns an empty per-node timer set, recycled from the
@@ -501,30 +492,30 @@ func (w *World) newTimerSet(capHint int) map[string]bool {
 // shared with another world. Callers about to execute a handler (which
 // mutates the service) must go through it.
 func (w *World) ownService(id NodeID) sm.Service {
-	svc := w.Services[id]
-	if svc == nil {
+	i := w.slotOf(id)
+	if i < 0 || w.slots[i].svc == nil {
 		return nil
 	}
-	w.markDigestDirty(id) // caller is about to mutate the service
+	svc := w.slots[i].svc
+	w.markDigestDirty(i) // caller is about to mutate the service
 	if w.sealed {
 		w.unseal()
 	}
-	if !w.cow || w.ownedSvc[id] {
+	if w.owns(w.slots[i].svcOwned) {
 		w.step.wroteInPlace(id)
 		return svc
 	}
 	cl := svc.Clone()
 	if sameService(cl, svc) {
 		// Self-cloning service: by returning itself, Clone declares the
-		// service holds no per-world state worth isolating, so the map
-		// write below would be a no-op. Skip the outer-map fork and the
+		// service holds no per-world state worth isolating, so the slot
+		// write below would be a no-op. Skip the slot copy and the
 		// ownership mark entirely — stateless nodes cost nothing to own,
 		// and have nothing a property's Step could find changed.
 		return svc
 	}
-	w.ownServicesMap()
-	w.Services[id] = cl
-	w.markOwnedSvc(id)
+	w.ownSlots()
+	w.slots[i].svc, w.slots[i].svcOwned = cl, true
 	// svc is sealed — it is shared with the world this one was forked
 	// from — so it stays the pre-image of whatever the caller writes.
 	w.step.cloned(id, svc)
@@ -541,33 +532,23 @@ func sameService(a, b sm.Service) bool {
 	return *(*[2]uintptr)(unsafe.Pointer(&a)) == *(*[2]uintptr)(unsafe.Pointer(&b))
 }
 
-// ownTimers returns node id's timer set ready for mutation, forking a
+// ownTimers returns slot i's timer set ready for mutation, forking a
 // shared set and materializing a missing one.
-func (w *World) ownTimers(id NodeID) map[string]bool {
-	w.markDigestDirty(id) // caller is about to mutate the timer set
+func (w *World) ownTimers(i int) map[string]bool {
+	w.markDigestDirty(i) // caller is about to mutate the timer set
 	if w.sealed {
 		w.unseal()
 	}
-	set := w.Timers[id]
-	if set == nil {
-		set = w.newTimerSet(4)
-		w.ownTimersMap()
-		w.Timers[id] = set
-		if w.cow {
-			w.markOwnedTimers(id)
-		}
+	set := w.slots[i].timers
+	if set != nil && w.owns(w.slots[i].timersOwned) {
 		return set
 	}
-	if !w.cow || w.ownedTimers[id] {
-		return set
-	}
-	cp := w.newTimerSet(len(set))
+	cp := w.newTimerSet(max(len(set), 4))
 	for k, v := range set {
 		cp[k] = v
 	}
-	w.ownTimersMap()
-	w.Timers[id] = cp
-	w.markOwnedTimers(id)
+	w.ownSlots()
+	w.slots[i].timers, w.slots[i].timersOwned = cp, true
 	return cp
 }
 
@@ -736,23 +717,18 @@ func (w *World) Partitioned() bool { return len(w.partitioned) > 0 }
 // the node is down the explorer never delivers them, and delivery attempts
 // drop them, matching the live transport's down-endpoint behavior.
 func (w *World) Crash(id NodeID) {
-	if w.Down[id] {
-		return
-	}
-	if _, ok := w.Services[id]; !ok {
+	i := w.slotOf(id)
+	if i < 0 || w.slots[i].down {
 		return
 	}
 	w.SetDown(id, true)
-	if len(w.Timers[id]) > 0 {
-		// Install a fresh empty set rather than copy-on-write forking the
-		// shared one just to clear it (crash is enumerated per live node
-		// on the fault-branching hot path).
-		w.markDigestDirty(id)
-		w.ownTimersMap()
-		w.Timers[id] = w.newTimerSet(0)
-		if w.cow {
-			w.markOwnedTimers(id)
-		}
+	if len(w.slots[i].timers) > 0 {
+		// Drop the set rather than copy-on-write forking the shared one
+		// just to clear it (crash is enumerated per live node on the
+		// fault-branching hot path).
+		w.markDigestDirty(i)
+		w.ownSlots()
+		w.slots[i].timers, w.slots[i].timersOwned = nil, false
 	}
 }
 
@@ -791,15 +767,13 @@ func (w *World) recoveryState(id NodeID) sm.Service {
 // world) as node id's state, keeping the maintained digest coherent. The
 // node must exist; use AddNode for new membership.
 func (w *World) ReplaceService(id NodeID, svc sm.Service) {
-	if _, ok := w.Services[id]; !ok {
+	i := w.slotOf(id)
+	if i < 0 {
 		return
 	}
-	w.markDigestDirty(id)
-	w.ownServicesMap()
-	w.Services[id] = svc
-	if w.cow {
-		w.markOwnedSvc(id)
-	}
+	w.markDigestDirty(i)
+	w.ownSlots()
+	w.slots[i].svc, w.slots[i].svcOwned = svc, true
 	w.step.forget() // no pre-image: the old service may be unrelated state
 }
 
@@ -810,7 +784,7 @@ func (w *World) ReplaceService(id NodeID, svc sm.Service) {
 // Initial hooks, keeping the pre-crash state when neither yields one. The
 // messages Init produced are returned as the recovery's consequences.
 func (w *World) Recover(id NodeID, svc sm.Service) []*sm.Msg {
-	if !w.Down[id] {
+	if !w.IsDown(id) {
 		return nil
 	}
 	if svc == nil {
@@ -876,44 +850,35 @@ func (w *World) WithPolicy(p ChoicePolicy) *World {
 	return w
 }
 
-// Nodes returns the world's node IDs in ascending order. The returned
-// slice is the world's cached node order, shared across forks: callers
-// must treat it as read-only.
-func (w *World) Nodes() []NodeID {
-	if w.nodeOrder == nil || len(w.nodeOrder) != len(w.Services) {
-		ids := make([]NodeID, 0, len(w.Services))
-		for id := range w.Services {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		w.nodeOrder = ids
-	}
-	return w.nodeOrder
-}
+// Nodes returns the world's node IDs in ascending order: the world's
+// maintained node order, shared across forks, so callers must treat it
+// as read-only.
+func (w *World) Nodes() []NodeID { return w.nodeOrder }
 
 // SetDown marks node id as crashed (or revived), keeping the maintained
-// digest coherent. Writes to the Down map after the world has been
-// digested must go through it; setup code that has not digested yet may
-// keep writing Down directly. A property's Step may read down flags, and a
-// flip is no service write it is called for: the delta since the last
-// checked state becomes unknown.
+// digest coherent; it is a no-op for an id that is no node. A property's
+// Step may read down flags, and a flip is no service write it is called
+// for: the delta since the last checked state becomes unknown.
 func (w *World) SetDown(id NodeID, down bool) {
-	if w.Down[id] == down {
+	i := w.slotOf(id)
+	if i < 0 || w.slots[i].down == down {
 		return
 	}
-	w.ownDownMap()
-	w.Down[id] = down
-	w.markDigestDirty(id)
+	w.ownSlots()
+	w.slots[i].down = down
+	w.markDigestDirty(i)
 	w.step.forget()
 }
 
 // SetTimerPending marks node id's named timer as pending without executing
-// anything, e.g. the triggering timer event of a lookahead.
+// anything, e.g. the triggering timer event of a lookahead. It is a no-op
+// for an id that is no node.
 func (w *World) SetTimerPending(id NodeID, name string) {
-	if w.Timers[id][name] {
+	i := w.slotOf(id)
+	if i < 0 || w.slots[i].timers[name] {
 		return
 	}
-	w.ownTimers(id)[name] = true
+	w.ownTimers(i)[name] = true
 }
 
 // Digest returns a stable hash of the entire world, used for state
@@ -942,8 +907,8 @@ func (w *World) Digest() uint64 {
 // to; the engine itself deduplicates on Digest (EXPERIMENTS.md E12).
 func (w *World) DigestFull() uint64 {
 	var nodeSum uint64
-	for id := range w.Services {
-		nodeSum += w.nodeComponent(id)
+	for i := range w.slots {
+		nodeSum += w.nodeComponent(i)
 	}
 	var inflightSum uint64
 	for _, m := range w.Inflight {
@@ -960,7 +925,7 @@ func (w *World) DigestFull() uint64 {
 // into the final world hash.
 func (w *World) combineDigest(nodeSum, inflightSum, partSum uint64) uint64 {
 	h := sm.GetHasher()
-	h.WriteInt(int64(len(w.Services))).WriteUint(nodeSum)
+	h.WriteInt(int64(len(w.slots))).WriteUint(nodeSum)
 	h.WriteInt(int64(len(w.Inflight))).WriteUint(inflightSum)
 	h.WriteInt(int64(len(w.partitioned))).WriteUint(partSum)
 	d := h.Sum()
@@ -968,17 +933,18 @@ func (w *World) combineDigest(nodeSum, inflightSum, partSum uint64) uint64 {
 	return d
 }
 
-// nodeComponent hashes one node's digest component: identity, service
+// nodeComponent hashes slot i's digest component: node identity, service
 // state, down flag, and pending timer set, finalized for commutative
 // combination.
-func (w *World) nodeComponent(id NodeID) uint64 {
+func (w *World) nodeComponent(i int) uint64 {
+	s := &w.slots[i]
 	h := sm.GetHasher()
-	h.WriteNode(id)
-	h.WriteUint(w.Services[id].Digest())
-	h.WriteBool(w.Down[id])
+	h.WriteNode(w.nodeOrder[i])
+	h.WriteUint(s.svc.Digest())
+	h.WriteBool(s.down)
 	np := borrowNames()
 	names := (*np)[:0]
-	for name, on := range w.Timers[id] {
+	for name, on := range s.timers {
 		if on {
 			names = append(names, name)
 		}
@@ -995,21 +961,15 @@ func (w *World) nodeComponent(id NodeID) uint64 {
 	return d
 }
 
-// markDigestDirty records that node id's digest component is stale. No-op
+// markDigestDirty records that slot i's digest component is stale. No-op
 // until the world has been digested once (setup code mutates freely; the
 // first Digest call builds the caches from scratch).
-func (w *World) markDigestDirty(id NodeID) {
+func (w *World) markDigestDirty(i int) {
 	if !w.dig.valid {
 		return
 	}
-	if _, ok := w.dig.idx[id]; !ok {
-		// Not a digested node (no Services entry — AddNode invalidates
-		// the whole digest, so idx mirrors membership): the digest
-		// ignores its timers and down flag, exactly as DigestFull does.
-		return
-	}
 	for _, d := range w.dig.dirty {
-		if d == id {
+		if d == i {
 			return
 		}
 	}
@@ -1019,20 +979,17 @@ func (w *World) markDigestDirty(id NodeID) {
 		w.dig.dirty = w.spareDirty[:0]
 		w.spareDirty = nil
 	}
-	w.dig.dirty = append(w.dig.dirty, id)
+	w.dig.dirty = append(w.dig.dirty, i)
 }
 
 // rebuildDigest computes the maintained digest from scratch — the first
 // Digest call on a world that was not forked from an already-digested one.
 func (w *World) rebuildDigest() {
-	order := w.Nodes()
-	idx := make(map[NodeID]int, len(order))
-	hashes := make([]uint64, len(order))
+	w.ownSlots()
 	var nodeSum uint64
-	for i, id := range order {
-		d := w.nodeComponent(id)
-		idx[id] = i
-		hashes[i] = d
+	for i := range w.slots {
+		d := w.nodeComponent(i)
+		w.slots[i].hash = d
 		nodeSum += d
 	}
 	var inflightSum uint64
@@ -1043,41 +1000,26 @@ func (w *World) rebuildDigest() {
 	for k := range w.partitioned {
 		partSum += pairHash(k)
 	}
-	w.dig = worldDigest{valid: true, idx: idx, hashes: hashes, hashOwned: true,
-		nodeSum: nodeSum, inflightSum: inflightSum, partSum: partSum}
+	w.dig = worldDigest{valid: true, nodeSum: nodeSum, inflightSum: inflightSum, partSum: partSum}
 }
 
 // flushDigestDirty re-hashes the components the COW hooks invalidated,
 // adjusting the commutative node sum by the difference.
 func (w *World) flushDigestDirty() {
-	if w.sealed {
-		w.unseal()
-	}
-	if !w.dig.hashOwned {
-		// Copy the shared component array before writing, reusing the
-		// shell's spare scratch when it fits.
-		if cap(w.spareHashes) >= len(w.dig.hashes) {
-			cp := w.spareHashes[:len(w.dig.hashes)]
-			w.spareHashes = nil
-			copy(cp, w.dig.hashes)
-			w.dig.hashes = cp
-		} else {
-			w.dig.hashes = append([]uint64(nil), w.dig.hashes...)
-		}
-		w.dig.hashOwned = true
-	}
+	w.ownSlots()
 	w.rehashDirty()
 }
 
-// rehashDirty is flushDigestDirty's loop, writing the component array in
-// place: for a world that owns it, or — a standing world — shares it with
-// no fork.
+// rehashDirty is flushDigestDirty's loop, writing the slots' components
+// in place: for a world that owns its slots, or — a standing world —
+// shares them with no fork.
+//
+//crystalvet:cowwrite writes digest components only; flushDigestDirty owns the slots first, and a standing world's are shared with no fork (see ForkWith)
 func (w *World) rehashDirty() {
-	for _, id := range w.dig.dirty {
-		i := w.dig.idx[id]
-		nh := w.nodeComponent(id)
-		w.dig.nodeSum += nh - w.dig.hashes[i]
-		w.dig.hashes[i] = nh
+	for _, i := range w.dig.dirty {
+		nh := w.nodeComponent(i)
+		w.dig.nodeSum += nh - w.slots[i].hash
+		w.slots[i].hash = nh
 	}
 	w.dig.dirty = w.dig.dirty[:0]
 }
@@ -1113,6 +1055,7 @@ type BodyDigester = sm.BodyDigester
 type worldEnv struct {
 	w         *World
 	id        NodeID
+	slot      int // id's slot in w
 	choiceSeq int
 	produced  []*sm.Msg // messages sent by this invocation
 	logf      func(string, ...any)
@@ -1140,15 +1083,15 @@ func (e *worldEnv) SendDatagram(dst NodeID, kind string, body any, size int) {
 }
 
 func (e *worldEnv) SetTimer(name string, d time.Duration) {
-	if e.w.Timers[e.id][name] {
+	if e.w.slots[e.slot].timers[name] {
 		return // already pending: avoid forking a shared set for a no-op
 	}
-	e.w.ownTimers(e.id)[name] = true
+	e.w.ownTimers(e.slot)[name] = true
 }
 
 func (e *worldEnv) CancelTimer(name string) {
-	if set := e.w.Timers[e.id]; set != nil && set[name] {
-		delete(e.w.ownTimers(e.id), name)
+	if e.w.slots[e.slot].timers[name] {
+		delete(e.w.ownTimers(e.slot), name)
 	}
 }
 
@@ -1174,13 +1117,14 @@ func (e *worldEnv) Choose(c sm.Choice) int {
 }
 
 // handlerEnv readies the world's reusable env scratch for one handler
-// invocation. The env — and the produced slice handler-running methods
-// return — is valid only until the next handler execution on this
-// world; callers that need the messages longer copy them (the explorer
-// snapshots them into the world's consequence scratch immediately).
+// invocation on node id, which must be a node of the world. The env — and
+// the produced slice handler-running methods return — is valid only until
+// the next handler execution on this world; callers that need the
+// messages longer copy them (the explorer snapshots them into the world's
+// consequence scratch immediately).
 func (w *World) handlerEnv(id NodeID) *worldEnv {
 	e := &w.scratchEnv
-	*e = worldEnv{w: w, id: id, produced: e.produced[:0]}
+	*e = worldEnv{w: w, id: id, slot: w.slotOf(id), produced: e.produced[:0]}
 	return e
 }
 
@@ -1191,7 +1135,7 @@ func (w *World) handlerEnv(id NodeID) *worldEnv {
 func (w *World) DeliverMessage(i int) []*sm.Msg {
 	m := w.Inflight[i]
 	w.RemoveInflight(i)
-	if w.Down[m.Dst] || !w.Reachable(m.Src, m.Dst) {
+	if w.IsDown(m.Dst) || !w.Reachable(m.Src, m.Dst) {
 		return nil
 	}
 	svc := w.ownService(m.Dst)
@@ -1208,10 +1152,14 @@ func (w *World) DeliverMessage(i int) []*sm.Msg {
 // flag, and returns the messages produced (valid until the next handler
 // execution on this world; see handlerEnv).
 func (w *World) FireTimer(id NodeID, name string) []*sm.Msg {
-	if set := w.Timers[id]; set != nil && set[name] {
-		delete(w.ownTimers(id), name)
+	i := w.slotOf(id)
+	if i < 0 {
+		return nil
 	}
-	if w.Down[id] {
+	if w.slots[i].timers[name] {
+		delete(w.ownTimers(i), name)
+	}
+	if w.slots[i].down {
 		return nil
 	}
 	svc := w.ownService(id)
@@ -1240,7 +1188,7 @@ func (w *World) InjectMessage(m *sm.Msg) {
 
 func (w *World) absorb(msgs []*sm.Msg) {
 	for _, m := range msgs {
-		if _, ok := w.Services[m.Dst]; !ok && w.Generic == nil {
+		if w.Generic == nil && w.slotOf(m.Dst) < 0 {
 			// Destination outside the modeled neighborhood and no generic
 			// node installed: drop rather than speculate (conservative
 			// under-modeling).

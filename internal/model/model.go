@@ -203,7 +203,7 @@ func (m *StateModel) Update(id NodeID, svc sm.Service, at time.Duration, epoch u
 	if s == nil || id == s.owner {
 		return
 	}
-	if _, modeled := s.w.Services[id]; !modeled {
+	if s.w.Service(id) == nil {
 		m.standing = nil // a new peer, or one that was too stale to model
 		return
 	}

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -160,8 +159,8 @@ func TestBuildWorld(t *testing.T) {
 	m.State.Update(2, &stub{id: 2, val: 8}, time.Second, 1)
 	self := &stub{id: 0, val: 9}
 	w := m.BuildWorld(self, 3*time.Second, explore.FirstPolicy, 11)
-	if len(w.Services) != 3 {
-		t.Fatalf("world has %d nodes, want 3", len(w.Services))
+	if len(w.Nodes()) != 3 {
+		t.Fatalf("world has %d nodes, want 3", len(w.Nodes()))
 	}
 	if w.Now != 3*time.Second {
 		t.Fatalf("world time = %v", w.Now)
@@ -248,10 +247,10 @@ func sameWorld(t *testing.T, what string, n NodeID, got, want *explore.World) {
 		t.Fatalf("%s: seed %d at %v, reference %d at %v", what, got.Seed, got.Now, want.Seed, want.Now)
 	}
 	for _, id := range want.Nodes() {
-		if !maps.Equal(got.Timers[id], want.Timers[id]) || got.Down[id] != want.Down[id] {
-			t.Fatalf("%s: node %v has timers %v down %v, reference %v %v", what, id, got.Timers[id], got.Down[id], want.Timers[id], want.Down[id])
+		if !slices.Equal(got.PendingTimers(id), want.PendingTimers(id)) || got.IsDown(id) != want.IsDown(id) {
+			t.Fatalf("%s: node %v has timers %v down %v, reference %v %v", what, id, got.PendingTimers(id), got.IsDown(id), want.PendingTimers(id), want.IsDown(id))
 		}
-		if got.Services[id].Digest() != want.Services[id].Digest() {
+		if got.Service(id).Digest() != want.Service(id).Digest() {
 			t.Fatalf("%s: node %v holds another state than the reference", what, id)
 		}
 	}
@@ -377,7 +376,7 @@ func TestBuildWorldSelfNotDuplicated(t *testing.T) {
 	m.State.Update(0, &stub{id: 0, val: 1}, time.Second, 1) // stale self entry
 	self := &stub{id: 0, val: 99}
 	w := m.BuildWorld(self, 0, explore.FirstPolicy, 1)
-	if w.Services[0].(*stub).val != 99 {
+	if w.Service(0).(*stub).val != 99 {
 		t.Fatal("stale self checkpoint shadowed the live pre-event state")
 	}
 }
@@ -388,17 +387,17 @@ func TestBuildWorldMaxAgeFilter(t *testing.T) {
 	m.State.Update(1, &stub{id: 1}, 0, 1)                     // age 5s at build: stale
 	m.State.Update(2, &stub{id: 2}, 4500*time.Millisecond, 1) // age 0.5s: fresh
 	w := m.BuildWorld(&stub{id: 0}, 5*time.Second, explore.FirstPolicy, 1)
-	if _, stale := w.Services[1]; stale {
+	if stale := w.Service(1); stale != nil {
 		t.Fatal("stale checkpoint entered the lookahead world")
 	}
-	if _, fresh := w.Services[2]; !fresh {
+	if fresh := w.Service(2); fresh == nil {
 		t.Fatal("fresh checkpoint excluded from the lookahead world")
 	}
 	// Without MaxAge, everything is included.
 	m.MaxAge = 0
 	w = m.BuildWorld(&stub{id: 0}, 5*time.Second, explore.FirstPolicy, 1)
-	if len(w.Services) != 3 {
-		t.Fatalf("unfiltered world has %d nodes, want 3", len(w.Services))
+	if len(w.Nodes()) != 3 {
+		t.Fatalf("unfiltered world has %d nodes, want 3", len(w.Nodes()))
 	}
 }
 

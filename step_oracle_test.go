@@ -33,7 +33,7 @@ func digestClassBound(k int) explore.Property {
 		Name:  "digest-class-bound",
 		Check: func(w *explore.World) bool { return digestClassSize(w) <= k },
 		Step: func(w *explore.World, id sm.NodeID, prev sm.Service) bool {
-			return !inDigestClass(w.Services[id]) || inDigestClass(prev) || digestClassSize(w) <= k
+			return !inDigestClass(w.Service(id)) || inDigestClass(prev) || digestClassSize(w) <= k
 		},
 	}
 }
@@ -42,7 +42,7 @@ func inDigestClass(s sm.Service) bool { return s.Digest()&3 == 0 }
 
 func digestClassSize(w *explore.World) (n int) {
 	for _, id := range w.Nodes() {
-		if inDigestClass(w.Services[id]) {
+		if inDigestClass(w.Service(id)) {
 			n++
 		}
 	}
@@ -56,11 +56,9 @@ func successor(w *explore.World) *explore.World {
 	next := explore.NewWorld(w.Policy, w.Seed+1)
 	next.Generic, next.Initial = w.Generic, w.Initial
 	for _, id := range w.Nodes() {
-		next.AddNode(id, w.Services[id].Clone())
-		for name, on := range w.Timers[id] {
-			if on {
-				next.SetTimerPending(id, name)
-			}
+		next.AddNode(id, w.Service(id).Clone())
+		for _, name := range w.PendingTimers(id) {
+			next.SetTimerPending(id, name)
 		}
 	}
 	for _, m := range w.Inflight {
@@ -223,7 +221,7 @@ func TestRandtreeStepsMatchCheck(t *testing.T) {
 func TestStepMatchesCheckOnConflictingDecision(t *testing.T) {
 	for _, strat := range []explore.Strategy{explore.ChainDFS{}, explore.BFS{}} {
 		w := goldenPaxosWorld()
-		w.Services[0].OnMessage(&benchEnv{}, &sm.Msg{Src: 0, Dst: 0, Kind: paxos.KindLearn,
+		w.Service(0).OnMessage(&benchEnv{}, &sm.Msg{Src: 0, Dst: 0, Kind: paxos.KindLearn,
 			Body: paxos.Learn{Inst: 0, Val: paxos.Cmd{ID: 100, Origin: 0}}})
 		w.InjectMessage(&sm.Msg{Src: 2, Dst: 1, Kind: paxos.KindLearn,
 			Body: paxos.Learn{Inst: 0, Val: paxos.Cmd{ID: 200, Origin: 2}}})
