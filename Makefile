@@ -67,6 +67,9 @@ bench:
 # allocation, at either size. TestTreeStepIndependentOfSize is the same
 # gate for the three randtree properties' Steps: a write to one node makes
 # the same TreeView reads, and no allocation, at 15 and at 255 nodes.
+# TestForkCostIndependentOfTreeSize is the randtree node's fork gate: at
+# every node of a 15- and a 255-node tree, Clone allocates one object (the
+# copy shares the never-written child list) and the digest none.
 # TestLookaheadSteadyStateAllocs is the gate of one whole decision: a
 # steering-shaped paxos lookahead allocates what its handlers allocate
 # plus a fixed few objects and <= 4 KB, the same at MaxStates 128 and
@@ -78,7 +81,7 @@ bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState|TestForkWriteAllocsIndependentOfSize' -count=2 -v
 	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize' -count=2 -v
 	go test ./internal/apps/gossip -run 'TestForkCostIndependentOfUpdates' -count=2 -v
-	go test ./internal/apps/randtree -run 'TestTreeStepIndependentOfSize' -count=2 -v
+	go test ./internal/apps/randtree -run 'TestTreeStepIndependentOfSize|TestForkCostIndependentOfTreeSize' -count=2 -v
 	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned' -count=2 -v
 	go test . -run 'TestLookaheadSteadyStateAllocs' -count=2 -v
 

@@ -16,16 +16,21 @@ import (
 // class PR 8's interposition fixes were.
 //
 // A write to a slot's field (w.slots[i].svc = ...) is a write to the slot
-// slice.
+// slice. The builtins delete, clear and copy write their first argument.
 //
-// A write is accepted when one of:
+// A slot's timer list and its owned bit (w.slots[i].timers,
+// w.slots[i].timersOwned) have one writer, the setTimer hook: owning the
+// slot slice does not make the list it shares writable, so any other write
+// to either is reported, whatever was claimed before it.
 //
-//   - the enclosing function is itself an own* hook (or unseal) on World;
+// Any other write is accepted when one of:
+//
+//   - the enclosing function is itself an own* hook, setTimer or unseal
+//     on World;
 //   - a call to a claiming hook on the same receiver appears earlier in
-//     the function (ownSlots or ownTimers — which returns with the slots
-//     owned — before slots, ownPartitions before the partition relation,
-//     ownInflight before Inflight); ownService claims nothing, since it
-//     leaves a self-cloning service's slots shared;
+//     the function (ownSlots before slots, ownPartitions before the
+//     partition relation, ownInflight before Inflight); ownService and
+//     setTimer claim nothing, since they may leave the slots shared;
 //   - the function's doc comment carries //crystalvet:cowwrite <reason> —
 //     the blessing for the few functions that manage container ownership
 //     by hand (cloneInto, Patch, the pool's put, RemoveInflight).
@@ -45,7 +50,7 @@ var CowwriteAnalyzer = &Analyzer{
 // cowHooks maps each COW-guarded World field to the hook calls that claim
 // it for writing.
 var cowHooks = map[string][]string{
-	"slots":       {"ownSlots", "ownTimers"},
+	"slots":       {"ownSlots"},
 	"partitioned": {"ownPartitions"},
 	"Inflight":    {"ownInflight"},
 }
@@ -66,13 +71,16 @@ func runCowwrite(pass *Pass) error {
 	return nil
 }
 
+// timerHook is the one writer of a slot's timer list and owned bit.
+const timerHook = "setTimer"
+
 // isWorldOwnHook reports whether fn is one of the blessed ownership
 // methods on World itself.
 func isWorldOwnHook(fn *ast.FuncDecl) bool {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 {
 		return false
 	}
-	if !strings.HasPrefix(fn.Name.Name, "own") && fn.Name.Name != "unseal" {
+	if name := fn.Name.Name; !strings.HasPrefix(name, "own") && name != "unseal" && name != timerHook {
 		return false
 	}
 	t := fn.Recv.List[0].Type
@@ -90,16 +98,15 @@ func checkCowFunc(pass *Pass, fn *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				base, field := cowWriteTarget(pass, lhs)
-				if field != "" {
-					checkCowWrite(pass, fn, n.Pos(), base, field)
+				if base, field, part := cowWriteTarget(pass, lhs); field != "" {
+					checkCowWrite(pass, fn, n.Pos(), base, field, part)
 				}
 			}
 		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 {
+			if id, ok := n.Fun.(*ast.Ident); ok && writesFirstArg[id.Name] && len(n.Args) > 0 {
 				if _, isBuiltin := pass.ObjectOf(id).(*types.Builtin); isBuiltin {
-					if base, field := worldField(pass, containerOf(n.Args[0])); field != "" {
-						checkCowWrite(pass, fn, n.Pos(), base, field)
+					if base, field, part := cowWriteTarget(pass, n.Args[0]); field != "" {
+						checkCowWrite(pass, fn, n.Pos(), base, field, part)
 					}
 				}
 			}
@@ -108,28 +115,37 @@ func checkCowFunc(pass *Pass, fn *ast.FuncDecl) {
 	})
 }
 
-// cowWriteTarget decodes an assignment lhs into (receiver, field) when it
-// writes a COW-guarded World field — the whole field (w.slots = ...), an
-// element (w.slots[i] = ...), or a part of one (w.slots[i].svc = ...,
-// w.slots[i].timers[name] = ...).
-func cowWriteTarget(pass *Pass, lhs ast.Expr) (ast.Expr, string) {
-	return worldField(pass, containerOf(lhs))
+// writesFirstArg names the builtins that write their first argument.
+var writesFirstArg = map[string]bool{"delete": true, "clear": true, "copy": true}
+
+// cowWriteTarget decodes a written expression into (receiver, field, part)
+// when it writes a COW-guarded World field — the whole field (w.slots =
+// ...), an element (w.slots[i] = ...), or a part of one (w.slots[i].svc =
+// ..., w.slots[i].timers[j] = ..., copy(w.slots[i].timers[j:], ...)). part
+// is the element's field written, "" for none.
+func cowWriteTarget(pass *Pass, expr ast.Expr) (base ast.Expr, field, part string) {
+	expr, part = containerOf(expr)
+	base, field = worldField(pass, expr)
+	return base, field, part
 }
 
-// containerOf peels element indexing, and field selection on an element,
-// off expr down to the expression naming the container.
-func containerOf(expr ast.Expr) ast.Expr {
+// containerOf peels element indexing, slicing, and field selection on an
+// element, off expr down to the expression naming the container; part is
+// the field selected on the element, "" for none.
+func containerOf(expr ast.Expr) (container ast.Expr, part string) {
 	for {
 		switch e := expr.(type) {
 		case *ast.IndexExpr:
 			expr = e.X
+		case *ast.SliceExpr:
+			expr = e.X
 		case *ast.SelectorExpr:
 			if _, elem := e.X.(*ast.IndexExpr); !elem {
-				return expr
+				return expr, part
 			}
-			expr = e.X
+			expr, part = e.X, e.Sel.Name
 		default:
-			return expr
+			return expr, part
 		}
 	}
 }
@@ -158,10 +174,17 @@ func worldField(pass *Pass, expr ast.Expr) (ast.Expr, string) {
 	return sel.X, sel.Sel.Name
 }
 
-// checkCowWrite reports the write at pos unless a matching own-hook call
-// on the same receiver occurs earlier in the function.
-func checkCowWrite(pass *Pass, fn *ast.FuncDecl, pos token.Pos, base ast.Expr, field string) {
+// checkCowWrite reports the write at pos: always for a slot's timer list
+// or its owned bit, else unless a matching own-hook call on the same
+// receiver occurs earlier in the function.
+func checkCowWrite(pass *Pass, fn *ast.FuncDecl, pos token.Pos, base ast.Expr, field, part string) {
 	recv := types.ExprString(base)
+	if field == "slots" && (part == "timers" || part == "timersOwned") {
+		pass.Reportf(pos,
+			"write to slot timer list %s.slots[...].%s outside %s: the list may be shared with other worlds whatever the function claimed (arm or cancel through %s)",
+			recv, part, timerHook, timerHook)
+		return
+	}
 	hooks := cowHooks[field]
 	claimed := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {

@@ -249,7 +249,8 @@ func checkDigestFunc(pass *Pass, fn *ast.FuncDecl, recv string) {
 				report(n.Pos(), field, rule)
 			}
 		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
+			if id, ok := n.Fun.(*ast.Ident); ok && writesFirstArg[id.Name] && len(n.Args) > 0 {
+				// The builtins write content, element by element.
 				if field, _, part := receiverField(recv, n.Args[0]); field != "" {
 					if rule, tracked := digestRules[field]; tracked && !rule.appendOnly && rule.covers(part) {
 						report(n.Pos(), field, rule)
@@ -262,13 +263,17 @@ func checkDigestFunc(pass *Pass, fn *ast.FuncDecl, recv string) {
 }
 
 // receiverField decodes expr as recv.Field, recv.Field[i] or
-// recv.Field[i].part (indexed further or not), returning the field name,
-// whether the write addresses an element, and the element's part ("" for
-// the whole element).
+// recv.Field[i].part (indexed or sliced further or not), returning the
+// field name, whether the write addresses an element, and the element's
+// part ("" for the whole element).
 func receiverField(recv string, expr ast.Expr) (field string, isElement bool, part string) {
 	for {
-		if idx, ok := expr.(*ast.IndexExpr); ok {
-			expr, isElement = idx.X, true
+		switch e := expr.(type) {
+		case *ast.IndexExpr:
+			expr, isElement = e.X, true
+			continue
+		case *ast.SliceExpr:
+			expr = e.X
 			continue
 		}
 		sel, ok := expr.(*ast.SelectorExpr)

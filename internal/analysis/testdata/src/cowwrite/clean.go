@@ -1,5 +1,5 @@
 // Fixture: the sanctioned write shapes — hook first, hooks themselves,
-// and blessed manual-ownership functions.
+// timer lists through setTimer, and blessed manual-ownership functions.
 package cowwrite
 
 func setOwned(w *World, i int, v int) {
@@ -8,15 +8,25 @@ func setOwned(w *World, i int, v int) {
 }
 
 func armTimer(w *World, i int, name string) {
-	set := w.ownTimers(i)
-	set[name] = true
-	w.slots[i].timersOwned = true
+	w.setTimer(i, name, true)
 }
 
 func crash(w *World, i int) {
 	w.ownSlots()
 	w.slots[i].down = true
-	delete(w.slots[i].timers, "tick")
+	w.setTimer(i, "tick", false)
+}
+
+// setTimer is the one writer of a slot's timer list and its owned bit,
+// in place or into a copy.
+func (w *World) setTimer(i int, name string, on bool) {
+	if w.slots[i].timersOwned {
+		copy(w.slots[i].timers[1:], w.slots[i].timers)
+		w.slots[i].timers[0] = name
+		return
+	}
+	w.ownSlots()
+	w.slots[i].timers, w.slots[i].timersOwned = append([]string{name}, w.slots[i].timers...), true
 }
 
 func partition(w *World, a, b NodeID) {

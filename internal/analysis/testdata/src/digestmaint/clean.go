@@ -15,7 +15,8 @@ const NotAKind = "x"
 func (w *World) SetMaintained(i, v int) {
 	w.markDigestDirty(i)
 	w.slots[i].svc = v
-	w.slots[i].timers["tick"] = true
+	w.slots[i].timers = append(w.slots[i].timers, "tick")
+	copy(w.slots[i].timers[1:], w.slots[i].timers)
 }
 
 // Ownership marks and the component hash itself are bookkeeping, not

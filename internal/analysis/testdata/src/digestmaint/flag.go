@@ -29,7 +29,7 @@ type worldDigest struct {
 
 type nodeSlot struct {
 	svc      int
-	timers   map[string]bool
+	timers   []string
 	down     bool
 	hash     uint64
 	svcOwned bool
@@ -52,8 +52,20 @@ func (w *World) Crash(i int) {
 	w.slots[i].down = true // want "digest-contributing write to w.slots without markDigestDirty"
 }
 
-func (w *World) Cancel(i int) {
-	delete(w.slots[i].timers, "tick") // want "digest-contributing write to w.slots without markDigestDirty"
+func (w *World) Arm(i int) {
+	w.slots[i].timers = append(w.slots[i].timers, "tick") // want "digest-contributing write to w.slots without markDigestDirty"
+}
+
+func (w *World) Rename(i int) {
+	w.slots[i].timers[0] = "tock" // want "digest-contributing write to w.slots without markDigestDirty"
+}
+
+func (w *World) Shift(i int) {
+	copy(w.slots[i].timers[1:], w.slots[i].timers) // want "digest-contributing write to w.slots without markDigestDirty"
+}
+
+func (w *World) Uncut(a int) {
+	delete(w.partitioned, a) // want "digest-contributing write to w.partitioned without partSum"
 }
 
 func (w *World) Wipe(i int) {

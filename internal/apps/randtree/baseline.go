@@ -64,7 +64,7 @@ func (s *Baseline) onJoin(env sm.Env, m *sm.Msg) {
 		}
 		return
 	}
-	if _, dup := s.Children[j.Joiner]; dup {
+	if s.hasChild(j.Joiner) {
 		// Duplicate join from an existing child (lost reply): re-grant.
 		env.Send(j.Joiner, KindJoinReply, JoinReply{Parent: s.ID, Depth: s.Depth + 1}, msgSize)
 		return
@@ -125,7 +125,8 @@ func (s *Baseline) OnTimer(env sm.Env, name string) { s.state.onTimer(env, name)
 // OnConnDown reacts to severed connections.
 func (s *Baseline) OnConnDown(env sm.Env, peer sm.NodeID) { s.state.onConnDown(env, peer) }
 
-// Clone deep-copies the service.
+// Clone copies the service in O(1): the copy shares the never-written
+// child list.
 func (s *Baseline) Clone() sm.Service { return &Baseline{state: s.state.clone()} }
 
 // Digest returns the stable state hash.
@@ -149,7 +150,7 @@ func (s *Baseline) TreeJoined() bool { return s.Joined }
 func (s *Baseline) TreeParent() sm.NodeID { return s.Parent }
 
 // TreeHasChild reports whether id is a known child.
-func (s *Baseline) TreeHasChild(id sm.NodeID) bool { _, ok := s.Children[id]; return ok }
+func (s *Baseline) TreeHasChild(id sm.NodeID) bool { return s.hasChild(id) }
 
 // TreeChildCount returns the number of known children.
 func (s *Baseline) TreeChildCount() int { return len(s.Children) }

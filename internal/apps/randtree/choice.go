@@ -79,14 +79,14 @@ func (s *Choice) routeCandidates(joiner sm.NodeID) []route {
 	if !s.Joined || joiner == s.ID || joiner == s.Parent {
 		return nil // not positioned to place this joiner
 	}
-	if _, dup := s.Children[joiner]; dup {
+	if s.hasChild(joiner) {
 		return []route{{child: -2}} // re-grant to the existing child
 	}
 	if s.hasSpace() {
 		routes = append(routes, route{child: -1})
 	}
-	for _, id := range s.childIDs() {
-		routes = append(routes, route{child: id})
+	for _, c := range s.Children {
+		routes = append(routes, route{child: c.ID})
 	}
 	return routes
 }
@@ -94,7 +94,7 @@ func (s *Choice) routeCandidates(joiner sm.NodeID) []route {
 // applyRoute executes one alternative.
 func (s *Choice) applyRoute(env sm.Env, j Join, r route) {
 	switch {
-	case r.child == -2 || (r.child == -1 && s.Children[j.Joiner] != nil):
+	case r.child == -2 || (r.child == -1 && s.hasChild(j.Joiner)):
 		env.Send(j.Joiner, KindJoinReply, JoinReply{Parent: s.ID, Depth: s.Depth + 1}, msgSize)
 	case r.child == -1:
 		s.accept(env, j.Joiner)
@@ -119,7 +119,8 @@ func (s *Choice) OnTimer(env sm.Env, name string) { s.state.onTimer(env, name) }
 // OnConnDown reacts to severed connections.
 func (s *Choice) OnConnDown(env sm.Env, peer sm.NodeID) { s.state.onConnDown(env, peer) }
 
-// Clone deep-copies the service.
+// Clone copies the service in O(1): the copy shares the never-written
+// child list.
 func (s *Choice) Clone() sm.Service { return &Choice{state: s.state.clone()} }
 
 // Digest returns the stable state hash.
@@ -141,7 +142,7 @@ func (s *Choice) TreeJoined() bool { return s.Joined }
 func (s *Choice) TreeParent() sm.NodeID { return s.Parent }
 
 // TreeHasChild reports whether id is a known child.
-func (s *Choice) TreeHasChild(id sm.NodeID) bool { _, ok := s.Children[id]; return ok }
+func (s *Choice) TreeHasChild(id sm.NodeID) bool { return s.hasChild(id) }
 
 // TreeChildCount returns the number of known children.
 func (s *Choice) TreeChildCount() int { return len(s.Children) }

@@ -21,6 +21,7 @@
 package randtree
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -99,8 +100,9 @@ type Heartbeat struct {
 // DigestBody folds the body into a state digest.
 func (hb Heartbeat) DigestBody(h *sm.Hasher) { h.WriteString("hb").WriteInt(int64(hb.Depth)) }
 
-// childInfo is what a node knows about one of its children.
-type childInfo struct {
+// child is what a node knows about one of its children.
+type child struct {
+	ID         sm.NodeID
 	LastSeen   time.Duration
 	Size       int
 	DepthBelow int
@@ -113,9 +115,10 @@ type state struct {
 	Joined bool
 	Parent sm.NodeID // -1 when none
 	Depth  int       // root is 1; 0 when not joined
-	// Children maps child -> bookkeeping. Iteration is never relied on
-	// for protocol decisions (ordered accessors below).
-	Children   map[sm.NodeID]*childInfo
+	// Children lists the node's children in ascending ID order. The slice
+	// is never written in place — putChild and dropChild replace it — so
+	// clones share it (DESIGN.md §2.4.1).
+	Children   []child
 	ParentSeen time.Duration
 	// Routed counts joins recently forwarded into this node's subtree; it
 	// decays every summarize period. Lookahead objectives use it to see
@@ -127,23 +130,51 @@ type state struct {
 }
 
 func newState(id, root sm.NodeID) state {
-	return state{
-		ID:       id,
-		Root:     root,
-		Parent:   -1,
-		Children: make(map[sm.NodeID]*childInfo),
-	}
+	return state{ID: id, Root: root, Parent: -1}
 }
 
 func (s *state) isRoot() bool { return s.ID == s.Root }
 
+// findChild returns where id is, or would be, in Children.
+func (s *state) findChild(id sm.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(s.Children, id, func(c child, id sm.NodeID) int { return cmp.Compare(c.ID, id) })
+}
+
+// hasChild reports whether id is a known child.
+func (s *state) hasChild(id sm.NodeID) bool {
+	_, ok := s.findChild(id)
+	return ok
+}
+
+// putChild records c, replacing the entry for c.ID if there is one. The
+// list is rebuilt, never written: clones of this state may share it.
+func (s *state) putChild(c child) {
+	i, found := s.findChild(c.ID)
+	if found && s.Children[i] == c {
+		return
+	}
+	next := make([]child, 0, len(s.Children)+1)
+	next = append(next, s.Children[:i]...)
+	next = append(next, c)
+	if found {
+		i++
+	}
+	s.Children = append(next, s.Children[i:]...)
+}
+
+// dropChild forgets child id, rebuilding the list as putChild does.
+func (s *state) dropChild(id sm.NodeID) {
+	if i, found := s.findChild(id); found {
+		s.Children = slices.Concat(s.Children[:i], s.Children[i+1:])
+	}
+}
+
 // childIDs returns the children in ascending order.
 func (s *state) childIDs() []sm.NodeID {
-	ids := make([]sm.NodeID, 0, len(s.Children))
-	for id := range s.Children {
-		ids = append(ids, id)
+	ids := make([]sm.NodeID, len(s.Children))
+	for i, c := range s.Children {
+		ids[i] = c.ID
 	}
-	slices.Sort(ids)
 	return ids
 }
 
@@ -174,25 +205,16 @@ func (s *state) depthBelow() int {
 func (s *state) digest() uint64 {
 	h := sm.NewHasher()
 	h.WriteNode(s.ID).WriteNode(s.Root).WriteBool(s.Joined).WriteNode(s.Parent).WriteInt(int64(s.Depth)).WriteInt(int64(s.Routed))
-	ids := s.childIDs()
-	h.WriteInt(int64(len(ids)))
-	for _, id := range ids {
-		c := s.Children[id]
-		h.WriteNode(id).WriteInt(int64(c.Size)).WriteInt(int64(c.DepthBelow))
+	h.WriteInt(int64(len(s.Children)))
+	for _, c := range s.Children {
+		h.WriteNode(c.ID).WriteInt(int64(c.Size)).WriteInt(int64(c.DepthBelow))
 	}
 	return h.Sum()
 }
 
-// clone deep-copies the state.
-func (s *state) clone() state {
-	c := *s
-	c.Children = make(map[sm.NodeID]*childInfo, len(s.Children))
-	for id, ci := range s.Children {
-		cc := *ci
-		c.Children[id] = &cc
-	}
-	return c
-}
+// clone copies the state. Every field is a value except Children, which is
+// never written in place, so the copy shares it.
+func (s *state) clone() state { return *s }
 
 // neighbors returns parent and children: the checkpoint neighborhood.
 func (s *state) neighbors() []sm.NodeID {
@@ -226,7 +248,7 @@ func (s *state) initNode(env sm.Env) {
 
 // accept adopts joiner as a child and replies with its new depth.
 func (s *state) accept(env sm.Env, joiner sm.NodeID) {
-	s.Children[joiner] = &childInfo{LastSeen: env.Now(), Size: 1, DepthBelow: 0}
+	s.putChild(child{ID: joiner, LastSeen: env.Now(), Size: 1})
 	env.Send(joiner, KindJoinReply, JoinReply{Parent: s.ID, Depth: s.Depth + 1}, msgSize)
 }
 
@@ -246,11 +268,9 @@ func (s *state) onJoinReply(env sm.Env, m *sm.Msg) {
 
 // onSummary folds a child's subtree report.
 func (s *state) onSummary(env sm.Env, m *sm.Msg) {
-	if c, ok := s.Children[m.Src]; ok {
+	if s.hasChild(m.Src) {
 		sum := m.Body.(Summary)
-		c.Size = sum.Size
-		c.DepthBelow = sum.DepthBelow
-		c.LastSeen = env.Now()
+		s.putChild(child{ID: m.Src, LastSeen: env.Now(), Size: sum.Size, DepthBelow: sum.DepthBelow})
 	}
 }
 
@@ -264,8 +284,10 @@ func (s *state) onHeartbeat(env sm.Env, m *sm.Msg) {
 			s.Depth = hb.Depth + 1
 		}
 	}
-	if c, ok := s.Children[m.Src]; ok {
+	if i, ok := s.findChild(m.Src); ok {
+		c := s.Children[i]
 		c.LastSeen = env.Now()
+		s.putChild(c)
 	}
 }
 
@@ -277,8 +299,8 @@ func (s *state) onTimer(env sm.Env, name string) bool {
 		if s.Parent >= 0 {
 			env.Send(s.Parent, KindHeartbeat, Heartbeat{Depth: s.Depth}, 8)
 		}
-		for _, id := range s.childIDs() {
-			env.Send(id, KindHeartbeat, Heartbeat{Depth: s.Depth}, 8)
+		for _, c := range s.Children {
+			env.Send(c.ID, KindHeartbeat, Heartbeat{Depth: s.Depth}, 8)
 		}
 		env.SetTimer(timerHeartbeat, heartbeatEvery)
 		return true
@@ -294,10 +316,10 @@ func (s *state) onTimer(env sm.Env, name string) bool {
 		if s.Joined && !s.isRoot() && s.Parent >= 0 && now-s.ParentSeen > hbDeadAfter {
 			s.parentLost(env)
 		}
-		for _, id := range s.childIDs() {
-			if now-s.Children[id].LastSeen > hbDeadAfter {
-				delete(s.Children, id)
-				env.Logf("child %v presumed dead", id)
+		for _, c := range s.Children { // dropChild replaces, never writes, the list ranged over
+			if now-c.LastSeen > hbDeadAfter {
+				s.dropChild(c.ID)
+				env.Logf("child %v presumed dead", c.ID)
 			}
 		}
 		env.SetTimer(timerHBCheck, hbCheckEvery)
@@ -329,7 +351,5 @@ func (s *state) onConnDown(env sm.Env, peer sm.NodeID) {
 		s.parentLost(env)
 		return
 	}
-	if _, ok := s.Children[peer]; ok {
-		delete(s.Children, peer)
-	}
+	s.dropChild(peer)
 }

@@ -114,8 +114,8 @@ func NoOrphanedChildProperty() explore.Property {
 				return check(w)
 			}
 			now, _ := w.Service(id).(TreeView)
-			for c := range was.treeState().Children {
-				if (now == nil || !now.TreeHasChild(c)) && !adopted(w, c) {
+			for _, c := range was.treeState().Children {
+				if (now == nil || !now.TreeHasChild(c.ID)) && !adopted(w, c.ID) {
 					return false
 				}
 			}

@@ -31,7 +31,7 @@ func heapTree(n int, reads *int) *explore.World {
 		}
 		for _, c := range []int{2*i + 1, 2*i + 2} {
 			if c < n {
-				s.Children[sm.NodeID(c)] = &childInfo{Size: 1}
+				s.Children = append(s.Children, child{ID: sm.NodeID(c), Size: 1})
 			}
 		}
 		w.AddNode(sm.NodeID(i), counted{s, reads})
@@ -59,7 +59,7 @@ func TestTreeStepIndependentOfSize(t *testing.T) {
 		prev := node.Clone()
 		node.Routed++
 		if drop {
-			delete(node.Children, 3)
+			node.dropChild(3)
 		}
 		for _, p := range props {
 			count = 0
@@ -83,8 +83,7 @@ func TestTreeStepIndependentOfSize(t *testing.T) {
 			if smallS[i] != want || bigS[i] != want || smallC[i] != want || bigC[i] != want {
 				t.Errorf("%s/%s: Step %v/%v, Check %v/%v at n=15/255; want %v", tc.name, p.Name, smallS[i], bigS[i], smallC[i], bigC[i], want)
 			}
-			// A refuting Step stops at the first orphan it meets, and
-			// which dropped child it meets first is map order.
+			// A refuting Step stops at the first orphan it meets.
 			if want && (smallR[i] != bigR[i] || smallR[i] == 0) {
 				t.Errorf("%s/%s: Step makes %d TreeView reads at n=15, %d at n=255: want the same, nonzero", tc.name, p.Name, smallR[i], bigR[i])
 			}
@@ -92,3 +91,28 @@ func TestTreeStepIndependentOfSize(t *testing.T) {
 		t.Logf("%s: TreeView reads per Step %v at n=15, %v at n=255", tc.name, smallR, bigR)
 	}
 }
+
+// Cost-shape gate (make bench-alloc): a node's Clone is one allocation —
+// the copy itself, sharing the never-written child list — and its digest
+// none, at every node of a 15- and a 255-node tree.
+func TestForkCostIndependentOfTreeSize(t *testing.T) {
+	for _, n := range []int{15, 255} {
+		var reads int
+		w := heapTree(n, &reads)
+		for _, id := range w.Nodes() {
+			s := w.Service(id).(counted).Choice
+			if a := testing.AllocsPerRun(100, func() { forkSink = s.Clone() }); a != 1 {
+				t.Errorf("n=%d: node %v's Clone allocates %v objects, want 1", n, id, a)
+			}
+			if a := testing.AllocsPerRun(100, func() { digestSink = s.digest() }); a != 0 {
+				t.Errorf("n=%d: node %v's digest allocates %v objects, want 0", n, id, a)
+			}
+		}
+	}
+}
+
+// The cost gate's results escape, as a world's clones and digests do.
+var (
+	forkSink   sm.Service
+	digestSink uint64
+)

@@ -2,6 +2,8 @@ package randtree
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -177,8 +179,8 @@ func TestSummaryUpdatesChildInfo(t *testing.T) {
 	s.Init(env)
 	s.OnMessage(env, &sm.Msg{Src: 1, Kind: KindJoin, Body: Join{Joiner: 1}})
 	s.OnMessage(env, &sm.Msg{Src: 1, Kind: KindSummary, Body: Summary{Size: 7, DepthBelow: 2}})
-	if s.Children[1].Size != 7 || s.Children[1].DepthBelow != 2 {
-		t.Fatalf("child info = %+v", s.Children[1])
+	if want := []child{{ID: 1, Size: 7, DepthBelow: 2}}; !slices.Equal(s.Children, want) {
+		t.Fatalf("children = %+v, want %+v", s.Children, want)
 	}
 	if s.TreeDepthBelow() != 3 {
 		t.Fatalf("depthBelow = %d, want 3", s.TreeDepthBelow())
@@ -233,18 +235,78 @@ func TestConnDownFromChildPrunes(t *testing.T) {
 	}
 }
 
-func TestCloneDeep(t *testing.T) {
+// TestCloneIsolatesChildWrites drives every path that writes the child
+// list — join accept, Summary, Heartbeat, the hbCheck expiry and
+// OnConnDown — on a clone, and holds the original to the children and
+// digest it had: clones share the list, so a write in place would leak.
+func TestCloneIsolatesChildWrites(t *testing.T) {
 	s := NewChoice(0, 0)
 	env := newFakeEnv(0)
 	s.Init(env)
 	s.OnMessage(env, &sm.Msg{Src: 1, Kind: KindJoin, Body: Join{Joiner: 1}})
-	c := s.Clone().(*Choice)
-	c.Children[1].Size = 99
-	if s.Children[1].Size == 99 {
-		t.Fatal("clone shares child map")
+	s.OnMessage(env, &sm.Msg{Src: 3, Kind: KindJoin, Body: Join{Joiner: 3}})
+	s.OnMessage(env, &sm.Msg{Src: 1, Kind: KindSummary, Body: Summary{Size: 3, DepthBelow: 1}})
+	s.OnConnDown(env, 3) // leave space for one more join
+	children, digest := slices.Clone(s.Children), s.Digest()
+	for _, tc := range []struct {
+		name  string
+		write func(c *Choice, env *fakeEnv)
+	}{
+		{"join accept", func(c *Choice, env *fakeEnv) {
+			c.OnMessage(env, &sm.Msg{Src: 2, Kind: KindJoin, Body: Join{Joiner: 2}})
+		}},
+		{"summary", func(c *Choice, env *fakeEnv) {
+			c.OnMessage(env, &sm.Msg{Src: 1, Kind: KindSummary, Body: Summary{Size: 9, DepthBelow: 4}})
+		}},
+		{"heartbeat", func(c *Choice, env *fakeEnv) {
+			env.now = 200 * time.Millisecond
+			c.OnMessage(env, &sm.Msg{Src: 1, Kind: KindHeartbeat, Body: Heartbeat{}})
+		}},
+		{"hbCheck expiry", func(c *Choice, env *fakeEnv) {
+			env.now = 5 * time.Second
+			c.OnTimer(env, timerHBCheck)
+		}},
+		{"conn down", func(c *Choice, env *fakeEnv) { c.OnConnDown(env, 1) }},
+	} {
+		c := s.Clone().(*Choice)
+		tc.write(c, newFakeEnv(0))
+		if slices.Equal(c.Children, children) {
+			t.Fatalf("%s: the clone's children did not change: %+v", tc.name, c.Children)
+		}
+		if !slices.Equal(s.Children, children) || s.Digest() != digest {
+			t.Fatalf("%s on a clone changed the original: children %+v, want %+v", tc.name, s.Children, children)
+		}
 	}
-	if c.Digest() == s.Digest() {
-		t.Fatal("mutated clone digest should differ")
+}
+
+// Explorer workers clone one frozen node concurrently (World.ownService
+// with Workers > 1) and run handlers on their clones. Run with -race.
+func TestConcurrentClonesOfFrozenNode(t *testing.T) {
+	s := NewChoice(0, 0)
+	env := newFakeEnv(0)
+	s.Init(env)
+	s.OnMessage(env, &sm.Msg{Src: 1, Kind: KindJoin, Body: Join{Joiner: 1}})
+	s.OnMessage(env, &sm.Msg{Src: 1, Kind: KindSummary, Body: Summary{Size: 3, DepthBelow: 1}})
+	digest := s.Digest()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := newFakeEnv(0)
+			for i := 0; i < 200; i++ {
+				c := s.Clone().(*Choice)
+				c.OnMessage(env, &sm.Msg{Src: 2, Kind: KindJoin, Body: Join{Joiner: 2}})
+				c.OnMessage(env, &sm.Msg{Src: 1, Kind: KindSummary, Body: Summary{Size: i, DepthBelow: 2}})
+				c.OnConnDown(env, 1)
+				_ = c.Digest()
+				env.sent = env.sent[:0]
+			}
+		}()
+	}
+	wg.Wait()
+	if s.Digest() != digest || !s.TreeHasChild(1) || s.TreeChildCount() != 1 {
+		t.Fatalf("concurrent clones changed the frozen node: %+v", s.Children)
 	}
 }
 

@@ -217,9 +217,11 @@ func TestCtxRecycledHoldsNothing(t *testing.T) {
 }
 
 // TestPooledShellsPinNothing: a dead world on the free list references no
-// message, service or timer set. Enumerations zero the actions they stop
+// message, service or timer name. Enumerations zero the actions they stop
 // using, so put clears only the last enumeration's; the world below makes
-// the fault enumeration shorter than the message one it overwrites.
+// the fault enumeration shorter than the message one it overwrites. Its
+// pending timers make fired timers and crashes copy timer lists, which put
+// reclaims as spares cleared to their full capacity.
 func TestPooledShellsPinNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the detector drops pool operations")
@@ -232,12 +234,16 @@ func TestPooledShellsPinNothing(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			w.InjectMessage(&sm.Msg{Src: 0, Dst: NodeID(i % 2), Kind: "ping", Body: 3})
 		}
+		w.SetTimerPending(0, "t")
+		w.SetTimerPending(0, "u")
+		w.SetTimerPending(1, "t")
 		x := NewExplorer(4)
 		x.Strategy, x.FaultBudget, x.MaxStates = strat, 1, 1<<12
 		x.Explore(w)
-		shells := 0
+		shells, lists := 0, 0
 		for s := sharedWorldPool.get(); s != nil; s = sharedWorldPool.get() {
 			shells++
+			lists += len(s.spareTimerSets)
 			for _, a := range s.actScratch[:cap(s.actScratch)] {
 				if a.Msg != nil || a.Timer != "" {
 					t.Fatalf("%s: a pooled shell's action scratch pins %+v", strat.Name(), a)
@@ -253,14 +259,14 @@ func TestPooledShellsPinNothing(t *testing.T) {
 					t.Fatalf("%s: a pooled shell's message buffer pins a message", strat.Name())
 				}
 			}
-			for _, set := range s.spareTimerSets {
-				if len(set) != 0 {
-					t.Fatalf("%s: a pooled shell's spare timer set is not empty", strat.Name())
+			for _, list := range s.spareTimerSets {
+				if len(list) != 0 || slices.ContainsFunc(list[:cap(list)], func(n string) bool { return n != "" }) {
+					t.Fatalf("%s: a pooled shell's spare timer list %q is not cleared to its capacity", strat.Name(), list[:cap(list)])
 				}
 			}
 		}
-		if shells == 0 {
-			t.Fatalf("%s: the run left no shell on the free list", strat.Name())
+		if shells == 0 || lists == 0 {
+			t.Fatalf("%s: the run left %d shells, carrying %d spare timer lists, on the free list", strat.Name(), shells, lists)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"crystalchoice/internal/sm"
@@ -254,26 +253,15 @@ func (x *Explorer) enabled(w *World) []Action {
 		acts = append(acts, Action{Kind: ActionMessage, MsgIx: i, Msg: m})
 	}
 	if x.ExploreTimers {
-		np := borrowNames()
-		names := (*np)[:0]
 		for i := range w.slots {
 			s := &w.slots[i]
-			if s.down || len(s.timers) == 0 {
+			if s.down {
 				continue
 			}
-			names = names[:0]
-			for name, on := range s.timers {
-				if on {
-					names = append(names, name)
-				}
-			}
-			slices.Sort(names) // deterministic order
-			for _, name := range names {
+			for _, name := range s.timers { // ascending: a deterministic order
 				acts = append(acts, Action{Kind: ActionTimer, Node: w.nodeOrder[i], Timer: name})
 			}
 		}
-		*np = names
-		returnNames(np)
 	}
 	return w.keepActions(acts)
 }

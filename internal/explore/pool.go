@@ -4,10 +4,10 @@ package explore
 // it as soon as the branch's subtree is exhausted; before recycling, that
 // meant every fork paid for a fresh *World, and every first write paid
 // again for the copy-on-write container it forked — the slot slice, a
-// timer set, the in-flight slice. The free-list returns a dead world's
-// shell — with its exclusively owned containers attached as spares — to
-// the run, so the next fork and its first writes reuse them instead of
-// allocating.
+// slot's timer list (setTimer), the in-flight slice. The free-list
+// returns a dead world's shell — with its exclusively owned containers
+// attached as spares — to the run, so the next fork and its first writes
+// reuse them instead of allocating.
 //
 // Safety rules, in order of enforcement:
 //   - Only the branch that forked a world releases it, exactly once,
@@ -53,7 +53,7 @@ func (p *worldPool) get() *World {
 	return nil
 }
 
-// spareTimerSetCap bounds how many reclaimed per-node timer sets a shell
+// spareTimerSetCap bounds how many reclaimed per-node timer lists a shell
 // carries; beyond it the garbage collector takes the rest.
 const spareTimerSetCap = 4
 
@@ -80,15 +80,14 @@ func (p *worldPool) put(w *World) {
 		w.spareInflight = s[:0]
 	}
 	// Slots: reclaimed only when this world copied them for itself (a mark
-	// surviving to death proves no child shares them), with the timer sets
-	// their owned bits cover; otherwise they belong to the sharing
-	// ancestors and are merely dereferenced.
+	// surviving to death proves no child shares them), with the timer lists
+	// their owned bits cover, cleared to capacity; otherwise they belong to
+	// the sharing ancestors and are merely dereferenced.
 	if w.slotsOwned {
 		for i := range w.slots {
 			s := &w.slots[i]
-			if s.timersOwned && s.timers != nil && len(w.spareTimerSets) < spareTimerSetCap {
-				clear(s.timers)
-				w.spareTimerSets = append(w.spareTimerSets, s.timers)
+			if s.timersOwned && cap(s.timers) > 0 && len(w.spareTimerSets) < spareTimerSetCap {
+				w.spareTimerSets = append(w.spareTimerSets, clearCap(s.timers))
 			}
 		}
 		clear(w.slots)

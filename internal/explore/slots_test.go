@@ -189,7 +189,7 @@ func TestSlotForksIsolated(t *testing.T) {
 			return false
 		}
 		for step := 0; step < 400; step++ {
-			op := rng.Intn(14)
+			op := rng.Intn(15)
 			if len(live) == 0 {
 				op = 10
 			} else if len(live) > 10 {
@@ -297,6 +297,23 @@ func TestSlotForksIsolated(t *testing.T) {
 				what = fmt.Sprintf("releaseExhausted %d", h)
 				live = slices.DeleteFunc(live, func(x int) bool { return x == h })
 				ctx.releaseExhausted(w)
+			case 14:
+				// The first timer write after a Freeze unseals the world and
+				// copies the list; the writes after it, the fired handler's
+				// included, go in place.
+				other := cellTimers[rng.Intn(len(cellTimers))]
+				what = fmt.Sprintf("Freeze, SetTimerPending(%d, %s), SetTimerPending(%d, %s), FireTimer(%d, %s)", id, name, id, other, id, name)
+				w.Freeze()
+				w.SetTimerPending(id, name)
+				w.SetTimerPending(id, other)
+				out := w.FireTimer(id, name)
+				r.timers[k][other] = true
+				delete(r.timers[k], name)
+				if !r.down[k] {
+					err = r.run(k, len(name)+1, out)
+				} else if len(out) != 0 {
+					err = fmt.Errorf("a down node's timer ran")
+				}
 			}
 			if err != nil {
 				t.Fatalf("seed %d step %d, world %d, %s: %v", seed, step, h, what, err)

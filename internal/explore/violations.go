@@ -3,6 +3,7 @@ package explore
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"crystalchoice/internal/sm"
 )
@@ -83,8 +84,8 @@ func canonLabel(label string) string {
 }
 
 // canonSignature folds a trace into its canonical signature: the sorted,
-// deduplicated canonical labels, comma-joined. Scratch sorting reuses the
-// pooled name slices of the digest hot path.
+// deduplicated canonical labels, comma-joined. Scratch sorting reuses
+// pooled name slices (namesPool).
 func canonSignature(trace []string) string {
 	if len(trace) == 0 {
 		return ""
@@ -198,4 +199,21 @@ func (r *Report) ViolationClasses() []ViolationClass {
 		return out[i].Signature < out[j].Signature
 	})
 	return out
+}
+
+// namesPool recycles the scratch slices canonSignature sorts labels in.
+var namesPool = sync.Pool{New: func() any {
+	s := make([]string, 0, 8)
+	return &s
+}}
+
+// borrowNames/returnNames traffic in the pooled *[]string directly:
+// putting a plain slice back would re-box its header on every call,
+// costing an allocation per signature.
+func borrowNames() *[]string {
+	return namesPool.Get().(*[]string)
+}
+
+func returnNames(p *[]string) {
+	namesPool.Put(p)
 }

@@ -123,7 +123,7 @@ type World struct {
 
 	// Copy-on-write bookkeeping. A world forked with Clone shares
 	// everything with its parent — the slot slice, and through it the
-	// individual services and per-node timer sets, plus the in-flight
+	// individual services and per-node timer lists, plus the in-flight
 	// slice — until either side writes. slotsOwned records that this world
 	// copied the slot slice for itself (ownSlots); a slot's svcOwned and
 	// timersOwned bits record which inner pieces it copied, and count only
@@ -156,7 +156,7 @@ type World struct {
 	// the copy-on-write hooks consume them instead of allocating.
 	spareSlots      []nodeSlot
 	spareInflight   []*sm.Msg
-	spareTimerSets  []map[string]bool
+	spareTimerSets  [][]string // empty, cleared to capacity
 	sparePartitions map[pairKey]bool
 
 	// Per-world scratch reused across handler executions and action
@@ -182,8 +182,9 @@ type World struct {
 // nodeSlot is one node's state in a world.
 type nodeSlot struct {
 	svc sm.Service
-	// timers is the set of pending timer names; nil when none ever was.
-	timers map[string]bool
+	// timers is the pending timer names in ascending order. Only setTimer
+	// writes it: in place while timersOwned counts, into a copy otherwise.
+	timers []string
 	// hash is the node's finalized digest component, current while the
 	// world's digest is valid and the slot is not on its dirty list.
 	hash uint64
@@ -284,28 +285,25 @@ func (w *World) IsDown(id NodeID) bool {
 // TimerPending reports whether node id's named timer is pending.
 func (w *World) TimerPending(id NodeID, name string) bool {
 	i := w.slotOf(id)
-	return i >= 0 && w.slots[i].timers[name]
+	if i < 0 {
+		return false
+	}
+	_, on := slices.BinarySearch(w.slots[i].timers, name)
+	return on
 }
 
-// PendingTimers returns node id's pending timer names, sorted; nil when
-// none is pending.
+// PendingTimers returns a copy of node id's pending timer names, sorted;
+// nil when none is pending.
 func (w *World) PendingTimers(id NodeID) []string {
 	i := w.slotOf(id)
-	if i < 0 {
+	if i < 0 || len(w.slots[i].timers) == 0 {
 		return nil
 	}
-	var names []string
-	for name, on := range w.slots[i].timers {
-		if on {
-			names = append(names, name)
-		}
-	}
-	slices.Sort(names)
-	return names
+	return slices.Clone(w.slots[i].timers)
 }
 
 // Clone forks the world copy-on-write: the fork shares the parent's slot
-// slice, service states, per-node timer sets, and in-flight slice, and
+// slice, service states, per-node timer lists, and in-flight slice, and
 // each side copies a piece only immediately before first writing to it.
 // This makes forking a branch O(1) pointer copies instead of a deep copy
 // of every service, which dominates exploration cost. The choice policy is
@@ -446,7 +444,7 @@ func (w *World) unseal() {
 
 // ownSlots copies the shared slot slice before the first write into it —
 // one copy of n slots into the shell's spare when it fits — with every
-// owned bit cleared: the copy shares each service and timer set with the
+// owned bit cleared: the copy shares each service and timer list with the
 // world it was forked from.
 func (w *World) ownSlots() {
 	if w.sealed {
@@ -474,18 +472,6 @@ func (w *World) ownSlots() {
 // covers in place. The caller has unsealed the world.
 func (w *World) owns(bit bool) bool {
 	return !w.cow || (w.slotsOwned && bit)
-}
-
-// newTimerSet returns an empty per-node timer set, recycled from the
-// shell's spares when possible.
-func (w *World) newTimerSet(capHint int) map[string]bool {
-	if n := len(w.spareTimerSets); n > 0 {
-		set := w.spareTimerSets[n-1]
-		w.spareTimerSets[n-1] = nil
-		w.spareTimerSets = w.spareTimerSets[:n-1]
-		return set
-	}
-	return make(map[string]bool, capHint)
 }
 
 // ownService returns node id's service, forking it first if it is still
@@ -532,24 +518,48 @@ func sameService(a, b sm.Service) bool {
 	return *(*[2]uintptr)(unsafe.Pointer(&a)) == *(*[2]uintptr)(unsafe.Pointer(&b))
 }
 
-// ownTimers returns slot i's timer set ready for mutation, forking a
-// shared set and materializing a missing one.
-func (w *World) ownTimers(i int) map[string]bool {
-	w.markDigestDirty(i) // caller is about to mutate the timer set
+// setTimer arms (on) or cancels slot i's named timer, keeping the list
+// ascending. It is the one writer of a slot's timer list: it writes in
+// place while the world owns the list, and otherwise writes the result
+// into a copy — a recycled list when the shell carries one — that the
+// world then owns. A fired timer's cancel therefore copies a shared list
+// once, and the handler re-arming it writes that copy in place.
+func (w *World) setTimer(i int, name string, on bool) {
+	list := w.slots[i].timers
+	j, pending := slices.BinarySearch(list, name)
+	if pending == on {
+		return
+	}
+	w.markDigestDirty(i) // the timer list is part of the node's component
 	if w.sealed {
 		w.unseal()
 	}
-	set := w.slots[i].timers
-	if set != nil && w.owns(w.slots[i].timersOwned) {
-		return set
+	if w.owns(w.slots[i].timersOwned) {
+		if on {
+			list = slices.Insert(list, j, name)
+		} else {
+			list = slices.Delete(list, j, j+1)
+		}
+		w.slots[i].timers = list
+		return
 	}
-	cp := w.newTimerSet(max(len(set), 4))
-	for k, v := range set {
-		cp[k] = v
+	var cp []string
+	if n := len(w.spareTimerSets); n > 0 {
+		cp = w.spareTimerSets[n-1]
+		w.spareTimerSets[n-1] = nil
+		w.spareTimerSets = w.spareTimerSets[:n-1]
+	} else {
+		cp = make([]string, 0, max(len(list)+1, 4))
 	}
+	cp = append(cp, list[:j]...)
+	if on {
+		cp = append(cp, name)
+	} else {
+		j++
+	}
+	cp = append(cp, list[j:]...)
 	w.ownSlots()
 	w.slots[i].timers, w.slots[i].timersOwned = cp, true
-	return cp
 }
 
 // ownInflight forks the in-flight slice if it is still shared, so appends
@@ -722,13 +732,10 @@ func (w *World) Crash(id NodeID) {
 		return
 	}
 	w.SetDown(id, true)
-	if len(w.slots[i].timers) > 0 {
-		// Drop the set rather than copy-on-write forking the shared one
-		// just to clear it (crash is enumerated per live node on the
-		// fault-branching hot path).
-		w.markDigestDirty(i)
-		w.ownSlots()
-		w.slots[i].timers, w.slots[i].timersOwned = nil, false
+	// Cancel from the last: a shared list is copied once, without its last
+	// name, and emptied in place.
+	for t := w.slots[i].timers; len(t) > 0; t = w.slots[i].timers {
+		w.setTimer(i, t[len(t)-1], false)
 	}
 }
 
@@ -874,11 +881,9 @@ func (w *World) SetDown(id NodeID, down bool) {
 // anything, e.g. the triggering timer event of a lookahead. It is a no-op
 // for an id that is no node.
 func (w *World) SetTimerPending(id NodeID, name string) {
-	i := w.slotOf(id)
-	if i < 0 || w.slots[i].timers[name] {
-		return
+	if i := w.slotOf(id); i >= 0 {
+		w.setTimer(i, name, true)
 	}
-	w.ownTimers(i)[name] = true
 }
 
 // Digest returns a stable hash of the entire world, used for state
@@ -942,20 +947,10 @@ func (w *World) nodeComponent(i int) uint64 {
 	h.WriteNode(w.nodeOrder[i])
 	h.WriteUint(s.svc.Digest())
 	h.WriteBool(s.down)
-	np := borrowNames()
-	names := (*np)[:0]
-	for name, on := range s.timers {
-		if on {
-			names = append(names, name)
-		}
-	}
-	slices.Sort(names) // generic sort: no interface boxing per call
-	h.WriteInt(int64(len(names)))
-	for _, name := range names {
+	h.WriteInt(int64(len(s.timers)))
+	for _, name := range s.timers {
 		h.WriteString(name)
 	}
-	*np = names
-	returnNames(np)
 	d := sm.Mix64(h.Sum())
 	sm.PutHasher(h)
 	return d
@@ -1024,24 +1019,6 @@ func (w *World) rehashDirty() {
 	w.dig.dirty = w.dig.dirty[:0]
 }
 
-// namesPool recycles the scratch slices used to sort pending timer names
-// while hashing a node component.
-var namesPool = sync.Pool{New: func() any {
-	s := make([]string, 0, 8)
-	return &s
-}}
-
-// borrowNames/returnNames traffic in the pooled *[]string directly:
-// putting a plain slice back would re-box its header on every call,
-// costing an allocation per node-component hash.
-func borrowNames() *[]string {
-	return namesPool.Get().(*[]string)
-}
-
-func returnNames(p *[]string) {
-	namesPool.Put(p)
-}
-
 // BodyDigester lets message bodies provide a stable digest. It is an alias
 // of sm.BodyDigester, kept here because message digesting grew up in this
 // package. Bodies that do not implement it are hashed via their fmt
@@ -1051,7 +1028,7 @@ type BodyDigester = sm.BodyDigester
 
 // worldEnv adapts a World to sm.Env for one handler invocation. Effects
 // mutate the world: sends append to a staging buffer (exposed afterward as
-// the causal consequences of the event), timer ops update the pending set.
+// the causal consequences of the event), timer ops update the pending list.
 type worldEnv struct {
 	w         *World
 	id        NodeID
@@ -1082,18 +1059,8 @@ func (e *worldEnv) SendDatagram(dst NodeID, kind string, body any, size int) {
 	e.produced = append(e.produced, m)
 }
 
-func (e *worldEnv) SetTimer(name string, d time.Duration) {
-	if e.w.slots[e.slot].timers[name] {
-		return // already pending: avoid forking a shared set for a no-op
-	}
-	e.w.ownTimers(e.slot)[name] = true
-}
-
-func (e *worldEnv) CancelTimer(name string) {
-	if e.w.slots[e.slot].timers[name] {
-		delete(e.w.ownTimers(e.slot), name)
-	}
-}
+func (e *worldEnv) SetTimer(name string, d time.Duration) { e.w.setTimer(e.slot, name, true) }
+func (e *worldEnv) CancelTimer(name string)               { e.w.setTimer(e.slot, name, false) }
 
 func (e *worldEnv) Rand() *rand.Rand {
 	if e.w.rngs == nil {
@@ -1156,9 +1123,7 @@ func (w *World) FireTimer(id NodeID, name string) []*sm.Msg {
 	if i < 0 {
 		return nil
 	}
-	if w.slots[i].timers[name] {
-		delete(w.ownTimers(i), name)
-	}
+	w.setTimer(i, name, false)
 	if w.slots[i].down {
 		return nil
 	}
