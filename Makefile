@@ -56,6 +56,9 @@ bench:
 # fork itself: with a warm free-list a fork, its first service and timer
 # writes, its digest and its release allocate nothing at 15 and 255 nodes
 # (one slot copy into the recycled shell's spare, whatever the size).
+# TestIntMapForkWriteBytes is the cost-shape gate of the trie under the
+# paxos logs: Clone+Put of a 104-byte value copies one node per level and
+# at most 2 KB at 64, 4096 and 100000 keys (8-entry leaves).
 # TestForkCostIndependentOfLogSize is the cost-shape gate of the paxos
 # service fork: Clone+Digest allocate the same at 64 and at 4096 decided
 # instances, and the first write after a fork copies one trie path.
@@ -73,12 +76,14 @@ bench:
 # TestLookaheadSteadyStateAllocs is the gate of one whole decision: a
 # steering-shaped paxos lookahead allocates what its handlers allocate
 # plus a fixed few objects and <= 4 KB, the same at MaxStates 128 and
-# 4096 and at 64 and 4096 decided instances.
+# 4096 and at 64 and 4096 decided instances; the handlers' share stays
+# <= 16 KB at 64 decided.
 # TestStaleCheckpointResponseNotCloned is the gate of the checkpoint
 # receive path: fresh, stale and same-epoch-earlier responses cost zero
 # clones, the delivered state being the one the state model retains.
 bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState|TestForkWriteAllocsIndependentOfSize' -count=2 -v
+	go test ./internal/sm -run 'TestIntMapForkWriteBytes' -count=2 -v
 	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize' -count=2 -v
 	go test ./internal/apps/gossip -run 'TestForkCostIndependentOfUpdates' -count=2 -v
 	go test ./internal/apps/randtree -run 'TestTreeStepIndependentOfSize|TestForkCostIndependentOfTreeSize' -count=2 -v

@@ -432,8 +432,9 @@ func TestForkCostIndependentOfLogSize(t *testing.T) {
 	if a, b := forkAndDigest(young), forkAndDigest(old); a != b {
 		t.Errorf("Clone+Digest allocates %v times at 64 decided, %v at 4096: not O(1)", a, b)
 	}
-	// 64 entries make a trie of depth 2, 4096 of depth 3: one more node to
-	// copy, and nothing else.
+	// 64 entries make a trie of depth 2 (a branch over 8-entry leaves
+	// reaches 256 keys), 4096 of depth 3 (two branch levels reach 8 192):
+	// one more node to copy, and nothing else.
 	a, b := forkAndLearn(young, youngEnv), forkAndLearn(old, oldEnv)
 	if b-a > 1 || b > 8 {
 		t.Errorf("Clone+onLearn allocates %v times at 64 decided, %v at 4096: want O(trie depth)", a, b)

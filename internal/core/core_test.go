@@ -255,6 +255,93 @@ func TestStaleCheckpointResponseNotCloned(t *testing.T) {
 	}
 }
 
+// liveClones is balSvc re-arming an "emit" timer, counting the handlers
+// its live copy runs and the clones taken of it. Its clones, which
+// lookahead worlds fork and run further, count nothing.
+type liveClones struct {
+	balSvc
+	live            bool
+	clones, handled *int
+}
+
+func (s *liveClones) Init(env sm.Env) { env.SetTimer("emit", 7*time.Millisecond) }
+func (s *liveClones) OnMessage(env sm.Env, m *sm.Msg) {
+	s.count(s.handled)
+	s.balSvc.OnMessage(env, m)
+}
+func (s *liveClones) OnTimer(env sm.Env, name string) {
+	s.count(s.handled)
+	s.balSvc.OnTimer(env, name)
+	env.SetTimer("emit", 7*time.Millisecond)
+}
+func (s *liveClones) Clone() sm.Service {
+	s.count(s.clones)
+	c := *s
+	c.balSvc = *s.balSvc.Clone().(*balSvc)
+	c.live = false
+	return &c
+}
+func (s *liveClones) count(n *int) {
+	if s.live {
+		*n++
+	}
+}
+
+// The runtime clones a node's service before each handler only for a
+// resolver that reads that pre-event state — Predictive. A steering node
+// with another resolver forks its live service in steerAway alone: one
+// clone per check whose with-message lookahead is safe, none for a timer.
+func TestPreEventCloneOnlyForPredictive(t *testing.T) {
+	run := func(cfg Config) (clones, handled int, st Stats) {
+		eng := sim.NewEngine(5)
+		cl := NewCluster(eng, transport.New(eng, netmodel.Uniform(3, 5*time.Millisecond, 0, 0)), cfg)
+		for i := NodeID(0); i < 3; i++ {
+			svc := &liveClones{balSvc: balSvc{id: i}, live: true, clones: &clones, handled: &handled}
+			for j := NodeID(0); j < 3; j++ {
+				if j != i {
+					svc.peers = append(svc.peers, j)
+				}
+			}
+			cl.AddNode(i, svc)
+		}
+		cl.Start()
+		eng.RunFor(300 * time.Millisecond)
+		return clones, handled, cl.Stats()
+	}
+	bounded := explore.Property{Name: "val<=1e6", Check: func(w *explore.World) bool {
+		for _, id := range w.Nodes() {
+			if w.Service(id).(*liveClones).val > 1e6 {
+				return false
+			}
+		}
+		return true
+	}}
+	clones, handled, st := run(Config{
+		NewResolver: func(*Node) Resolver { return Random{} },
+		Steering:    true,
+		Properties:  []explore.Property{bounded},
+	})
+	if st.SteeringChecks == 0 || uint64(handled) <= st.SteeringChecks {
+		t.Fatalf("steering node: %d handlers ran, %d steering checks: want timers beside the checked messages", handled, st.SteeringChecks)
+	}
+	t.Logf("steering, random resolver: %d handlers, %d steering checks, %d clones", handled, st.SteeringChecks, clones)
+	if uint64(clones) != st.SteeringChecks {
+		t.Errorf("steering node with a random resolver: %d clones of the live services for %d steering checks and %d handlers, want one per check",
+			clones, st.SteeringChecks, handled)
+	}
+	clones, handled, st = run(Config{
+		NewResolver: func(*Node) Resolver { return NewPredictive(1) },
+		ObjectiveFor: func(*Node) explore.Objective {
+			return explore.ObjectiveFunc{ObjectiveName: "zero", Fn: func(*explore.World) float64 { return 0 }}
+		},
+	})
+	t.Logf("predictive resolver: %d handlers, %d predictions, %d clones", handled, st.Predictions, clones)
+	if st.Predictions == 0 || clones != handled {
+		t.Errorf("predictive node: %d clones of the live services for %d handlers (%d predictions), want one pre-event clone per handler",
+			clones, handled, st.Predictions)
+	}
+}
+
 func TestPredictiveResolverBalances(t *testing.T) {
 	cfg := Config{
 		NewResolver:        func(*Node) Resolver { return NewPredictive(2) },

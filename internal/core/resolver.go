@@ -38,10 +38,6 @@ type Resolver interface {
 	Resolve(n *Node, c sm.Choice) int
 }
 
-// lookaheadNeeder is implemented by resolvers that need the runtime to
-// retain a pre-event clone of the service state.
-type lookaheadNeeder interface{ needsLookahead() bool }
-
 // First always picks alternative 0 — the degenerate strategy of a developer
 // who resolves the choice statically.
 type First struct{}
@@ -134,8 +130,6 @@ func NewPredictive(depth int) *Predictive {
 
 // Name returns "crystalball".
 func (*Predictive) Name() string { return "crystalball" }
-
-func (*Predictive) needsLookahead() bool { return true }
 
 // Resolve evaluates every candidate in a lookahead world and returns the
 // one with the best predicted objective score.

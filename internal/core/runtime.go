@@ -759,19 +759,19 @@ func (n *Node) explore(x *explore.Explorer, w *explore.World) *explore.Report {
 	return r
 }
 
-func (n *Node) needsLookahead() bool {
-	if n.cluster.cfg.Steering {
-		return true
-	}
-	if ln, ok := n.resolver.(lookaheadNeeder); ok {
-		return ln.needsLookahead()
-	}
-	return false
+// resolverReadsPreEventState reports whether the node's resolver reads
+// preEventState, the clone of the service taken before each handler
+// runs. Only Predictive does; steering forks the live service itself,
+// before the handler (steerAway), so a steering node with any other
+// resolver dispatches without a clone.
+func (n *Node) resolverReadsPreEventState() bool {
+	_, ok := n.resolver.(*Predictive)
+	return ok
 }
 
 func (n *Node) dispatchMessage(msg *sm.Msg) {
 	n.currentEvent = &pendingEvent{msg: msg}
-	if n.needsLookahead() {
+	if n.resolverReadsPreEventState() {
 		n.preEventState = n.svc.Clone()
 	} else {
 		n.preEventState = nil
@@ -787,7 +787,7 @@ func (n *Node) dispatchTimer(name string) {
 	}
 	delete(n.timers, name)
 	n.currentEvent = &pendingEvent{timer: name}
-	if n.needsLookahead() {
+	if n.resolverReadsPreEventState() {
 		n.preEventState = n.svc.Clone()
 	} else {
 		n.preEventState = nil

@@ -11,8 +11,11 @@ import (
 // map nobody has forked is mutated in place. All visits keys in
 // ascending order, so digests and reports need no sort.
 //
-// It is a 32-way radix trie over the key's bits whose height grows with
-// the largest key stored (negative keys take the full 13 levels). Every
+// It is a radix trie over the key's bits whose height grows with the
+// largest key stored (negative keys take the full 14 levels). Leaves hold
+// 8 values, indexed by the key's low 3 bits, and branches are 32-way:
+// a leaf is the unit a write after a fork copies, so it is kept narrow,
+// and a branch costs one pointer per slot, so it is kept wide. Every
 // node carries a shared mark; a marked node is never written again, an
 // unmarked one is reachable from exactly one IntMap. Clone marks the root
 // and hands out the same pointer; a write that meets a marked node copies
@@ -33,22 +36,42 @@ type IntMap[V any] struct {
 }
 
 const (
+	leafBits  = 3
+	leafWidth = 1 << leafBits
+	leafMask  = leafWidth - 1
 	trieBits  = 5
 	trieWidth = 1 << trieBits
 	trieMask  = trieWidth - 1
-	// trieTopShift is the root's shift once keys need all 64 bits: 12
-	// levels of 5 bits below it leave the top level 4 bits, of which the
-	// highest is the sign.
-	trieTopShift = 60
+	// trieTopShift is the root's shift once keys need all 64 bits: the
+	// leaf's 3 bits and 12 branch levels of 5 below it leave the top
+	// level the sign bit alone.
+	trieTopShift = 63
 )
+
+// A level at shift s indexes the key's bits from s up to reach(s); the
+// level above it sits at reach(s) and the level below at down(s). A
+// leaf sits at shift 0.
+func reach(shift uint) uint {
+	if shift == 0 {
+		return leafBits
+	}
+	return shift + trieBits // 68 at the top level, where u>>reach(s) is 0 for every key
+}
+
+func down(shift uint) uint {
+	if shift == leafBits {
+		return 0
+	}
+	return shift - trieBits
+}
 
 // trieNode is a branch (kids set) or a leaf (vals set). The array lives
 // in the same allocation as the node (newBranch, newLeaf).
 type trieNode[V any] struct {
 	shared atomic.Bool
-	used   uint32 // leaf: bitmap of occupied slots
+	used   uint8 // leaf: bitmap of occupied slots
 	kids   *[trieWidth]*trieNode[V]
-	vals   *[trieWidth]V
+	vals   *[leafWidth]V
 }
 
 func newBranch[V any]() *trieNode[V] {
@@ -63,7 +86,7 @@ func newBranch[V any]() *trieNode[V] {
 func newLeaf[V any]() *trieNode[V] {
 	l := new(struct {
 		trieNode[V]
-		arr [trieWidth]V
+		arr [leafWidth]V
 	})
 	l.vals = &l.arr
 	return &l.trieNode
@@ -115,15 +138,15 @@ func (m *IntMap[V]) Clone() IntMap[V] {
 func (m *IntMap[V]) Get(k int) (v V, ok bool) {
 	u := uint64(k)
 	n := m.root
-	if n == nil || u>>(m.shift+trieBits) != 0 {
+	if n == nil || u>>reach(m.shift) != 0 {
 		return v, false
 	}
-	for s := m.shift; s > 0; s -= trieBits {
+	for s := m.shift; s > 0; s = down(s) {
 		if n = n.kids[(u>>s)&trieMask]; n == nil {
 			return v, false
 		}
 	}
-	i := u & trieMask
+	i := u & leafMask
 	if n.used&(1<<i) == 0 {
 		return v, false
 	}
@@ -136,21 +159,21 @@ func (m *IntMap[V]) Put(k int, v V) {
 	if m.root == nil {
 		m.root = newLeaf[V]()
 	}
-	for u>>(m.shift+trieBits) != 0 { // grow until the root covers k
+	for u>>reach(m.shift) != 0 { // grow until the root covers k
 		b := newBranch[V]()
 		b.kids[0] = m.root
 		m.root = b
-		m.shift += trieBits
+		m.shift = reach(m.shift)
 	}
 	m.root = m.root.owned()
 	n := m.root
-	for s := m.shift; s > 0; s -= trieBits {
+	for s := m.shift; s > 0; s = down(s) {
 		i := (u >> s) & trieMask
 		c := n.kids[i]
 		switch {
 		case c != nil:
 			c = c.owned()
-		case s == trieBits:
+		case s == leafBits:
 			c = newLeaf[V]()
 		default:
 			c = newBranch[V]()
@@ -158,7 +181,7 @@ func (m *IntMap[V]) Put(k int, v V) {
 		n.kids[i] = c
 		n = c
 	}
-	i := u & trieMask
+	i := u & leafMask
 	if n.used&(1<<i) == 0 {
 		n.used |= 1 << i
 		m.n++
@@ -177,7 +200,7 @@ func (m *IntMap[V]) All(fn func(k int, v V) bool) {
 // Diff calls fn, in ascending key order until it returns false, for every
 // entry of m that old may not hold with the same value: each key m stores
 // that old lacks or maps to something else is visited with its value in m,
-// and so — a leaf being the unit of sharing — are the up to 31 entries in
+// and so — a leaf being the unit of sharing — are the up to 7 entries in
 // the same leaf. Subtrees the two maps share by pointer are skipped, so
 // when m descends from a Clone of old, or both from Clones of one
 // ancestor, the cost follows the paths written since the fork and not
@@ -192,17 +215,17 @@ func (m *IntMap[V]) Diff(old *IntMap[V], fn func(k int, v V) bool) {
 	case old == nil || old.root == nil || old.shift > m.shift:
 		m.All(fn)
 	default:
-		m.root.diff(old.root, m.shift-old.shift, m.shift, 0, fn)
+		m.root.diff(old.root, old.shift, m.shift, 0, fn)
 	}
 }
 
 // slots returns how many of a node's slots keys can reach and the slot
 // its in-order visit starts from. A root at trieTopShift indexes by the
-// key's top four bits, and its slots 8..15 hold the keys with the sign
-// bit set, which sort first.
+// sign bit alone, and its slot 1 holds the negative keys, which sort
+// first.
 func slots(shift uint) (width, first int) {
 	if shift == trieTopShift {
-		return 16, 8
+		return 2, 1
 	}
 	return trieWidth, 0
 }
@@ -211,7 +234,7 @@ func slots(shift uint) (width, first int) {
 func (n *trieNode[V]) walk(shift uint, prefix uint64, fn func(k int, v V) bool) bool {
 	if n.vals != nil {
 		for used := n.used; used != 0; used &= used - 1 {
-			i := bits.TrailingZeros32(used)
+			i := bits.TrailingZeros8(used)
 			if !fn(int(prefix|uint64(i)), n.vals[i]) {
 				return false
 			}
@@ -221,18 +244,18 @@ func (n *trieNode[V]) walk(shift uint, prefix uint64, fn func(k int, v V) bool) 
 	width, first := slots(shift)
 	for j := 0; j < width; j++ {
 		i := uint64(j+first) & uint64(width-1)
-		if c := n.kids[i]; c != nil && !c.walk(shift-trieBits, prefix|i<<shift, fn) {
+		if c := n.kids[i]; c != nil && !c.walk(down(shift), prefix|i<<shift, fn) {
 			return false
 		}
 	}
 	return true
 }
 
-// diff is walk restricted to what is not shared with the old map's node o.
-// above is how many bits n's level sits over o's: a root that grew keeps
-// the old root under slot 0 of each level it added, so while above > 0
-// slot 0 is compared against o itself and every other slot is new.
-func (n *trieNode[V]) diff(o *trieNode[V], above, shift uint, prefix uint64, fn func(k int, v V) bool) bool {
+// diff is walk restricted to what is not shared with the old map's node o,
+// which sits at oshift. A root that grew keeps the old root under slot 0
+// of each level it added, so while n's level is above o's, slot 0 is
+// compared against o itself and every other slot is new.
+func (n *trieNode[V]) diff(o *trieNode[V], oshift, shift uint, prefix uint64, fn func(k int, v V) bool) bool {
 	if n == o {
 		return true
 	}
@@ -247,14 +270,14 @@ func (n *trieNode[V]) diff(o *trieNode[V], above, shift uint, prefix uint64, fn 
 			continue
 		}
 		var oc *trieNode[V]
-		below := above
+		below := oshift // the level oc sits at
 		switch {
-		case above == 0:
-			oc = o.kids[i]
+		case shift == oshift:
+			oc, below = o.kids[i], down(shift)
 		case i == 0:
-			oc, below = o, above-trieBits
+			oc = o
 		}
-		if !c.diff(oc, below, shift-trieBits, prefix|i<<shift, fn) {
+		if !c.diff(oc, below, down(shift), prefix|i<<shift, fn) {
 			return false
 		}
 	}

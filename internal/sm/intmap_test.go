@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -197,9 +198,9 @@ func diffKeys(t *testing.T, m, old *IntMap[int], model map[int]int, what string)
 	return got
 }
 
-// leafOf names the leaf a key lives in: the 32 keys that agree above the
-// low five bits.
-func leafOf(k int) uint64 { return uint64(k) >> trieBits }
+// leafOf names the leaf a key lives in: the leafWidth keys that agree
+// above the low leafBits bits.
+func leafOf(k int) uint64 { return uint64(k) >> leafBits }
 
 // Diff against a reference: fork a map, let both sides move on as a live
 // replica and its checkpoint do, and hold what Diff reports to the two
@@ -243,25 +244,31 @@ func TestIntMapDiffMatchesModel(t *testing.T) {
 	}
 }
 
-// A root grows a level at 32, 1 024 and 32 768 keys (and for the first
+// A root grows a level at 8, 256 and 8 192 keys (and for the first
 // negative key, to full height): the old root then sits under slot 0 of
 // the new levels, and Diff across the boundary still skips what it shares.
 func TestIntMapDiffAcrossGrowth(t *testing.T) {
-	for _, n := range []int{32, 1024, 32768} {
+	for _, n := range []int{leafWidth, 256, 8192} {
 		p := &modelled{model: map[int]int{}}
 		for k := 0; k < n; k++ {
 			p.put(k, k)
 		}
 		old := p.fork()
 		p.put(n, -1) // first key past the root's reach: one new level
+		if p.m.shift != reach(old.m.shift) {
+			t.Fatalf("key %d moves the root from shift %d to %d, want one level up", n, old.m.shift, p.m.shift)
+		}
 		if got := diffKeys(t, &p.m, &old.m, p.model, "grown"); !slices.Equal(got, []int{n}) {
 			t.Fatalf("growth past %d keys: Diff yields %v, want [%d]", n, got, n)
 		}
 		p.put(-7, -2) // a negative key: every level there is
 		p.put(3, -3)  // and a write below the old root
+		if p.m.shift != trieTopShift {
+			t.Fatalf("a negative key leaves the root at shift %d, want %d", p.m.shift, trieTopShift)
+		}
 		got := diffKeys(t, &p.m, &old.m, p.model, "grown to full height")
 		want := []int{-7}
-		for k := 0; k < 32; k++ { // key 3's leaf, whole
+		for k := 0; k < leafWidth; k++ { // key 3's leaf, whole
 			want = append(want, k)
 		}
 		if want = append(want, n); !slices.Equal(got, want) {
@@ -271,6 +278,90 @@ func TestIntMapDiffAcrossGrowth(t *testing.T) {
 		// spine to follow, so everything is reported.
 		if got := diffKeys(t, &old.m, &p.m, old.model, "shrunk"); len(got) != n {
 			t.Fatalf("Diff against a taller map yields %d keys, want all %d", len(got), n)
+		}
+	}
+}
+
+// The extreme keys sit on either side of the top level's sign bit and at
+// the ends of each side: Get finds them, All yields math.MinInt first and
+// math.MaxInt last, and Diff across the sign level reports exactly the
+// leaves a fork wrote on either side of it.
+func TestIntMapExtremeKeys(t *testing.T) {
+	extremes := []int{math.MinInt, math.MinInt + 1, -9, -8, -1, 0, 7, 8, math.MaxInt - 1, math.MaxInt}
+	rng := rand.New(rand.NewSource(1))
+	p := &modelled{model: map[int]int{}}
+	for i, k := range extremes {
+		p.put(k, i)
+	}
+	p.check(t, rng, "extremes")
+	if p.m.shift != trieTopShift {
+		t.Fatalf("root at shift %d with negative keys stored, want %d", p.m.shift, trieTopShift)
+	}
+	var order []int
+	for k := range p.m.All {
+		order = append(order, k)
+	}
+	if !slices.Equal(order, extremes) {
+		t.Fatalf("All yields %v, want %v", order, extremes)
+	}
+	for _, c := range []struct {
+		write int
+		want  []int // the whole leaf the write lands in
+	}{
+		{math.MinInt, []int{math.MinInt, math.MinInt + 1}},
+		{-1, []int{-8, -1}},
+		{0, []int{0, 7}},
+		{math.MaxInt, []int{math.MaxInt - 1, math.MaxInt}},
+	} {
+		fork := p.fork()
+		fork.put(c.write, -1)
+		if got := diffKeys(t, &fork.m, &p.m, fork.model, "extreme write"); !slices.Equal(got, c.want) {
+			t.Fatalf("a write to %d: Diff yields %v, want %v", c.write, got, c.want)
+		}
+		fork.check(t, rng, "extreme fork")
+	}
+	p.check(t, rng, "extremes after the forks")
+	fork := p.fork()
+	fork.put(math.MaxInt, -1)
+	fork.put(math.MinInt, -1)
+	if got, want := diffKeys(t, &fork.m, &p.m, fork.model, "both sides"), []int{math.MinInt, math.MinInt + 1, math.MaxInt - 1, math.MaxInt}; !slices.Equal(got, want) {
+		t.Fatalf("writes on both sides of the sign level: Diff yields %v, want %v", got, want)
+	}
+}
+
+// Cost-shape gate (make bench-alloc): the first write after a fork copies
+// one node per trie level and nothing else, so a propState-sized value
+// (104 B) costs one object per level and at most 2 KB, whatever the size
+// of the map. A 32-wide leaf of those values alone is 3.3 KB.
+func TestIntMapForkWriteBytes(t *testing.T) {
+	type value [13]uint64 // 104 B, the size of paxos' propState
+	const runs, maxBytes = 200, 2 << 10
+	for _, n := range []int{64, 4096, 100000} {
+		var m IntMap[value]
+		for k := 0; k < n; k++ {
+			m.Put(k, value{uint64(k)})
+		}
+		levels := 1
+		for s := m.shift; s > 0; s = down(s) {
+			levels++
+		}
+		k, sink := n/2, uint64(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		objects := testing.AllocsPerRun(runs, func() {
+			c := m.Clone()
+			c.Put(k, value{sink})
+			v, _ := c.Get(k)
+			sink += v[0] + 1
+		})
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun runs fn once more, unmeasured
+		t.Logf("%d keys: %d levels, %.0f objects, %.0f B per Clone+Put", n, levels, objects, bytes)
+		if objects != float64(levels) || bytes > maxBytes {
+			t.Errorf("Clone+Put at %d keys allocates %.0f objects and %.0f B: want %d (one per level) and at most %d B", n, objects, bytes, levels, maxBytes)
+		}
+		if v, _ := m.Get(k); v[0] != uint64(k) {
+			t.Fatalf("the forks' writes reached the original: key %d holds %d", k, v[0])
 		}
 	}
 }

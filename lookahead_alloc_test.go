@@ -69,18 +69,21 @@ func replayChain(svcs []sm.Service, m *sm.Msg, depth int) int {
 // (make bench-alloc): a steering-shaped lookahead — clone the live replica,
 // fork the model's standing world around it, inject a client submission,
 // explore three levels with the previous root as Prior — allocates what its
-// handlers allocate (replica forks, 1–3 KB trie leaves, messages) plus a
-// fixed few objects of its own, and nothing that grows with the state
-// budget or with how much the replicas have decided. Before the model kept
-// a standing world and the explorer its run scratch, the engine's share was
-// ~33 KB: two zeroed arena chunks, a seen set sized by the budget, four
-// peer clones and a world digested from nothing.
+// handlers allocate (replica forks, the trie paths their first writes copy,
+// messages) plus a fixed few objects of its own, and nothing that grows
+// with the state budget or with how much the replicas have decided. Before
+// the model kept a standing world and the explorer its run scratch, the
+// engine's share was ~33 KB: two zeroed arena chunks, a seen set sized by
+// the budget, four peer clones and a world digested from nothing. The
+// handlers' own share has a ceiling too: with 8-entry trie leaves a
+// proposal write copies under 1 KB of leaf, where a 32-entry leaf was
+// 3.3 KB and put the handlers at ~34 KB per lookahead.
 func TestLookaheadSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool operations; the pin is meaningless under it")
 	}
 	const depth, runs = 3, 200
-	const maxObjects, maxOwnBytes = 72, 4 << 10
+	const maxObjects, maxOwnBytes, maxHandlerBytes = 72, 4 << 10, 16 << 10
 	perRun := func(fn func()) (objects, bytes float64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -88,7 +91,7 @@ func TestLookaheadSteadyStateAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return objects, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun runs fn once more, unmeasured
 	}
-	measure := func(decided, maxStates int) (objects, ownBytes float64) {
+	measure := func(decided, maxStates int) (objects, ownBytes, handlerBytes float64) {
 		self, m := agedPaxosModel(decided)
 		submit := &sm.Msg{Src: 0, Dst: 0, Kind: paxos.KindSubmit, Body: paxos.Submit{Cmd: paxos.Cmd{ID: decided, Origin: 0}}}
 		x := explore.NewExplorer(depth)
@@ -117,20 +120,23 @@ func TestLookaheadSteadyStateAllocs(t *testing.T) {
 			svcs = append(svcs, e.State)
 		}
 		handlerRuns := 0
-		_, handlerBytes := perRun(func() { handlerRuns = replayChain(svcs, submit, depth) })
+		_, handlerBytes = perRun(func() { handlerRuns = replayChain(svcs, submit, depth) })
 		if states != handlerRuns+1 || states < 8 {
 			t.Fatalf("the lookahead checked %d states, the replay ran %d handlers: not the same chains", states, handlerRuns)
 		}
 		t.Logf("decided=%d MaxStates=%d: %d states, %.0f objects, %.0f B per lookahead, %.0f B of them its handlers'",
 			decided, maxStates, states, objects, bytes, handlerBytes)
-		return objects, bytes - handlerBytes
+		return objects, bytes - handlerBytes, handlerBytes
 	}
-	base, baseOwn := measure(64, 128)
+	base, baseOwn, handlerBytes := measure(64, 128)
 	if base > maxObjects || baseOwn > maxOwnBytes {
 		t.Errorf("a lookahead allocates %.0f objects and %.0f B beyond its handlers': budget %d objects, %d B", base, baseOwn, maxObjects, maxOwnBytes)
 	}
+	if handlerBytes > maxHandlerBytes {
+		t.Errorf("a lookahead's handlers allocate %.0f B at 64 decided: budget %d B", handlerBytes, maxHandlerBytes)
+	}
 	for _, c := range []struct{ decided, maxStates int }{{64, 4096}, {4096, 128}} {
-		if objects, own := measure(c.decided, c.maxStates); objects > base+1 || own > maxOwnBytes {
+		if objects, own, _ := measure(c.decided, c.maxStates); objects > base+1 || own > maxOwnBytes {
 			t.Errorf("decided=%d MaxStates=%d: %.0f objects and %.0f B beyond the handlers', against %.0f objects, %.0f B at 64 decided and MaxStates 128",
 				c.decided, c.maxStates, objects, own, base, baseOwn)
 		}
