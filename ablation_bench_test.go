@@ -1,6 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: how much
-// lookahead depth, checkpoint freshness, decision caching, and exploration
-// randomization each contribute to the CrystalBall resolver's results.
+// lookahead depth, checkpoint freshness and exploration randomization each
+// contribute to the CrystalBall resolver's results, and how the policies
+// fare under CPU overload and on a dynamic network.
 package crystalchoice
 
 import (
@@ -55,35 +56,6 @@ func BenchmarkAblationCheckpointInterval(b *testing.B) {
 				total += r.RejoinDepth
 			}
 			b.ReportMetric(float64(total)/float64(b.N), "rejoin-depth")
-		})
-	}
-}
-
-// BenchmarkAblationDecisionCache measures what the decision cache buys:
-// identical (choice, state, event) resolutions answered without re-running
-// consequence prediction (paper §3.4: "choices based on previous similar
-// scenarios as a fast alternative").
-func BenchmarkAblationDecisionCache(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		disable := disable
-		name := "cached"
-		if disable {
-			name = "uncached"
-		}
-		b.Run(name, func(b *testing.B) {
-			var states, hits float64
-			for i := 0; i < b.N; i++ {
-				e := randtree.NewExperiment(randtree.ExperimentConfig{
-					N: 31, Seed: int64(i + 1), Setup: randtree.SetupChoiceCrystalBall,
-					DisableCache: disable,
-				})
-				e.Run(31*200*time.Millisecond + 10*time.Second)
-				s := e.Cluster.Stats()
-				states += float64(s.LookaheadStates)
-				hits += float64(s.CacheHits)
-			}
-			b.ReportMetric(states/float64(b.N), "lookahead-states")
-			b.ReportMetric(hits/float64(b.N), "cache-hits")
 		})
 	}
 }
@@ -160,32 +132,6 @@ func BenchmarkAblationDynamicNetwork(b *testing.B) {
 			}
 			b.ReportMetric(float64(tail.Milliseconds())/float64(b.N), "fast-tail-ms")
 			b.ReportMetric(float64(covered)/float64(published), "coverage")
-		})
-	}
-}
-
-// BenchmarkAblationOffCriticalPath compares inline prediction (the handler
-// blocks on consequence prediction) against the paper's §3.4 design where
-// the handler answers from cached/fast decisions and predictions complete
-// in the background. Decision quality (rejoin depth) may degrade slightly;
-// the handler path stops paying lookahead cost.
-func BenchmarkAblationOffCriticalPath(b *testing.B) {
-	for _, async := range []bool{false, true} {
-		async := async
-		name := "inline"
-		if async {
-			name = "background"
-		}
-		b.Run(name, func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				r := randtree.RunSection4(randtree.ExperimentConfig{
-					N: 31, Seed: int64(i + 1), Setup: randtree.SetupChoiceCrystalBall,
-					OffCriticalPath: async,
-				})
-				total += r.RejoinDepth
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "rejoin-depth")
 		})
 	}
 }

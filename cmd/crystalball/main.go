@@ -23,8 +23,8 @@ import (
 
 // runtimeCfg is the runtime configuration every experiment hands its
 // cluster: the lookahead engine (-workers, -strategy, -faults,
-// -partitions, -maxfrontier) and the class-keyed verdict cache
-// (-classcache).
+// -partitions, -maxfrontier) and the cache of resolution verdicts under
+// scenario keys (-classcache).
 var runtimeCfg core.Config
 
 // main delegates to run so deferred profile writers flush before exit.
@@ -39,7 +39,7 @@ func run() int {
 	flag.IntVar(&runtimeCfg.Lookahead.FaultBudget, "faults", 0, "fault-transition budget per runtime lookahead (crash/recover/reset)")
 	flag.BoolVar(&runtimeCfg.Lookahead.PartitionFaults, "partitions", false, "also explore partition transitions in runtime lookaheads")
 	flag.IntVar(&runtimeCfg.Lookahead.MaxFrontier, "maxfrontier", 0, "cap on pending lookahead frontier units, dropping the newest incoming ones (0 = unbounded)")
-	flag.BoolVar(&runtimeCfg.LookaheadClassCache, "classcache", false, "cache steering/resolve verdicts under violation-class keys")
+	flag.BoolVar(&runtimeCfg.LookaheadClassCache, "classcache", false, "cache resolution verdicts under scenario keys")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	flag.Parse()

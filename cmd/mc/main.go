@@ -45,7 +45,7 @@ func run() int {
 	if err := cliutil.FirstErr(
 		cliutil.Positive("depth", *depth),
 		cliutil.Positive("workers", opts.Workers),
-		cliutil.NonNegative("budget", *budget),
+		cliutil.Positive("budget", *budget),
 		cliutil.NonNegative("faults", opts.FaultBudget),
 		cliutil.NonNegative("maxfrontier", opts.MaxFrontier),
 	); err != nil {

@@ -34,12 +34,6 @@ type ExperimentConfig struct {
 	JoinSpacing time.Duration
 	// LookaheadDepth for the CrystalBall setup. Default 3.
 	LookaheadDepth int
-	// DisableCache turns off the predictive resolver's decision cache
-	// (ablation A3).
-	DisableCache bool
-	// OffCriticalPath resolves choices from the cache/randomly and runs
-	// consequence prediction in the background (ablation A6, paper §3.4).
-	OffCriticalPath bool
 	// Runtime is the cluster's runtime configuration — lookahead engine,
 	// class cache, steering and its properties, panic containment, trace.
 	// The setup owns NewResolver, ObjectiveFor and InitialState, which
@@ -90,12 +84,7 @@ func NewExperiment(cfg ExperimentConfig) *Experiment {
 	case SetupChoiceRandom:
 		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.Random{} }
 	case SetupChoiceCrystalBall:
-		ccfg.NewResolver = func(*core.Node) core.Resolver {
-			pr := core.NewPredictive(cfg.LookaheadDepth)
-			pr.UseCache = !cfg.DisableCache
-			pr.OffCriticalPath = cfg.OffCriticalPath
-			return pr
-		}
+		ccfg.NewResolver = func(*core.Node) core.Resolver { return core.NewPredictive(cfg.LookaheadDepth) }
 		ccfg.ObjectiveFor = func(*core.Node) explore.Objective { return BalanceObjective() }
 		if ccfg.CheckpointInterval == 0 {
 			ccfg.CheckpointInterval = 150 * time.Millisecond

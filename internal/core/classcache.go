@@ -1,29 +1,20 @@
 package core
 
-import (
-	"crystalchoice/internal/explore"
-	"crystalchoice/internal/sm"
-)
+import "crystalchoice/internal/sm"
 
 // Class-keyed verdict caching (Config.LookaheadClassCache).
 //
 // The per-digest decision cache amortizes repeated *states*: it hits only
 // when the same (choice, state digest, event) recurs, which unique-command
 // workloads never produce — E18 measured 0% hits and a ~2.1 ms resolve p50
-// on per-command paxos traffic. But the violations those lookaheads keep
-// rediscovering collapse to a handful of canonical classes (PR 4: ~1.7k
-// raw violations → 3 classes), and the choice scenarios collapse to a
+// on per-command paxos traffic. But the choice scenarios collapse to a
 // handful of (choice name, arity, event kind) shapes. Class-keyed caching
-// exploits that second level of structure — the paper's §3.4 "choices
-// based on previous similar scenarios as a fast alternative":
-//
-//   - steering: after the with-message lookahead predicts violations, the
-//     verdict "dropping this message avoids class C" is recorded under C's
-//     canonical digest. The next time a lookahead predicts only known
-//     classes, the without-message lookahead is skipped entirely.
-//   - resolution: a decisive prediction's winner is recorded under the
-//     scenario key; the next resolution of the same scenario answers in
-//     cache-lookup time even though the state digest is new.
+// exploits that second level of structure for predictive resolution — the
+// paper's §3.4 "choices based on previous similar scenarios as a fast
+// alternative": a decisive prediction's winner is recorded under the
+// scenario key, and the next resolution of the same scenario answers in
+// cache-lookup time even though the state digest is new. Steering keeps
+// no class verdicts; every steering check runs both its lookaheads.
 //
 // Class verdicts deliberately ignore the exact state, so they are an
 // approximation. Two mechanisms bound the staleness: every topology event
@@ -51,7 +42,7 @@ func scenarioKey(c sm.Choice, ev *pendingEvent) uint64 {
 
 // syncCaches flushes the node's cached verdicts when the cluster topology
 // changed since they were computed. The per-digest decision cache is
-// flushed along with the class maps: a cached "deliver to peer 2" is just
+// flushed along with the class map: a cached "deliver to peer 2" is just
 // as stale as a class verdict once peer 2 is partitioned away (the
 // restart path already flushed it via Cluster.Restart; partition and heal
 // land here). Invalidation is lazy — nothing is paid until the next
@@ -62,45 +53,11 @@ func (n *Node) syncCaches() {
 		return
 	}
 	n.cacheEpoch = ce
-	n.stats.ClassInvalidations += uint64(len(n.classSteer) + len(n.classChoice))
+	n.stats.ClassInvalidations += uint64(len(n.classChoice))
 	if len(n.decisionCache) > 0 {
 		n.decisionCache = make(map[uint64]int)
 	}
-	n.classSteer = nil
 	n.classChoice = nil
-}
-
-// classSteerVerdict consults the steering class cache for the violation
-// classes predicted by a with-message lookahead. It returns
-// (steer, decided): decided is false when any class has no cached verdict
-// (the caller must pay the without-message lookahead); otherwise steer
-// reports whether every predicted class was previously cleared by
-// dropping — one uncleareable class makes steering pointless.
-func (n *Node) classSteerVerdict(classes []explore.ViolationClass) (steer, decided bool) {
-	if len(classes) == 0 || n.classSteer == nil {
-		return false, false
-	}
-	steer = true
-	for _, c := range classes {
-		v, ok := n.classSteer[c.Digest]
-		if !ok {
-			return false, false
-		}
-		steer = steer && v
-	}
-	return steer, true
-}
-
-// recordSteerVerdict stores the without-message outcome for every class
-// the with-message lookahead predicted: steerable means dropping the
-// message was predicted safe.
-func (n *Node) recordSteerVerdict(classes []explore.ViolationClass, steerable bool) {
-	if n.classSteer == nil {
-		n.classSteer = make(map[uint64]bool, len(classes))
-	}
-	for _, c := range classes {
-		n.classSteer[c.Digest] = steerable
-	}
 }
 
 // classChoiceLookup answers a resolution from the scenario cache.

@@ -543,69 +543,6 @@ type resolverFunc func(n *Node, c sm.Choice) int
 func (resolverFunc) Name() string                       { return "func" }
 func (f resolverFunc) Resolve(n *Node, c sm.Choice) int { return f(n, c) }
 
-func TestOffCriticalPathPrediction(t *testing.T) {
-	pr := NewPredictive(2)
-	pr.OffCriticalPath = true
-	pr.PredictionLatency = 20 * time.Millisecond
-	cfg := Config{
-		NewResolver:        func(*Node) Resolver { return pr },
-		CheckpointInterval: 50 * time.Millisecond,
-		ObjectiveFor: func(n *Node) explore.Objective {
-			return explore.ObjectiveFunc{ObjectiveName: "balance", Fn: func(w *explore.World) float64 {
-				worst := 0
-				for _, id := range w.Nodes() {
-					if v := w.Service(id).(*balSvc).val; v > worst {
-						worst = v
-					}
-				}
-				return -float64(worst)
-			}}
-		},
-	}
-	eng, cl := rig(t, 3, cfg)
-	cl.Node(1).Service().(*balSvc).val = 100 // node 2 is clearly better
-	eng.RunFor(300 * time.Millisecond)       // checkpoints propagate
-
-	// First resolution: cache cold, answered randomly, background job
-	// scheduled. After PredictionLatency the cache holds the decisive
-	// answer, so subsequent identical events all route to node 2.
-	inject(cl, 0, "work", 1)
-	eng.RunFor(100 * time.Millisecond) // background prediction completes
-	if cl.Node(0).Stats().AsyncPredictions == 0 {
-		t.Fatal("background prediction never completed")
-	}
-	before2 := cl.Node(2).Service().(*balSvc).val
-	hits := cl.Node(0).Stats().CacheHits
-	for i := 0; i < 5; i++ {
-		inject(cl, 0, "work", 1)
-		eng.RunFor(50 * time.Millisecond)
-	}
-	if cl.Node(0).Stats().CacheHits < hits+5 {
-		t.Fatalf("cache hits = %d, want >= %d", cl.Node(0).Stats().CacheHits, hits+5)
-	}
-	if got := cl.Node(2).Service().(*balSvc).val - before2; got != 5 {
-		t.Fatalf("cached decision routed %d/5 work items to the light node", got)
-	}
-	// The handler path never ran an inline prediction.
-	if cl.Node(0).Stats().Predictions != 0 {
-		t.Fatalf("inline predictions = %d, want 0 off the critical path", cl.Node(0).Stats().Predictions)
-	}
-}
-
-func TestOffCriticalPathCrashCancelsJob(t *testing.T) {
-	pr := NewPredictive(2)
-	pr.OffCriticalPath = true
-	cfg := Config{NewResolver: func(*Node) Resolver { return pr }, CheckpointInterval: 50 * time.Millisecond}
-	eng, cl := rig(t, 2, cfg)
-	eng.RunFor(100 * time.Millisecond)
-	inject(cl, 0, "work", 1)
-	cl.Crash(0)
-	eng.RunFor(time.Second)
-	if cl.Node(0).Stats().AsyncPredictions != 0 {
-		t.Fatal("background prediction ran on a crashed node")
-	}
-}
-
 func TestCheckpointNeighborsGlobalFallback(t *testing.T) {
 	// balSvc does not implement sm.Neighborly, so the runtime checkpoints
 	// against full membership (paper §2: "CrystalBall also works with

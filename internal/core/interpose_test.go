@@ -109,53 +109,6 @@ func TestSpuriousRestartKeepsCheckpointTrafficFlat(t *testing.T) {
 	}
 }
 
-// TestAsyncPredictionDroppedAcrossRestart pins the resolveAsync bugfix: a
-// background prediction scheduled before a crash+Restart is keyed by the
-// pre-restart state digest and must not complete into the post-restart
-// decision cache. The down check alone cannot catch this — after the
-// Restart the node is live again.
-func TestAsyncPredictionDroppedAcrossRestart(t *testing.T) {
-	pr := NewPredictive(2)
-	pr.OffCriticalPath = true
-	pr.PredictionLatency = 50 * time.Millisecond
-	cfg := Config{
-		NewResolver:        func(*Node) Resolver { return pr },
-		CheckpointInterval: 50 * time.Millisecond,
-		ObjectiveFor: func(n *Node) explore.Objective {
-			// Discriminating objective so the prediction is decisive and
-			// would be cached if it (incorrectly) completed.
-			return explore.ObjectiveFunc{ObjectiveName: "balance", Fn: func(w *explore.World) float64 {
-				worst := 0
-				for _, id := range w.Nodes() {
-					if v := w.Service(id).(*balSvc).val; v > worst {
-						worst = v
-					}
-				}
-				return -float64(worst)
-			}}
-		},
-	}
-	eng, cl := rig(t, 3, cfg)
-	cl.Node(1).Service().(*balSvc).val = 100 // make candidate scores differ
-	eng.RunFor(300 * time.Millisecond)       // checkpoints propagate
-
-	// Trigger the choice: the handler answers fast and schedules the full
-	// prediction 50ms out.
-	inject(cl, 0, "work", 1)
-	eng.RunFor(10 * time.Millisecond)
-	// Crash and restart node 0 before the prediction completes.
-	cl.Crash(0)
-	cl.Restart(0, nil)
-	eng.RunFor(time.Second)
-
-	if got := cl.Node(0).Stats().AsyncPredictions; got != 0 {
-		t.Fatalf("stale async prediction completed across a restart: AsyncPredictions = %d", got)
-	}
-	if got := len(cl.Node(0).decisionCache); got != 0 {
-		t.Fatalf("pre-restart prediction leaked into the post-restart decision cache: %d entries", got)
-	}
-}
-
 // TestRestartOfUnknownNodeIsNoop guards the nil branch next to the new
 // down guard.
 func TestRestartOfUnknownNodeIsNoop(t *testing.T) {
@@ -218,7 +171,7 @@ func TestDecisionLatencyInstrumentation(t *testing.T) {
 // and group heal must each bump the cluster's topology epoch, and the
 // next syncCaches must flush both the per-digest decision cache (the
 // partition-path fix — Restart already flushed it, Partition/Heal did
-// not) and the class-verdict maps, counting the dropped class verdicts.
+// not) and the scenario verdict map, counting the dropped class verdicts.
 func TestTopologyEventsInvalidateCaches(t *testing.T) {
 	cfg := Config{
 		NewResolver:         func(*Node) Resolver { return First{} },
@@ -229,7 +182,6 @@ func TestTopologyEventsInvalidateCaches(t *testing.T) {
 
 	seed := func() {
 		n.decisionCache = map[uint64]int{42: 1}
-		n.classSteer = map[uint64]bool{7: true}
 		n.classChoice = map[uint64]classVerdict{9: {idx: 0, n: 2}}
 		n.cacheEpoch = cl.topoEpoch
 	}
@@ -244,11 +196,11 @@ func TestTopologyEventsInvalidateCaches(t *testing.T) {
 		if len(n.decisionCache) != 0 {
 			t.Fatalf("%s left %d per-digest decisions cached", event, len(n.decisionCache))
 		}
-		if n.classSteer != nil || n.classChoice != nil {
+		if n.classChoice != nil {
 			t.Fatalf("%s left class verdicts cached", event)
 		}
-		if got := n.stats.ClassInvalidations; got != inv+2 {
-			t.Fatalf("%s: ClassInvalidations = %d, want %d", event, got, inv+2)
+		if got := n.stats.ClassInvalidations; got != inv+1 {
+			t.Fatalf("%s: ClassInvalidations = %d, want %d", event, got, inv+1)
 		}
 		// A second sync without a new event must be free.
 		n.decisionCache[42] = 1
@@ -269,52 +221,45 @@ func TestTopologyEventsInvalidateCaches(t *testing.T) {
 	check("Restart", func() { cl.Restart(2, &balSvc{id: 2}) })
 }
 
-// TestClassCacheSteeringVerdicts drives the class-keyed steering path
-// end to end: the first violation-predicting check pays both lookaheads
-// and records the verdict, the second answers from the class cache (the
-// per-digest cache cannot hit — the injected values differ, so the state
-// digests differ), and a partition in between forces the full price
-// again. Steering behavior itself must be identical throughout.
-func TestClassCacheSteeringVerdicts(t *testing.T) {
-	cfg := Config{
-		NewResolver:         func(*Node) Resolver { return First{} },
-		CheckpointInterval:  50 * time.Millisecond,
-		Steering:            true,
-		Properties:          []explore.Property{valBound()},
-		LookaheadClassCache: true,
-	}
-	eng, cl := rig(t, 2, cfg)
-	eng.RunFor(200 * time.Millisecond)
-
-	violating := func(val int) {
-		before := cl.Stats().Steered
-		cl.Node(1).Inject("load", val, 8)
-		eng.RunFor(100 * time.Millisecond)
-		if got := cl.Node(1).Service().(*balSvc).val; got != 0 {
-			t.Fatalf("violating load %d delivered: val=%d", val, got)
+// TestClassCacheLeavesSteeringExact pins that the class cache is a
+// resolution-only cache: three violating loads (a partition and heal
+// before the third) steer the same and pay the same lookahead states
+// with LookaheadClassCache on as off, because every steering check runs
+// both its with- and without-message lookaheads, and steering never
+// consults or records a class verdict.
+func TestClassCacheLeavesSteeringExact(t *testing.T) {
+	run := func(classCache bool) Stats {
+		cfg := Config{
+			NewResolver:         func(*Node) Resolver { return First{} },
+			CheckpointInterval:  50 * time.Millisecond,
+			Steering:            true,
+			Properties:          []explore.Property{valBound()},
+			LookaheadClassCache: classCache,
 		}
-		if got := cl.Stats().Steered; got != before+1 {
-			t.Fatalf("load %d: Steered = %d, want %d", val, got, before+1)
+		eng, cl := rig(t, 2, cfg)
+		eng.RunFor(200 * time.Millisecond)
+		for _, val := range []int{100, 101, 102} {
+			if val == 102 {
+				cl.Network().Partition([]NodeID{0}, []NodeID{1})
+				cl.Network().Heal()
+			}
+			cl.Node(1).Inject("load", val, 8)
+			eng.RunFor(100 * time.Millisecond)
+			if got := cl.Node(1).Service().(*balSvc).val; got != 0 {
+				t.Fatalf("classCache=%v: violating load %d delivered: val=%d", classCache, val, got)
+			}
 		}
+		return cl.Stats()
 	}
-
-	violating(100) // cold: records the class verdict
-	if s := cl.Stats(); s.ClassCacheMisses == 0 {
-		t.Fatalf("cold steering check missed no class verdicts: %+v", s.ClassCacheMisses)
+	off, on := run(false), run(true)
+	if off.Steered != 3 || on.Steered != 3 {
+		t.Fatalf("Steered = %d (cache off), %d (cache on), want 3 each", off.Steered, on.Steered)
 	}
-	hits := cl.Stats().ClassCacheHits
-	violating(101) // same violation class, new state digest
-	if got := cl.Stats().ClassCacheHits; got <= hits {
-		t.Fatalf("warm steering check did not hit the class cache: hits %d -> %d", hits, got)
+	if on.LookaheadStates != off.LookaheadStates {
+		t.Fatalf("class cache changed the steering lookaheads: %d states on, %d off", on.LookaheadStates, off.LookaheadStates)
 	}
-
-	// A partition event must force the next check back to the full price.
-	cl.Network().Partition([]NodeID{0}, []NodeID{1})
-	cl.Network().Heal()
-	misses := cl.Stats().ClassCacheMisses
-	violating(102)
-	if got := cl.Stats().ClassCacheMisses; got <= misses {
-		t.Fatalf("steering check after partition answered from a stale class cache: misses %d -> %d", misses, got)
+	if on.ClassCacheHits != 0 || on.ClassCacheMisses != 0 {
+		t.Fatalf("steering consulted the class cache: %d hits, %d misses", on.ClassCacheHits, on.ClassCacheMisses)
 	}
 }
 

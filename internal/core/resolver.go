@@ -89,31 +89,12 @@ func (r *RoundRobin) Resolve(n *Node, c sm.Choice) int {
 type Predictive struct {
 	// Depth is the consequence-prediction chain depth. Default 4.
 	Depth int
-	// MaxStates bounds handler executions per candidate evaluation.
-	// Default 256.
-	MaxStates int
-	// UseCache reuses decisions for (choice, state, event) triples already
-	// evaluated — the paper's "choices based on previous similar scenarios
-	// as a fast alternative". Default true via NewPredictive.
-	UseCache bool
 	// Explore mixes in a random decision with this probability. Argmax
 	// resolution couples the participants — with a shared, slightly stale
 	// model every node converges on the same "best" target, the emergent
 	// behavior the paper warns about (§3.4). A small exploration
 	// probability decorrelates the fleet.
 	Explore float64
-	// OffCriticalPath enables the paper's §3.4 design: "removing complex
-	// mechanisms for making the choices from the critical path, using
-	// choices based on previous similar scenarios as a fast alternative,
-	// and updating the choices as more information becomes available."
-	// Resolve answers immediately from the decision cache (or randomly on
-	// a miss) and schedules the full consequence prediction to complete
-	// after PredictionLatency of virtual time, populating the cache for
-	// the next similar scenario.
-	OffCriticalPath bool
-	// PredictionLatency models how long the background prediction takes.
-	// Default 10ms.
-	PredictionLatency time.Duration
 }
 
 // violationPenalty is subtracted from a candidate's score per predicted
@@ -125,7 +106,7 @@ func NewPredictive(depth int) *Predictive {
 	if depth <= 0 {
 		depth = 4
 	}
-	return &Predictive{Depth: depth, MaxStates: 256, UseCache: true}
+	return &Predictive{Depth: depth}
 }
 
 // Name returns "crystalball".
@@ -150,12 +131,8 @@ func (p *Predictive) Resolve(n *Node, c sm.Choice) int {
 	// is exactly what a live delivery window would have to absorb.
 	start := time.Now() //crystalvet:wallclock stopwatch for decision-latency stats; never reaches world state
 	defer func() { n.observeDecision(&n.stats.ResolveLatency, start) }()
-	if p.OffCriticalPath {
-		return p.resolveAsync(n, c, base)
-	}
 	ev := n.currentEvent
-	classCache := n.cluster.cfg.LookaheadClassCache
-	idx, key, skey, hit := p.cachedDecision(n, c, base, ev, p.UseCache)
+	idx, key, skey, hit := p.cachedDecision(n, c, base, ev)
 	if hit {
 		return idx
 	}
@@ -169,10 +146,8 @@ func (p *Predictive) Resolve(n *Node, c sm.Choice) int {
 	// it: e.g. gossip partners would lock into static pairs whenever all
 	// futures score equal, partitioning the information flow.
 	if len(ties) == 1 {
-		if p.UseCache {
-			n.decisionCache[key] = best
-		}
-		if classCache {
+		n.decisionCache[key] = best
+		if n.cluster.cfg.LookaheadClassCache {
 			n.recordChoiceVerdict(skey, best, c.N)
 		}
 	}
@@ -181,33 +156,28 @@ func (p *Predictive) Resolve(n *Node, c sm.Choice) int {
 }
 
 // cachedDecision answers c from what earlier predictions left behind:
-// the exact per-digest decision cache when exact is set, then — under
+// the exact per-digest decision cache, then — under
 // Config.LookaheadClassCache — the scenario-keyed class verdicts. The
 // exact digest of a unique command misses every time, but an earlier
 // decisive prediction of the same (choice, arity, event-kind) scenario
 // answers in map-lookup time: the paper's "previous similar scenarios"
 // fast path. Exact beats approximate. The keys come back with a miss so
 // the caller can record its prediction under them.
-func (p *Predictive) cachedDecision(n *Node, c sm.Choice, base sm.Service, ev *pendingEvent, exact bool) (idx int, key, skey uint64, hit bool) {
-	classCache := n.cluster.cfg.LookaheadClassCache
-	if exact || classCache {
-		// Topology events invalidate every cached verdict — the per-digest
-		// decisions along with class verdicts.
-		n.syncCaches()
+func (p *Predictive) cachedDecision(n *Node, c sm.Choice, base sm.Service, ev *pendingEvent) (idx int, key, skey uint64, hit bool) {
+	// Topology events invalidate every cached verdict — the per-digest
+	// decisions along with class verdicts.
+	n.syncCaches()
+	h := sm.NewHasher().WriteString(c.Name).WriteUint(base.Digest()).WriteInt(int64(c.N))
+	if ev != nil {
+		h.WriteString(ev.label())
 	}
-	if exact {
-		h := sm.NewHasher().WriteString(c.Name).WriteUint(base.Digest()).WriteInt(int64(c.N))
-		if ev != nil {
-			h.WriteString(ev.label())
-		}
-		key = h.Sum()
-		if idx, ok := n.decisionCache[key]; ok && idx < c.N {
-			n.stats.CacheHits++
-			return idx, key, 0, true
-		}
-		n.stats.CacheMisses++
+	key = h.Sum()
+	if idx, ok := n.decisionCache[key]; ok && idx < c.N {
+		n.stats.CacheHits++
+		return idx, key, 0, true
 	}
-	if classCache {
+	n.stats.CacheMisses++
+	if n.cluster.cfg.LookaheadClassCache {
 		skey = scenarioKey(c, ev)
 		if idx, ok := n.classChoiceLookup(skey, c.N); ok {
 			n.stats.ClassCacheHits++
@@ -241,62 +211,6 @@ func (p *Predictive) bestCandidates(n *Node, c sm.Choice, base sm.Service, ev *p
 	return ties
 }
 
-// resolveAsync answers from the cache (or randomly) without blocking the
-// handler, and schedules the prediction to land in the cache later.
-func (p *Predictive) resolveAsync(n *Node, c sm.Choice, base sm.Service) int {
-	ev := n.currentEvent
-	idx, key, skey, hit := p.cachedDecision(n, c, base, ev, true)
-	if hit {
-		return idx
-	}
-	// Fast path: answer now, predict in the background. The pre-event
-	// state and the triggering event are captured by value; the model is
-	// consulted at completion time, when it may be fresher.
-	fast := Random{}.Resolve(n, c)
-	baseCopy := base.Clone()
-	var evCopy *pendingEvent
-	if ev != nil {
-		cp := *ev
-		if ev.msg != nil {
-			m := *ev.msg
-			cp.msg = &m
-		}
-		evCopy = &cp
-	}
-	lat := p.PredictionLatency
-	if lat == 0 {
-		lat = 10 * time.Millisecond
-	}
-	// The completion closure is keyed by the *pre-restart* state digest:
-	// if the node crashes and restarts before it fires, writing the
-	// decision would poison the fresh decisionCache with a conclusion
-	// about state the node no longer has. Capture the restart epoch and
-	// drop the completion on mismatch (down alone is not enough — a
-	// crash+Restart inside the prediction latency leaves down == false).
-	// The topology epoch is captured for the same reason: a partition or
-	// heal during the prediction latency means the lookahead explored a
-	// reachability relation the cluster no longer has.
-	epoch := n.epoch
-	tepoch := n.cluster.topoEpoch
-	classCache := n.cluster.cfg.LookaheadClassCache
-	n.cluster.eng.Schedule(lat, func() {
-		if n.down || n.epoch != epoch || n.cluster.topoEpoch != tepoch {
-			return
-		}
-		compute := time.Now() //crystalvet:wallclock stopwatch for async-resolve latency stats; never reaches world state
-		defer func() { n.stats.ResolveLatency.Observe(time.Since(compute)) }()
-		ties := p.bestCandidates(n, c, baseCopy, evCopy)
-		if len(ties) == 1 { // cache only decisive predictions
-			n.decisionCache[key] = ties[0]
-			if classCache {
-				n.recordChoiceVerdict(skey, ties[0], c.N)
-			}
-		}
-		n.stats.AsyncPredictions++
-	})
-	return fast
-}
-
 func (p *Predictive) evaluate(n *Node, c sm.Choice, base sm.Service, ev *pendingEvent, candidate int, obj explore.Objective) float64 {
 	look := n.cluster.cfg.Lookahead
 	policy := explore.ForceFirst(n.id, c.Name, candidate, n.lookRand)
@@ -310,7 +224,7 @@ func (p *Predictive) evaluate(n *Node, c sm.Choice, base sm.Service, ev *pending
 		ev.injectInto(w, n.id)
 	}
 	x := explore.NewExplorer(p.Depth)
-	x.MaxStates = p.MaxStates
+	x.MaxStates = predictMaxStates
 	x.Properties = n.cluster.cfg.Properties
 	x.Objective = obj
 	x.Options = look

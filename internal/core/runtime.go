@@ -51,18 +51,17 @@ type Config struct {
 	// the inspected message, and fault-only violations would taint the
 	// with- and without-message futures equally.
 	Lookahead explore.Options
-	// LookaheadClassCache keys interposition verdicts by canonical
-	// violation class (explore.ViolationClass.Digest) in addition to the
-	// per-digest decision cache. Steering remembers whether dropping the
-	// message cleared each predicted class, so a repeat of a known class
-	// skips the without-message lookahead; predictive resolution remembers
-	// the decisive winner per (choice, event-kind) scenario, so unique
-	// per-command state digests stop defeating the cache (the paper's
-	// "choices based on previous similar scenarios"). Verdicts are
-	// invalidated wholesale on every topology event — crash, restart,
-	// partition, heal — via the cluster's topology epoch. Off by default:
-	// class verdicts are an approximation (they ignore the exact state),
-	// so existing configurations keep exact per-digest behavior.
+	// LookaheadClassCache keys predictive resolution verdicts by scenario
+	// in addition to the per-digest decision cache: the resolver
+	// remembers the decisive winner per (choice, arity, event-kind)
+	// scenario, so unique per-command state digests stop defeating the
+	// cache (the paper's "choices based on previous similar scenarios").
+	// Verdicts are invalidated wholesale on every topology event — crash,
+	// restart, partition, heal — via the cluster's topology epoch. Off by
+	// default: scenario verdicts are an approximation (they ignore the
+	// exact state), so existing configurations keep exact per-digest
+	// behavior. Steering is unaffected: every steering check runs both
+	// its lookaheads.
 	LookaheadClassCache bool
 	// InitialState, when set, supplies a node's cold-restart state for
 	// fault lookaheads: exploring a reset restores this state when no
@@ -90,9 +89,11 @@ type Config struct {
 
 const (
 	// steeringDepth and steeringMaxStates bound the per-message steering
-	// prediction.
+	// prediction; predictMaxStates bounds the handler executions of one
+	// candidate evaluation in predictive resolution.
 	steeringDepth     = 3
 	steeringMaxStates = 128
+	predictMaxStates  = 256
 	// envelopeOverhead is added to every message's modeled size.
 	envelopeOverhead = 32
 )
@@ -107,7 +108,9 @@ func (c *Config) fill() {
 type Stats struct {
 	Choices          uint64 // Choose() calls resolved
 	Predictions      uint64 // predictive resolutions computed inline
-	AsyncPredictions uint64 // background predictions completed (§3.4)
+	// AsyncPredictions is always 0: resolution runs only inline. The
+	// field stays because the benchmark module reports it.
+	AsyncPredictions uint64
 	CacheHits        uint64 // predictive resolutions answered from cache
 	CacheMisses      uint64 // decision-cache lookups that missed
 	LookaheadStates  uint64 // handler executions inside lookahead worlds
@@ -115,11 +118,10 @@ type Stats struct {
 	SteeringChecks   uint64 // messages inspected by steering
 	Checkpoints      uint64 // checkpoint responses received
 	DroppedWindows   uint64 // decisions overrunning Config.DecisionSlot
-	// ClassCacheHits counts interposition decisions answered from the
-	// class-keyed verdict cache (Config.LookaheadClassCache): steering
-	// checks that skipped the without-message lookahead and choice
-	// resolutions answered per scenario. ClassCacheMisses counts class
-	// lookups that had to fall through to a full lookahead;
+	// ClassCacheHits counts choice resolutions answered per scenario from
+	// the class-keyed verdict cache (Config.LookaheadClassCache).
+	// ClassCacheMisses counts class lookups that had to fall through to a
+	// full lookahead;
 	// ClassInvalidations counts cached verdicts dropped by topology
 	// events (crash, restart, partition, heal).
 	ClassCacheHits     uint64
@@ -128,8 +130,8 @@ type Stats struct {
 	// SteerLatency and ResolveLatency histogram the wall-clock cost of
 	// the two interposition decision points: one sample per steering
 	// check (steerAway, with- and without-message lookaheads included)
-	// and one per predictive choice resolution (cache hits, inline
-	// predictions, and completed background predictions alike). They
+	// and one per predictive choice resolution (cache hits and
+	// predictions alike). They
 	// observe the host's real clock, never virtual time, and feed no
 	// digest — pure observability for the benchmark.
 	SteerLatency   LatencyHist
@@ -361,7 +363,6 @@ func (c *Cluster) Restart(id NodeID, fresh sm.Service) {
 		n.svc = fresh
 	}
 	n.down = false
-	n.epoch++
 	n.decisionCache = make(map[uint64]int)
 	n.lookRoot = nil
 	c.topoEpoch++
@@ -474,10 +475,6 @@ type Node struct {
 
 	timers map[string]*sim.Timer
 	down   bool
-	// epoch counts restarts. Background work scheduled before a crash
-	// (async predictions) captures the epoch and drops its completion on
-	// mismatch, so pre-restart state never leaks into post-restart caches.
-	epoch uint64
 
 	currentEvent  *pendingEvent
 	preEventState sm.Service
@@ -486,16 +483,13 @@ type Node struct {
 	lookRoot *explore.World
 
 	decisionCache map[uint64]int
-	// cacheEpoch stamps the cluster topology epoch decisionCache and the
-	// class-verdict maps were computed under; syncCaches flushes all
-	// three lazily on mismatch (see Cluster.topoEpoch).
+	// cacheEpoch stamps the cluster topology epoch decisionCache and
+	// classChoice were computed under; syncCaches flushes both lazily on
+	// mismatch (see Cluster.topoEpoch).
 	cacheEpoch uint64
-	// classSteer maps a violation-class digest to whether dropping the
-	// triggering message was predicted to avoid that class. classChoice
-	// maps a (choice, arity, event-kind) scenario key to the decisive
-	// winner of a past prediction. Both nil until first use; only
+	// classChoice maps a (choice, arity, event-kind) scenario key to the
+	// decisive winner of a past prediction. Nil until first use; only
 	// consulted under Config.LookaheadClassCache.
-	classSteer  map[uint64]bool
 	classChoice map[uint64]classVerdict
 	stats       Stats
 }
@@ -665,7 +659,6 @@ func (n *Node) steerAway(msg *sm.Msg) bool {
 	n.stats.SteeringChecks++
 	start := time.Now() //crystalvet:wallclock stopwatch for steering-latency stats; never reaches world state
 	defer func() { n.observeDecision(&n.stats.SteerLatency, start) }()
-	cfg := n.cluster.cfg
 	now := time.Duration(n.cluster.eng.Now())
 	withMsg := n.buildLookahead(n.svc.Clone(), n.lookPolicy)
 	cp := *msg
@@ -674,40 +667,12 @@ func (n *Node) steerAway(msg *sm.Msg) bool {
 	if rWith.Safe() {
 		return false
 	}
-	// The with-message lookahead is unavoidable — it is what discovers the
-	// predicted violations. What the class cache can skip is the second,
-	// without-message lookahead: if every predicted class already carries a
-	// verdict from an earlier drop evaluation, that verdict is reused.
-	var classes []explore.ViolationClass
-	if cfg.LookaheadClassCache {
-		n.syncCaches()
-		classes = rWith.ViolationClasses()
-		if steer, decided := n.classSteerVerdict(classes); decided {
-			n.stats.ClassCacheHits++
-			if !steer {
-				return false
-			}
-			return n.steer(msg, now)
-		}
-		n.stats.ClassCacheMisses++
-	}
 	// Only steer if the alternative (dropping the message) is not itself
 	// predicted to lead to a violation.
 	without := n.buildLookahead(n.svc.Clone(), n.lookPolicy)
-	rWithout := n.explore(n.steerX, without)
-	steerable := rWithout.Safe()
-	if cfg.LookaheadClassCache {
-		n.recordSteerVerdict(classes, steerable)
-	}
-	if !steerable {
+	if !n.explore(n.steerX, without).Safe() {
 		return false
 	}
-	return n.steer(msg, now)
-}
-
-// steer applies the corrective action for a message predicted unsafe to
-// deliver and safe to drop: drop it and break the sender's connection.
-func (n *Node) steer(msg *sm.Msg, now time.Duration) bool {
 	n.stats.Steered++
 	n.cluster.cfg.Trace.Add(now, int(n.id), "STEER drop %s from %v", msg.Kind, msg.Src)
 	// Self-sourced messages (client requests entering via Inject) have no
