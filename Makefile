@@ -62,6 +62,11 @@ bench:
 # TestForkCostIndependentOfLogSize is the cost-shape gate of the paxos
 # service fork: Clone+Digest allocate the same at 64 and at 4096 decided
 # instances, and the first write after a fork copies one trie path.
+# TestProposalBytesDense is the paxos proposal log's retained-size gate:
+# keyed by the proposer's own slot, a proposal costs <= 160 B at one
+# replica of five after 4096 proposals (about 120; keyed by instance,
+# about 560). TestScheduleStepAllocs is the simulator queue's gate: a
+# steady-state Schedule+Step allocates exactly one object, the timer.
 # TestForkCostIndependentOfUpdates is the same gate for the gossip peer:
 # Clone+Digest and Clone+Delta cost the same at 64 and 4096 held updates,
 # and the first update learned after a fork copies the receipt log once.
@@ -90,7 +95,8 @@ bench:
 bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState|TestForkWriteAllocsIndependentOfSize' -count=2 -v
 	go test ./internal/sm -run 'TestIntMapForkWriteBytes' -count=2 -v
-	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize' -count=2 -v
+	go test ./internal/sim -run 'TestScheduleStepAllocs' -count=2 -v
+	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize|TestProposalBytesDense' -count=2 -v
 	go test ./internal/apps/gossip -run 'TestForkCostIndependentOfUpdates' -count=2 -v
 	go test ./internal/apps/randtree -run 'TestTreeStepIndependentOfSize|TestForkCostIndependentOfTreeSize' -count=2 -v
 	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned' -count=2 -v

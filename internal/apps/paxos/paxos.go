@@ -205,7 +205,7 @@ type Replica struct {
 	Peers []sm.NodeID // all nodes including self; immutable, shared by clones
 
 	NextSlot int
-	props    sm.IntMap[propState]
+	props    sm.IntMap[propState] // keyed by slot: read it through prop
 	acc      sm.IntMap[accState]
 	decided  sm.IntMap[Cmd]
 
@@ -338,7 +338,7 @@ func (r *Replica) startProposal(env sm.Env, cmd Cmd) {
 
 // broadcastPrepare issues the phase-1 round for an owned instance.
 func (r *Replica) broadcastPrepare(env sm.Env, inst int) {
-	prop, open := r.props.Get(inst)
+	prop, open := r.prop(inst)
 	if !open || prop.Done {
 		return
 	}
@@ -400,7 +400,7 @@ func (r *Replica) acceptor(inst int) accState {
 
 // onPromise gathers phase-1b votes and moves to phase 2 on quorum.
 func (r *Replica) onPromise(env sm.Env, src sm.NodeID, p Promise) {
-	prop, open := r.props.Get(p.Inst)
+	prop, open := r.prop(p.Inst)
 	if !open || prop.Done || prop.Phase != 1 || p.Ballot != prop.Ballot {
 		return
 	}
@@ -434,7 +434,7 @@ func (r *Replica) onAccept(env sm.Env, src sm.NodeID, a Accept) {
 
 // onAccepted gathers phase-2b votes; on quorum the value is decided.
 func (r *Replica) onAccepted(env sm.Env, src sm.NodeID, a Accepted) {
-	prop, open := r.props.Get(a.Inst)
+	prop, open := r.prop(a.Inst)
 	if !open || prop.Done || prop.Phase != 2 || a.Ballot != prop.Ballot {
 		return
 	}
@@ -524,7 +524,7 @@ func (r *Replica) OnTimer(env sm.Env, name string) {
 	if !ok {
 		return
 	}
-	prop, open := r.props.Get(inst)
+	prop, open := r.prop(inst)
 	if !open || prop.Done {
 		return
 	}
@@ -606,7 +606,28 @@ func put[V any](m *sm.IntMap[V], sum *uint64, hash func(int, V) uint64, k int, v
 
 func (r *Replica) putDecided(inst int, v Cmd) { put(&r.decided, &r.decidedSum, decidedHash, inst, v) }
 
-func (r *Replica) putProp(inst int, p propState) { put(&r.props, &r.propSum, propHash, inst, p) }
+// prop returns the proposal of inst and whether it is open. Only this
+// node's own instances can be, and props is keyed by the proposer's slot
+// (inst-ID)/N rather than by inst: a proposer owns every N-th instance,
+// and dense keys fill the trie's leaves.
+func (r *Replica) prop(inst int) (propState, bool) {
+	d := inst - int(r.ID)
+	if d < 0 || d%r.N != 0 {
+		return propState{}, false
+	}
+	return r.props.Get(d / r.N)
+}
+
+// putProp stores the proposal of an instance this node owns. Its hash
+// covers inst, not the slot, so the digest does not depend on the keying.
+func (r *Replica) putProp(inst int, p propState) {
+	slot := (inst - int(r.ID)) / r.N
+	if old, had := r.props.Get(slot); had {
+		r.propSum -= propHash(inst, old)
+	}
+	r.propSum += propHash(inst, p)
+	r.props.Put(slot, p)
+}
 
 func (r *Replica) putAcc(inst int, a accState) { put(&r.acc, &r.accSum, accHash, inst, a) }
 
@@ -623,8 +644,8 @@ func (r *Replica) digestFull() uint64 {
 	for inst, v := range r.decided.All {
 		decidedSum += decidedHash(inst, v)
 	}
-	for inst, p := range r.props.All {
-		propSum += propHash(inst, p)
+	for slot, p := range r.props.All {
+		propSum += propHash(slot*r.N+int(r.ID), p)
 	}
 	for inst, a := range r.acc.All {
 		accSum += accHash(inst, a)

@@ -3,11 +3,13 @@ package paxos
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"crystalchoice/internal/explore"
 	"crystalchoice/internal/sm"
@@ -131,17 +133,14 @@ func TestInstanceSpacePartitioned(t *testing.T) {
 	env := newPump(2, &[]*sm.Msg{})
 	r.startProposal(env, Cmd{ID: 1})
 	r.startProposal(env, Cmd{ID: 2})
-	insts := make([]int, 0, r.props.Len())
-	for inst := range r.props.All {
-		insts = append(insts, inst)
-	}
-	for _, inst := range insts {
-		if inst%5 != 2 {
-			t.Fatalf("instance %d outside node 2's space", inst)
+	var open []int
+	for inst := -5; inst < 20; inst++ {
+		if _, ok := r.prop(inst); ok {
+			open = append(open, inst)
 		}
 	}
-	if len(insts) != 2 {
-		t.Fatalf("proposals = %d", len(insts))
+	if len(open) != 2 || open[0] != 2 || open[1] != 7 || r.props.Len() != 2 {
+		t.Fatalf("open instances = %v (%d proposals), want [2 7] in node 2's space", open, r.props.Len())
 	}
 }
 
@@ -197,7 +196,7 @@ func TestRetryRaisesBallot(t *testing.T) {
 	r.startProposal(env, Cmd{ID: 1})
 	inst := 1 // slot 0 * 3 + id 1
 	ballot := func() int {
-		p, _ := r.props.Get(inst)
+		p, _ := r.prop(inst)
 		return p.Ballot
 	}
 	first := ballot()
@@ -249,7 +248,7 @@ func TestCloneDeep(t *testing.T) {
 	c.onPrepare(env, 1, Prepare{Inst: 7, Ballot: 2})
 	c.onLearn(env, Learn{Inst: 9, Val: Cmd{ID: 1, Origin: 0}})
 	c.onSubmit(env, Cmd{ID: 3, Origin: 0})
-	if p, _ := r.props.Get(0); p.Promises.len() != 0 {
+	if p, _ := r.prop(0); p.Promises.len() != 0 {
 		t.Fatal("clone shares proposals")
 	}
 	if r.acc.Len() != 0 || r.DecidedCount() != 1 || len(r.DecidedAt) != 1 {
@@ -270,7 +269,7 @@ func TestCloneDeep(t *testing.T) {
 	r.OnTimer(env, retryTimer(0))
 	r.onLearn(env, Learn{Inst: 6, Val: Cmd{ID: 2, Origin: 0}})
 	r.onSubmit(env, Cmd{ID: 8, Origin: 0})
-	if p, _ := snap.props.Get(0); p.Ballot != 1 {
+	if p, _ := snap.prop(0); p.Ballot != 1 {
 		t.Fatal("snapshot saw the original's retry")
 	}
 	if _, kept := snap.PendingCmds[2]; !kept || len(snap.PendingCmds) != 2 || len(snap.workQueue) != 1 {
@@ -440,6 +439,38 @@ func TestForkCostIndependentOfLogSize(t *testing.T) {
 		t.Errorf("Clone+onLearn allocates %v times at 64 decided, %v at 4096: want O(trie depth)", a, b)
 	}
 	t.Logf("allocs: Clone+Digest %v, Clone+onLearn %v (64 decided) / %v (4096 decided)", forkAndDigest(old), a, b)
+}
+
+// Cost-shape gate (make bench-alloc): a proposer owns every N-th
+// instance, so its proposals must be keyed by slot for the trie's 8-entry
+// leaves to fill; keyed by instance, a leaf holds one or two of them and
+// a proposal retains about 560 B. Slot keys retain about 120 B.
+func TestProposalBytesDense(t *testing.T) {
+	const proposals = 4096
+	r := New(2, 5)
+	env := newPump(2, &[]*sm.Msg{})
+	for i := 0; i < proposals; i++ {
+		r.startProposal(env, Cmd{ID: i, Origin: 2})
+		*env.queue = (*env.queue)[:0]
+	}
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	with := live()
+	if r.props.Len() != proposals {
+		t.Fatalf("proposals = %d, want %d", r.props.Len(), proposals)
+	}
+	r.props = sm.IntMap[propState]{}
+	per := float64(with-live()) / proposals
+	runtime.KeepAlive(r)
+	runtime.KeepAlive(env)
+	if per > 160 {
+		t.Errorf("a proposal retains %.0f B at %d proposals, want <= 160 B", per, proposals)
+	}
+	t.Logf("retained bytes per proposal: %.0f B (propState %d B)", per, unsafe.Sizeof(propState{}))
 }
 
 // Cost-shape gate (make bench-alloc): checking agreement after one

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -305,6 +308,256 @@ func BenchmarkHeapChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(time.Duration(i%1000)*time.Millisecond, func() {})
+		e.Step()
+	}
+}
+
+// refQueue is the reference the engine's queue is checked against: a
+// slice kept sorted by (at, seq), whose canceled entries stay queued (and
+// counted by len) until they reach the front, as the engine's do.
+type refQueue struct {
+	now  Time
+	seq  uint64
+	q    []refEntry
+	live map[int]bool // scheduled, neither fired nor canceled
+}
+
+type refEntry struct {
+	at       Time
+	seq      uint64
+	id       int
+	canceled bool
+}
+
+func (r *refQueue) schedule(at Time, id int) {
+	at = max(at, r.now)
+	i := sort.Search(len(r.q), func(i int) bool { return r.q[i].at > at })
+	r.q = slices.Insert(r.q, i, refEntry{at: at, seq: r.seq, id: id})
+	r.seq++
+	r.live[id] = true
+}
+
+func (r *refQueue) cancel(id int) bool {
+	if !r.live[id] {
+		return false
+	}
+	r.live[id] = false
+	for i := range r.q {
+		if r.q[i].id == id {
+			r.q[i].canceled = true
+		}
+	}
+	return true
+}
+
+// next drops canceled entries at the front and returns the first live one.
+func (r *refQueue) next() (Time, bool) {
+	for len(r.q) > 0 && r.q[0].canceled {
+		r.q = r.q[1:]
+	}
+	if len(r.q) == 0 {
+		return 0, false
+	}
+	return r.q[0].at, true
+}
+
+// pop removes the next live entry, advancing the clock to it.
+func (r *refQueue) pop() (int, bool) {
+	if _, ok := r.next(); !ok {
+		return 0, false
+	}
+	x := r.q[0]
+	r.q = r.q[1:]
+	r.now = x.at
+	r.live[x.id] = false
+	return x.id, true
+}
+
+// action is what the callback of one event does when it fires: schedule
+// a child after delay, cancel an event created no later, both, or neither.
+type action struct {
+	child  bool
+	delay  Duration
+	cancel int // id to cancel, or -1
+}
+
+// queueHarness drives an Engine and a refQueue with the same operations.
+// Both sides number events in creation order on counters of their own, so
+// a callback that schedules a child names it the same on both sides as
+// long as they fire in the same order; every observation goes into the
+// side's log, and the logs must match after every operation.
+type queueHarness struct {
+	e          *Engine
+	timers     []*Timer
+	ref        refQueue
+	refIDs     int
+	acts       []action
+	logE, logR []string
+}
+
+func (h *queueHarness) act(id int) action {
+	if id < len(h.acts) {
+		return h.acts[id]
+	}
+	return action{cancel: -1}
+}
+
+func (h *queueHarness) scheduleE(at Time, relative bool, d Duration) {
+	id := len(h.timers)
+	fn := func() { h.fireE(id) }
+	if relative {
+		h.timers = append(h.timers, h.e.Schedule(d, fn))
+	} else {
+		h.timers = append(h.timers, h.e.ScheduleAt(at, fn))
+	}
+}
+
+func (h *queueHarness) fireE(id int) {
+	h.logE = append(h.logE, fmt.Sprintf("fire %d at %v", id, h.e.Now()))
+	a := h.act(id)
+	if a.child {
+		h.scheduleE(0, true, a.delay)
+	}
+	if a.cancel >= 0 {
+		h.logE = append(h.logE, fmt.Sprintf("cancel %d: %v", a.cancel, h.timers[a.cancel].Cancel()))
+	}
+}
+
+func (h *queueHarness) scheduleR(at Time) {
+	h.ref.schedule(at, h.refIDs)
+	h.refIDs++
+}
+
+func (h *queueHarness) stepR() bool {
+	id, ok := h.ref.pop()
+	if !ok {
+		return false
+	}
+	h.logR = append(h.logR, fmt.Sprintf("fire %d at %v", id, h.ref.now))
+	a := h.act(id)
+	if a.child {
+		h.scheduleR(h.ref.now.Add(max(a.delay, 0)))
+	}
+	if a.cancel >= 0 {
+		h.logR = append(h.logR, fmt.Sprintf("cancel %d: %v", a.cancel, h.ref.cancel(a.cancel)))
+	}
+	return true
+}
+
+// TestQueueMatchesReference runs random interleavings of Schedule and
+// ScheduleAt (past times included), Cancel and Pending (before and after
+// firing), Step, Run and NextEventAt, with callbacks that schedule and
+// cancel, and checks everything the engine reports against refQueue.
+func TestQueueMatchesReference(t *testing.T) {
+	const ms = Duration(time.Millisecond)
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := &queueHarness{e: NewEngine(seed), ref: refQueue{live: map[int]bool{}}}
+		h.acts = make([]action, 1500)
+		for i := range h.acts {
+			a := action{cancel: -1}
+			if k := rng.Intn(20); k < 5 || k >= 17 {
+				a.child, a.delay = true, Duration(rng.Intn(8)-1)*ms
+			}
+			if k := rng.Intn(20); k < 4 {
+				a.cancel = rng.Intn(i + 1) // itself included: too late, it is firing
+			}
+			h.acts[i] = a
+		}
+		for op := 0; op < 600; op++ {
+			var what string
+			switch k := rng.Intn(10); {
+			case k < 3:
+				d := Duration(rng.Intn(12)-2) * ms
+				what = fmt.Sprintf("Schedule(%v)", d)
+				h.scheduleE(0, true, d)
+				h.scheduleR(h.ref.now.Add(max(d, 0)))
+			case k < 5:
+				at := h.e.Now().Add(Duration(rng.Intn(14)-4) * ms)
+				what = fmt.Sprintf("ScheduleAt(%v)", at)
+				h.scheduleE(at, false, 0)
+				h.scheduleR(at)
+			case k == 5 && len(h.timers) > 0:
+				id := rng.Intn(len(h.timers))
+				what = fmt.Sprintf("Cancel(%d)", id)
+				h.logE = append(h.logE, fmt.Sprint(h.timers[id].Cancel()))
+				h.logR = append(h.logR, fmt.Sprint(h.ref.cancel(id)))
+			case k == 6 && len(h.timers) > 0:
+				id := rng.Intn(len(h.timers))
+				what = fmt.Sprintf("Pending(%d)", id)
+				h.logE = append(h.logE, fmt.Sprint(h.timers[id].Pending()))
+				h.logR = append(h.logR, fmt.Sprint(h.ref.live[id]))
+			case k == 7:
+				what = "Step"
+				h.logE = append(h.logE, fmt.Sprint(h.e.Step()))
+				h.logR = append(h.logR, fmt.Sprint(h.stepR()))
+			case k == 8:
+				until := h.e.Now().Add(Duration(rng.Intn(6)) * ms)
+				what = fmt.Sprintf("Run(%v)", until)
+				h.logE = append(h.logE, fmt.Sprint(h.e.Run(until)))
+				n := 0
+				for at, ok := h.ref.next(); ok && at <= until; at, ok = h.ref.next() {
+					h.stepR()
+					n++
+				}
+				h.ref.now = max(h.ref.now, until)
+				h.logR = append(h.logR, fmt.Sprint(n))
+			default:
+				what = "NextEventAt"
+				at, ok := h.e.NextEventAt()
+				h.logE = append(h.logE, fmt.Sprint(at, ok))
+				at, ok = h.ref.next()
+				h.logR = append(h.logR, fmt.Sprint(at, ok))
+			}
+			h.logE = append(h.logE, fmt.Sprintf("now %v len %d", h.e.Now(), h.e.Len()))
+			h.logR = append(h.logR, fmt.Sprintf("now %v len %d", h.ref.now, len(h.ref.q)))
+			if !slices.Equal(h.logE, h.logR) {
+				i := 0
+				for i < min(len(h.logE), len(h.logR)) && h.logE[i] == h.logR[i] {
+					i++
+				}
+				t.Fatalf("seed %d op %d %s: engine %q, reference %q", seed, op, what, h.logE[i:], h.logR[i:])
+			}
+			h.logE, h.logR = h.logE[:0], h.logR[:0]
+		}
+	}
+}
+
+// Cost-shape gate (make bench-alloc): the timer is the queued event, so a
+// steady-state Schedule+Step allocates the one object Schedule returns.
+func TestScheduleStepAllocs(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(time.Duration(i)*time.Millisecond, fn)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		e.Schedule(time.Duration(i%64)*time.Millisecond, fn)
+		e.Step()
+	})
+	if allocs != 1 {
+		t.Fatalf("Schedule+Step allocates %v objects, want 1", allocs)
+	}
+}
+
+// BenchmarkDeepQueue mirrors paxos_baseline's queue: an open-loop
+// generator's 20 000 far-future events wait at the back while a few dozen
+// near-future ones churn at the front.
+func BenchmarkDeepQueue(b *testing.B) {
+	e := NewEngine(1)
+	r := rand.New(rand.NewSource(2))
+	fn := func() {}
+	for i := 0; i < 20000; i++ {
+		e.ScheduleAt(Time(1e6*time.Second)+Time(i)*Time(time.Millisecond), fn)
+	}
+	for i := 0; i < 64; i++ {
+		e.Schedule(time.Duration(r.Intn(1000))*time.Microsecond, fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Schedule(time.Duration(r.Intn(1000))*time.Microsecond, fn)
 		e.Step()
 	}
 }

@@ -67,9 +67,24 @@ type endpoint struct {
 	connDown ConnListener
 	filter   Filter
 	up       bool
+	// selfHorizon is the reliable self-channel's FIFO state: the latest
+	// delivery time of a self-send. A self-path has no latency, loss or
+	// serialization, but a capped uplink can still hold a self-send back
+	// past a later one that skips the uplink (size 0, or sent after the
+	// cap is lifted). It lives here, not in Network.channels, because a
+	// self-send may come from an ID outside the topology.
+	selfHorizon sim.Time
 }
 
 type pairKey struct{ src, dst NodeID }
+
+// channel is the reliable service's FIFO state of one ordered pair.
+// busyUntil models the serialization queue: a message cannot begin
+// transmission before the previous one finished. lastDeliver enforces
+// in-order delivery despite variable retransmission delay.
+type channel struct {
+	busyUntil, lastDeliver sim.Time
+}
 
 // Network connects endpoints over a topology.
 type Network struct {
@@ -80,12 +95,9 @@ type Network struct {
 	seq   uint64
 	stats Stats
 
-	// busyUntil models the serialization queue of the reliable channel per
-	// ordered pair: a message cannot begin transmission before the previous
-	// one finished. lastDeliver enforces in-order delivery despite variable
-	// retransmission delay.
-	busyUntil   map[pairKey]sim.Time
-	lastDeliver map[pairKey]sim.Time
+	// channels holds every ordered pair's reliable channel, indexed
+	// src*top.Size()+dst like the topology's link matrix.
+	channels []channel
 	// uploadBps, when set for a node, models a shared uplink: all of the
 	// node's outgoing messages serialize through one queue at this rate
 	// before entering their per-pair channels (uploadBusy tracks the
@@ -122,8 +134,7 @@ func New(eng *sim.Engine, top *netmodel.Topology) *Network {
 		top:            top,
 		rng:            eng.Fork(),
 		eps:            make(map[NodeID]*endpoint),
-		busyUntil:      make(map[pairKey]sim.Time),
-		lastDeliver:    make(map[pairKey]sim.Time),
+		channels:       make([]channel, top.Size()*top.Size()),
 		uploadBps:      make(map[NodeID]float64),
 		uploadBusy:     make(map[NodeID]sim.Time),
 		brokenUntil:    make(map[pairKey]sim.Time),
@@ -357,22 +368,22 @@ func (n *Network) send(src, dst NodeID, kind string, payload any, size int, reli
 		ready = upEnd
 	}
 	var deliverAt sim.Time
-	if reliable {
-		key := pairKey{src, dst}
-		start := ready
-		if prev := n.busyUntil[key]; prev > start {
-			start = prev // FIFO: wait for the previous transmission
-		}
-		txEnd := start.Add(serialization)
-		n.busyUntil[key] = txEnd
-		deliverAt = txEnd.Add(propagation)
-		// Retransmission variance must not reorder the stream.
-		if prev := n.lastDeliver[key]; prev > deliverAt {
-			deliverAt = prev
-		}
-		n.lastDeliver[key] = deliverAt
-	} else {
+	switch {
+	case !reliable:
 		deliverAt = ready.Add(serialization + propagation)
+	case src == dst:
+		// Nothing serializes or propagates on the self-path: the stream
+		// stays in order if no send overtakes the previous one.
+		deliverAt = max(ready, srcEp.selfHorizon)
+		srcEp.selfHorizon = deliverAt
+	default:
+		ch := &n.channels[int(src)*n.top.Size()+int(dst)]
+		// FIFO: wait for the previous transmission.
+		txEnd := max(ready, ch.busyUntil).Add(serialization)
+		ch.busyUntil = txEnd
+		// Retransmission variance must not reorder the stream.
+		deliverAt = max(txEnd.Add(propagation), ch.lastDeliver)
+		ch.lastDeliver = deliverAt
 	}
 	n.seq++
 	m := &Message{Src: src, Dst: dst, Kind: kind, Payload: payload, Size: size, Seq: n.seq, Reliable: reliable}

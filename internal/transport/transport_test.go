@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -254,20 +255,61 @@ func TestSelfSend(t *testing.T) {
 }
 
 // Property: per ordered pair, reliable delivery order always equals send
-// order, for arbitrary message size patterns.
+// order, for arbitrary message size patterns — on the pairs to and from
+// the highest node ID, whose channels sit at the ends of the table.
 func TestReliableFIFOProperty(t *testing.T) {
 	f := func(sizes []uint8, seed int64) bool {
-		if len(sizes) == 0 {
-			return true
-		}
 		eng := sim.NewEngine(seed)
-		top := netmodel.Uniform(2, 5*time.Millisecond, 100, 0.1)
+		top := netmodel.Uniform(4, 5*time.Millisecond, 100, 0.1)
 		nw := New(eng, top)
+		last := NodeID(top.Size() - 1)
+		got := map[NodeID][]int{}
+		for id := NodeID(0); id <= last; id++ {
+			nw.Attach(id, func(m *Message) { got[m.Src] = append(got[m.Src], m.Payload.(int)) })
+		}
+		for i, s := range sizes {
+			nw.Send(0, last, "m", i, int(s))
+			nw.Send(last, 0, "m", i, int(s)/2)
+		}
+		eng.Drain(0)
+		for _, src := range []NodeID{0, last} {
+			if len(got[src]) != len(sizes) {
+				return false
+			}
+			for i, p := range got[src] {
+				if p != i {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: reliable self-sends stay in order under an upload cap, which
+// holds back a sized message but not an empty one, nor any message sent
+// after the cap is lifted.
+func TestSelfSendFIFOUnderUploadCap(t *testing.T) {
+	f := func(sizes []uint8, liftAt uint8) bool {
+		eng := sim.NewEngine(1)
+		nw := New(eng, netmodel.Uniform(2, 5*time.Millisecond, 1000, 0))
 		var got []int
 		nw.Attach(0, func(m *Message) {})
 		nw.Attach(1, func(m *Message) { got = append(got, m.Payload.(int)) })
+		nw.SetUploadCapacity(1, 1000)
 		for i, s := range sizes {
-			nw.Send(0, 1, "m", i, int(s))
+			if i == int(liftAt) {
+				nw.SetUploadCapacity(1, 0)
+			}
+			size := int(s)
+			if size%4 == 0 {
+				size = 0
+			}
+			nw.Send(1, 1, "self", i, size)
+			nw.Send(1, 0, "other", nil, size) // shares the uplink
 		}
 		eng.Drain(0)
 		if len(got) != len(sizes) {
@@ -282,6 +324,34 @@ func TestReliableFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A node outside the topology can still send to itself: the self-path
+// needs no link, so it is delivered at once — or once the node's uplink
+// has serialized it — and in order.
+func TestSelfSendOutsideTopology(t *testing.T) {
+	eng, nw := newNet(2, 25*time.Millisecond)
+	const id = NodeID(7)
+	var got []string
+	var at []sim.Time
+	nw.Attach(id, func(m *Message) {
+		got = append(got, m.Kind)
+		at = append(at, eng.Now())
+	})
+	if !nw.Send(id, id, "a", nil, 0) || !nw.SendDatagram(id, id, "b", nil, 0) {
+		t.Fatal("self-send outside the topology rejected")
+	}
+	nw.SetUploadCapacity(id, 1000)
+	nw.Send(id, id, "c", nil, 500)
+	nw.Send(id, id, "d", nil, 0)
+	eng.Drain(0)
+	half := sim.Time(500 * time.Millisecond)
+	if !slices.Equal(got, []string{"a", "b", "c", "d"}) || !slices.Equal(at, []sim.Time{0, 0, half, half}) {
+		t.Fatalf("deliveries %v at %v, want [a b c d] at [0 0 500ms 500ms]", got, at)
+	}
+	if s := nw.Stats(); s.Sent != 4 || s.Delivered != 4 || s.Dropped != 0 {
+		t.Fatalf("stats = %+v", s)
 	}
 }
 
