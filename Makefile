@@ -66,7 +66,12 @@ bench:
 # keyed by the proposer's own slot, a proposal costs <= 160 B at one
 # replica of five after 4096 proposals (about 120; keyed by instance,
 # about 560). TestScheduleStepAllocs is the simulator queue's gate: a
-# steady-state Schedule+Step allocates exactly one object, the timer.
+# steady-state Schedule+Step allocates exactly one object, the timer;
+# TestPostStepAllocs its handle-free case: Post+Step of an existing event
+# allocates nothing. TestDeliveryAllocs is the message path's gate: one
+# liveEnv.Send, Step and OnMessage allocate exactly one object, the
+# delivery record that is the transport message, the queued event and
+# the service's sm.Msg at once.
 # TestForkCostIndependentOfUpdates is the same gate for the gossip peer:
 # Clone+Digest and Clone+Delta cost the same at 64 and 4096 held updates,
 # and the first update learned after a fork copies the receipt log once.
@@ -95,11 +100,11 @@ bench:
 bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState|TestForkWriteAllocsIndependentOfSize' -count=2 -v
 	go test ./internal/sm -run 'TestIntMapForkWriteBytes' -count=2 -v
-	go test ./internal/sim -run 'TestScheduleStepAllocs' -count=2 -v
+	go test ./internal/sim -run 'TestScheduleStepAllocs|TestPostStepAllocs' -count=2 -v
 	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize|TestProposalBytesDense' -count=2 -v
 	go test ./internal/apps/gossip -run 'TestForkCostIndependentOfUpdates' -count=2 -v
 	go test ./internal/apps/randtree -run 'TestTreeStepIndependentOfSize|TestForkCostIndependentOfTreeSize' -count=2 -v
-	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned' -count=2 -v
+	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned|TestDeliveryAllocs' -count=2 -v
 	go test . -run 'TestLookaheadSteadyStateAllocs' -count=2 -v
 	go test . -run 'TestAllocRegressionRandtreeSnapshot' -count=2 -v
 

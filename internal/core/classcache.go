@@ -33,11 +33,7 @@ type classVerdict struct {
 // arity, and triggering event kind, but *not* the state digest. Unique
 // commands change the digest every time; the scenario stays the same.
 func scenarioKey(c sm.Choice, ev *pendingEvent) uint64 {
-	h := sm.NewHasher().WriteString(c.Name).WriteInt(int64(c.N))
-	if ev != nil {
-		h.WriteString(ev.label())
-	}
-	return h.Sum()
+	return sm.NewHasher().WriteString(c.Name).WriteInt(int64(c.N)).WriteString(ev.label()).Sum()
 }
 
 // syncCaches flushes the node's cached verdicts when the cluster topology

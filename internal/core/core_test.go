@@ -230,8 +230,8 @@ func TestStaleCheckpointResponseNotCloned(t *testing.T) {
 	clones := 0
 	deliver := func(at time.Duration, epoch uint64) *cloneCounter {
 		st := &cloneCounter{clones: &clones}
-		n.onDeliver(&transport.Message{Src: 1, Dst: 0, Kind: checkpoint.KindResponse, Reliable: true,
-			Payload: envelope{Body: checkpoint.Response{Epoch: epoch, At: at, State: st}}})
+		resp := checkpoint.Response{Epoch: epoch, At: at, State: st}
+		n.onDeliver(&newDelivery(1, 0, checkpoint.KindResponse, resp, 0, true).tm)
 		return st
 	}
 	fresh := deliver(2*time.Second, 4)

@@ -131,7 +131,8 @@ func (p *Predictive) Resolve(n *Node, c sm.Choice) int {
 	// is exactly what a live delivery window would have to absorb.
 	start := time.Now() //crystalvet:wallclock stopwatch for decision-latency stats; never reaches world state
 	defer func() { n.observeDecision(&n.stats.ResolveLatency, start) }()
-	ev := n.currentEvent
+	// A pre-event clone means a dispatch is under way, so n.event is set.
+	ev := &n.event
 	idx, key, skey, hit := p.cachedDecision(n, c, base, ev)
 	if hit {
 		return idx
@@ -167,11 +168,7 @@ func (p *Predictive) cachedDecision(n *Node, c sm.Choice, base sm.Service, ev *p
 	// Topology events invalidate every cached verdict — the per-digest
 	// decisions along with class verdicts.
 	n.syncCaches()
-	h := sm.NewHasher().WriteString(c.Name).WriteUint(base.Digest()).WriteInt(int64(c.N))
-	if ev != nil {
-		h.WriteString(ev.label())
-	}
-	key = h.Sum()
+	key = sm.NewHasher().WriteString(c.Name).WriteUint(base.Digest()).WriteInt(int64(c.N)).WriteString(ev.label()).Sum()
 	if idx, ok := n.decisionCache[key]; ok && idx < c.N {
 		n.stats.CacheHits++
 		return idx, key, 0, true
@@ -220,9 +217,7 @@ func (p *Predictive) evaluate(n *Node, c sm.Choice, base sm.Service, ev *pending
 		policy = explore.Locked(policy)
 	}
 	w := n.buildLookahead(base.Clone(), policy)
-	if ev != nil {
-		ev.injectInto(w, n.id)
-	}
+	ev.injectInto(w, n.id)
 	x := explore.NewExplorer(p.Depth)
 	x.MaxStates = predictMaxStates
 	x.Properties = n.cluster.cfg.Properties

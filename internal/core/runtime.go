@@ -175,15 +175,28 @@ func (s *Stats) CacheHitRate() float64 { return HitRate(s.CacheHits, s.CacheMiss
 // when no class lookups happened.
 func (s *Stats) ClassCacheHitRate() float64 { return HitRate(s.ClassCacheHits, s.ClassCacheMisses) }
 
-// envelope wraps application payloads with runtime metadata used to
-// maintain the network model passively.
-type envelope struct {
-	Body   any
-	SentAt time.Duration
+// delivery is one runtime message in flight, and the one heap object it
+// costs from send to handler: the transport's record, which is also the
+// simulator event that delivers it, and the service's view of it.
+// tm.Payload points back at the delivery (a pointer in an interface
+// allocates nothing), and tm.SentAt, the send instant, is what the passive
+// network model measures latency from.
+type delivery struct {
+	tm  transport.Message
+	msg sm.Msg
+}
+
+// newDelivery builds the record of one message; size includes the
+// envelope overhead.
+func newDelivery(src, dst NodeID, kind string, body any, size int, reliable bool) *delivery {
+	d := &delivery{msg: sm.Msg{Src: src, Dst: dst, Kind: kind, Body: body, Size: size, Unreliable: !reliable}}
+	d.tm = transport.Message{Src: src, Dst: dst, Kind: kind, Payload: d, Size: size, Reliable: reliable}
+	return d
 }
 
 // pendingEvent is the event currently being dispatched on a node,
-// replayable inside lookahead worlds.
+// replayable inside lookahead worlds. A node keeps it inline (Node.event):
+// the zero value means no event is being dispatched.
 type pendingEvent struct {
 	msg   *sm.Msg // nil for timer events
 	timer string
@@ -476,7 +489,9 @@ type Node struct {
 	timers map[string]*sim.Timer
 	down   bool
 
-	currentEvent  *pendingEvent
+	// event and preEventState describe the event being dispatched; a
+	// dispatch nested in a handler (Inject) restores the outer ones.
+	event         pendingEvent
 	preEventState sm.Service
 	// lookRoot is the start world of the node's last lookahead, kept while
 	// no violation was predicted from it (see explore).
@@ -588,28 +603,22 @@ func (n *Node) checkpointNeighbors() []NodeID {
 func (n *Node) env() sm.Env { return (*liveEnv)(n) }
 
 func (n *Node) sendRaw(dst NodeID, kind string, body any, size int, reliable bool) {
-	wrapped := envelope{Body: body, SentAt: time.Duration(n.cluster.eng.Now())}
-	total := size + envelopeOverhead
-	if reliable {
-		n.cluster.net.Send(n.id, dst, kind, wrapped, total)
-	} else {
-		n.cluster.net.SendDatagram(n.id, dst, kind, wrapped, total)
-	}
+	n.cluster.net.Transmit(&newDelivery(n.id, dst, kind, body, size+envelopeOverhead, reliable).tm)
 }
 
-// onDeliver is the transport handler: it unwraps the envelope, feeds the
-// network model, routes runtime-internal kinds, applies execution
-// steering, and finally dispatches to the service.
+// onDeliver is the transport handler: it feeds the network model, routes
+// runtime-internal kinds, applies execution steering, and finally
+// dispatches the delivery's message to the service.
 func (n *Node) onDeliver(tm *transport.Message) {
 	if n.down {
 		return
 	}
-	env, ok := tm.Payload.(envelope)
+	d, ok := tm.Payload.(*delivery)
 	if !ok {
 		return
 	}
 	now := time.Duration(n.cluster.eng.Now())
-	if lat := now - env.SentAt; lat >= 0 {
+	if lat := now - time.Duration(tm.SentAt); lat >= 0 {
 		n.model.Net.ObserveLatency(tm.Src, lat, now)
 		if tm.Size > 1024 && lat > 0 {
 			n.model.Net.ObserveBandwidth(tm.Src, float64(tm.Size)/lat.Seconds(), now)
@@ -618,15 +627,15 @@ func (n *Node) onDeliver(tm *transport.Message) {
 	if strings.HasPrefix(tm.Kind, "cb.ckpt.") {
 		// A response's state is already a clone the sender made for this
 		// node: the model retains it as delivered.
-		if resp, isResp := env.Body.(checkpoint.Response); isResp {
+		if resp, isResp := d.msg.Body.(checkpoint.Response); isResp {
 			n.stats.Checkpoints++
 			n.model.State.Update(tm.Src, resp.State, resp.At, resp.Epoch)
 		} else {
-			n.ckpt.HandleMessage(tm.Src, tm.Kind, env.Body)
+			n.ckpt.HandleMessage(tm.Src, tm.Kind, d.msg.Body)
 		}
 		return
 	}
-	msg := &sm.Msg{Src: tm.Src, Dst: tm.Dst, Kind: tm.Kind, Body: env.Body, Size: tm.Size, Unreliable: !tm.Reliable}
+	msg := &d.msg
 	if n.cluster.cfg.Steering && len(n.cluster.cfg.Properties) > 0 {
 		if n.steerAway(msg) {
 			return
@@ -735,15 +744,9 @@ func (n *Node) resolverReadsPreEventState() bool {
 }
 
 func (n *Node) dispatchMessage(msg *sm.Msg) {
-	n.currentEvent = &pendingEvent{msg: msg}
-	if n.resolverReadsPreEventState() {
-		n.preEventState = n.svc.Clone()
-	} else {
-		n.preEventState = nil
-	}
+	outer, outerPre := n.beginEvent(pendingEvent{msg: msg})
 	n.runHandler(func() { n.svc.OnMessage(n.env(), msg) })
-	n.currentEvent = nil
-	n.preEventState = nil
+	n.event, n.preEventState = outer, outerPre
 }
 
 func (n *Node) dispatchTimer(name string) {
@@ -751,23 +754,32 @@ func (n *Node) dispatchTimer(name string) {
 		return
 	}
 	delete(n.timers, name)
-	n.currentEvent = &pendingEvent{timer: name}
+	outer, outerPre := n.beginEvent(pendingEvent{timer: name})
+	n.runHandler(func() { n.svc.OnTimer(n.env(), name) })
+	n.event, n.preEventState = outer, outerPre
+}
+
+// beginEvent makes ev the event being dispatched, with its pre-event
+// clone when the resolver reads one, and returns the event and clone it
+// replaces for the caller to restore once the handler returns: the zero
+// event, which pins no message, or the outer event of a handler that
+// dispatches another one (Inject) before it resolves a choice.
+func (n *Node) beginEvent(ev pendingEvent) (pendingEvent, sm.Service) {
+	outer, outerPre := n.event, n.preEventState
+	n.event = ev
+	n.preEventState = nil
 	if n.resolverReadsPreEventState() {
 		n.preEventState = n.svc.Clone()
-	} else {
-		n.preEventState = nil
 	}
-	n.runHandler(func() { n.svc.OnTimer(n.env(), name) })
-	n.currentEvent = nil
-	n.preEventState = nil
+	return outer, outerPre
 }
 
 // runHandler executes one service handler. Under Config.ContainPanics a
 // panic is recorded on the cluster and the node crashed — containing the
 // blast radius to the faulty node, like a supervisor restarting a wedged
-// process — instead of unwinding through the engine. The crash happens
-// after the dispatch bookkeeping is cleared so a later Restart starts
-// from a consistent node.
+// process — instead of unwinding through the engine. The dispatch that
+// called it restores the node's event bookkeeping when it returns, so a
+// later Restart starts from a consistent node.
 func (n *Node) runHandler(fn func()) {
 	if !n.cluster.cfg.ContainPanics {
 		fn()
@@ -777,12 +789,10 @@ func (n *Node) runHandler(fn func()) {
 		if p := recover(); p != nil {
 			n.cluster.panics = append(n.cluster.panics, PanicRecord{
 				Node:  n.id,
-				Event: n.currentEvent.label(),
+				Event: n.event.label(),
 				Value: p,
 				At:    time.Duration(n.cluster.eng.Now()),
 			})
-			n.currentEvent = nil
-			n.preEventState = nil
 			n.cluster.Crash(n.id)
 		}
 	}()

@@ -32,9 +32,14 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // String formats the time as a duration since simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// Timer is a scheduled event and the handle that cancels it. Its callback
-// is cleared when the event fires or is canceled, so a nil fn means the
-// event will not fire (again) and the closure is not kept alive.
+// Event is a value that fires itself when its time comes. Post queues one
+// with no handle: it cannot be canceled, so nothing but the event itself
+// is allocated (a transport message is the event that delivers it).
+type Event interface{ Fire() }
+
+// Timer is a scheduled callback and the handle that cancels it. Its
+// callback is cleared when the event fires or is canceled, so a nil fn
+// means the event will not fire (again) and the closure is not kept alive.
 type Timer struct{ fn func() }
 
 // Cancel prevents the timer from firing. It is safe to call on a timer that
@@ -51,14 +56,31 @@ func (t *Timer) Cancel() bool {
 // Pending reports whether the timer is still scheduled to fire.
 func (t *Timer) Pending() bool { return t != nil && t.fn != nil }
 
+// Fire runs the callback of a pending timer and clears it, so the queued
+// entry is then discarded like a canceled one. The engine calls it when
+// the timer's time comes.
+func (t *Timer) Fire() {
+	if fn := t.fn; fn != nil {
+		t.fn = nil
+		fn()
+	}
+}
+
+// live reports whether ev is still due to fire: a canceled or already
+// fired timer is not. Every other event is live until it is popped.
+func live(ev Event) bool {
+	t, ok := ev.(*Timer)
+	return !ok || t.fn != nil
+}
+
 // entry is one queued event: its key (at, seq) sits inline beside the
-// timer, so sifting compares contiguous memory and never dereferences a
-// timer. seq is unique, so (at, seq) is a total order and the pop order
+// event, so sifting compares contiguous memory and never dereferences an
+// event. seq is unique, so (at, seq) is a total order and the pop order
 // does not depend on the heap's shape.
 type entry struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among events at the same instant
-	t   *Timer
+	ev  Event
 }
 
 func (a *entry) before(b *entry) bool {
@@ -86,11 +108,19 @@ func push(q []entry, x entry) []entry {
 	return q
 }
 
-// pop removes the least entry of the non-empty min-heap q.
+// shrinkBelow is the capacity under which a drained queue keeps its
+// array: a small queue is not worth copying.
+const shrinkBelow = 1024
+
+// pop removes the least entry of the non-empty min-heap q. A queue that
+// has drained to a quarter of its capacity moves to an array half the
+// size, so a burst of events (an open-loop generator schedules every op up
+// front) does not pin its peak array for the rest of the run; the copies
+// cost O(1) per pop amortized.
 func pop(q []entry) []entry {
 	n := len(q) - 1
 	x := q[n]
-	q[n] = entry{} // the backing array must not pin the timer
+	q[n] = entry{} // the backing array must not pin the event
 	q = q[:n]
 	i := 0
 	for {
@@ -112,6 +142,9 @@ func pop(q []entry) []entry {
 	}
 	if n > 0 {
 		q[i] = x
+	}
+	if c := cap(q); c > shrinkBelow && n < c/4 {
+		q = append(make([]entry, 0, c/2), q...)
 	}
 	return q
 }
@@ -164,13 +197,23 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: Schedule with nil function")
 	}
+	t := &Timer{fn: fn}
+	e.Post(at, t)
+	return t
+}
+
+// Post queues ev to fire at absolute virtual time at. Times in the past
+// are clamped to the current instant. There is no handle: ev cannot be
+// canceled, and ev itself is all the engine keeps.
+func (e *Engine) Post(at Time, ev Event) {
+	if ev == nil {
+		panic("sim: Post with nil event")
+	}
 	if at < e.now {
 		at = e.now
 	}
-	t := &Timer{fn: fn}
-	e.queue = push(e.queue, entry{at: at, seq: e.seq, t: t})
+	e.queue = push(e.queue, entry{at: at, seq: e.seq, ev: ev})
 	e.seq++
-	return t
 }
 
 // Len returns the number of events currently queued (including canceled
@@ -181,16 +224,14 @@ func (e *Engine) Len() int { return len(e.queue) }
 // timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		at, t := e.queue[0].at, e.queue[0].t
+		at, ev := e.queue[0].at, e.queue[0].ev
 		e.queue = pop(e.queue)
-		fn := t.fn
-		if fn == nil {
+		if !live(ev) {
 			continue // canceled
 		}
-		t.fn = nil
 		e.now = at
 		e.steps++
-		fn()
+		ev.Fire()
 		return true
 	}
 	return false
@@ -237,7 +278,7 @@ func (e *Engine) Drain(maxEvents int) int {
 // discarded on the way.
 func (e *Engine) NextEventAt() (Time, bool) {
 	for len(e.queue) > 0 {
-		if e.queue[0].t.fn != nil {
+		if live(e.queue[0].ev) {
 			return e.queue[0].at, true
 		}
 		e.queue = pop(e.queue)

@@ -223,6 +223,15 @@ func TestScheduleNilPanics(t *testing.T) {
 	NewEngine(1).Schedule(0, nil)
 }
 
+func TestPostNilPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Post(nil) did not panic")
+		}
+	}()
+	NewEngine(1).Post(0, nil)
+}
+
 // Property: events always fire in nondecreasing time order, and FIFO within
 // an instant, regardless of the scheduling pattern.
 func TestEventOrderProperty(t *testing.T) {
@@ -316,10 +325,11 @@ func BenchmarkHeapChurn(b *testing.B) {
 // slice kept sorted by (at, seq), whose canceled entries stay queued (and
 // counted by len) until they reach the front, as the engine's do.
 type refQueue struct {
-	now  Time
-	seq  uint64
-	q    []refEntry
-	live map[int]bool // scheduled, neither fired nor canceled
+	now    Time
+	seq    uint64
+	q      []refEntry
+	live   map[int]bool // scheduled, neither fired nor canceled
+	posted map[int]bool // queued by Post: no handle, never canceled
 }
 
 type refEntry struct {
@@ -338,7 +348,7 @@ func (r *refQueue) schedule(at Time, id int) {
 }
 
 func (r *refQueue) cancel(id int) bool {
-	if !r.live[id] {
+	if !r.live[id] || r.posted[id] {
 		return false
 	}
 	r.live[id] = false
@@ -381,6 +391,14 @@ type action struct {
 	cancel int // id to cancel, or -1
 }
 
+// posted is a handle-free event: it fires the harness callback of its id.
+type posted struct {
+	h  *queueHarness
+	id int
+}
+
+func (p *posted) Fire() { p.h.fireE(p.id) }
+
 // queueHarness drives an Engine and a refQueue with the same operations.
 // Both sides number events in creation order on counters of their own, so
 // a callback that schedules a child names it the same on both sides as
@@ -388,7 +406,7 @@ type action struct {
 // side's log, and the logs must match after every operation.
 type queueHarness struct {
 	e          *Engine
-	timers     []*Timer
+	timers     []*Timer // nil for posted events
 	ref        refQueue
 	refIDs     int
 	acts       []action
@@ -412,6 +430,12 @@ func (h *queueHarness) scheduleE(at Time, relative bool, d Duration) {
 	}
 }
 
+func (h *queueHarness) postE(at Time) {
+	id := len(h.timers)
+	h.timers = append(h.timers, nil)
+	h.e.Post(at, &posted{h, id})
+}
+
 func (h *queueHarness) fireE(id int) {
 	h.logE = append(h.logE, fmt.Sprintf("fire %d at %v", id, h.e.Now()))
 	a := h.act(id)
@@ -426,6 +450,11 @@ func (h *queueHarness) fireE(id int) {
 func (h *queueHarness) scheduleR(at Time) {
 	h.ref.schedule(at, h.refIDs)
 	h.refIDs++
+}
+
+func (h *queueHarness) postR(at Time) {
+	h.ref.posted[h.refIDs] = true
+	h.scheduleR(at)
 }
 
 func (h *queueHarness) stepR() bool {
@@ -444,15 +473,16 @@ func (h *queueHarness) stepR() bool {
 	return true
 }
 
-// TestQueueMatchesReference runs random interleavings of Schedule and
-// ScheduleAt (past times included), Cancel and Pending (before and after
-// firing), Step, Run and NextEventAt, with callbacks that schedule and
-// cancel, and checks everything the engine reports against refQueue.
+// TestQueueMatchesReference runs random interleavings of Schedule,
+// ScheduleAt and Post (past times included), Cancel and Pending (before
+// and after firing; a posted event has no handle, so both read false),
+// Step, Run and NextEventAt, with callbacks that schedule and cancel, and
+// checks everything the engine reports against refQueue.
 func TestQueueMatchesReference(t *testing.T) {
 	const ms = Duration(time.Millisecond)
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		h := &queueHarness{e: NewEngine(seed), ref: refQueue{live: map[int]bool{}}}
+		h := &queueHarness{e: NewEngine(seed), ref: refQueue{live: map[int]bool{}, posted: map[int]bool{}}}
 		h.acts = make([]action, 1500)
 		for i := range h.acts {
 			a := action{cancel: -1}
@@ -466,7 +496,7 @@ func TestQueueMatchesReference(t *testing.T) {
 		}
 		for op := 0; op < 600; op++ {
 			var what string
-			switch k := rng.Intn(10); {
+			switch k := rng.Intn(11); {
 			case k < 3:
 				d := Duration(rng.Intn(12)-2) * ms
 				what = fmt.Sprintf("Schedule(%v)", d)
@@ -486,7 +516,7 @@ func TestQueueMatchesReference(t *testing.T) {
 				id := rng.Intn(len(h.timers))
 				what = fmt.Sprintf("Pending(%d)", id)
 				h.logE = append(h.logE, fmt.Sprint(h.timers[id].Pending()))
-				h.logR = append(h.logR, fmt.Sprint(h.ref.live[id]))
+				h.logR = append(h.logR, fmt.Sprint(h.ref.live[id] && !h.ref.posted[id]))
 			case k == 7:
 				what = "Step"
 				h.logE = append(h.logE, fmt.Sprint(h.e.Step()))
@@ -502,6 +532,11 @@ func TestQueueMatchesReference(t *testing.T) {
 				}
 				h.ref.now = max(h.ref.now, until)
 				h.logR = append(h.logR, fmt.Sprint(n))
+			case k == 9:
+				at := h.e.Now().Add(Duration(rng.Intn(14)-4) * ms)
+				what = fmt.Sprintf("Post(%v)", at)
+				h.postE(at)
+				h.postR(at)
 			default:
 				what = "NextEventAt"
 				at, ok := h.e.NextEventAt()
@@ -539,6 +574,63 @@ func TestScheduleStepAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("Schedule+Step allocates %v objects, want 1", allocs)
+	}
+}
+
+// A queue drained from a burst gives back its array and keeps popping in
+// (at, seq) order across the copies.
+func TestDrainedQueueShrinks(t *testing.T) {
+	e := NewEngine(1)
+	r := rand.New(rand.NewSource(3))
+	type fired struct {
+		at Time
+		id int
+	}
+	var got []fired
+	const n = 20000
+	for id := 0; id < n; id++ {
+		e.ScheduleAt(Time(r.Intn(500))*Time(time.Millisecond), func() { got = append(got, fired{e.Now(), id}) })
+	}
+	peak := cap(e.queue)
+	e.Drain(n - 100)
+	if c := cap(e.queue); c > shrinkBelow {
+		t.Fatalf("100 queued events hold an array of %d entries (peak %d), want <= %d", c, peak, shrinkBelow)
+	}
+	e.Drain(0)
+	if len(got) != n {
+		t.Fatalf("%d events fired, want %d", len(got), n)
+	}
+	for i := 1; i < n; i++ {
+		if a, b := got[i-1], got[i]; b.at < a.at || (b.at == a.at && b.id < a.id) {
+			t.Fatalf("event %d (%v) fired after %d (%v)", b.id, b.at, a.id, a.at)
+		}
+	}
+}
+
+// counter is a handle-free event that counts its firings.
+type counter int
+
+func (c *counter) Fire() { *c++ }
+
+// Cost-shape gate (make bench-alloc): the queue entry holds a posted
+// event as it is, so a steady-state Post+Step allocates nothing.
+func TestPostStepAllocs(t *testing.T) {
+	e := NewEngine(1)
+	var c counter
+	for i := 0; i < 64; i++ {
+		e.Post(Time(i)*Time(time.Millisecond), &c)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		e.Post(e.Now().Add(time.Duration(i%64)*time.Millisecond), &c)
+		e.Step()
+	})
+	if c != 1001 {
+		t.Fatalf("%d events fired, want 1001", c)
+	}
+	if allocs != 0 {
+		t.Fatalf("Post+Step allocates %v objects, want 0", allocs)
 	}
 }
 

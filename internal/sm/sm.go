@@ -47,8 +47,9 @@ type Msg struct {
 	// while the message is still owned by a single goroutine (the world
 	// that injects or absorbs it does so eagerly); afterwards Digest is
 	// read-only and safe to call from concurrent exploration workers.
-	digest   uint64
+	// digested sits beside Unreliable, so the two flags share one word.
 	digested bool
+	digest   uint64
 }
 
 func (m *Msg) String() string {

@@ -28,15 +28,27 @@ import (
 // NodeID aliases netmodel.NodeID for convenience.
 type NodeID = netmodel.NodeID
 
-// Message is a delivered protocol message.
+// Message is a protocol message in flight. Once sent it is also the
+// simulator event that delivers it (sim.Event), so a message costs the
+// network one heap object from send to handler.
 type Message struct {
 	Src, Dst NodeID
 	Kind     string
 	Payload  any
-	Size     int    // bytes, for bandwidth modeling; 0 means header-only
-	Seq      uint64 // network-assigned, unique per simulation
+	Size     int // bytes, for bandwidth modeling; 0 means header-only
 	Reliable bool
+	// Seq and SentAt are assigned by the network when it accepts the
+	// message: a sequence number unique per simulation, and the send
+	// instant (before any upload-queue wait).
+	Seq    uint64
+	SentAt sim.Time
+
+	net *Network
 }
+
+// Fire delivers a message the network accepted. The engine calls it at
+// the delivery instant the network scheduled.
+func (m *Message) Fire() { m.net.deliver(m) }
 
 func (m *Message) String() string {
 	return fmt.Sprintf("%v->%v %s(seq=%d,%dB)", m.Src, m.Dst, m.Kind, m.Seq, m.Size)
@@ -50,11 +62,6 @@ type Handler func(m *Message)
 // detection, as RandTree does when CrystalBall severs a connection.
 type ConnListener func(peer NodeID)
 
-// Filter inspects an inbound message before delivery; returning true drops
-// the message. CrystalBall's execution steering installs filters to steer
-// away from predicted inconsistencies.
-type Filter func(m *Message) bool
-
 // Stats counts traffic through the network.
 type Stats struct {
 	Sent, Delivered, Dropped uint64
@@ -65,7 +72,6 @@ type endpoint struct {
 	id       NodeID
 	handler  Handler
 	connDown ConnListener
-	filter   Filter
 	up       bool
 	// selfHorizon is the reliable self-channel's FIFO state: the latest
 	// delivery time of a self-send. A self-path has no latency, loss or
@@ -88,10 +94,14 @@ type channel struct {
 
 // Network connects endpoints over a topology.
 type Network struct {
-	eng   *sim.Engine
-	top   *netmodel.Topology
-	rng   *rand.Rand
-	eps   map[NodeID]*endpoint
+	eng *sim.Engine
+	top *netmodel.Topology
+	rng *rand.Rand
+	// eps holds the endpoints of the topology's IDs, indexed by ID, and
+	// far those of IDs outside it (a node outside the topology can still
+	// send to itself).
+	eps   []*endpoint
+	far   map[NodeID]*endpoint
 	seq   uint64
 	stats Stats
 
@@ -121,9 +131,9 @@ type Network struct {
 	// relation says nothing about another.
 	topoListener func()
 
-	// Monitor, when set, observes every delivered message (after filters,
-	// before the handler). Experiment harnesses use it for traffic
-	// accounting, e.g. cross-ISP byte counts.
+	// Monitor, when set, observes every delivered message (after the drop
+	// checks, before the handler). Experiment harnesses use it for
+	// traffic accounting, e.g. cross-ISP byte counts.
 	Monitor func(m *Message)
 }
 
@@ -133,7 +143,8 @@ func New(eng *sim.Engine, top *netmodel.Topology) *Network {
 		eng:            eng,
 		top:            top,
 		rng:            eng.Fork(),
-		eps:            make(map[NodeID]*endpoint),
+		eps:            make([]*endpoint, top.Size()),
+		far:            make(map[NodeID]*endpoint),
 		channels:       make([]channel, top.Size()*top.Size()),
 		uploadBps:      make(map[NodeID]float64),
 		uploadBusy:     make(map[NodeID]sim.Time),
@@ -157,11 +168,7 @@ func (n *Network) Attach(id NodeID, h Handler) {
 	if h == nil {
 		panic("transport: Attach with nil handler")
 	}
-	ep := n.eps[id]
-	if ep == nil {
-		ep = &endpoint{id: id}
-		n.eps[id] = ep
-	}
+	ep := n.ep(id)
 	ep.handler = h
 	ep.up = true
 }
@@ -172,14 +179,24 @@ func (n *Network) SetConnListener(id NodeID, l ConnListener) {
 	n.ep(id).connDown = l
 }
 
-// SetFilter installs (or clears, with nil) the inbound filter for id.
-func (n *Network) SetFilter(id NodeID, f Filter) { n.ep(id).filter = f }
+// lookup returns id's endpoint, or nil if it has none.
+func (n *Network) lookup(id NodeID) *endpoint {
+	if uint(id) < uint(len(n.eps)) {
+		return n.eps[id]
+	}
+	return n.far[id]
+}
 
+// ep returns id's endpoint, creating it if needed.
 func (n *Network) ep(id NodeID) *endpoint {
-	ep := n.eps[id]
-	if ep == nil {
-		ep = &endpoint{id: id}
+	if ep := n.lookup(id); ep != nil {
+		return ep
+	}
+	ep := &endpoint{id: id}
+	if uint(id) < uint(len(n.eps)) {
 		n.eps[id] = ep
+	} else {
+		n.far[id] = ep
 	}
 	return ep
 }
@@ -206,7 +223,7 @@ func (n *Network) Restart(id NodeID) { n.ep(id).up = true }
 
 // Up reports whether the endpoint is attached and running.
 func (n *Network) Up(id NodeID) bool {
-	ep := n.eps[id]
+	ep := n.lookup(id)
 	return ep != nil && ep.up && ep.handler != nil
 }
 
@@ -278,11 +295,11 @@ func (n *Network) BreakConnection(a, b NodeID) {
 	until := n.eng.Now().Add(n.ReconnectDelay)
 	n.brokenUntil[pairKey{a, b}] = until
 	n.brokenUntil[pairKey{b, a}] = until
-	if ep := n.eps[a]; ep != nil && ep.connDown != nil && ep.up {
+	if ep := n.lookup(a); ep != nil && ep.connDown != nil && ep.up {
 		peer := b
 		n.eng.Schedule(0, func() { ep.connDown(peer) })
 	}
-	if ep := n.eps[b]; ep != nil && ep.connDown != nil && ep.up {
+	if ep := n.lookup(b); ep != nil && ep.connDown != nil && ep.up {
 		peer := a
 		n.eng.Schedule(0, func() { ep.connDown(peer) })
 	}
@@ -310,20 +327,26 @@ func (n *Network) SetUploadCapacity(id NodeID, bps float64) {
 // endpoint is down, the pair is partitioned, or the connection is broken).
 // Accepted messages are delivered in FIFO order per ordered pair.
 func (n *Network) Send(src, dst NodeID, kind string, payload any, size int) bool {
-	return n.send(src, dst, kind, payload, size, true)
+	return n.Transmit(&Message{Src: src, Dst: dst, Kind: kind, Payload: payload, Size: size, Reliable: true})
 }
 
 // SendDatagram transmits a best-effort datagram subject to path loss.
 // It reports whether the datagram was put on the wire (not whether it will
 // arrive).
 func (n *Network) SendDatagram(src, dst NodeID, kind string, payload any, size int) bool {
-	return n.send(src, dst, kind, payload, size, false)
+	return n.Transmit(&Message{Src: src, Dst: dst, Kind: kind, Payload: payload, Size: size})
 }
 
-func (n *Network) send(src, dst NodeID, kind string, payload any, size int, reliable bool) bool {
+// Transmit sends m over the reliable service if m.Reliable is set, as a
+// datagram otherwise, and reports what Send or SendDatagram would. The
+// caller allocates m; the network stamps an accepted m's Seq and SentAt
+// and queues m itself as the event that delivers it, so m must not be
+// sent again.
+func (n *Network) Transmit(m *Message) bool {
+	src, dst, size, reliable := m.Src, m.Dst, m.Size, m.Reliable
 	n.stats.Sent++
 	n.stats.Bytes += uint64(size)
-	srcEp := n.eps[src]
+	srcEp := n.lookup(src)
 	if srcEp == nil || !srcEp.up {
 		n.stats.Dropped++
 		return false
@@ -386,13 +409,13 @@ func (n *Network) send(src, dst NodeID, kind string, payload any, size int, reli
 		ch.lastDeliver = deliverAt
 	}
 	n.seq++
-	m := &Message{Src: src, Dst: dst, Kind: kind, Payload: payload, Size: size, Seq: n.seq, Reliable: reliable}
-	n.eng.ScheduleAt(deliverAt, func() { n.deliver(m) })
+	m.Seq, m.SentAt, m.net = n.seq, n.eng.Now(), n
+	n.eng.Post(deliverAt, m)
 	return true
 }
 
 func (n *Network) deliver(m *Message) {
-	ep := n.eps[m.Dst]
+	ep := n.lookup(m.Dst)
 	if ep == nil || !ep.up || ep.handler == nil {
 		n.stats.Dropped++
 		return
@@ -401,12 +424,8 @@ func (n *Network) deliver(m *Message) {
 		n.stats.Dropped++
 		return
 	}
-	if srcEp := n.eps[m.Src]; m.Reliable && (srcEp == nil || !srcEp.up) {
+	if srcEp := n.lookup(m.Src); m.Reliable && (srcEp == nil || !srcEp.up) {
 		// TCP-like: a crashed sender's in-flight stream is torn down.
-		n.stats.Dropped++
-		return
-	}
-	if ep.filter != nil && ep.filter(m) {
 		n.stats.Dropped++
 		return
 	}

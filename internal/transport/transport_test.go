@@ -207,26 +207,6 @@ func TestBreakConnection(t *testing.T) {
 	}
 }
 
-func TestFilterDrops(t *testing.T) {
-	eng, nw := newNet(2, time.Millisecond)
-	delivered := 0
-	nw.Attach(0, func(m *Message) {})
-	nw.Attach(1, func(m *Message) { delivered++ })
-	nw.SetFilter(1, func(m *Message) bool { return m.Kind == "evil" })
-	nw.Send(0, 1, "evil", nil, 0)
-	nw.Send(0, 1, "good", nil, 0)
-	eng.Drain(0)
-	if delivered != 1 {
-		t.Fatalf("filter delivered %d, want 1", delivered)
-	}
-	nw.SetFilter(1, nil)
-	nw.Send(0, 1, "evil", nil, 0)
-	eng.Drain(0)
-	if delivered != 2 {
-		t.Fatal("cleared filter still dropping")
-	}
-}
-
 func TestStats(t *testing.T) {
 	eng, nw := newNet(2, time.Millisecond)
 	nw.Attach(0, func(m *Message) {})
@@ -352,6 +332,40 @@ func TestSelfSendOutsideTopology(t *testing.T) {
 	}
 	if s := nw.Stats(); s.Sent != 4 || s.Delivered != 4 || s.Dropped != 0 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// A transmitted message is the event that delivers it: the handler gets
+// the caller's record, stamped with its sequence number and its send
+// instant — before the uplink wait, not after.
+func TestTransmitDeliversTheRecord(t *testing.T) {
+	eng, nw := newNet(2, 10*time.Millisecond)
+	var got []*Message
+	var at []sim.Time
+	nw.Attach(0, func(m *Message) {})
+	nw.Attach(1, func(m *Message) { got, at = append(got, m), append(at, eng.Now()) })
+	nw.SetUploadCapacity(0, 1000)
+	sent := []*Message{
+		{Src: 0, Dst: 1, Kind: "a", Size: 500, Reliable: true},
+		{Src: 0, Dst: 1, Kind: "b", Size: 500},
+	}
+	for _, m := range sent {
+		if !nw.Transmit(m) {
+			t.Fatalf("Transmit(%v) rejected", m)
+		}
+	}
+	eng.Drain(0)
+	ms := sim.Time(time.Millisecond)
+	if len(got) != 2 || got[0] != sent[0] || got[1] != sent[1] {
+		t.Fatalf("delivered %v, want the transmitted records %v", got, sent)
+	}
+	if !slices.Equal(at, []sim.Time{510 * ms, 1010 * ms}) {
+		t.Fatalf("delivered at %v, want [510ms 1.01s]", at)
+	}
+	for i, m := range got {
+		if m.Seq != uint64(i+1) || m.SentAt != 0 {
+			t.Fatalf("%s: seq %d sent at %v, want seq %d sent at 0", m.Kind, m.Seq, m.SentAt, i+1)
+		}
 	}
 }
 
