@@ -65,7 +65,11 @@ bench:
 # TestProposalBytesDense is the paxos proposal log's retained-size gate:
 # keyed by the proposer's own slot, a proposal costs <= 160 B at one
 # replica of five after 4096 proposals (about 120; keyed by instance,
-# about 560). TestScheduleStepAllocs is the simulator queue's gate: a
+# about 560). TestPredictiveDispatchWritesInPlace is the gate of the
+# pre-event snapshot: a warm Predictive replica, which declares its choice
+# sites, takes no clone for an Accept or a Learn (the dispatch allocates
+# what it does under a resolver that never clones, so no trie path is
+# copied) and exactly one for a Submit. TestScheduleStepAllocs is the simulator queue's gate: a
 # steady-state Schedule+Step allocates exactly one object, the timer;
 # TestPostStepAllocs its handle-free case: Post+Step of an existing event
 # allocates nothing. TestDeliveryAllocs is the message path's gate: one
@@ -101,7 +105,7 @@ bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState|TestForkWriteAllocsIndependentOfSize' -count=2 -v
 	go test ./internal/sm -run 'TestIntMapForkWriteBytes' -count=2 -v
 	go test ./internal/sim -run 'TestScheduleStepAllocs|TestPostStepAllocs' -count=2 -v
-	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize|TestProposalBytesDense' -count=2 -v
+	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize|TestProposalBytesDense|TestPredictiveDispatchWritesInPlace' -count=2 -v
 	go test ./internal/apps/gossip -run 'TestForkCostIndependentOfUpdates' -count=2 -v
 	go test ./internal/apps/randtree -run 'TestTreeStepIndependentOfSize|TestForkCostIndependentOfTreeSize' -count=2 -v
 	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned|TestDeliveryAllocs' -count=2 -v

@@ -276,6 +276,10 @@ func (p *Peer) addPeer(env sm.Env, peer sm.NodeID) {
 	}
 }
 
+// ExposesChoice declares where the block choice is made
+// (sm.ChoiceSites): the scheduler tick alone.
+func (p *Peer) ExposesChoice(msgKind, timer string) bool { return timer == timerTick }
+
 // OnConnDown clears pending requests to the dead peer.
 func (p *Peer) OnConnDown(env sm.Env, peer sm.NodeID) {
 	for b, owner := range p.Pending {

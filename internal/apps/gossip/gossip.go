@@ -253,6 +253,10 @@ func subtract(a, b, out []int) int {
 // OnConnDown is a no-op: gossip tolerates broken links by design.
 func (p *Peer) OnConnDown(env sm.Env, peer sm.NodeID) {}
 
+// ExposesChoice declares where the partner choice is made
+// (sm.ChoiceSites): the round timer alone.
+func (p *Peer) ExposesChoice(msgKind, timer string) bool { return timer == timerRound }
+
 // Clone forks the peer in O(1): held and View are shared for good, Received
 // until either side writes. All it writes to p is the shared mark, so p may
 // be mutated right afterwards, and one peer that nobody writes may be cloned

@@ -541,6 +541,12 @@ func (r *Replica) OnTimer(env sm.Env, name string) {
 // OnConnDown is a no-op: Paxos tolerates lost messages via retry.
 func (r *Replica) OnConnDown(env sm.Env, peer sm.NodeID) {}
 
+// ExposesChoice declares where the proposer choice is made
+// (sm.ChoiceSites): a submission, and the timer that resubmits it.
+func (r *Replica) ExposesChoice(msgKind, timer string) bool {
+	return msgKind == KindSubmit || strings.HasPrefix(timer, timerResubmitPrefix)
+}
+
 // OpenProposals returns the number of proposals this node is driving.
 func (r *Replica) OpenProposals() int { return r.openLocal }
 

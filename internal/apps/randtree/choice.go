@@ -119,6 +119,10 @@ func (s *Choice) OnTimer(env sm.Env, name string) { s.state.onTimer(env, name) }
 // OnConnDown reacts to severed connections.
 func (s *Choice) OnConnDown(env sm.Env, peer sm.NodeID) { s.state.onConnDown(env, peer) }
 
+// ExposesChoice declares where the routing choice is made
+// (sm.ChoiceSites): a join request alone.
+func (s *Choice) ExposesChoice(msgKind, timer string) bool { return msgKind == KindJoin }
+
 // Clone copies the service in O(1): the copy shares the never-written
 // child list.
 func (s *Choice) Clone() sm.Service { return &Choice{state: s.state.clone()} }

@@ -132,6 +132,10 @@ func (t *Tracker) OnConnDown(env sm.Env, peer sm.NodeID) {
 	delete(t.Registered, peer)
 }
 
+// ExposesChoice declares where the grant choices are made
+// (sm.ChoiceSites): a request for introductions alone.
+func (t *Tracker) ExposesChoice(msgKind, timer string) bool { return msgKind == KindGetPeers }
+
 // Clone deep-copies the tracker.
 func (t *Tracker) Clone() sm.Service {
 	c := *t

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -260,13 +262,16 @@ func TestStaleCheckpointResponseNotCloned(t *testing.T) {
 // lookahead worlds fork and run further, count nothing.
 type liveClones struct {
 	balSvc
-	live            bool
-	clones, handled *int
+	live                   bool
+	clones, handled, works *int
 }
 
 func (s *liveClones) Init(env sm.Env) { env.SetTimer("emit", 7*time.Millisecond) }
 func (s *liveClones) OnMessage(env sm.Env, m *sm.Msg) {
 	s.count(s.handled)
+	if m.Kind == "work" {
+		s.count(s.works)
+	}
 	s.balSvc.OnMessage(env, m)
 }
 func (s *liveClones) OnTimer(env sm.Env, name string) {
@@ -287,26 +292,38 @@ func (s *liveClones) count(n *int) {
 	}
 }
 
-// The runtime clones a node's service before each handler only for a
-// resolver that reads that pre-event state — Predictive. A steering node
-// with another resolver forks its live service in steerAway alone: one
-// clone per check whose with-message lookahead is safe, none for a timer.
+// choiceSiteClones is liveClones declaring its one choice site: only a
+// "work" message reaches Choose.
+type choiceSiteClones struct{ liveClones }
+
+func (s *choiceSiteClones) ExposesChoice(msgKind, timer string) bool { return msgKind == "work" }
+
+// The runtime clones a node's service before a handler only for a
+// resolver that reads that pre-event state — Predictive — and, for a
+// service that declares its choice sites, only before a handler that can
+// reach Choose. A steering node with another resolver forks its live
+// service in steerAway alone: one clone per check whose with-message
+// lookahead is safe, none for a timer.
 func TestPreEventCloneOnlyForPredictive(t *testing.T) {
-	run := func(cfg Config) (clones, handled int, st Stats) {
+	run := func(cfg Config, declare bool) (clones, handled, works int, st Stats) {
 		eng := sim.NewEngine(5)
 		cl := NewCluster(eng, transport.New(eng, netmodel.Uniform(3, 5*time.Millisecond, 0, 0)), cfg)
 		for i := NodeID(0); i < 3; i++ {
-			svc := &liveClones{balSvc: balSvc{id: i}, live: true, clones: &clones, handled: &handled}
+			lc := liveClones{balSvc: balSvc{id: i}, live: true, clones: &clones, handled: &handled, works: &works}
 			for j := NodeID(0); j < 3; j++ {
 				if j != i {
-					svc.peers = append(svc.peers, j)
+					lc.peers = append(lc.peers, j)
 				}
+			}
+			var svc sm.Service = &lc
+			if declare {
+				svc = &choiceSiteClones{lc}
 			}
 			cl.AddNode(i, svc)
 		}
 		cl.Start()
 		eng.RunFor(300 * time.Millisecond)
-		return clones, handled, cl.Stats()
+		return clones, handled, works, cl.Stats()
 	}
 	bounded := explore.Property{Name: "val<=1e6", Check: func(w *explore.World) bool {
 		for _, id := range w.Nodes() {
@@ -316,11 +333,11 @@ func TestPreEventCloneOnlyForPredictive(t *testing.T) {
 		}
 		return true
 	}}
-	clones, handled, st := run(Config{
+	clones, handled, _, st := run(Config{
 		NewResolver: func(*Node) Resolver { return Random{} },
 		Steering:    true,
 		Properties:  []explore.Property{bounded},
-	})
+	}, false)
 	if st.SteeringChecks == 0 || uint64(handled) <= st.SteeringChecks {
 		t.Fatalf("steering node: %d handlers ran, %d steering checks: want timers beside the checked messages", handled, st.SteeringChecks)
 	}
@@ -329,16 +346,76 @@ func TestPreEventCloneOnlyForPredictive(t *testing.T) {
 		t.Errorf("steering node with a random resolver: %d clones of the live services for %d steering checks and %d handlers, want one per check",
 			clones, st.SteeringChecks, handled)
 	}
-	clones, handled, st = run(Config{
+	predictive := Config{
 		NewResolver: func(*Node) Resolver { return NewPredictive(1) },
 		ObjectiveFor: func(*Node) explore.Objective {
 			return explore.ObjectiveFunc{ObjectiveName: "zero", Fn: func(*explore.World) float64 { return 0 }}
 		},
-	})
+	}
+	clones, handled, _, st = run(predictive, false)
 	t.Logf("predictive resolver: %d handlers, %d predictions, %d clones", handled, st.Predictions, clones)
 	if st.Predictions == 0 || clones != handled {
 		t.Errorf("predictive node: %d clones of the live services for %d handlers (%d predictions), want one pre-event clone per handler",
 			clones, handled, st.Predictions)
+	}
+	declared, handled, works, st := run(predictive, true)
+	t.Logf("predictive resolver, declared choice sites: %d handlers, %d of them work, %d predictions, %d clones", handled, works, st.Predictions, declared)
+	if st.Predictions == 0 || works == 0 || works == handled || declared != works {
+		t.Errorf("predictive node declaring its choice sites: %d clones for %d work handlers of %d (%d predictions), want one per work handler and none for a timer or a load",
+			declared, works, handled, st.Predictions)
+	}
+	if st.Choices != uint64(works) {
+		t.Errorf("%d choices from %d work handlers, want one each", st.Choices, works)
+	}
+}
+
+// undeclaredChooser is balSvc declaring no choice site at all, although
+// its "work" handler calls Choose: a breach of the sm.ChoiceSites
+// contract.
+type undeclaredChooser struct{ balSvc }
+
+func (s *undeclaredChooser) ExposesChoice(msgKind, timer string) bool { return false }
+
+// A Choose from an event its service declared choice-free has no
+// pre-event state to replay: under Predictive the runtime panics naming
+// the event — contained into a PanicRecord under ContainPanics — and
+// never resolves it at random. A resolver that reads no pre-event state
+// does not consult the declaration.
+func TestChooseFromChoiceFreeEventPanics(t *testing.T) {
+	deploy := func(cfg Config) (*sim.Engine, *Cluster) {
+		return pair(cfg, &undeclaredChooser{balSvc{id: 0, peers: []NodeID{1}}}, &balSvc{id: 1})
+	}
+	predictive := func(*Node) Resolver { return NewPredictive(1) }
+	eng, cl := deploy(Config{NewResolver: predictive, ContainPanics: true})
+	inject(cl, 0, "work", 1)
+	eng.RunFor(time.Second)
+	p := cl.Panics()
+	if len(p) != 1 || p[0].Node != 0 || p[0].Event != "m:work" {
+		t.Fatalf("panics %+v, want one on node0 labeled m:work", p)
+	}
+	if msg := fmt.Sprint(p[0].Value); !strings.Contains(msg, "m:work") || !strings.Contains(msg, `"target"`) {
+		t.Errorf("panic value %q does not name the event and the choice", msg)
+	}
+	if n := cl.Node(0); !n.Down() || n.Stats().Choices != 0 || n.event != (pendingEvent{}) {
+		t.Errorf("down=%v choices=%d event=%+v: want the node crashed, the choice unresolved, no event pinned", n.Down(), n.Stats().Choices, n.event)
+	}
+
+	eng, cl = deploy(Config{NewResolver: predictive})
+	inject(cl, 0, "work", 1)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "m:work") {
+				t.Errorf("uncontained breach recovered %v, want a panic naming m:work", r)
+			}
+		}()
+		eng.RunFor(time.Second)
+	}()
+
+	eng, cl = deploy(Config{NewResolver: func(*Node) Resolver { return Random{} }})
+	inject(cl, 0, "work", 1)
+	eng.RunFor(time.Second)
+	if st := cl.Node(0).Stats(); st.Choices != 1 || cl.Node(1).Service().(*balSvc).val != 1 {
+		t.Errorf("random resolver: %d choices, node1 val %d; want the choice resolved and the load delivered", st.Choices, cl.Node(1).Service().(*balSvc).val)
 	}
 }
 
@@ -581,17 +658,23 @@ func TestDatagramDeliveryMarksUnreliable(t *testing.T) {
 
 func TestPredictiveFallsBackWithoutPreEventState(t *testing.T) {
 	// A choice made during Init has no pre-event clone: the predictive
-	// resolver must fall back to a random (valid) decision, not crash.
-	pr := NewPredictive(2)
-	eng := sim.NewEngine(3)
-	net := transport.New(eng, netmodel.Uniform(2, time.Millisecond, 0, 0))
-	cl := NewCluster(eng, net, Config{NewResolver: func(*Node) Resolver { return pr }})
-	cl.AddNode(0, &initChooser{})
-	cl.AddNode(1, &balSvc{id: 1})
-	cl.Start()
-	svc := cl.Node(0).Service().(*initChooser)
-	if svc.got < 0 || svc.got > 2 {
-		t.Fatalf("init-time choice out of range: %d", svc.got)
+	// resolver must fall back to a random (valid) decision, not crash —
+	// also for a service that declares no choice site, since Init is not
+	// a dispatched event.
+	for _, svc := range []interface {
+		sm.Service
+		chosen() int
+	}{&initChooser{}, &choiceFreeInitChooser{}} {
+		pr := NewPredictive(2)
+		eng := sim.NewEngine(3)
+		net := transport.New(eng, netmodel.Uniform(2, time.Millisecond, 0, 0))
+		cl := NewCluster(eng, net, Config{NewResolver: func(*Node) Resolver { return pr }})
+		cl.AddNode(0, svc)
+		cl.AddNode(1, &balSvc{id: 1})
+		cl.Start()
+		if got := svc.chosen(); got < 0 || got > 2 || cl.Node(0).Stats().Choices != 1 {
+			t.Fatalf("%T: init-time choice %d (%d choices), want one in [0, 3)", svc, got, cl.Node(0).Stats().Choices)
+		}
 	}
 }
 
@@ -624,6 +707,13 @@ func (s *initChooser) Clone() sm.Service         { c := *s; return &c }
 func (s *initChooser) Digest() uint64 {
 	return sm.NewHasher().WriteInt(int64(s.got)).Sum()
 }
+func (s *initChooser) chosen() int { return s.got }
+
+// choiceFreeInitChooser is initChooser declaring no dispatched event a
+// choice site.
+type choiceFreeInitChooser struct{ initChooser }
+
+func (s *choiceFreeInitChooser) ExposesChoice(msgKind, timer string) bool { return false }
 
 func TestMaterializeWorld(t *testing.T) {
 	eng, cl := rig(t, 4, Config{CheckpointInterval: 100 * time.Millisecond})

@@ -120,7 +120,10 @@ func (p *Predictive) Resolve(n *Node, c sm.Choice) int {
 	}
 	base := n.preEventState
 	if base == nil {
-		// No pre-event clone (e.g. choice made during Init): fall back.
+		// No pre-event clone: the choice is made outside a dispatch
+		// (Init, OnConnDown), so there is no event to replay. Fall back.
+		// A dispatch the service declared choice-free never gets here:
+		// liveEnv.Choose panics first.
 		return Random{}.Resolve(n, c)
 	}
 	if p.Explore > 0 && n.rng.Float64() < p.Explore {

@@ -106,8 +106,8 @@ func (c *Config) fill() {
 
 // Stats aggregates per-node runtime counters.
 type Stats struct {
-	Choices          uint64 // Choose() calls resolved
-	Predictions      uint64 // predictive resolutions computed inline
+	Choices     uint64 // Choose() calls resolved
+	Predictions uint64 // predictive resolutions computed inline
 	// AsyncPredictions is always 0: resolution runs only inline. The
 	// field stays because the benchmark module reports it.
 	AsyncPredictions uint64
@@ -200,6 +200,9 @@ func newDelivery(src, dst NodeID, kind string, body any, size int, reliable bool
 type pendingEvent struct {
 	msg   *sm.Msg // nil for timer events
 	timer string
+	// choiceFree marks an event the service declared unable to reach
+	// Choose (sm.ChoiceSites), so no pre-event snapshot was taken for it.
+	choiceFree bool
 }
 
 func (e *pendingEvent) label() string {
@@ -734,13 +737,27 @@ func (n *Node) explore(x *explore.Explorer, w *explore.World) *explore.Report {
 }
 
 // resolverReadsPreEventState reports whether the node's resolver reads
-// preEventState, the clone of the service taken before each handler
-// runs. Only Predictive does; steering forks the live service itself,
-// before the handler (steerAway), so a steering node with any other
-// resolver dispatches without a clone.
+// preEventState, the clone of the service taken before a handler that can
+// reach Choose. Only Predictive does; steering forks the live service
+// itself, before the handler (steerAway), so a steering node with any
+// other resolver dispatches without a clone.
 func (n *Node) resolverReadsPreEventState() bool {
 	_, ok := n.resolver.(*Predictive)
 	return ok
+}
+
+// exposesChoice reports whether ev's handler may reach Choose: always,
+// unless the service declares its choice sites (sm.ChoiceSites) and ev is
+// not one of them.
+func (n *Node) exposesChoice(ev *pendingEvent) bool {
+	cs, ok := n.svc.(sm.ChoiceSites)
+	if !ok {
+		return true
+	}
+	if ev.msg != nil {
+		return cs.ExposesChoice(ev.msg.Kind, "")
+	}
+	return cs.ExposesChoice("", ev.timer)
 }
 
 func (n *Node) dispatchMessage(msg *sm.Msg) {
@@ -760,17 +777,23 @@ func (n *Node) dispatchTimer(name string) {
 }
 
 // beginEvent makes ev the event being dispatched, with its pre-event
-// clone when the resolver reads one, and returns the event and clone it
-// replaces for the caller to restore once the handler returns: the zero
-// event, which pins no message, or the outer event of a handler that
-// dispatches another one (Inject) before it resolves a choice.
+// clone when the resolver reads one and ev can reach Choose, and returns
+// the event and clone it replaces for the caller to restore once the
+// handler returns: the zero event, which pins no message, or the outer
+// event of a handler that dispatches another one (Inject) before it
+// resolves a choice. An event the service declares choice-free is marked
+// so instead of cloned: its handler writes the live state in place.
 func (n *Node) beginEvent(ev pendingEvent) (pendingEvent, sm.Service) {
 	outer, outerPre := n.event, n.preEventState
-	n.event = ev
 	n.preEventState = nil
 	if n.resolverReadsPreEventState() {
-		n.preEventState = n.svc.Clone()
+		if n.exposesChoice(&ev) {
+			n.preEventState = n.svc.Clone()
+		} else {
+			ev.choiceFree = true
+		}
 	}
+	n.event = ev
 	return outer, outerPre
 }
 
@@ -850,9 +873,15 @@ func (e *liveEnv) CancelTimer(name string) {
 // Rand returns the node's deterministic RNG.
 func (e *liveEnv) Rand() *rand.Rand { return e.rng }
 
-// Choose resolves an exposed choice via the node's resolver.
+// Choose resolves an exposed choice via the node's resolver. A choice
+// from an event the service declared choice-free has no pre-event state
+// to replay from: it panics naming the event rather than resolve blind.
 func (e *liveEnv) Choose(c sm.Choice) int {
 	n := e.node()
+	if n.event.choiceFree {
+		panic(fmt.Sprintf("core: %v chose %q during %s, which %T declares choice-free (sm.ChoiceSites)",
+			n.id, c.Name, n.event.label(), n.svc))
+	}
 	n.stats.Choices++
 	idx := n.resolver.Resolve(n, c)
 	if idx < 0 || idx >= c.N {

@@ -36,19 +36,49 @@ type NetEstimator struct {
 	// confidence = exp(-age/tau). Default 30s.
 	ConfidenceTau time.Duration
 
-	peers map[NodeID]*PeerEstimate
+	// near holds the estimates of IDs below nearIDs, indexed by ID and
+	// grown to the largest one observed, far those of every other ID: a
+	// delivery's lookup is an index, not a map probe. An entry with no
+	// samples is an unknown peer.
+	near []PeerEstimate
+	far  map[NodeID]*PeerEstimate
 }
+
+// nearIDs bounds the dense table at 40 KB; larger and negative IDs go to
+// the far map.
+const nearIDs = 1024
 
 // NewNetEstimator returns an estimator with default smoothing.
 func NewNetEstimator() *NetEstimator {
-	return &NetEstimator{Alpha: 0.25, ConfidenceTau: 30 * time.Second, peers: make(map[NodeID]*PeerEstimate)}
+	return &NetEstimator{Alpha: 0.25, ConfidenceTau: 30 * time.Second, far: make(map[NodeID]*PeerEstimate)}
 }
 
+// peer returns id's estimate for writing, creating it if needed.
 func (e *NetEstimator) peer(id NodeID) *PeerEstimate {
-	p := e.peers[id]
+	if uint(id) < nearIDs {
+		if int(id) >= len(e.near) {
+			e.near = append(e.near, make([]PeerEstimate, int(id)+1-len(e.near))...)
+		}
+		return &e.near[id]
+	}
+	p := e.far[id]
 	if p == nil {
 		p = &PeerEstimate{}
-		e.peers[id] = p
+		e.far[id] = p
+	}
+	return p
+}
+
+// lookup returns id's estimate, or nil if it has no samples.
+func (e *NetEstimator) lookup(id NodeID) *PeerEstimate {
+	var p *PeerEstimate
+	if uint(id) < uint(len(e.near)) {
+		p = &e.near[id]
+	} else {
+		p = e.far[id]
+	}
+	if p == nil || p.Samples == 0 {
+		return nil
 	}
 	return p
 }
@@ -96,8 +126,8 @@ func (e *NetEstimator) ObserveLoss(peer NodeID, lost bool, now time.Duration) {
 // Estimate returns the current estimate for peer and its confidence in
 // [0,1]; ok is false if no samples exist.
 func (e *NetEstimator) Estimate(peer NodeID, now time.Duration) (PeerEstimate, float64, bool) {
-	p, ok := e.peers[peer]
-	if !ok || p.Samples == 0 {
+	p := e.lookup(peer)
+	if p == nil {
 		return PeerEstimate{}, 0, false
 	}
 	age := now - p.LastUpdate
@@ -110,7 +140,7 @@ func (e *NetEstimator) Estimate(peer NodeID, now time.Duration) (PeerEstimate, f
 
 // Latency returns the latency estimate for peer, or def if unknown.
 func (e *NetEstimator) Latency(peer NodeID, def time.Duration) time.Duration {
-	if p, ok := e.peers[peer]; ok && p.Samples > 0 && p.Latency > 0 {
+	if p := e.lookup(peer); p != nil && p.Latency > 0 {
 		return p.Latency
 	}
 	return def
@@ -118,8 +148,13 @@ func (e *NetEstimator) Latency(peer NodeID, def time.Duration) time.Duration {
 
 // Known returns the peers with at least one sample, ascending.
 func (e *NetEstimator) Known() []NodeID {
-	ids := make([]NodeID, 0, len(e.peers))
-	for id, p := range e.peers {
+	ids := make([]NodeID, 0, len(e.near)+len(e.far))
+	for id := range e.near {
+		if e.near[id].Samples > 0 {
+			ids = append(ids, NodeID(id))
+		}
+	}
+	for id, p := range e.far {
 		if p.Samples > 0 {
 			ids = append(ids, id)
 		}

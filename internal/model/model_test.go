@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -104,6 +105,96 @@ func TestKnownSorted(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Known() = %v", got)
+		}
+	}
+}
+
+// TestNetEstimatorDenseMatchesMap drives the estimator and a map-keyed
+// reference — its form before the dense table — with the same random
+// samples, at IDs in the table, past it and negative, and compares Known,
+// Estimate and Latency after each.
+func TestNetEstimatorDenseMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ids := []NodeID{-3, -1, 0, 1, 2, 7, 63, nearIDs - 1, nearIDs, nearIDs + 5, 1 << 20}
+	probes := append(slices.Clone(ids), 3, 500, -7)
+	e := NewNetEstimator()
+	alpha, tau := e.Alpha, e.ConfidenceTau
+	ref := make(map[NodeID]*PeerEstimate)
+	peer := func(id NodeID) *PeerEstimate {
+		if ref[id] == nil {
+			ref[id] = &PeerEstimate{}
+		}
+		return ref[id]
+	}
+	for step := 0; step < 4000; step++ {
+		id := ids[rng.Intn(len(ids))]
+		now := time.Duration(step) * time.Millisecond
+		switch rng.Intn(3) {
+		case 0:
+			d := time.Duration(rng.Intn(200)) * time.Millisecond
+			e.ObserveLatency(id, d, now)
+			p := peer(id)
+			if p.Samples == 0 || p.Latency == 0 {
+				p.Latency = d
+			} else {
+				p.Latency = time.Duration(float64(p.Latency)*(1-alpha) + float64(d)*alpha)
+			}
+			p.Samples++
+			p.LastUpdate = now
+		case 1:
+			bps := float64(rng.Intn(3)-1) * 1000 // non-positive samples are ignored
+			e.ObserveBandwidth(id, bps, now)
+			if bps > 0 {
+				p := peer(id)
+				if p.BandwidthBps == 0 {
+					p.BandwidthBps = bps
+				} else {
+					p.BandwidthBps = p.BandwidthBps*(1-alpha) + bps*alpha
+				}
+				p.Samples++
+				p.LastUpdate = now
+			}
+		case 2:
+			lost := rng.Intn(2) == 0
+			e.ObserveLoss(id, lost, now)
+			p := peer(id)
+			sample := 0.0
+			if lost {
+				sample = 1
+			}
+			p.Loss = p.Loss*(1-alpha) + sample*alpha
+			p.Samples++
+			p.LastUpdate = now
+		}
+		var known []NodeID
+		for id, p := range ref {
+			if p.Samples > 0 {
+				known = append(known, id)
+			}
+		}
+		slices.Sort(known)
+		if got := e.Known(); !slices.Equal(got, known) {
+			t.Fatalf("step %d: Known() = %v, want %v", step, got, known)
+		}
+		for _, id := range probes {
+			var want PeerEstimate
+			var conf float64
+			p := ref[id]
+			ok := p != nil && p.Samples > 0
+			wantLat := 42 * time.Millisecond
+			if ok {
+				want = *p
+				conf = math.Exp(-float64(now-p.LastUpdate) / float64(tau))
+				if p.Latency > 0 {
+					wantLat = p.Latency
+				}
+			}
+			if got, gc, gok := e.Estimate(id, now); got != want || gc != conf || gok != ok {
+				t.Fatalf("step %d: Estimate(%v) = %+v %v %v, want %+v %v %v", step, id, got, gc, gok, want, conf, ok)
+			}
+			if got := e.Latency(id, 42*time.Millisecond); got != wantLat {
+				t.Fatalf("step %d: Latency(%v) = %v, want %v", step, id, got, wantLat)
+			}
 		}
 	}
 }

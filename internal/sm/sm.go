@@ -164,6 +164,20 @@ type Neighborly interface {
 	Neighbors() []NodeID
 }
 
+// ChoiceSites is implemented by services that declare which of their
+// handlers can reach Env.Choose. ExposesChoice is asked for every message
+// (msgKind set, timer empty) and timer (timer set, msgKind empty) the
+// runtime dispatches; it must answer true for every event whose handler
+// may call Choose, and must not depend on the service's state. A runtime
+// whose resolver replays the triggering event from the pre-event state
+// (CrystalBall) snapshots the service only before a declared event; a
+// Choose from an event declared choice-free is a contract breach, and the
+// runtime panics naming the event. Services that do not implement it are
+// snapshotted before every handler.
+type ChoiceSites interface {
+	ExposesChoice(msgKind, timer string) bool
+}
+
 // Named is implemented by services that want a protocol name in traces.
 type Named interface {
 	ProtocolName() string

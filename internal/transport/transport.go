@@ -323,9 +323,11 @@ func (n *Network) SetUploadCapacity(id NodeID, bps float64) {
 }
 
 // Send transmits a message over the reliable connection-oriented service.
-// It reports whether the message was accepted for delivery (false if either
-// endpoint is down, the pair is partitioned, or the connection is broken).
-// Accepted messages are delivered in FIFO order per ordered pair.
+// It reports whether the message was accepted for delivery (false if the
+// sender is down, the pair is partitioned, or the connection is broken).
+// A sender cannot see a crashed receiver: a send to one is accepted and
+// dropped at delivery. Accepted messages are delivered in FIFO order per
+// ordered pair.
 func (n *Network) Send(src, dst NodeID, kind string, payload any, size int) bool {
 	return n.Transmit(&Message{Src: src, Dst: dst, Kind: kind, Payload: payload, Size: size, Reliable: true})
 }

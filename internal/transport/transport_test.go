@@ -125,6 +125,26 @@ func TestCrashDropsTraffic(t *testing.T) {
 	}
 }
 
+// A real sender cannot see that its receiver crashed: Send accepts the
+// message, and the network drops it at delivery and counts the drop.
+func TestSendToCrashedReceiverAcceptedThenDropped(t *testing.T) {
+	eng, nw := newNet(2, time.Millisecond)
+	delivered := 0
+	nw.Attach(0, func(m *Message) {})
+	nw.Attach(1, func(m *Message) { delivered++ })
+	nw.Crash(1)
+	if !nw.Send(0, 1, "x", nil, 0) {
+		t.Fatal("Send to a crashed receiver rejected: the sender cannot know it is down")
+	}
+	if st := nw.Stats(); st.Dropped != 0 {
+		t.Fatalf("dropped %d before delivery, want 0", st.Dropped)
+	}
+	eng.Drain(0)
+	if st := nw.Stats(); delivered != 0 || st.Delivered != 0 || st.Dropped != 1 {
+		t.Fatalf("delivered %d (Stats.Delivered %d), Stats.Dropped %d: want the message dropped at delivery and counted", delivered, st.Delivered, st.Dropped)
+	}
+}
+
 func TestCrashedSenderCannotSend(t *testing.T) {
 	eng, nw := newNet(2, time.Millisecond)
 	delivered := 0
