@@ -17,13 +17,12 @@ import (
 	"crystalchoice/internal/apps/tracker"
 	"crystalchoice/internal/cliutil"
 	"crystalchoice/internal/core"
-	"crystalchoice/internal/explore"
 	"crystalchoice/internal/profiling"
 )
 
 // runtimeCfg is the runtime configuration every experiment hands its
-// cluster: the lookahead engine (-workers, -strategy, -faults,
-// -partitions, -maxfrontier) and the cache of resolution verdicts under
+// cluster: the fault budget of predictive resolution's lookaheads
+// (-faults, -partitions) and the cache of resolution verdicts under
 // scenario keys (-classcache).
 var runtimeCfg core.Config
 
@@ -34,27 +33,17 @@ func run() int {
 	app := flag.String("app", "all", "experiment to run: gossip | dissem | paxos | overload | steering | tracker | all")
 	seed := flag.Int64("seed", 1, "first seed")
 	seeds := flag.Int("seeds", 3, "seeds to average over")
-	flag.IntVar(&runtimeCfg.Lookahead.Workers, "workers", 1, "lookahead exploration worker pool ceiling per node")
-	strategy := flag.String("strategy", "chaindfs", "lookahead exploration strategy: chaindfs | bfs")
-	flag.IntVar(&runtimeCfg.Lookahead.FaultBudget, "faults", 0, "fault-transition budget per runtime lookahead (crash/recover/reset)")
-	flag.BoolVar(&runtimeCfg.Lookahead.PartitionFaults, "partitions", false, "also explore partition transitions in runtime lookaheads")
-	flag.IntVar(&runtimeCfg.Lookahead.MaxFrontier, "maxfrontier", 0, "cap on pending lookahead frontier units, dropping the newest incoming ones (0 = unbounded)")
+	flag.IntVar(&runtimeCfg.FaultBudget, "faults", 0, "fault-transition budget per predictive-resolution lookahead (crash/recover/reset)")
+	flag.BoolVar(&runtimeCfg.PartitionFaults, "partitions", false, "also explore partition transitions in predictive-resolution lookaheads (needs -faults > 0)")
 	flag.BoolVar(&runtimeCfg.LookaheadClassCache, "classcache", false, "cache resolution verdicts under scenario keys")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this path on exit")
 	flag.Parse()
 	if err := cliutil.FirstErr(
-		cliutil.Positive("workers", runtimeCfg.Lookahead.Workers),
 		cliutil.Positive("seeds", *seeds),
-		cliutil.NonNegative("faults", runtimeCfg.Lookahead.FaultBudget),
-		cliutil.NonNegative("maxfrontier", runtimeCfg.Lookahead.MaxFrontier),
+		cliutil.NonNegative("faults", runtimeCfg.FaultBudget),
+		cliutil.Requires("partitions", runtimeCfg.PartitionFaults, "-faults > 0", runtimeCfg.FaultBudget > 0),
 	); err != nil {
-		fmt.Fprintf(os.Stderr, "crystalball: %v\n", err)
-		flag.Usage()
-		return 2
-	}
-	var err error
-	if runtimeCfg.Lookahead.Strategy, err = explore.ParseStrategy(*strategy); err != nil {
 		fmt.Fprintf(os.Stderr, "crystalball: %v\n", err)
 		flag.Usage()
 		return 2

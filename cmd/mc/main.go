@@ -27,15 +27,15 @@ func run() int {
 	n := flag.Int("n", 15, "number of tree nodes")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	at := flag.Duration("at", 5*time.Second, "virtual time of the snapshot")
-	depth := flag.Int("depth", 6, "consequence-prediction chain depth")
-	budget := flag.Int("budget", 8192, "max handler executions")
+	x := explore.NewExplorer(0)
+	flag.IntVar(&x.Depth, "depth", 6, "consequence-prediction chain depth")
+	flag.IntVar(&x.MaxStates, "budget", 8192, "max handler executions")
 	inject := flag.Bool("inject-cycle", false, "inject a forged parent-cycle message before exploring")
-	var opts explore.Options
-	flag.IntVar(&opts.FaultBudget, "faults", 0, "fault-transition budget per explored path (crash/recover/reset as explorer actions)")
-	flag.BoolVar(&opts.PartitionFaults, "partitions", false, "also explore network-partition transitions (drawn from the fault budget)")
-	flag.IntVar(&opts.Workers, "workers", 1, "exploration worker pool ceiling (the active set sizes itself to the work)")
+	flag.IntVar(&x.FaultBudget, "faults", 0, "fault-transition budget per explored path (crash/recover/reset as explorer actions)")
+	flag.BoolVar(&x.PartitionFaults, "partitions", false, "also explore network-partition transitions (drawn from the fault budget)")
+	flag.IntVar(&x.Workers, "workers", 1, "exploration worker pool ceiling (the active set sizes itself to the work)")
 	strategyName := flag.String("strategy", "chaindfs", "exploration strategy: chaindfs | bfs")
-	flag.IntVar(&opts.MaxFrontier, "maxfrontier", 0, "cap on pending frontier units, dropping the newest incoming ones (0 = unbounded)")
+	flag.IntVar(&x.MaxFrontier, "maxfrontier", 0, "cap on pending frontier units, dropping the newest incoming ones (0 = unbounded)")
 	classesJSON := flag.String("classes-json", "", "write the violation classes (digest, count, shortest witness) as JSON to this path for cross-run diffing")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the exploration; past it the report is partial and marked truncated (0 = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -43,11 +43,12 @@ func run() int {
 	flag.Parse()
 
 	if err := cliutil.FirstErr(
-		cliutil.Positive("depth", *depth),
-		cliutil.Positive("workers", opts.Workers),
-		cliutil.Positive("budget", *budget),
-		cliutil.NonNegative("faults", opts.FaultBudget),
-		cliutil.NonNegative("maxfrontier", opts.MaxFrontier),
+		cliutil.Positive("depth", x.Depth),
+		cliutil.Positive("workers", x.Workers),
+		cliutil.Positive("budget", x.MaxStates),
+		cliutil.NonNegative("faults", x.FaultBudget),
+		cliutil.NonNegative("maxfrontier", x.MaxFrontier),
+		cliutil.Requires("partitions", x.PartitionFaults, "-faults > 0", x.FaultBudget > 0),
 	); err != nil {
 		fmt.Fprintf(os.Stderr, "mc: %v\n", err)
 		flag.Usage()
@@ -59,7 +60,7 @@ func run() int {
 		return 2
 	}
 	var err error
-	if opts.Strategy, err = explore.ParseStrategy(*strategyName); err != nil {
+	if x.Strategy, err = explore.ParseStrategy(*strategyName); err != nil {
 		fmt.Fprintf(os.Stderr, "mc: %v\n", err)
 		flag.Usage()
 		return 2
@@ -82,7 +83,7 @@ func run() int {
 	// nodes from the freshest retained checkpoint, cold state otherwise
 	// (the harness's InitialState).
 	policy := explore.RandomPolicy(e.Eng.Fork())
-	if opts.Workers > 1 {
+	if x.Workers > 1 {
 		policy = explore.Locked(policy)
 	}
 	w := e.Cluster.MaterializeWorld(policy, *seed, randtree.Timers())
@@ -98,18 +99,15 @@ func run() int {
 		}
 	}
 
-	x := explore.NewExplorer(*depth)
-	x.MaxStates = *budget
-	x.Options = opts
 	if *deadline > 0 {
 		x.Deadline = time.Now().Add(*deadline)
 	}
 	x.Properties = randtree.Properties()
 	r := x.Explore(w)
 	fmt.Printf("explored %d states to depth %d in %v (strategy=%s workers=%d faults=%d injected=%d truncated=%v)\n",
-		r.StatesExplored, r.MaxDepth, r.Elapsed.Round(time.Microsecond), opts.Strategy.Name(), opts.Workers, opts.FaultBudget, r.FaultsInjected, r.Truncated)
+		r.StatesExplored, r.MaxDepth, r.Elapsed.Round(time.Microsecond), x.Strategy.Name(), x.Workers, x.FaultBudget, r.FaultsInjected, r.Truncated)
 	if r.FrontierDropped > 0 {
-		fmt.Printf("frontier cap %d dropped %d pending unit(s)\n", opts.MaxFrontier, r.FrontierDropped)
+		fmt.Printf("frontier cap %d dropped %d pending unit(s)\n", x.MaxFrontier, r.FrontierDropped)
 	}
 	classes := r.ViolationClasses()
 	if r.Safe() {

@@ -17,8 +17,9 @@
 // The engine keeps one implementation of each mechanism — copy-on-write
 // forks recycled through a free-list, an incrementally maintained state
 // digest, arena-allocated lazy traces, work-stealing deques over a
-// lock-free seen set — and one configuration value, explore.Options,
-// which core.Config, the app harnesses and the CLIs carry whole.
+// lock-free seen set. Its engine knobs are plain Explorer fields that
+// offline checking sets; the runtime's live lookaheads are one inline
+// ChainDFS each, and core.Config carries only the resolver's fault budget.
 // EXPERIMENTS.md (E11, E12, E14–E16) records the measurements that
 // retired each alternative and the commit at which they can be re-run.
 //

@@ -22,6 +22,16 @@ func NonNegative(name string, v int) error {
 	return nil
 }
 
+// Requires rejects the named boolean flag when it is set but cannot take
+// effect because cond (a condition on another flag, such as "-faults > 0")
+// does not hold.
+func Requires(name string, set bool, cond string, holds bool) error {
+	if set && !holds {
+		return fmt.Errorf("-%s requires %s", name, cond)
+	}
+	return nil
+}
+
 // FirstErr returns the first non-nil error, so a tool can list all its
 // flag checks in one call.
 func FirstErr(errs ...error) error {

@@ -485,6 +485,72 @@ func TestPredictiveCacheHits(t *testing.T) {
 	}
 }
 
+// modeSvc picks a mode on "pick" (1 or 2; 0 until then). Both modes do
+// the same in a fault-free future; the properties below tell them apart
+// only behind a fault transition.
+type modeSvc struct{ mode int }
+
+func (s *modeSvc) Init(sm.Env) {}
+func (s *modeSvc) OnMessage(env sm.Env, m *sm.Msg) {
+	if m.Kind == "pick" {
+		s.mode = 1 + env.Choose(sm.Choice{Name: "mode", N: 2})
+	}
+}
+func (s *modeSvc) OnTimer(sm.Env, string) {}
+func (s *modeSvc) Clone() sm.Service      { c := *s; return &c }
+func (s *modeSvc) Digest() uint64         { return sm.NewHasher().WriteInt(int64(s.mode)).Sum() }
+
+// TestPredictiveHonorsFaultBudget: predictive resolution explores the
+// fault transitions Config.FaultBudget and Config.PartitionFaults allow,
+// and only those. Mode 1 (candidate 0) violates a property once a node is
+// down, or once node 0 is isolated; mode 2 never does. A decisive
+// prediction picks mode 2 and is cached; candidates it cannot tell apart
+// tie, and ties are never cached.
+func TestPredictiveHonorsFaultBudget(t *testing.T) {
+	anyDown := func(w *explore.World) bool { return w.IsDown(0) || w.IsDown(1) }
+	isolated := func(w *explore.World) bool { return w.NodeIsolated(0) }
+	cases := []struct {
+		name       string
+		faults     int
+		partitions bool
+		trigger    func(*explore.World) bool
+		decisive   bool
+	}{
+		{"crash/budget0", 0, false, anyDown, false},
+		{"crash/budget1", 1, false, anyDown, true},
+		{"isolate/budget1", 1, false, isolated, false},
+		{"isolate/budget1+partitions", 1, true, isolated, true},
+	}
+	for _, tc := range cases {
+		unsafeMode := explore.Property{Name: "mode1-fault-free", Check: func(w *explore.World) bool {
+			return w.Service(0).(*modeSvc).mode != 1 || !tc.trigger(w)
+		}}
+		eng := sim.NewEngine(11)
+		net := transport.New(eng, netmodel.Uniform(2, 5*time.Millisecond, 0, 0))
+		cl := NewCluster(eng, net, Config{
+			NewResolver:        func(*Node) Resolver { return NewPredictive(2) },
+			CheckpointInterval: 50 * time.Millisecond,
+			Properties:         []explore.Property{unsafeMode},
+			FaultBudget:        tc.faults,
+			PartitionFaults:    tc.partitions,
+		})
+		cl.AddNode(0, &modeSvc{})
+		cl.AddNode(1, &modeSvc{})
+		cl.Start()
+		eng.RunFor(300 * time.Millisecond) // node 1's checkpoint reaches node 0's model
+		n := cl.Node(0)
+		inject(cl, 0, "pick", nil)
+		eng.RunFor(10 * time.Millisecond)
+		mode := n.Service().(*modeSvc).mode
+		if n.Stats().Predictions != 1 || mode == 0 {
+			t.Fatalf("%s: %d predictions, mode %d: want the pick resolved by one prediction", tc.name, n.Stats().Predictions, mode)
+		}
+		if decisive := len(n.decisionCache) == 1; decisive != tc.decisive || (decisive && mode != 2) {
+			t.Errorf("%s: decisive=%v mode=%d, want decisive=%v (and mode 2 when decisive)", tc.name, decisive, mode, tc.decisive)
+		}
+	}
+}
+
 func TestExecutionSteering(t *testing.T) {
 	overload := explore.Property{
 		Name: "val<=10",

@@ -212,20 +212,14 @@ func (p *Predictive) bestCandidates(n *Node, c sm.Choice, base sm.Service, ev *p
 }
 
 func (p *Predictive) evaluate(n *Node, c sm.Choice, base sm.Service, ev *pendingEvent, candidate int, obj explore.Objective) float64 {
-	look := n.cluster.cfg.Lookahead
-	policy := explore.ForceFirst(n.id, c.Name, candidate, n.lookRand)
-	if look.Workers > 1 {
-		// ForceFirst's latch and the rng are shared by every forked
-		// world; serialize them across the worker pool.
-		policy = explore.Locked(policy)
-	}
-	w := n.buildLookahead(base.Clone(), policy)
+	cfg := &n.cluster.cfg
+	w := n.buildLookahead(base.Clone(), explore.ForceFirst(n.id, c.Name, candidate, n.lookPolicy))
 	ev.injectInto(w, n.id)
 	x := explore.NewExplorer(p.Depth)
 	x.MaxStates = predictMaxStates
-	x.Properties = n.cluster.cfg.Properties
+	x.Properties = cfg.Properties
 	x.Objective = obj
-	x.Options = look
+	x.FaultBudget, x.PartitionFaults = cfg.FaultBudget, cfg.PartitionFaults
 	r := n.explore(x, w)
 	score := r.MeanScore
 	if obj == nil {

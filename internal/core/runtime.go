@@ -39,18 +39,18 @@ type Config struct {
 	// delivery is predicted to violate a property are dropped and the
 	// connection to the sender broken, when doing so is predicted safe.
 	Steering bool
-	// Lookahead is the engine configuration of every explorer the runtime
-	// creates — steering checks and predictive resolution alike: worker
-	// pool (values <= 1 run inline on the caller, deterministically),
-	// strategy (nil means the paper's causal-chain search), frontier cap,
-	// and fault branching. FaultBudget and PartitionFaults let consequence
-	// prediction explore node failures and recoveries alongside message
-	// deliveries (paper §2: the randtree inconsistency surfaces only when
-	// resets are explored); they apply to choice resolution only. Steering
-	// lookaheads always run fault-free: steering attributes violations to
-	// the inspected message, and fault-only violations would taint the
-	// with- and without-message futures equally.
-	Lookahead explore.Options
+	// FaultBudget bounds the fault transitions (crash, recover, reset,
+	// and with PartitionFaults isolate/heal) per path of a predictive
+	// resolution's lookahead, so consequence prediction can explore node
+	// failures and recoveries alongside message deliveries (paper §2: the
+	// randtree inconsistency surfaces only when resets are explored).
+	// PartitionFaults adds the partition transitions, drawn from the same
+	// budget. Both apply to choice resolution only: steering lookaheads
+	// always run fault-free, because steering attributes violations to the
+	// inspected message and fault-only violations would taint the with-
+	// and without-message futures equally.
+	FaultBudget     int
+	PartitionFaults bool
 	// LookaheadClassCache keys predictive resolution verdicts by scenario
 	// in addition to the per-digest decision cache: the resolver
 	// remembers the decisive winner per (choice, arity, event-kind)
@@ -296,12 +296,8 @@ func (c *Cluster) AddNode(id NodeID, svc sm.Service) *Node {
 		model:         model.New(id),
 		decisionCache: make(map[uint64]int),
 	}
-	n.lookRand = explore.RandomPolicy(n.lookRng)
-	n.lookPolicy = n.lookRand
-	if c.cfg.Lookahead.Workers > 1 {
-		n.lookPolicy = explore.Locked(n.lookRand)
-	}
-	n.steerX = steerExplorer(&c.cfg)
+	n.lookPolicy = explore.RandomPolicy(n.lookRng)
+	n.steerX = steerExplorer(c.cfg.Properties)
 	if c.cfg.CheckpointInterval > 0 {
 		// Checkpoints older than a few rounds are presumed to describe
 		// departed or unreachable nodes and are excluded from lookahead.
@@ -475,13 +471,11 @@ type Node struct {
 	rng      *rand.Rand
 	lookRng  *rand.Rand
 	lookSeed int64
-	// lookRand draws lookahead choices from lookRng; lookPolicy is the
-	// same policy, serialized when the lookahead explorer runs a parallel
-	// worker pool (the rng is stateful and shared by every forked world).
-	// steerX is steerAway's explorer. All three are built once: a decision
-	// allocates what its handlers allocate, not its own plumbing.
-	lookRand, lookPolicy explore.ChoicePolicy
-	steerX               *explore.Explorer
+	// lookPolicy draws lookahead choices from lookRng; steerX is
+	// steerAway's explorer. Both are built once: a decision allocates what
+	// its handlers allocate, not its own plumbing.
+	lookPolicy explore.ChoicePolicy
+	steerX     *explore.Explorer
 
 	resolver  Resolver
 	objective explore.Objective
@@ -647,20 +641,19 @@ func (n *Node) onDeliver(tm *transport.Message) {
 	n.dispatchMessage(msg)
 }
 
-// steerExplorer configures the explorer steerAway runs. Steering
-// predicates on violations *caused by this message*: it compares the
-// with-message future against the without-message one and steers only
-// when the difference is unsafe-vs-safe. Fault branching stays off — a
-// violation reachable through a crash or reset alone would taint both
-// futures equally, making every message look unsteerable (and paying two
-// fault searches per delivery for it). Lookahead's fault settings apply to
-// choice resolution, not steering.
-func steerExplorer(cfg *Config) *explore.Explorer {
+// steerExplorer configures the explorer steerAway runs: an inline,
+// fault-free ChainDFS over props. Steering predicates on violations
+// *caused by this message*: it compares the with-message future against
+// the without-message one and steers only when the difference is
+// unsafe-vs-safe. Fault branching stays off — a violation reachable
+// through a crash or reset alone would taint both futures equally, making
+// every message look unsteerable (and paying two fault searches per
+// delivery for it). Config.FaultBudget applies to choice resolution, not
+// steering.
+func steerExplorer(props []explore.Property) *explore.Explorer {
 	x := explore.NewExplorer(steeringDepth)
 	x.MaxStates = steeringMaxStates
-	x.Properties = cfg.Properties
-	x.Options = cfg.Lookahead
-	x.FaultBudget, x.PartitionFaults = 0, false
+	x.Properties = props
 	return x
 }
 

@@ -125,8 +125,39 @@ func (r *Report) Safe() bool { return len(r.Violations) == 0 }
 // shared digest set, and worlds fork copy-on-write so branching costs
 // pointer copies instead of deep clones.
 type Explorer struct {
-	// Options is embedded, so its fields read x.Workers, x.Strategy, ….
-	Options
+	// Workers is the ceiling of the scheduler's pool. Values <= 1 run the
+	// scheduler's loop on the calling goroutine, deterministically: units
+	// drain newest-first from one deque (roots in root order); with
+	// ChainDFS that reproduces the original engine's reports byte for
+	// byte. A larger pool sizes its active set to the work it finds: a
+	// worker whose steal scans keep missing parks itself (sleeping,
+	// stealable deque left behind) and rejoins when published work
+	// outgrows the active set; worker 0 never parks, so termination and
+	// exactly-once expansion do not depend on the resizing. Parallel runs
+	// require the world's ChoicePolicy to be thread-safe — wrap stateful
+	// policies in Locked.
+	Workers int
+	// Strategy selects the traversal. Nil means ChainDFS.
+	Strategy Strategy
+	// FaultBudget bounds the fault transitions (crash, recover, reset,
+	// and — with PartitionFaults — partition/heal) per explored path. Zero,
+	// the default, disables fault branching entirely: the search space and
+	// reports are then identical to the pre-fault engine. Every strategy
+	// honors the budget; ChainDFS treats a fault as a branch point the way
+	// DropBranches treats loss.
+	FaultBudget int
+	// PartitionFaults additionally enumerates network-partition
+	// transitions (node isolation and heal) as fault actions, drawn from
+	// the same FaultBudget.
+	PartitionFaults bool
+	// MaxFrontier caps the number of pending frontier units. Zero, the
+	// default, means unbounded. Each worker's deque holds an equal share of
+	// the cap; when a share binds, the newest incoming units are dropped,
+	// and the report counts the drops in FrontierDropped and marks itself
+	// Truncated. This makes multi-million-state budgets safe on small
+	// machines: fan-out frontier width, not the state budget, is what
+	// exhausts memory.
+	MaxFrontier int
 	// Depth bounds the length of each causal chain.
 	Depth int
 	// MaxStates bounds the total number of handler executions. Parallel
@@ -167,47 +198,6 @@ type Explorer struct {
 	// anything else about Prior is ignored, and so is a Prior that does not
 	// qualify. It is only read, and must not be written after that run.
 	Prior *World
-}
-
-// Options is the part of an Explorer's configuration that describes the
-// engine rather than the question asked of it: how many workers, which
-// traversal, whether faults branch, how much frontier to hold. It is a
-// plain value so that a runtime configuration can carry one and assign
-// it to each explorer it builds.
-type Options struct {
-	// Workers is the ceiling of the scheduler's pool. Values <= 1 run the
-	// scheduler's loop on the calling goroutine, deterministically: units
-	// drain newest-first from one deque (roots in root order); with
-	// ChainDFS that reproduces the original engine's reports byte for
-	// byte. A larger pool sizes its active set to the work it finds: a
-	// worker whose steal scans keep missing parks itself (sleeping,
-	// stealable deque left behind) and rejoins when published work
-	// outgrows the active set; worker 0 never parks, so termination and
-	// exactly-once expansion do not depend on the resizing. Parallel runs
-	// require the world's ChoicePolicy to be thread-safe — wrap stateful
-	// policies in Locked.
-	Workers int
-	// Strategy selects the traversal. Nil means ChainDFS.
-	Strategy Strategy
-	// FaultBudget bounds the fault transitions (crash, recover, reset,
-	// and — with PartitionFaults — partition/heal) per explored path. Zero,
-	// the default, disables fault branching entirely: the search space and
-	// reports are then identical to the pre-fault engine. Every strategy
-	// honors the budget; ChainDFS treats a fault as a branch point the way
-	// DropBranches treats loss.
-	FaultBudget int
-	// PartitionFaults additionally enumerates network-partition
-	// transitions (node isolation and heal) as fault actions, drawn from
-	// the same FaultBudget.
-	PartitionFaults bool
-	// MaxFrontier caps the number of pending frontier units. Zero, the
-	// default, means unbounded. Each worker's deque holds an equal share of
-	// the cap; when a share binds, the newest incoming units are dropped,
-	// and the report counts the drops in FrontierDropped and marks itself
-	// Truncated. This makes multi-million-state budgets safe on small
-	// machines: fan-out frontier width, not the state budget, is what
-	// exhausts memory.
-	MaxFrontier int
 }
 
 // visitKey is the state-deduplication key: the maintained world digest

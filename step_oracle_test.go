@@ -7,6 +7,7 @@
 package crystalchoice
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -82,7 +83,9 @@ func failOnAuditViolations(t *testing.T, what string, r *explore.Report) {
 
 // TestStepMatchesCheckOnGoldenWorlds explores the golden worlds as the
 // golden tests configure them, and four successor worlds of each with the
-// previous start world as Explorer.Prior.
+// previous start world as Explorer.Prior, on one worker and on two: with
+// two, forks of one frozen start world are stepped and diffed against
+// Prior concurrently.
 func TestStepMatchesCheckOnGoldenWorlds(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -99,35 +102,47 @@ func TestStepMatchesCheckOnGoldenWorlds(t *testing.T) {
 			x.Depth, x.MaxStates, x.FaultBudget, x.PartitionFaults = 3, 4096, 1, true
 		}, randtree.Properties()},
 	}
-	refuted := 0
-	for _, tc := range cases {
-		// The bound is what the largest start world just meets: every start
-		// world holds, so each carries to the next, and one more service
-		// entering the class violates it.
-		roots, bound := []*explore.World{tc.world()}, 0
-		for len(roots) < 5 {
-			roots = append(roots, successor(roots[len(roots)-1]))
+	for _, workers := range []int{1, 2} {
+		refuted, pool := 0, 0
+		for _, tc := range cases {
+			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			// The bound is what the largest start world just meets: every
+			// start world holds, so each carries to the next, and one more
+			// service entering the class violates it.
+			roots, bound := []*explore.World{tc.world()}, 0
+			if workers > 1 {
+				roots[0].Policy = explore.Locked(roots[0].Policy) // successors share it
+			}
+			for len(roots) < 5 {
+				roots = append(roots, successor(roots[len(roots)-1]))
+			}
+			for _, w := range roots {
+				bound = max(bound, digestClassSize(w))
+			}
+			props, audit := explore.AuditSteps(append([]explore.Property{digestClassBound(bound)}, tc.props...))
+			var prior *explore.World
+			for _, w := range roots {
+				x := explore.NewExplorer(0)
+				tc.tune(x)
+				x.Workers = workers
+				x.Properties = props
+				x.Prior = prior
+				r := x.Explore(w)
+				failOnAuditViolations(t, name, r)
+				pool = max(pool, r.WorkerHighWater)
+				prior = w
+			}
+			if audit.Mismatches != 0 || audit.Stepped == 0 || audit.Carried == 0 || audit.Full == 0 {
+				t.Errorf("%s: audit %v: want no mismatch, and Step, a carried start world and the Check fallback all exercised", name, audit)
+			}
+			refuted += audit.Refuted
 		}
-		for _, w := range roots {
-			bound = max(bound, digestClassSize(w))
+		if refuted == 0 {
+			t.Errorf("workers=%d: no Step returned false on any golden world: the bound is never crossed", workers)
 		}
-		props, audit := explore.AuditSteps(append([]explore.Property{digestClassBound(bound)}, tc.props...))
-		var prior *explore.World
-		for _, w := range roots {
-			x := explore.NewExplorer(0)
-			tc.tune(x)
-			x.Properties = props
-			x.Prior = prior
-			failOnAuditViolations(t, tc.name, x.Explore(w))
-			prior = w
+		if pool != workers {
+			t.Errorf("workers=%d: the largest pool that ran had %d workers", workers, pool)
 		}
-		if audit.Mismatches != 0 || audit.Stepped == 0 || audit.Carried == 0 || audit.Full == 0 {
-			t.Errorf("%s: audit %v: want no mismatch, and Step, a carried start world and the Check fallback all exercised", tc.name, audit)
-		}
-		refuted += audit.Refuted
-	}
-	if refuted == 0 {
-		t.Error("no Step returned false on any golden world: the bound is never crossed")
 	}
 }
 
@@ -266,66 +281,63 @@ func scratchLookahead(n *core.Node, now time.Duration) *explore.World {
 // world, patched by every checkpoint since — is held to the from-scratch
 // build of the same model.
 func TestStepMatchesCheckOnLiveDeployment(t *testing.T) {
-	for _, workers := range []int{1, 2} { // 2: forks of one frozen start world stepped and diffed concurrently
-		const sites = 5
-		eng := sim.NewEngine(3)
-		net := transport.New(eng, netmodel.Uniform(sites, 5*time.Millisecond, 0, 0))
-		props, audit := explore.AuditSteps([]explore.Property{paxos.AgreementProperty()})
-		cl := core.NewCluster(eng, net, core.Config{
-			Steering:           true,
-			Properties:         props,
-			CheckpointInterval: 50 * time.Millisecond,
-			NewResolver:        func(*core.Node) core.Resolver { return core.NewPredictive(2) },
-			Lookahead:          explore.Options{Workers: workers},
-		})
-		fresh := paxos.Deploy(cl, sites, 0)
-		cl.Start()
-		for c := 0; c < 60; c++ {
-			eng.Schedule(time.Duration(c)*20*time.Millisecond, func() { paxos.SubmitCmd(cl, sm.NodeID(c%sites), c) })
-		}
-		compared := 0
-		for at := 10 * time.Millisecond; at < 3*time.Second; at += 20 * time.Millisecond {
-			eng.Schedule(at, func() {
-				for _, n := range cl.Nodes() {
-					if n.Down() {
-						continue
-					}
-					now := time.Duration(eng.Now())
-					got, want := n.Model().BuildWorld(n.Service().Clone(), now, nil, 1), scratchLookahead(n, now)
-					if got.Digest() != want.DigestFull() || got.DigestFull() != want.DigestFull() || !slices.Equal(got.Nodes(), want.Nodes()) {
-						t.Errorf("workers=%d: node %v at %v: lookahead world %x (from scratch %x) over %v, reference %x over %v",
-							workers, n.ID(), now, got.Digest(), got.DigestFull(), got.Nodes(), want.DigestFull(), want.Nodes())
-					}
-					compared++
-				}
-			})
-		}
-		eng.Schedule(500*time.Millisecond, func() { cl.Crash(2) })
-		eng.Schedule(800*time.Millisecond, func() { cl.Restart(2, fresh(2)) })
-		eng.RunFor(3 * time.Second)
-
-		st := cl.Stats()
-		if st.SteeringChecks < 300 || st.Predictions == 0 {
-			t.Fatalf("workers=%d: only %d steering checks and %d predictions: the run is too small to mean anything", workers, st.SteeringChecks, st.Predictions)
-		}
-		if audit.Mismatches != 0 {
-			t.Errorf("workers=%d: %d states where the engine's verdict was not Check's", workers, audit.Mismatches)
-		}
-		// Nearly every start world is carried; the exceptions are each
-		// node's first, the ones after a crash or restart, and those whose
-		// model gained or lost a checkpoint since the last.
-		if audit.Carried == 0 || audit.Full*10 > audit.Carried {
-			t.Errorf("workers=%d: audit %v: want start worlds carried from their predecessors, with few full checks", workers, audit)
-		}
-		// Peers are the model's entries by reference, the same from root to
-		// root: a carried root differs from its predecessor in the owner's
-		// state and in the peers whose checkpoint arrived in between.
-		if audit.Touched > audit.Carried+int(st.Checkpoints) {
-			t.Errorf("workers=%d: audit %v: carried roots touch more than their owner and the %d checkpoints received", workers, audit, st.Checkpoints)
-		}
-		if compared < 500 {
-			t.Errorf("workers=%d: only %d lookahead worlds compared with the from-scratch build", workers, compared)
-		}
-		t.Logf("workers=%d: steering checks %d, lookahead states %d; audit %v", workers, st.SteeringChecks, st.LookaheadStates, audit)
+	const sites = 5
+	eng := sim.NewEngine(3)
+	net := transport.New(eng, netmodel.Uniform(sites, 5*time.Millisecond, 0, 0))
+	props, audit := explore.AuditSteps([]explore.Property{paxos.AgreementProperty()})
+	cl := core.NewCluster(eng, net, core.Config{
+		Steering:           true,
+		Properties:         props,
+		CheckpointInterval: 50 * time.Millisecond,
+		NewResolver:        func(*core.Node) core.Resolver { return core.NewPredictive(2) },
+	})
+	fresh := paxos.Deploy(cl, sites, 0)
+	cl.Start()
+	for c := 0; c < 60; c++ {
+		eng.Schedule(time.Duration(c)*20*time.Millisecond, func() { paxos.SubmitCmd(cl, sm.NodeID(c%sites), c) })
 	}
+	compared := 0
+	for at := 10 * time.Millisecond; at < 3*time.Second; at += 20 * time.Millisecond {
+		eng.Schedule(at, func() {
+			for _, n := range cl.Nodes() {
+				if n.Down() {
+					continue
+				}
+				now := time.Duration(eng.Now())
+				got, want := n.Model().BuildWorld(n.Service().Clone(), now, nil, 1), scratchLookahead(n, now)
+				if got.Digest() != want.DigestFull() || got.DigestFull() != want.DigestFull() || !slices.Equal(got.Nodes(), want.Nodes()) {
+					t.Errorf("node %v at %v: lookahead world %x (from scratch %x) over %v, reference %x over %v",
+						n.ID(), now, got.Digest(), got.DigestFull(), got.Nodes(), want.DigestFull(), want.Nodes())
+				}
+				compared++
+			}
+		})
+	}
+	eng.Schedule(500*time.Millisecond, func() { cl.Crash(2) })
+	eng.Schedule(800*time.Millisecond, func() { cl.Restart(2, fresh(2)) })
+	eng.RunFor(3 * time.Second)
+
+	st := cl.Stats()
+	if st.SteeringChecks < 300 || st.Predictions == 0 {
+		t.Fatalf("only %d steering checks and %d predictions: the run is too small to mean anything", st.SteeringChecks, st.Predictions)
+	}
+	if audit.Mismatches != 0 {
+		t.Errorf("%d states where the engine's verdict was not Check's", audit.Mismatches)
+	}
+	// Nearly every start world is carried; the exceptions are each
+	// node's first, the ones after a crash or restart, and those whose
+	// model gained or lost a checkpoint since the last.
+	if audit.Carried == 0 || audit.Full*10 > audit.Carried {
+		t.Errorf("audit %v: want start worlds carried from their predecessors, with few full checks", audit)
+	}
+	// Peers are the model's entries by reference, the same from root to
+	// root: a carried root differs from its predecessor in the owner's
+	// state and in the peers whose checkpoint arrived in between.
+	if audit.Touched > audit.Carried+int(st.Checkpoints) {
+		t.Errorf("audit %v: carried roots touch more than their owner and the %d checkpoints received", audit, st.Checkpoints)
+	}
+	if compared < 500 {
+		t.Errorf("only %d lookahead worlds compared with the from-scratch build", compared)
+	}
+	t.Logf("steering checks %d, lookahead states %d; audit %v", st.SteeringChecks, st.LookaheadStates, audit)
 }
