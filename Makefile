@@ -5,14 +5,21 @@ BENCHTIME ?= 1s
 # instead of whatever @latest resolves to on the day.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: test race bench bench-check bench-alloc profile vet lint lint-tools crystalvet staticcheck
+.PHONY: test race bench bench-check bench-alloc profile vet gofmt lint lint-tools crystalvet staticcheck
 
 vet:
 	go vet ./...
 
-# lint is the full static gate CI runs verbatim: go vet, the crystalvet
-# contract analyzers (cmd/crystalvet, see DESIGN.md §7), and staticcheck.
-lint: vet crystalvet staticcheck
+# gofmt fails on any Go file gofmt would rewrite, listing them.
+# benchmark/out holds the benchmark's build and module caches, not source.
+gofmt:
+	@files=$$(find . -path ./benchmark/out -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
+
+# lint is the full static gate CI runs verbatim: go vet, gofmt, the
+# crystalvet contract analyzers (cmd/crystalvet, see DESIGN.md §7), and
+# staticcheck.
+lint: vet gofmt crystalvet staticcheck
 
 crystalvet:
 	go run ./cmd/crystalvet ./...
@@ -69,7 +76,15 @@ bench:
 # pre-event snapshot: a warm Predictive replica, which declares its choice
 # sites, takes no clone for an Accept or a Learn (the dispatch allocates
 # what it does under a resolver that never clones, so no trie path is
-# copied) and exactly one for a Submit. TestScheduleStepAllocs is the simulator queue's gate: a
+# copied) and exactly one for a Submit. TestSteeringCheckAllocs is the
+# gate of one steering check: on a warm paxos node a safe check allocates
+# its two service clones and its handlers' objects, and of the engine's
+# only the Report it hands back (the world shells, their containers and
+# the retired lookahead root come back from the free lists).
+# TestRetiredRootsPinNothing (internal/core) is its pool-safety twin: while
+# retired lookahead roots are recycled, a node's current root, the
+# model's standing world and an unsafe check's witness world keep their
+# digests. TestScheduleStepAllocs is the simulator queue's gate: a
 # steady-state Schedule+Step allocates exactly one object, the timer;
 # TestPostStepAllocs its handle-free case: Post+Step of an existing event
 # allocates nothing. TestDeliveryAllocs is the message path's gate: one
@@ -105,10 +120,10 @@ bench-alloc:
 	go test ./internal/explore -run 'TestAllocRegressionPerState|TestForkWriteAllocsIndependentOfSize' -count=2 -v
 	go test ./internal/sm -run 'TestIntMapForkWriteBytes' -count=2 -v
 	go test ./internal/sim -run 'TestScheduleStepAllocs|TestPostStepAllocs' -count=2 -v
-	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize|TestProposalBytesDense|TestPredictiveDispatchWritesInPlace' -count=2 -v
+	go test ./internal/apps/paxos -run 'TestForkCostIndependentOfLogSize|TestAgreementStepIndependentOfLogSize|TestProposalBytesDense|TestPredictiveDispatchWritesInPlace|TestSteeringCheckAllocs' -count=2 -v
 	go test ./internal/apps/gossip -run 'TestForkCostIndependentOfUpdates' -count=2 -v
 	go test ./internal/apps/randtree -run 'TestTreeStepIndependentOfSize|TestForkCostIndependentOfTreeSize' -count=2 -v
-	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned|TestDeliveryAllocs' -count=2 -v
+	go test ./internal/core -run 'TestStaleCheckpointResponseNotCloned|TestDeliveryAllocs|TestRetiredRootsPinNothing' -count=2 -v
 	go test . -run 'TestLookaheadSteadyStateAllocs' -count=2 -v
 	go test . -run 'TestAllocRegressionRandtreeSnapshot' -count=2 -v
 

@@ -45,10 +45,10 @@ var deterministicPkgs = map[string]bool{
 // detwallRandAllowed are the math/rand package-level functions that build
 // seeded, deterministic generators rather than reading the global one.
 var detwallRandAllowed = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true, // math/rand/v2
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true,
 }
 

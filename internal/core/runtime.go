@@ -666,8 +666,10 @@ func (n *Node) steerAway(msg *sm.Msg) bool {
 	defer func() { n.observeDecision(&n.stats.SteerLatency, start) }()
 	now := time.Duration(n.cluster.eng.Now())
 	withMsg := n.buildLookahead(n.svc.Clone(), n.lookPolicy)
-	cp := *msg
-	withMsg.InjectMessage(&cp)
+	// msg itself goes in flight: a world never writes a message but for
+	// its digest memo, and delivery records are not recycled, so the one
+	// a retained root still holds stays what it was.
+	withMsg.InjectMessage(msg)
 	rWith := n.explore(n.steerX, withMsg)
 	if rWith.Safe() {
 		return false
@@ -717,14 +719,26 @@ func (n *Node) buildLookahead(base sm.Service, policy explore.ChoicePolicy) *exp
 // looks only at what changed between the two. w is kept for the next
 // lookahead in turn when it can serve as one: no violation was predicted
 // from it, and some property has an incremental form to check with.
+//
+// A root that is done with goes back to the world free-list instead of
+// the garbage collector, so the next lookahead's forks reuse its shell
+// and containers: the previous root always (it was kept only from a safe
+// run, so no witness world shares its containers, and its forks all died
+// inside that run), w when its run was safe but it is not kept.
 func (n *Node) explore(x *explore.Explorer, w *explore.World) *explore.Report {
-	x.Prior = n.lookRoot
+	prior := n.lookRoot
+	x.Prior = prior
 	r := x.Explore(w)
 	x.Prior = nil // x may outlive the call (steerX); the old root must not
 	n.stats.LookaheadStates += uint64(r.StatesExplored)
 	n.lookRoot = nil
-	if n.cluster.carryRoots && r.Safe() {
-		n.lookRoot = w
+	prior.Retire()
+	if r.Safe() {
+		if n.cluster.carryRoots {
+			n.lookRoot = w
+		} else {
+			w.Retire()
+		}
 	}
 	return r
 }

@@ -25,6 +25,11 @@ package explore
 //   - A world that recorded a violation witness is Frozen and pinned by
 //     Explorer.check; Ctx.release refuses it, so state a report consumer
 //     could still inspect never re-enters circulation.
+//   - A start world outlives its run, so no run releases it. Every fork
+//     of it dies inside its Explore, so once the run is over and pinned
+//     nothing (it reported no violation), World.Retire may hand it back
+//     whole, sealed containers included; the live runtime retires each
+//     lookahead root it is done with that way.
 //
 // The pool is process-global: put fully sanitizes a shell (no live
 // references survive), so shells flow safely between Explore calls. That
@@ -51,6 +56,20 @@ func (p *worldPool) get() *World {
 		return v.(*World)
 	}
 	return nil
+}
+
+// Retire returns w's shell and every container it allocated to the
+// free-list, the ones it shared with forks (sealed marks, World.unseal)
+// included. w is a world whose every fork is dead and none of them pinned:
+// a chain frame whose subtree recorded no violation (Ctx.releaseExhausted),
+// or the start world of an Explore that reported none. The caller must not
+// touch w afterwards. Retiring nil or a pinned world does nothing.
+func (w *World) Retire() {
+	if w == nil || w.pinned {
+		return
+	}
+	w.sealed = false
+	sharedWorldPool.put(w)
 }
 
 // spareTimerSetCap bounds how many reclaimed per-node timer lists a shell

@@ -168,13 +168,7 @@ func (c *Ctx) release(w *World) {
 // violation anywhere in the subtree (the only source of pinned worlds)
 // is visible as report growth — while frontier strategies do not: their
 // successors outlive the expanded world.
-func (c *Ctx) releaseExhausted(w *World) {
-	if w == nil || w.pinned {
-		return
-	}
-	w.sealed = false
-	sharedWorldPool.put(w)
-}
+func (c *Ctx) releaseExhausted(w *World) { w.Retire() }
 
 // releaseSubtree recycles a chain fork whose recursive expansion just
 // returned. Every descendant fork died inside the call, so unless the

@@ -44,12 +44,7 @@ type classKey struct {
 
 // classDigest finalizes a class identity hash.
 func classDigest(prop, sig string) uint64 {
-	h := sm.GetHasher()
-	h.WriteString(prop)
-	h.WriteString(sig)
-	d := h.Sum()
-	sm.PutHasher(h)
-	return d
+	return sm.NewHasher().WriteString(prop).WriteString(sig).Sum()
 }
 
 // canonLabel strips per-path identity from one trace step label:

@@ -222,11 +222,7 @@ func mkPair(a, b NodeID) pairKey {
 
 // pairHash finalizes one partitioned pair for commutative combination.
 func pairHash(k pairKey) uint64 {
-	h := sm.GetHasher()
-	h.WriteNodePair(k.a, k.b)
-	d := sm.Mix64(h.Sum())
-	sm.PutHasher(h)
-	return d
+	return sm.Mix64(sm.NewHasher().WriteNodePair(k.a, k.b).Sum())
 }
 
 // NewWorld returns an empty world with the given choice policy and seed.
@@ -929,13 +925,11 @@ func (w *World) DigestFull() uint64 {
 // combineDigest folds the three commutative sums and their cardinalities
 // into the final world hash.
 func (w *World) combineDigest(nodeSum, inflightSum, partSum uint64) uint64 {
-	h := sm.GetHasher()
+	h := sm.NewHasher() // stays on the stack: no interface method sees it
 	h.WriteInt(int64(len(w.slots))).WriteUint(nodeSum)
 	h.WriteInt(int64(len(w.Inflight))).WriteUint(inflightSum)
 	h.WriteInt(int64(len(w.partitioned))).WriteUint(partSum)
-	d := h.Sum()
-	sm.PutHasher(h)
-	return d
+	return h.Sum()
 }
 
 // nodeComponent hashes slot i's digest component: node identity, service
@@ -943,7 +937,7 @@ func (w *World) combineDigest(nodeSum, inflightSum, partSum uint64) uint64 {
 // combination.
 func (w *World) nodeComponent(i int) uint64 {
 	s := &w.slots[i]
-	h := sm.GetHasher()
+	h := sm.NewHasher() // stays on the stack: no interface method sees it
 	h.WriteNode(w.nodeOrder[i])
 	h.WriteUint(s.svc.Digest())
 	h.WriteBool(s.down)
@@ -951,9 +945,7 @@ func (w *World) nodeComponent(i int) uint64 {
 	for _, name := range s.timers {
 		h.WriteString(name)
 	}
-	d := sm.Mix64(h.Sum())
-	sm.PutHasher(h)
-	return d
+	return sm.Mix64(h.Sum())
 }
 
 // markDigestDirty records that slot i's digest component is stale. No-op

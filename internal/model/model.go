@@ -339,11 +339,34 @@ type Model struct {
 	// worlds (paper §3.3.2: confidence as a function of information age).
 	// Zero means no age filter.
 	MaxAge time.Duration
+
+	// lookNow is the origin instant of the latest BuildWorld. The recovery
+	// hooks every world shares answer for it, built once per model so that
+	// a world costs no closures (see BuildWorld).
+	lookNow     time.Duration
+	recovery    func(NodeID) sm.Service
+	hasRecovery func(NodeID) bool
 }
 
 // New returns an empty model for the given node.
 func New(owner NodeID) *Model {
-	return &Model{Owner: owner, Net: NewNetEstimator(), State: NewStateModel()}
+	m := &Model{Owner: owner, Net: NewNetEstimator(), State: NewStateModel()}
+	// Fault lookaheads recover crashed nodes from the freshest retained
+	// checkpoint — the loop the paper draws between checkpoint exchange
+	// and prediction. The hooks are called from exploration workers, so
+	// they only read the entry map (not mutated while a lookahead runs)
+	// and hand out clones.
+	m.hasRecovery = func(id NodeID) bool {
+		e, ok := m.State.entries[id]
+		return ok && m.fresh(e, m.lookNow)
+	}
+	m.recovery = func(id NodeID) sm.Service {
+		if !m.hasRecovery(id) {
+			return nil
+		}
+		return m.State.entries[id].State.Clone()
+	}
+	return m
 }
 
 // fresh reports whether entry e is young enough at now to be modeled.
@@ -387,28 +410,16 @@ func (m *Model) standingAt(now time.Duration) *explore.World {
 // world takes ownership. The neighbor states are the model's own, shared
 // copy-on-write: the world is a fork of the model's standing world and
 // clones one before a handler writes it. now is the virtual time of the
-// lookahead's origin.
+// lookahead's origin. The world's recovery hooks restart a crashed node
+// from its entry if that is fresh at now — as of the latest BuildWorld, so
+// explore a world before building the next at another instant.
 func (m *Model) BuildWorld(selfState sm.Service, now time.Duration, policy explore.ChoicePolicy, seed int64) *explore.World {
 	if policy == nil {
 		policy = explore.FirstPolicy
 	}
 	w := m.standingAt(now).ForkWith(m.Owner, selfState)
 	w.Policy, w.Seed, w.Now = policy, seed, now
-	// Fault lookaheads recover crashed nodes from the freshest retained
-	// checkpoint — the loop the paper draws between checkpoint exchange
-	// and prediction. The hook is called from exploration workers, so it
-	// only reads the entry map (not mutated while a lookahead runs) and
-	// hands out clones.
-	hasEntry := func(id sm.NodeID) bool {
-		e, ok := m.State.entries[id]
-		return ok && m.fresh(e, now)
-	}
-	w.Recovery = func(id sm.NodeID) sm.Service {
-		if !hasEntry(id) {
-			return nil
-		}
-		return m.State.entries[id].State.Clone()
-	}
-	w.HasRecovery = hasEntry
+	m.lookNow = now
+	w.Recovery, w.HasRecovery = m.recovery, m.hasRecovery
 	return w
 }

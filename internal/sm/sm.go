@@ -19,6 +19,7 @@ package sm
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -185,10 +186,33 @@ type Named interface {
 
 // Hasher builds stable state digests. It is a thin wrapper over FNV-1a with
 // helpers that force deterministic encoding of common state shapes.
+//
+// An integer is 8 little-endian bytes, but WriteUint/WriteInt run the byte
+// loop only over its significant ones: FNV-1a of a zero byte is a bare
+// multiply by the prime, so the high zero bytes fold into one multiply by
+// a precomputed power of it (fnvZeros). The digest stays FNV-1a byte for
+// byte; small values (IDs, lengths, ballots, slots) cost one or two
+// multiplies instead of eight.
+//
+// A hasher that no interface method sees (NewHasher, then only Write* and
+// Sum) stays on the stack; one handed to BodyDigester.DigestBody escapes,
+// so the message digest borrows a pooled one (GetHasher/PutHasher).
 type Hasher struct{ h uint64 }
 
-// fnvOffset is the FNV-1a 64-bit offset basis.
-const fnvOffset = 14695981039346656037
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvZeros[k] is fnvPrime^k: the effect of hashing k zero bytes.
+var fnvZeros = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
 
 // NewHasher returns a Hasher with the FNV-1a offset basis.
 func NewHasher() *Hasher { return &Hasher{h: fnvOffset} }
@@ -226,23 +250,24 @@ func Mix64(x uint64) uint64 {
 
 func (s *Hasher) mix(b byte) {
 	s.h ^= uint64(b)
-	s.h *= 1099511628211
+	s.h *= fnvPrime
 }
 
 // WriteInt folds a signed integer into the digest.
-func (s *Hasher) WriteInt(v int64) *Hasher {
-	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		s.mix(byte(u >> (8 * i)))
-	}
-	return s
-}
+func (s *Hasher) WriteInt(v int64) *Hasher { return s.WriteUint(uint64(v)) }
 
-// WriteUint folds an unsigned integer into the digest.
+// WriteUint folds an unsigned integer into the digest: its 8 bytes, low
+// first, with the zero bytes above the highest set one folded into a
+// single multiply.
 func (s *Hasher) WriteUint(v uint64) *Hasher {
-	for i := 0; i < 8; i++ {
-		s.mix(byte(v >> (8 * i)))
+	n := (bits.Len64(v) + 7) >> 3
+	h := s.h
+	for i := 0; i < n; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime
+		v >>= 8
 	}
+	s.h = h * fnvZeros[8-n]
 	return s
 }
 

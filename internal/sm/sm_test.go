@@ -1,6 +1,9 @@
 package sm
 
 import (
+	"encoding/binary"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +21,103 @@ func TestHasherDeterministic(t *testing.T) {
 	}
 	if build() != build() {
 		t.Fatal("identical writes produced different digests")
+	}
+}
+
+// fnvBytes is the reference the Hasher must equal: FNV-1a 64, one byte at
+// a time, over the encoding the Write methods define — an integer as its
+// 8 little-endian bytes, a bool as one byte, a string as its length (an
+// integer) and then its bytes.
+type fnvBytes struct{ b []byte }
+
+func (r *fnvBytes) uint(v uint64) { r.b = binary.LittleEndian.AppendUint64(r.b, v) }
+
+func (r *fnvBytes) bool(v bool) {
+	if v {
+		r.b = append(r.b, 1)
+	} else {
+		r.b = append(r.b, 0)
+	}
+}
+
+func (r *fnvBytes) string(v string) {
+	r.uint(uint64(len(v)))
+	r.b = append(r.b, v...)
+}
+
+func (r *fnvBytes) sum() uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range r.b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// TestHasherMatchesBytewiseFNV pins the significant-byte folding of
+// WriteUint/WriteInt to plain FNV-1a: every byte-length boundary, the
+// extremes, seeded random values, and mixed sequences with strings and
+// bools hash exactly as the byte-at-a-time reference does.
+func TestHasherMatchesBytewiseFNV(t *testing.T) {
+	vals := []uint64{0, 1, math.MaxUint64, uint64(math.MaxInt64), 1 << 63}
+	for k := 1; k < 8; k++ {
+		vals = append(vals, 1<<(8*k)-1, 1<<(8*k), 1<<(8*k)+1)
+	}
+	ints := []int64{-1, math.MinInt64, math.MaxInt64, -256, -255}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		// Random widths, so that every significant-byte count is common.
+		vals = append(vals, rng.Uint64()>>(rng.Intn(8)*8))
+	}
+	for _, v := range vals {
+		var ref fnvBytes
+		ref.uint(v)
+		if got, want := NewHasher().WriteUint(v).Sum(), ref.sum(); got != want {
+			t.Fatalf("WriteUint(%#x) = %#x, bytewise FNV-1a %#x", v, got, want)
+		}
+		if got, want := NewHasher().WriteInt(int64(v)).Sum(), ref.sum(); got != want {
+			t.Fatalf("WriteInt(%d) = %#x, bytewise FNV-1a %#x", int64(v), got, want)
+		}
+	}
+	for _, v := range ints {
+		var ref fnvBytes
+		ref.uint(uint64(v))
+		if got, want := NewHasher().WriteInt(v).Sum(), ref.sum(); got != want {
+			t.Fatalf("WriteInt(%d) = %#x, bytewise FNV-1a %#x", v, got, want)
+		}
+	}
+	// Mixed sequences: the hasher's state carries across writes of every
+	// kind exactly as the reference's does.
+	strs := []string{"", "a", "px.accept", string(make([]byte, 300))}
+	for i := 0; i < 2000; i++ {
+		h, ref := NewHasher(), &fnvBytes{}
+		for j := rng.Intn(12); j >= 0; j-- {
+			switch rng.Intn(5) {
+			case 0:
+				v := vals[rng.Intn(len(vals))]
+				h.WriteUint(v)
+				ref.uint(v)
+			case 1:
+				v := ints[rng.Intn(len(ints))]
+				h.WriteInt(v)
+				ref.uint(uint64(v))
+			case 2:
+				v := rng.Intn(2) == 0
+				h.WriteBool(v)
+				ref.bool(v)
+			case 3:
+				v := strs[rng.Intn(len(strs))]
+				h.WriteString(v)
+				ref.string(v)
+			default:
+				v := NodeID(rng.Intn(300) - 10)
+				h.WriteNode(v)
+				ref.uint(uint64(v))
+			}
+		}
+		if got, want := h.Sum(), ref.sum(); got != want {
+			t.Fatalf("sequence %d: %#x, bytewise FNV-1a %#x", i, got, want)
+		}
 	}
 }
 
