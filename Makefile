@@ -78,9 +78,10 @@ bench:
 # what it does under a resolver that never clones, so no trie path is
 # copied) and exactly one for a Submit. TestSteeringCheckAllocs is the
 # gate of one steering check: on a warm paxos node a safe check allocates
-# its two service clones and its handlers' objects, and of the engine's
-# only the Report it hands back (the world shells, their containers and
-# the retired lookahead root come back from the free lists).
+# its two service clones and its handlers' objects, and nothing of the
+# engine's (the Report is the steering explorer's own, lent back; the
+# world shells, their containers and the retired lookahead root come back
+# from the free lists; a fault-free chain digests no world).
 # TestRetiredRootsPinNothing (internal/core) is its pool-safety twin: while
 # retired lookahead roots are recycled, a node's current root, the
 # model's standing world and an unsafe check's witness world keep their

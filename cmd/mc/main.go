@@ -103,9 +103,13 @@ func run() int {
 		x.Deadline = time.Now().Add(*deadline)
 	}
 	x.Properties = randtree.Properties()
+	// The checker times the run itself: a one-worker chain run reads no
+	// clock, so its Report carries no Elapsed.
+	start := time.Now()
 	r := x.Explore(w)
+	elapsed := time.Since(start)
 	fmt.Printf("explored %d states to depth %d in %v (strategy=%s workers=%d faults=%d injected=%d truncated=%v)\n",
-		r.StatesExplored, r.MaxDepth, r.Elapsed.Round(time.Microsecond), x.Strategy.Name(), x.Workers, x.FaultBudget, r.FaultsInjected, r.Truncated)
+		r.StatesExplored, r.MaxDepth, elapsed.Round(time.Microsecond), x.Strategy.Name(), x.Workers, x.FaultBudget, r.FaultsInjected, r.Truncated)
 	if r.FrontierDropped > 0 {
 		fmt.Printf("frontier cap %d dropped %d pending unit(s)\n", x.MaxFrontier, r.FrontierDropped)
 	}

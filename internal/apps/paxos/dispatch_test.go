@@ -109,16 +109,17 @@ func steeringRig(steer bool) (*sim.Engine, *core.Cluster, *cloneCounter) {
 // Cost-shape gate (make bench-alloc): a safe steering check on a warm
 // paxos node allocates the service clones its lookahead takes — the live
 // replica's, and the fork's that the delivery's handler writes — the
-// objects those handlers allocate, and of the engine's only the Report the
-// run hands back: the world shells, their slot and in-flight containers,
-// the run context and the previous lookahead root all come back from the
-// free lists. The check here
-// delivers a Learn node 0 already holds, so that neither the live handler
-// nor the lookahead's writes anything and the check's whole cost is its
-// two clones and the Report. The second half logs what the check's clone
-// costs the live handlers that follow it: an Accept or a Learn writes a
-// trie the clone shares, so it copies the path it writes (measured for
-// the next lever on the steering path; not gated).
+// objects those handlers allocate, and nothing of the engine's: the
+// Report is the steering explorer's own, lent back (Explore), the world
+// shells, their slot and in-flight containers, the run context and the
+// previous lookahead root all come back from the free lists, and a
+// fault-free chain digests no world. The check here delivers a Learn node
+// 0 already holds, so that neither the live handler nor the lookahead's
+// writes anything and the check's whole cost is its two clones. The
+// second half logs what the check's clone costs the live handlers that
+// follow it: an Accept or a Learn writes a trie the clone shares, so it
+// copies the path it writes (measured for the next lever on the steering
+// path; not gated).
 func TestSteeringCheckAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool operations; the pin is meaningless under it")
@@ -150,12 +151,11 @@ func TestSteeringCheckAllocs(t *testing.T) {
 	liveClone := testing.AllocsPerRun(200, func() { liveOn.Replica.Clone() })
 	fork := liveOn.Replica.Clone()
 	forkClone := testing.AllocsPerRun(200, func() { fork.Clone() })
-	const report = 1 // the *explore.Report Explore returns
 	engine := on - off - liveClone - forkClone
 	t.Logf("steering check: %v objects (%v with steering, %v without); clones %v + %v; engine %v",
 		on-off, on, off, liveClone, forkClone, engine)
-	if engine != report {
-		t.Errorf("a safe steering check allocates %v objects beyond its two clones, want %d: its Report", engine, report)
+	if engine != 0 {
+		t.Errorf("a safe steering check allocates %v objects beyond its two clones, want 0", engine)
 	}
 
 	// What the check's clone costs the live handler after it: the same

@@ -171,8 +171,8 @@ func SubmitCmd(cl *core.Cluster, origin sm.NodeID, c int) {
 //
 // Check compares every replica's decided log against the replicas before
 // it; Step (explore.Property) looks up only the instances the touched
-// replica decided since prev — the entries its log does not share with
-// prev's — on the others. Neither allocates.
+// replica decided since prev — exactly the entries of its log that prev's
+// lacks (sm.IntMap.Diff) — on the others. Neither allocates.
 func AgreementProperty() explore.Property {
 	return explore.Property{
 		Name: "px.agreement",

@@ -602,7 +602,7 @@ func accHash(inst int, a accState) uint64 {
 
 // put stores v under k and moves sum from the hash of the entry it
 // replaces, if any, to v's.
-func put[V any](m *sm.IntMap[V], sum *uint64, hash func(int, V) uint64, k int, v V) {
+func put[V comparable](m *sm.IntMap[V], sum *uint64, hash func(int, V) uint64, k int, v V) {
 	if old, had := m.Get(k); had {
 		*sum -= hash(k, old)
 	}

@@ -677,7 +677,7 @@ func (n *Node) steerAway(msg *sm.Msg) bool {
 	// Only steer if the alternative (dropping the message) is not itself
 	// predicted to lead to a violation.
 	without := n.buildLookahead(n.svc.Clone(), n.lookPolicy)
-	if !n.explore(n.steerX, without).Safe() {
+	if rWithout := n.explore(n.steerX, without); !rWithout.Safe() {
 		return false
 	}
 	n.stats.Steered++
@@ -725,7 +725,12 @@ func (n *Node) buildLookahead(base sm.Service, policy explore.ChoicePolicy) *exp
 // and containers: the previous root always (it was kept only from a safe
 // run, so no witness world shares its containers, and its forks all died
 // inside that run), w when its run was safe but it is not kept.
-func (n *Node) explore(x *explore.Explorer, w *explore.World) *explore.Report {
+//
+// The report comes back as a copy: x.Explore may return x's own report,
+// lent until x's next run, and x may outlive the call (steerX). The loan
+// is cleared here, so no caller holds an alias a later run overwrites and
+// x keeps no unsafe run's witness worlds alive until its next check.
+func (n *Node) explore(x *explore.Explorer, w *explore.World) explore.Report {
 	prior := n.lookRoot
 	x.Prior = prior
 	r := x.Explore(w)
@@ -740,7 +745,9 @@ func (n *Node) explore(x *explore.Explorer, w *explore.World) *explore.Report {
 			w.Retire()
 		}
 	}
-	return r
+	rep := *r
+	*r = explore.Report{}
+	return rep
 }
 
 // resolverReadsPreEventState reports whether the node's resolver reads

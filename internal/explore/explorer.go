@@ -121,21 +121,23 @@ func (r *Report) Safe() bool { return len(r.Violations) == 0 }
 // The engine is split into three layers: a Strategy decides the traversal
 // (ChainDFS, the default, preserves the causal-chain semantics; BFS trades
 // it for scenario diversity), one scheduler (run) drains the strategy's
-// frontier across Workers workers with per-worker report shards and a
-// shared digest set, and worlds fork copy-on-write so branching costs
-// pointer copies instead of deep clones.
+// frontier across Workers workers with per-worker report shards and, when
+// the run can revisit a state, a shared digest set — a one-worker chain
+// run needs neither and runs its roots inline — and worlds fork
+// copy-on-write so branching costs pointer copies instead of deep clones.
+// An Explorer runs one Explore at a time.
 type Explorer struct {
-	// Workers is the ceiling of the scheduler's pool. Values <= 1 run the
-	// scheduler's loop on the calling goroutine, deterministically: units
-	// drain newest-first from one deque (roots in root order); with
-	// ChainDFS that reproduces the original engine's reports byte for
-	// byte. A larger pool sizes its active set to the work it finds: a
-	// worker whose steal scans keep missing parks itself (sleeping,
-	// stealable deque left behind) and rejoins when published work
-	// outgrows the active set; worker 0 never parks, so termination and
-	// exactly-once expansion do not depend on the resizing. Parallel runs
-	// require the world's ChoicePolicy to be thread-safe — wrap stateful
-	// policies in Locked.
+	// Workers is the ceiling of the scheduler's pool. Values <= 1 run on
+	// the calling goroutine, deterministically: a ChainDFS run expands its
+	// roots in root order, which reproduces the original engine's reports
+	// byte for byte, and any other strategy's units drain newest-first
+	// from one deque (roots in root order). A larger pool sizes its active
+	// set to the work it finds: a worker whose steal scans keep missing
+	// parks itself (sleeping, stealable deque left behind) and rejoins when
+	// published work outgrows the active set; worker 0 never parks, so
+	// termination and exactly-once expansion do not depend on the
+	// resizing. Parallel runs require the world's ChoicePolicy to be
+	// thread-safe — wrap stateful policies in Locked.
 	Workers int
 	// Strategy selects the traversal. Nil means ChainDFS.
 	Strategy Strategy
@@ -158,7 +160,13 @@ type Explorer struct {
 	// machines: fan-out frontier width, not the state budget, is what
 	// exhausts memory.
 	MaxFrontier int
-	// Depth bounds the length of each causal chain.
+	// Depth bounds the length of each causal chain. A fault-free ChainDFS
+	// run keeps no seen set (Explore), on the premise that its chains do
+	// not come back, above the bound, to a state with anything left to
+	// expand. TestFaultFreeChainsNeverRevisit pins that premise for the
+	// apps and live depths the runtime uses; a new app or a deeper live
+	// lookahead must be added to it, or a revisiting chain re-expands
+	// duplicate subtrees and spends MaxStates on them.
 	Depth int
 	// MaxStates bounds the total number of handler executions. Parallel
 	// runs share the budget through an atomic counter and may overshoot
@@ -198,6 +206,11 @@ type Explorer struct {
 	// anything else about Prior is ignored, and so is a Prior that does not
 	// qualify. It is only read, and must not be written after that run.
 	Prior *World
+
+	// report is what a one-worker chain run returns (Explore): the
+	// explorer lends it back until its next run instead of allocating a
+	// Report per decision.
+	report Report
 }
 
 // visitKey is the state-deduplication key: the maintained world digest
@@ -207,8 +220,9 @@ type Explorer struct {
 // of the same world state are interchangeable only if they can still take
 // the same fault transitions — without the fold, a budget-spent path could
 // claim the digest first and prune a budget-rich revisit along with every
-// fault-reachable violation behind it. With FaultBudget 0 the key is the
-// bare digest, preserving the pre-fault engine's pruning exactly.
+// fault-reachable violation behind it. With FaultBudget 0 — a BFS run; a
+// fault-free chain keeps no seen set — the key is the bare digest,
+// preserving the pre-fault engine's pruning exactly.
 func (x *Explorer) visitKey(w *World, faults int) uint64 {
 	d := w.Digest()
 	if x.FaultBudget > 0 {
@@ -311,15 +325,23 @@ func (x *Explorer) faultActions(w *World, used int) []Action {
 // Explore runs the configured strategy from w across the configured worker
 // pool. The start world is not modified: every branch works on
 // copy-on-write forks.
+//
+// A ChainDFS run with Workers <= 1 is the live lookahead's shape, and
+// pays for nothing it does not use: it runs its roots in order on the
+// calling goroutine (runChains), without the scheduler's shards and
+// deques or a stopwatch, and returns the explorer's own Report, which
+// stays valid until x's next Explore. Every other run goes through the
+// scheduler (run), returns a Report of its own and stamps its Elapsed.
 func (x *Explorer) Explore(w *World) *Report {
-	start := time.Now() //crystalvet:wallclock stopwatch for Report.Elapsed; never reaches world state or digests
 	strat := x.Strategy
 	if strat == nil {
 		strat = ChainDFS{}
 	}
-	workers := x.Workers
-	if workers < 1 {
-		workers = 1
+	_, chain := strat.(ChainDFS)
+	inline := chain && x.Workers <= 1
+	var start time.Time
+	if !inline {
+		start = time.Now() //crystalvet:wallclock stopwatch for Report.Elapsed; never reaches world state or digests
 	}
 	budget := x.MaxStates
 	if budget <= 0 {
@@ -329,51 +351,73 @@ func (x *Explorer) Explore(w *World) *Report {
 	// Whatever verdict w carries is some other run's: start it unchecked.
 	w.step.forget()
 	w.step = stepRecord{track: hasStep(x.Properties), touched: w.step.touched}
-	// Prime the maintained digest (and per-message digest memos) while
-	// the start world is still single-threaded: every fork then inherits
-	// valid caches instead of rebuilding them — and, for parallel runs,
-	// instead of racing to memoize shared messages.
-	w.Digest()
+	// Only a run that can revisit a state deduplicates (DESIGN.md §2.4): a
+	// BFS fan-out interleaves, and a fault transition need not consume a
+	// message. A fault-free chain consumes the message it delivers at
+	// every step, so it keeps no seen set and never digests a world.
+	dedup := !chain || x.FaultBudget > 0
+	if dedup || !inline {
+		// Prime the maintained digest (and per-message digest memos)
+		// while the start world is still single-threaded: every fork then
+		// inherits valid caches instead of rebuilding them — and, for
+		// parallel runs, instead of racing to memoize shared messages,
+		// which a property that digests a fork would do even in a run
+		// that keeps no seen set.
+		w.Digest()
+	}
 	// Freeze before forking so concurrent root forks stay read-only on w.
 	w.Freeze()
 	frontier, rootPanic := x.roots(ctx, strat, w)
-	if workers > len(frontier) && len(frontier) > 0 {
-		// More workers than frontier entries only helps strategies that
-		// grow the frontier; cap the pool for the chain strategy, whose
-		// frontier never grows.
-		if _, chain := strat.(ChainDFS); chain {
-			workers = len(frontier)
-		}
+	workers := max(x.Workers, 1)
+	if chain {
+		// More workers than roots only helps strategies that grow the
+		// frontier; a chain's never grows.
+		workers = min(workers, max(len(frontier), 1))
 	}
-	// The seen set follows the pool that actually runs, not the one that
-	// was asked for: a capped-to-one ChainDFS run is a sequential run. Its
-	// map is the context's, grown on demand and kept from run to run.
-	if workers == 1 {
-		if ctx.plain == nil {
-			ctx.plain = make(plainSeen)
-		}
-		ctx.seen = ctx.plain
+	var r *Report
+	var shards []*Report
+	if inline {
+		x.report = newReport()
+		r = &x.report
+		r.arena = ctx.rootArena // roots and chains run on this goroutine
 	} else {
-		ctx.seen = newLockFreeSeen(budget)
+		shards = ctx.newShards(workers)
+		r = shards[0]
 	}
-	reports := ctx.newShards(workers)
+	if dedup {
+		// The seen set follows the pool that actually runs. The one-worker
+		// map is the context's, grown on demand and kept from run to run.
+		if workers == 1 {
+			if ctx.plain == nil {
+				ctx.plain = make(plainSeen)
+			}
+			ctx.seen = ctx.plain
+		} else {
+			ctx.seen = newLockFreeSeen(budget)
+		}
+	}
 	if rootPanic != nil {
-		reports[0].Panics++
-		reports[0].addViolation(*rootPanic)
+		r.Panics++
+		r.addViolation(*rootPanic)
 	}
-	x.checkRoot(ctx, w, reports[0]) // score the root state too
+	x.checkRoot(ctx, w, r) // score the root state too
 	// The root forks were taken before the root was checked: hand them its
 	// verdict now (Strategy.Roots only forks, so they are still that state).
 	for i := range frontier {
 		frontier[i].World.step.inherit(&w.step)
 	}
-	x.run(ctx, strat, frontier, reports)
-	// Take the per-worker scratch back before the shards escape: the merged
-	// report is plain data (determinism tests DeepEqual whole reports).
-	ctx.returnShards()
-	r := reports[0]
-	for _, o := range reports[1:] {
-		r.merge(o)
+	if inline {
+		x.runChains(ctx, strat, frontier, r)
+		r.arena = nil
+	} else {
+		x.run(ctx, strat, frontier, shards)
+		// Take the per-worker scratch back before the shards escape: the
+		// merged report is plain data (determinism tests DeepEqual whole
+		// reports).
+		ctx.returnShards()
+		for _, o := range shards[1:] {
+			r.merge(o)
+		}
 	}
 	if r.scoreCount > 0 {
 		r.MeanScore = r.scoreSum / float64(r.scoreCount)
@@ -392,8 +436,34 @@ func (x *Explorer) Explore(w *World) *Report {
 	r.WorkerHighWater = int(ctx.workerHigh.Load())
 	r.StealMisses = ctx.stealMisses.Load()
 	ctx.recycle()
-	r.Elapsed = time.Since(start) //crystalvet:wallclock stopwatch readout for Report.Elapsed; diagnostics only
+	if !inline {
+		r.Elapsed = time.Since(start) //crystalvet:wallclock stopwatch readout for Report.Elapsed; diagnostics only
+	}
 	return r
+}
+
+// runChains is the one-worker chain run: each root unit's chain, in root
+// order, on the calling goroutine. A chain publishes no successors, so
+// the deques a scheduler drains would only hand the roots back in the
+// order they came; the MaxFrontier cap binds on them the same way, the
+// newest beyond it dropped.
+func (x *Explorer) runChains(ctx *Ctx, strat Strategy, units []Unit, r *Report) {
+	if x.MaxFrontier > 0 && len(units) > x.MaxFrontier {
+		dropUnits(ctx, units[x.MaxFrontier:])
+		units = units[:x.MaxFrontier]
+	}
+	ctx.workerHigh.Store(1)
+	for i := range units {
+		u := units[i]
+		units[i] = Unit{}
+		if ctx.Exhausted() {
+			r.Truncated = true
+			ctx.release(u.World) // never expanded: recycle now
+			releaseTrace(r.arena, u.trace)
+			continue
+		}
+		x.expand(ctx, strat, u, r)
+	}
 }
 
 // chain executes action a on w (which the callee owns), then recurses on
@@ -434,10 +504,7 @@ func (x *Explorer) chain(ctx *Ctx, w *World, a Action, depth, faults int, r *Rep
 		r.MaxDepth = depth
 	}
 	x.check(ctx, w, r, trace, depth)
-	if depth >= x.Depth {
-		return
-	}
-	if ctx.Visit(x.visitKey(w, faults)) {
+	if depth >= x.Depth || ctx.revisit(w, faults) {
 		return
 	}
 	for _, next := range out {
@@ -514,10 +581,7 @@ func (x *Explorer) genericDelivery(ctx *Ctx, w *World, ix, depth, faults int, r 
 	st := ctx.extendTrace(r.arena, trace, step{kind: stepGenericSilent})
 	x.check(ctx, w, r, st, depth)
 	releaseTrace(r.arena, st)
-	if depth >= x.Depth {
-		return
-	}
-	if ctx.Visit(x.visitKey(w, faults)) {
+	if depth >= x.Depth || ctx.revisit(w, faults) {
 		return
 	}
 	for bi, reaction := range w.Generic.Reactions(m) {

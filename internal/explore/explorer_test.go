@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"crystalchoice/internal/sm"
 )
@@ -429,16 +430,27 @@ func TestReliableMessagesNotDropBranched(t *testing.T) {
 	}
 }
 
-// TestExploreStampsElapsed: Explore itself must report wall-clock time,
-// so consumers of a direct Explore (cmd/mc, steering stats) see it.
+// TestExploreStampsElapsed: a run through the scheduler — BFS (the
+// benchmark's offline runs read its Elapsed), or more than one worker —
+// reports wall-clock time; a one-worker chain, the live lookahead, runs
+// inline and leaves it zero, Deadline or not.
 func TestExploreStampsElapsed(t *testing.T) {
 	w := relayWorld(4, 3)
-	x := NewExplorer(5)
-	for _, workers := range []int{1, 4} {
-		x.Workers = workers
-		r := x.Explore(w)
-		if r.Elapsed <= 0 {
-			t.Fatalf("Workers=%d: Elapsed = %v, want > 0", workers, r.Elapsed)
+	for _, tc := range []struct {
+		name  string
+		set   func(x *Explorer)
+		stamp bool
+	}{
+		{"bfs", func(x *Explorer) { x.Strategy = BFS{} }, true},
+		{"chain/workers=4", func(x *Explorer) { x.Workers = 4 }, true},
+		{"chain/deadline", func(x *Explorer) { x.Deadline = time.Now().Add(time.Hour) }, false},
+		{"chain", func(*Explorer) {}, false},
+		{"chain/faults", func(x *Explorer) { x.FaultBudget = 1 }, false},
+	} {
+		x := NewExplorer(5)
+		tc.set(x)
+		if r := x.Explore(w); (r.Elapsed > 0) != tc.stamp {
+			t.Errorf("%s: Elapsed = %v, want stamped %v", tc.name, r.Elapsed, tc.stamp)
 		}
 	}
 }

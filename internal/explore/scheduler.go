@@ -11,7 +11,8 @@ import (
 
 // Ctx is the state one Explore run shares across its workers: the frozen
 // start world, the global handler-execution budget, the cross-worker
-// digest deduplication set, and the action-label intern table.
+// digest deduplication set of a run that keeps one, and the action-label
+// intern table.
 type Ctx struct {
 	runState
 	// Everything below is scratch that outlives the run: a Ctx comes from,
@@ -91,9 +92,17 @@ func (c *Ctx) newShards(n int) []*Report {
 	}
 	c.shards = slices.Grow(c.shards[:0], n)[:n]
 	for i := range c.shards {
-		c.shards[i] = &Report{MinScore: math.Inf(1), MaxScore: math.Inf(-1), arena: c.arenas[i], succ: c.succ[i]}
+		r := newReport()
+		r.arena, r.succ = c.arenas[i], c.succ[i]
+		c.shards[i] = &r
 	}
 	return c.shards
+}
+
+// newReport returns an empty report, its score extremes ready for the
+// first state.
+func newReport() Report {
+	return Report{MinScore: math.Inf(1), MaxScore: math.Inf(-1)}
 }
 
 func (c *Ctx) returnShards() {
@@ -209,9 +218,13 @@ func (c *Ctx) Exhausted() bool {
 	return false
 }
 
-// Visit records the digest of a reached state, reporting true when it was
-// already recorded — the caller then prunes the duplicate subtree.
-func (c *Ctx) Visit(d uint64) bool { return c.seen.visit(d) }
+// revisit records w, reached with faults fault transitions spent on its
+// path, in the run's seen set and reports whether it was there already —
+// the caller then prunes the duplicate subtree. A run without a seen set
+// (a fault-free chain) never revisits and never digests.
+func (c *Ctx) revisit(w *World, faults int) bool {
+	return c.seen != nil && c.seen.visit(c.x.visitKey(w, faults))
+}
 
 // Autoscaler tuning. The control law is a hysteresis pair: shrink needs
 // autoMissStreak consecutive empty sweeps from the highest-indexed active

@@ -172,8 +172,7 @@ func TestSlotForksIsolated(t *testing.T) {
 			root.timers = append(root.timers, map[string]bool{})
 			root.down = append(root.down, false)
 		}
-		standing.Digest()
-		standing.Freeze()
+		standing.Freeze() // never digested, as the model's is not
 		refs := []*refWorld{root}
 		live := []int{}
 		forked := func(r *refWorld, w *World, parent int) {

@@ -114,7 +114,8 @@ func ParseStrategy(name string) (Strategy, error) {
 // by following the chain of that action's causal consequences
 // depth-first. With Workers<=1 the chains run in root order on the calling
 // goroutine, which reproduces the original sequential engine's reports
-// byte for byte.
+// byte for byte. Without a fault budget the chains are not deduplicated
+// (see Explorer.Depth).
 type ChainDFS struct{}
 
 // Name returns "chaindfs".
@@ -233,10 +234,7 @@ func fanOut(x *Explorer, ctx *Ctx, u Unit, r *Report) []Unit {
 		r.MaxDepth = u.Depth
 	}
 	x.check(ctx, w, r, u.trace, u.Depth)
-	if u.Depth >= x.Depth {
-		return nil
-	}
-	if ctx.Visit(x.visitKey(w, u.Faults)) {
+	if u.Depth >= x.Depth || ctx.revisit(w, u.Faults) {
 		return nil
 	}
 	acts := x.enabled(w)

@@ -322,25 +322,24 @@ func (w *World) fork() *World {
 }
 
 // ForkWith returns a fork of w in which node id holds svc, a state the
-// fork owns. It is how a standing world is used: w is frozen and digested,
-// lives as long as what it models, and every world handed out is a
-// ForkWith of it. The fork leaves with its own slot slice — the container
-// replacing a service and its digest component writes — so nothing that
-// reaches it reaches w's, which is what lets Patch write w's slots in
-// place while forks are alive; everything else of w is shared and
-// immutable. Seed, Policy, Now and the recovery hooks are the caller's to
-// set.
+// fork owns. It is how a standing world is used: w is frozen, never
+// digested, and lives as long as what it models, and every world handed
+// out is a ForkWith of it. The fork leaves with its own slot slice — the
+// container replacing a service writes — so nothing that reaches it
+// reaches w's, which is what lets Patch write w's slots in place while
+// forks are alive; everything else of w is shared and immutable. The fork
+// is unprimed: a fault-free chain never digests it, and whatever does pays
+// for its digest then (Digest). Seed, Policy, Now and the recovery hooks
+// are the caller's to set.
 func (w *World) ForkWith(id NodeID, svc sm.Service) *World {
-	w.rehashDirty()
 	c := w.fork()
 	c.ReplaceService(id, svc)
-	c.flushDigestDirty()
 	return c
 }
 
 // Patch makes svc node id's state in a standing world (see ForkWith), in
-// place and in O(1): the node's digest component is recomputed by the next
-// ForkWith. The node must exist, and svc must never be written again.
+// place and in O(1). The node must exist, and svc must never be written
+// again.
 //
 //crystalvet:cowwrite a standing world's slots are shared with no fork: ForkWith's fork copies them before it is returned
 func (w *World) Patch(id NodeID, svc sm.Service) {
@@ -891,7 +890,10 @@ func (w *World) SetTimerPending(id NodeID, name string) {
 // hash (the sum of their finalized per-message digests). The copy-on-write
 // hooks record which node components a write invalidated, so consecutive
 // exploration states — which differ by one handler invocation — re-hash
-// only the changed pieces instead of the whole world. DigestFull is the
+// only the changed pieces instead of the whole world. Maintenance starts
+// at a world's first Digest call (forks of a digested world inherit it):
+// until then writes cost no hashing at all, which is what a fault-free
+// chain, the one search that never asks, relies on. DigestFull is the
 // from-scratch recomputation of the same value.
 func (w *World) Digest() uint64 {
 	if !w.dig.valid {
@@ -994,15 +996,6 @@ func (w *World) rebuildDigest() {
 // adjusting the commutative node sum by the difference.
 func (w *World) flushDigestDirty() {
 	w.ownSlots()
-	w.rehashDirty()
-}
-
-// rehashDirty is flushDigestDirty's loop, writing the slots' components
-// in place: for a world that owns its slots, or — a standing world —
-// shares them with no fork.
-//
-//crystalvet:cowwrite writes digest components only; flushDigestDirty owns the slots first, and a standing world's are shared with no fork (see ForkWith)
-func (w *World) rehashDirty() {
 	for _, i := range w.dig.dirty {
 		nh := w.nodeComponent(i)
 		w.dig.nodeSum += nh - w.slots[i].hash
@@ -1134,12 +1127,11 @@ func (w *World) FireTimer(id NodeID, name string) []*sm.Msg {
 func (w *World) InjectMessage(m *sm.Msg) {
 	w.ownInflight()
 	w.Inflight = append(w.Inflight, m)
-	// Memoize the message digest while this goroutine still owns the
-	// message exclusively; forks sharing the in-flight slice later may
-	// read it concurrently.
-	d := m.Digest()
+	// An unprimed world leaves the message's digest memo alone: the first
+	// Digest fills it, and Explore takes that on the start world before any
+	// worker can share the message.
 	if w.dig.valid {
-		w.dig.inflightSum += sm.Mix64(d)
+		w.dig.inflightSum += sm.Mix64(m.Digest())
 	}
 }
 
@@ -1153,9 +1145,10 @@ func (w *World) absorb(msgs []*sm.Msg) {
 		}
 		w.ownInflight()
 		w.Inflight = append(w.Inflight, m)
-		d := m.Digest() // memoize pre-sharing, as in InjectMessage
+		// A run that maintains digests memoizes the message here, in the
+		// worker that made it, before any fork can share it.
 		if w.dig.valid {
-			w.dig.inflightSum += sm.Mix64(d)
+			w.dig.inflightSum += sm.Mix64(m.Digest())
 		}
 	}
 }

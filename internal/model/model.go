@@ -190,9 +190,9 @@ type StateModel struct {
 }
 
 // standing is a model's lookahead world kept between decisions: frozen and
-// digested, holding a placeholder for the owner and, by reference, the
-// retained state of every peer a world built at a time inside (after,
-// until] models. An entry is never written once retained and a frozen
+// never digested (a fork digests itself if asked), holding a placeholder
+// for the owner and, by reference, the retained state of every peer a
+// world built at a time inside (after, until] models. An entry is never written once retained and a frozen
 // world clones before it writes, so nothing needs copying; Update swaps a
 // fresher checkpoint in (explore.World.Patch), and a peer entering or
 // leaving — a first checkpoint, Forget, an entry crossing MaxAge — drops
@@ -398,7 +398,6 @@ func (m *Model) standingAt(now time.Duration) *explore.World {
 			s.w.AddNode(id, e.State)
 		}
 	}
-	s.w.Digest()
 	s.w.Freeze()
 	m.State.standing = s
 	return s.w

@@ -28,8 +28,9 @@ import (
 // The zero value is an empty map. An IntMap is copied only by Clone: a
 // plain struct copy leaves two maps that both believe they own the nodes.
 // Storing a V makes a shallow copy, so V must not hold pointers, maps or
-// slices it later writes through.
-type IntMap[V any] struct {
+// slices it later writes through; V is comparable so that Diff can tell a
+// rewritten value from an unchanged one.
+type IntMap[V comparable] struct {
 	root  *trieNode[V]
 	shift uint // bit offset of the root's index; 0 when the root is a leaf
 	n     int
@@ -67,14 +68,14 @@ func down(shift uint) uint {
 
 // trieNode is a branch (kids set) or a leaf (vals set). The array lives
 // in the same allocation as the node (newBranch, newLeaf).
-type trieNode[V any] struct {
+type trieNode[V comparable] struct {
 	shared atomic.Bool
 	used   uint8 // leaf: bitmap of occupied slots
 	kids   *[trieWidth]*trieNode[V]
 	vals   *[leafWidth]V
 }
 
-func newBranch[V any]() *trieNode[V] {
+func newBranch[V comparable]() *trieNode[V] {
 	b := new(struct {
 		trieNode[V]
 		arr [trieWidth]*trieNode[V]
@@ -83,7 +84,7 @@ func newBranch[V any]() *trieNode[V] {
 	return &b.trieNode
 }
 
-func newLeaf[V any]() *trieNode[V] {
+func newLeaf[V comparable]() *trieNode[V] {
 	l := new(struct {
 		trieNode[V]
 		arr [leafWidth]V
@@ -197,26 +198,32 @@ func (m *IntMap[V]) All(fn func(k int, v V) bool) {
 	}
 }
 
-// Diff calls fn, in ascending key order until it returns false, for every
-// entry of m that old may not hold with the same value: each key m stores
-// that old lacks or maps to something else is visited with its value in m,
-// and so — a leaf being the unit of sharing — are the up to 7 entries in
-// the same leaf. Subtrees the two maps share by pointer are skipped, so
-// when m descends from a Clone of old, or both from Clones of one
-// ancestor, the cost follows the paths written since the fork and not
-// Len; a pointer-shared node is frozen by its mark, which is what makes
-// skipping it sound. Unrelated maps degrade to All. Keys only old holds
-// are not reported: there is no Delete to produce one inside a lineage.
-// old may be nil. Like All, Diff writes nothing, so frozen maps may be
-// diffed from several goroutines at once.
+// Diff calls fn, in ascending key order until it returns false, for
+// exactly the entries of m that old does not hold with the same value:
+// each key m stores that old lacks or maps to something else, with its
+// value in m. Subtrees the two maps share by pointer are skipped and the
+// rest is compared leaf by leaf, so when m descends from a Clone of old,
+// or both from Clones of one ancestor, the cost follows the paths written
+// since the fork and not Len; a pointer-shared node is frozen by its mark,
+// which is what makes skipping it sound. Unrelated maps are compared in
+// full. Keys only old holds are not reported: there is no Delete to
+// produce one inside a lineage. old may be nil. Like All, Diff writes
+// nothing, so frozen maps may be diffed from several goroutines at once.
 func (m *IntMap[V]) Diff(old *IntMap[V], fn func(k int, v V) bool) {
-	switch {
-	case m.root == nil:
-	case old == nil || old.root == nil || old.shift > m.shift:
-		m.All(fn)
-	default:
-		m.root.diff(old.root, old.shift, m.shift, 0, fn)
+	if m.root == nil {
+		return
 	}
+	var o *trieNode[V]
+	oshift := m.shift
+	if old != nil {
+		o, oshift = old.root, old.shift
+	}
+	// A taller old map holds every key m can store under slot 0 of the
+	// levels m lacks (m's keys are below reach(m.shift), so non-negative).
+	for o != nil && oshift > m.shift {
+		o, oshift = o.kids[0], down(oshift)
+	}
+	m.root.diff(o, oshift, m.shift, 0, fn)
 }
 
 // slots returns how many of a node's slots keys can reach and the slot
@@ -251,16 +258,29 @@ func (n *trieNode[V]) walk(shift uint, prefix uint64, fn func(k int, v V) bool) 
 	return true
 }
 
-// diff is walk restricted to what is not shared with the old map's node o,
-// which sits at oshift. A root that grew keeps the old root under slot 0
-// of each level it added, so while n's level is above o's, slot 0 is
-// compared against o itself and every other slot is new.
+// diff is walk restricted to what the old map's node o, which sits at
+// oshift, does not hold with the same value. A root that grew keeps the
+// old root under slot 0 of each level it added, so while n's level is
+// above o's, slot 0 is compared against o itself and every other slot is
+// new. Two leaves are compared slot by slot.
 func (n *trieNode[V]) diff(o *trieNode[V], oshift, shift uint, prefix uint64, fn func(k int, v V) bool) bool {
 	if n == o {
 		return true
 	}
-	if o == nil || n.vals != nil {
+	if o == nil {
 		return n.walk(shift, prefix, fn)
+	}
+	if n.vals != nil { // o is a leaf too: it sits at n's level
+		for used := n.used; used != 0; used &= used - 1 {
+			i := bits.TrailingZeros8(used)
+			if o.used&(1<<i) != 0 && o.vals[i] == n.vals[i] {
+				continue
+			}
+			if !fn(int(prefix|uint64(i)), n.vals[i]) {
+				return false
+			}
+		}
+		return true
 	}
 	width, first := slots(shift)
 	for j := 0; j < width; j++ {
@@ -276,6 +296,9 @@ func (n *trieNode[V]) diff(o *trieNode[V], oshift, shift uint, prefix uint64, fn
 			oc, below = o.kids[i], down(shift)
 		case i == 0:
 			oc = o
+		}
+		if c == oc {
+			continue // shared: nothing under it differs
 		}
 		if !c.diff(oc, below, down(shift), prefix|i<<shift, fn) {
 			return false

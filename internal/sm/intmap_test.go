@@ -198,15 +198,24 @@ func diffKeys(t *testing.T, m, old *IntMap[int], model map[int]int, what string)
 	return got
 }
 
-// leafOf names the leaf a key lives in: the leafWidth keys that agree
-// above the low leafBits bits.
-func leafOf(k int) uint64 { return uint64(k) >> leafBits }
+// changedKeys is Diff's reference: the keys now holds that was lacks or
+// maps to another value, ascending.
+func changedKeys(now, was map[int]int) []int {
+	var keys []int
+	for k, v := range now {
+		if old, had := was[k]; !had || old != v {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // Diff against a reference: fork a map, let both sides move on as a live
 // replica and its checkpoint do, and hold what Diff reports to the two
-// models — every key that is new or maps to another value is there with
-// its current value, nothing is there for an untouched clone, and a key
-// reported beyond those shares a leaf with a key one side wrote.
+// models — exactly the keys that are new or map to another value, with
+// their current values, and nothing for an untouched clone. A write of the
+// value a key already holds is no change.
 func TestIntMapDiffMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -218,27 +227,65 @@ func TestIntMapDiffMatchesModel(t *testing.T) {
 		if got := diffKeys(t, &fork.m, &base.m, fork.model, "untouched clone"); len(got) != 0 {
 			t.Fatalf("seed %d: Diff of an untouched clone yields %v", seed, got)
 		}
-		written := map[uint64]bool{}
 		for i, n := 0, rng.Intn(40); i < n; i++ {
 			p := fork
 			if rng.Intn(4) == 0 {
 				p = base
 			}
 			k := fuzzKey(rng)
-			p.put(k, rng.Int())
-			written[leafOf(k)] = true
+			v := rng.Int()
+			if old, ok := p.model[k]; ok && rng.Intn(3) == 0 {
+				v = old // a rewrite that changes nothing
+			}
+			p.put(k, v)
 		}
 		got := diffKeys(t, &fork.m, &base.m, fork.model, "fork vs base")
-		for k, v := range fork.model {
-			if old, had := base.model[k]; !had || old != v {
-				if _, found := slices.BinarySearch(got, k); !found {
-					t.Fatalf("seed %d: Diff misses %d (now %d, was %d, %v)", seed, k, v, old, had)
+		if want := changedKeys(fork.model, base.model); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Diff yields %v, want %v", seed, got, want)
+		}
+	}
+}
+
+// TestIntMapDiffExact holds Diff to a Go-map reference over random
+// lineages: maps forked from maps forked from maps, each written on its
+// own, with keys that grow roots past every level and take them to full
+// height, and against maps of another lineage with the same or other
+// content. Every ordered pair of live maps must diff to exactly the keys
+// the first holds and the second lacks or maps elsewhere, ascending.
+func TestIntMapDiffExact(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var live []*modelled
+		for lineage := 0; lineage < 2; lineage++ {
+			root := &modelled{model: map[int]int{}}
+			live = append(live, root)
+			for op := 0; op < 300; op++ {
+				p := live[len(live)-1-rng.Intn(min(len(live), 4))]
+				if rng.Intn(25) == 0 && len(live) < 10 {
+					live = append(live, p.fork())
+					continue
+				}
+				k := fuzzKey(rng)
+				if rng.Intn(3) == 0 {
+					k = op // dense keys grow the root through 8 and 256
+				}
+				v := rng.Intn(4) // few values: rewrites often change nothing
+				p.put(k, v)
+				if lineage == 1 && rng.Intn(4) == 0 {
+					// Unrelated maps with some content in common.
+					live[0].put(k, v)
 				}
 			}
 		}
-		for _, k := range got {
-			if !written[leafOf(k)] {
-				t.Fatalf("seed %d: Diff yields %d, in a leaf neither side wrote", seed, k)
+		for i, a := range live {
+			for j, b := range live {
+				got := diffKeys(t, &a.m, &b.m, a.model, "lineage pair")
+				if want := changedKeys(a.model, b.model); !slices.Equal(got, want) {
+					t.Fatalf("seed %d: map %d against map %d: Diff yields %v, want %v", seed, i, j, got, want)
+				}
+			}
+			if got, want := diffKeys(t, &a.m, nil, a.model, "vs nil"), changedKeys(a.model, nil); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: map %d against nil: Diff yields %v, want %v", seed, i, got, want)
 			}
 		}
 	}
@@ -267,17 +314,13 @@ func TestIntMapDiffAcrossGrowth(t *testing.T) {
 			t.Fatalf("a negative key leaves the root at shift %d, want %d", p.m.shift, trieTopShift)
 		}
 		got := diffKeys(t, &p.m, &old.m, p.model, "grown to full height")
-		want := []int{-7}
-		for k := 0; k < leafWidth; k++ { // key 3's leaf, whole
-			want = append(want, k)
-		}
-		if want = append(want, n); !slices.Equal(got, want) {
+		if want := []int{-7, 3, n}; !slices.Equal(got, want) { // not key 3's leaf neighbours
 			t.Fatalf("growth past %d keys, then to full height: Diff yields %v, want %v", n, got, want)
 		}
-		// The other way round the old map is the taller one: no shared
-		// spine to follow, so everything is reported.
-		if got := diffKeys(t, &old.m, &p.m, old.model, "shrunk"); len(got) != n {
-			t.Fatalf("Diff against a taller map yields %d keys, want all %d", len(got), n)
+		// The other way round the old map is the taller one: the shorter
+		// map's keys sit under its slot-0 spine, and only key 3 differs.
+		if got := diffKeys(t, &old.m, &p.m, old.model, "shrunk"); !slices.Equal(got, []int{3}) {
+			t.Fatalf("Diff against a taller map yields %v, want [3]", got)
 		}
 	}
 }
@@ -285,7 +328,7 @@ func TestIntMapDiffAcrossGrowth(t *testing.T) {
 // The extreme keys sit on either side of the top level's sign bit and at
 // the ends of each side: Get finds them, All yields math.MinInt first and
 // math.MaxInt last, and Diff across the sign level reports exactly the
-// leaves a fork wrote on either side of it.
+// keys a fork wrote on either side of it, not their leaf neighbours.
 func TestIntMapExtremeKeys(t *testing.T) {
 	extremes := []int{math.MinInt, math.MinInt + 1, -9, -8, -1, 0, 7, 8, math.MaxInt - 1, math.MaxInt}
 	rng := rand.New(rand.NewSource(1))
@@ -304,19 +347,11 @@ func TestIntMapExtremeKeys(t *testing.T) {
 	if !slices.Equal(order, extremes) {
 		t.Fatalf("All yields %v, want %v", order, extremes)
 	}
-	for _, c := range []struct {
-		write int
-		want  []int // the whole leaf the write lands in
-	}{
-		{math.MinInt, []int{math.MinInt, math.MinInt + 1}},
-		{-1, []int{-8, -1}},
-		{0, []int{0, 7}},
-		{math.MaxInt, []int{math.MaxInt - 1, math.MaxInt}},
-	} {
+	for _, write := range []int{math.MinInt, -1, 0, math.MaxInt} { // each shares its leaf with another extreme
 		fork := p.fork()
-		fork.put(c.write, -1)
-		if got := diffKeys(t, &fork.m, &p.m, fork.model, "extreme write"); !slices.Equal(got, c.want) {
-			t.Fatalf("a write to %d: Diff yields %v, want %v", c.write, got, c.want)
+		fork.put(write, -1)
+		if got := diffKeys(t, &fork.m, &p.m, fork.model, "extreme write"); !slices.Equal(got, []int{write}) {
+			t.Fatalf("a write to %d: Diff yields %v, want [%d]", write, got, write)
 		}
 		fork.check(t, rng, "extreme fork")
 	}
@@ -324,7 +359,7 @@ func TestIntMapExtremeKeys(t *testing.T) {
 	fork := p.fork()
 	fork.put(math.MaxInt, -1)
 	fork.put(math.MinInt, -1)
-	if got, want := diffKeys(t, &fork.m, &p.m, fork.model, "both sides"), []int{math.MinInt, math.MinInt + 1, math.MaxInt - 1, math.MaxInt}; !slices.Equal(got, want) {
+	if got, want := diffKeys(t, &fork.m, &p.m, fork.model, "both sides"), []int{math.MinInt, math.MaxInt}; !slices.Equal(got, want) {
 		t.Fatalf("writes on both sides of the sign level: Diff yields %v, want %v", got, want)
 	}
 }
@@ -373,8 +408,13 @@ func TestIntMapDiffUnrelatedAndEmpty(t *testing.T) {
 		a.put(k, k)
 		b.put(k, k) // same content, no shared node
 	}
-	if got := diffKeys(t, &a.m, &b.m, a.model, "unrelated"); len(got) != len(a.model) {
-		t.Fatalf("Diff of unrelated maps yields %d keys, want all %d", len(got), len(a.model))
+	if got := diffKeys(t, &a.m, &b.m, a.model, "unrelated"); len(got) != 0 {
+		t.Fatalf("Diff of unrelated maps with equal content yields %v", got)
+	}
+	b.put(5, -5)
+	b.put(302, 302)
+	if got := diffKeys(t, &a.m, &b.m, a.model, "unrelated, one changed"); !slices.Equal(got, []int{5}) {
+		t.Fatalf("Diff of unrelated maps yields %v, want [5]", got)
 	}
 	var empty IntMap[int]
 	if got := diffKeys(t, &a.m, &empty, a.model, "vs empty"); len(got) != len(a.model) {

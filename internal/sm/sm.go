@@ -45,9 +45,11 @@ type Msg struct {
 	// digest memoizes the message's content hash. Messages are immutable
 	// once in flight, so the hash is computed at most once per message
 	// instead of once per state visit per world. The memo must be filled
-	// while the message is still owned by a single goroutine (the world
-	// that injects or absorbs it does so eagerly); afterwards Digest is
-	// read-only and safe to call from concurrent exploration workers.
+	// while the message is still owned by a single goroutine (a world that
+	// maintains its digest does so when it injects or absorbs it, and
+	// Explore digests the start world of every run that can share it
+	// across workers); afterwards Digest is read-only and safe to call
+	// from concurrent exploration workers.
 	// digested sits beside Unreliable, so the two flags share one word.
 	digested bool
 	digest   uint64
